@@ -18,6 +18,7 @@ from .infostruct import KIND_CONTROL, KIND_OBSERVATION, InfoSchema
 from .prescription import CompletePrescription, apply_prescription
 from .sysmodel import (
     Instance,
+    index_realization,
     realization_count,
     realization_index,
     restrict_realization,
@@ -254,7 +255,7 @@ def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> 
     acc: dict[tuple, np.ndarray] = {}
     for s_idx in np.nonzero(pi.probs > 0.0)[0]:
         ps = float(pi.probs[s_idx])
-        s_vals = _index_to_values(sizes, int(s_idx))
+        s_vals = index_realization(sizes, int(s_idx))
         for w in range(sys.disturbance_size):
             pw = ps * float(sys.disturbance_probs[t, w])
             if pw == 0.0:
@@ -303,7 +304,7 @@ def expected_stage_cost(instance, pi: InformationState, theta) -> float:
     sizes = _support_sizes(instance, pi.support)
     total = 0.0
     for s_idx in np.nonzero(pi.probs > 0.0)[0]:
-        s_vals = _index_to_values(sizes, int(s_idx))
+        s_vals = index_realization(sizes, int(s_idx))
         total += float(pi.probs[s_idx]) * hat_cost(
             instance, pi.agent, pi.time, s_vals, theta
         )
@@ -318,7 +319,7 @@ def connection_term(instance, pi_i: InformationState, k: int) -> ConnectionTerm:
     sizes = _support_sizes(instance, pi_i.support)
     vec = np.zeros(realization_count(diff_sizes))
     for s_idx in np.nonzero(pi_i.probs > 0.0)[0]:
-        s_vals = _index_to_values(sizes, int(s_idx))
+        s_vals = index_realization(sizes, int(s_idx))
         ext = restrict_realization(pi_i.support, s_vals[1:], diff)
         vec[realization_index(diff_sizes, ext)] += float(pi_i.probs[s_idx])
     return ConnectionTerm(low_agent=k, high_agent=i, time=pi_i.time, support=diff, probs=vec)
@@ -341,7 +342,7 @@ def factorization_check(instance, pi_k_by_extension: dict, pi_i, lam: Connection
     diff_sizes = instance.schema_sizes(lam.support)
     worst = 0.0
     for s_idx in np.nonzero(pi_i.probs > 0.0)[0]:
-        s_vals = _index_to_values(sizes_i, int(s_idx))
+        s_vals = index_realization(sizes_i, int(s_idx))
         ext = restrict_realization(pi_i.support, s_vals[1:], lam.support)
         pk = pi_k_by_extension.get(ext)
         if pk is None:
@@ -353,14 +354,6 @@ def factorization_check(instance, pi_k_by_extension: dict, pi_i, lam: Connection
         )
         worst = max(worst, abs(lhs - rhs))
     return worst
-
-
-def _index_to_values(sizes, index: int) -> tuple[int, ...]:
-    out = []
-    for size in reversed(sizes):
-        out.append(index % size)
-        index //= size
-    return tuple(reversed(out))
 
 
 def belief_tuple_key(pis) -> tuple:

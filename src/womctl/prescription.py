@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import CapExceeded, DomainMismatch, OutOfRange, SchemaMismatch
 from .infostruct import InfoSchema
 from .sysmodel import (
@@ -139,38 +141,54 @@ def count_strategies(instance: Instance, mode) -> int:
 # -- conversions between prescriptions and control laws ------------------------
 
 
-def _target_action(instance: Instance, psi: PrescriptionStrategy, t, target, memory_real):
-    """Action of `target` at stage t under psi, given the target's memory realization."""
-    info = instance.info
-    k = psi.owner
-    mem = info.memory(t, target)
-    cond = info.conditioning_schema(t, k, target)
-    domain = info.prescription_domain(t, k, target)
-    try:
-        law = psi.laws[(t, target)]
-    except KeyError:
-        raise DomainMismatch(f"strategy has no law for (t={t}, target={target})") from None
-    cond_real = restrict_realization(mem, memory_real, cond)
-    dom_real = restrict_realization(mem, memory_real, domain)
-    try:
-        presc = law[cond_real]
-    except KeyError:
-        raise DomainMismatch(
-            f"law (t={t}, target={target}) missing conditioning realization {cond_real}"
-        ) from None
-    return apply_prescription(presc, dom_real)
-
-
 def induced_control_tables(instance: Instance, psi: PrescriptionStrategy, agent: int):
-    """Full memory-realization tables for one agent's actions under psi."""
+    """Full memory-realization tables for one agent's actions under psi.
+
+    The conditioning schema and the prescription domain partition the
+    agent's memory, so every memory realization's action is one entry of the
+    matrix whose rows are the law's prescription tables in conditioning
+    order; the row and column of each realization come from its mixed-radix
+    digits.
+    """
+    info = instance.info
     tables = {}
     for t in range(instance.horizon + 1):
-        mem = instance.info.memory(t, agent)
+        try:
+            law = psi.laws[(t, agent)]
+        except KeyError:
+            raise DomainMismatch(f"strategy has no law for (t={t}, target={agent})") from None
+        mem = info.memory(t, agent)
+        cond = info.conditioning_schema(t, psi.owner, agent)
+        cond_sizes = instance.schema_sizes(cond)
+        dom_sizes = instance.schema_sizes(info.prescription_domain(t, psi.owner, agent))
+        rows = []
+        for cond_real in enumerate_realizations(cond_sizes):
+            try:
+                presc = law[cond_real]
+            except KeyError:
+                raise DomainMismatch(
+                    f"law (t={t}, target={agent}) missing conditioning realization {cond_real}"
+                ) from None
+            if presc.domain_sizes != dom_sizes:
+                raise OutOfRange(
+                    f"law (t={t}, target={agent}) prescription at {cond_real} has domain "
+                    f"sizes {presc.domain_sizes}, expected {dom_sizes}"
+                )
+            rows.append(presc.table)
         sizes = instance.schema_sizes(mem)
-        tables[t] = {
-            real: _target_action(instance, psi, t, agent, real)
-            for real in enumerate_realizations(sizes)
-        }
+        flat = np.arange(realization_count(sizes))
+        row = np.zeros_like(flat)
+        col = np.zeros_like(flat)
+        stride = len(flat)
+        for var, size in zip(mem, sizes):
+            stride //= size
+            digit = flat // stride % size
+            if var in cond:
+                row = row * size + digit
+            else:
+                col = col * size + digit
+        actions = np.array(rows, dtype=np.int64)[row, col]
+        tables[t] = dict(zip(enumerate_realizations(sizes), actions.tolist()))
     return tables
 
 

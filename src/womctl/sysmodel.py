@@ -25,6 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .infostruct import (
+    KIND_CONTROL,
     KIND_OBSERVATION,
     InfoSchema,
     InfoStructure,
@@ -145,7 +146,7 @@ class CostReport:
 
 
 def _check_distribution(name: str, vec: np.ndarray):
-    if np.any(vec < 0):
+    if not np.all(vec >= 0):  # also rejects NaN; an infinite entry fails the sum
         raise DistributionNotNormalized(name, float(vec.sum()))
     total = float(vec.sum())
     if abs(total - 1.0) > PROB_TOL:
@@ -216,6 +217,8 @@ def validate_instance(system: SystemSpec, network) -> Instance:
         raise ShapeMismatch(
             f"cost shape {system.cost.shape} != ({T + 1},{system.state_size},{NU})"
         )
+    if not np.all(np.isfinite(system.cost)):
+        raise ShapeMismatch("cost entries must be finite")
     for k in range(K):
         h = system.observation[k]
         if h.shape != (T + 1, system.state_size, system.noise_sizes[k]):
@@ -228,51 +231,6 @@ def validate_instance(system: SystemSpec, network) -> Instance:
 
 
 # -- trajectory evaluation ----------------------------------------------------
-
-
-def memory_realization(instance: Instance, t: int, k: int, y, u) -> tuple[int, ...]:
-    """Extract the memory realization from trajectory maps y[(t,k)], u[(t,k)]."""
-    out = []
-    for var in instance.info.memory(t, k):
-        src = y if var.kind == KIND_OBSERVATION else u
-        out.append(src[(var.time, var.agent)])
-    return tuple(out)
-
-
-def _rollout(instance: Instance, action_fn, x0: int, w_seq, v_seq):
-    """One trajectory under the activity ordering: observe, act, pay, advance."""
-    sys = instance.system
-    T, K = sys.horizon, sys.agent_count
-    y, u = {}, {}
-    x = x0
-    stage_costs = []
-    for t in range(T + 1):
-        for k in range(1, K + 1):
-            y[(t, k)] = int(sys.observation[k - 1][t, x, v_seq[k - 1][t]])
-        controls = tuple(action_fn(t, k, y, u) for k in range(1, K + 1))
-        for k in range(1, K + 1):
-            u[(t, k)] = controls[k - 1]
-        uj = instance.joint_control_index(controls)
-        stage_costs.append(float(sys.cost[t, x, uj]))
-        if t < T:
-            x = int(sys.transition[t, x, uj, w_seq[t]])
-    return stage_costs
-
-
-def _strategy_action_fn(instance: Instance, strategy: ControlStrategy):
-    def action(t, k, y, u):
-        table = strategy.tables.get((t, k))
-        if table is None:
-            raise DomainMismatch(f"strategy has no table for (t={t}, agent={k})")
-        real = memory_realization(instance, t, k, y, u)
-        try:
-            return table[real]
-        except KeyError:
-            raise DomainMismatch(
-                f"strategy table (t={t}, agent={k}) missing realization {real}"
-            ) from None
-
-    return action
 
 
 def validate_strategy(instance: Instance, strategy: ControlStrategy):
@@ -337,15 +295,136 @@ def joint_primitives(instance: Instance):
                 yield p, x0, w_seq, v_combo
 
 
+# -- forward propagation over reachable histories -------------------------------
+
+
+def _stage_variables(t: int, agent_count: int, kind: str) -> InfoSchema:
+    return tuple(VariableId(t, k, kind) for k in range(1, agent_count + 1))
+
+
+def _check_reach(count: int):
+    if count > SWEEP_CAP:
+        raise CapExceeded(count, SWEEP_CAP, "reachable (state, history) pairs")
+
+
+def _observation_law(sys: SystemSpec, t: int, x: int) -> dict:
+    """Joint stage-t observation of all agents in state x -> probability."""
+    law: dict = {}
+    for v in itertools.product(*[range(s) for s in sys.noise_sizes]):
+        p = 1.0
+        for k, vk in enumerate(v):
+            p *= float(sys.noise_probs[k][t, vk])
+        if p == 0.0:
+            continue
+        y = tuple(int(sys.observation[k][t, x, vk]) for k, vk in enumerate(v))
+        law[y] = law.get(y, 0.0) + p
+    return law
+
+
+def _successor_law(sys: SystemSpec, t: int, x: int, uj: int) -> dict:
+    """Next state from state x under joint control uj at stage t -> probability."""
+    law: dict = {}
+    for w in range(sys.disturbance_size):
+        p = float(sys.disturbance_probs[t, w])
+        if p == 0.0:
+            continue
+        nxt = int(sys.transition[t, x, uj, w])
+        law[nxt] = law.get(nxt, 0.0) + p
+    return law
+
+
+def _forward_pass(instance: Instance, keep, decide):
+    """Propagate the joint law of (X_t, (y, u) history) over its reachable support.
+
+    At stage t every (x, h) branches over the positive-probability joint
+    observations, which append Y(t, 1..K) to h; `decide(t, layout)` returns a
+    function mapping such an h to the joint controls it takes. After acting,
+    the history keeps only the variables in `keep[t]`, and for t < T the state
+    branches over the positive-probability disturbances. Equal keys merge at
+    every step, and more than SWEEP_CAP reachable pairs raises CapExceeded as
+    soon as a stage passes it.
+
+    Yields (t, layout, acted) per stage: `layout` names the variables of h and
+    `acted` lists (x, h, controls, joint control index, mass).
+    """
+    sys = instance.system
+    T, K = sys.horizon, sys.agent_count
+    states = {(x, ()): float(p) for x, p in enumerate(sys.initial_probs) if p > 0.0}
+    kept: InfoSchema = ()
+    for t in range(T + 1):
+        layout = kept + _stage_variables(t, K, KIND_OBSERVATION)
+        observation_laws: dict = {}
+        observed: dict = {}
+        for (x, h), mass in states.items():
+            law = observation_laws.get(x)
+            if law is None:
+                law = observation_laws[x] = _observation_law(sys, t, x)
+            for y, p in law.items():
+                key = (x, h + y)
+                observed[key] = observed.get(key, 0.0) + mass * p
+            _check_reach(len(observed))
+        rule = decide(t, layout)
+        acted = []
+        for (x, h), mass in observed.items():
+            for controls in rule(h):
+                acted.append((x, h, controls, instance.joint_control_index(controls), mass))
+            _check_reach(len(acted))
+        yield t, layout, acted
+        if t == T:
+            return
+        full = layout + _stage_variables(t, K, KIND_CONTROL)
+        cut = [i for i, var in enumerate(full) if var in keep[t]]
+        kept = tuple(full[i] for i in cut)
+        successor_laws: dict = {}
+        states = {}
+        for x, h, controls, uj, mass in acted:
+            full_h = h + controls
+            cut_h = tuple(full_h[i] for i in cut)
+            law = successor_laws.get((x, uj))
+            if law is None:
+                law = successor_laws[(x, uj)] = _successor_law(sys, t, x, uj)
+            for nxt, p in law.items():
+                key = (nxt, cut_h)
+                states[key] = states.get(key, 0.0) + mass * p
+            _check_reach(len(states))
+
+
+def _strategy_rule(instance: Instance, strategy: ControlStrategy, t: int, layout):
+    """Per-history joint control of `strategy` at stage t, one table lookup per agent."""
+    lookups = []
+    for k in range(1, instance.agent_count + 1):
+        table = strategy.tables.get((t, k))
+        if table is None:
+            raise DomainMismatch(f"strategy has no table for (t={t}, agent={k})")
+        lookups.append((k, table, [layout.index(v) for v in instance.info.memory(t, k)]))
+
+    def rule(h):
+        controls = []
+        for k, table, pos in lookups:
+            real = tuple(h[i] for i in pos)
+            try:
+                controls.append(table[real])
+            except KeyError:
+                raise DomainMismatch(
+                    f"strategy table (t={t}, agent={k}) missing realization {real}"
+                ) from None
+        return (tuple(controls),)
+
+    return rule
+
+
 def exact_strategy_cost(instance: Instance, strategy: ControlStrategy) -> CostReport:
-    """Expected total cost by exhaustive enumeration of the primitive variables."""
-    action = _strategy_action_fn(instance, strategy)
-    T = instance.horizon
-    stage_terms: list[list[float]] = [[] for _ in range(T + 1)]
-    for p, x0, w_seq, v_seq in joint_primitives(instance):
-        costs = _rollout(instance, action, x0, w_seq, v_seq)
-        for t in range(T + 1):
-            stage_terms[t].append(p * costs[t])
+    """Expected total cost by one forward pass over the reachable histories."""
+    info, T, K = instance.info, instance.horizon, instance.agent_count
+    keep = [set() for _ in range(T + 1)]
+    for t in range(T - 1, -1, -1):
+        keep[t] = keep[t + 1].union(*[info.memory(t + 1, k) for k in range(1, K + 1)])
+    stage_terms: list[list[float]] = []
+    for t, _, acted in _forward_pass(
+        instance, keep, lambda t, layout: _strategy_rule(instance, strategy, t, layout)
+    ):
+        cost = instance.system.cost[t].tolist()
+        stage_terms.append([mass * cost[x][uj] for x, _, _, uj, mass in acted])
     per_stage = tuple(math.fsum(terms) for terms in stage_terms)
     return CostReport(
         expected_cost=math.fsum(per_stage), per_stage_costs=per_stage, method="exact"
@@ -360,7 +439,6 @@ def monte_carlo_cost(
         raise ShapeMismatch("samples must be >= 1")
     sys = instance.system
     T, K = sys.horizon, sys.agent_count
-    action = _strategy_action_fn(instance, strategy)
     rng = np.random.default_rng(seed)
     x0s = rng.choice(sys.state_size, size=samples, p=sys.initial_probs)
     ws = np.stack(
@@ -380,12 +458,23 @@ def monte_carlo_cost(
         )
         for k in range(K)
     ]
+    rules, layout = [], ()
+    for t in range(T + 1):
+        layout += _stage_variables(t, K, KIND_OBSERVATION)
+        rules.append(_strategy_rule(instance, strategy, t, layout))
+        layout += _stage_variables(t, K, KIND_CONTROL)
     totals = np.empty(samples)
     stage_sums = np.zeros(T + 1)
     for n in range(samples):
-        costs = _rollout(
-            instance, action, int(x0s[n]), tuple(ws[n]), [vs[k][n] for k in range(K)]
-        )
+        x, h, costs = int(x0s[n]), (), []
+        for t in range(T + 1):
+            h += tuple(int(sys.observation[k][t, x, vs[k][n, t]]) for k in range(K))
+            (controls,) = rules[t](h)
+            h += controls
+            uj = instance.joint_control_index(controls)
+            costs.append(float(sys.cost[t, x, uj]))
+            if t < T:
+                x = int(sys.transition[t, x, uj, ws[n, t]])
         totals[n] = sum(costs)
         stage_sums += costs
     stderr = float(totals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -402,62 +491,30 @@ def monte_carlo_cost(
 # -- feasible realizations ----------------------------------------------------
 
 
-def _trajectory_sweep(instance: Instance):
-    """All (y, u) trajectory maps reachable over primitive support x free controls."""
-    sys = instance.system
-    T, K = sys.horizon, sys.agent_count
-    control_space = list(
-        itertools.product(
-            *[range(sys.control_sizes[k]) for _ in range(T) for k in range(K)]
-        )
-    )
-    prim = list(joint_primitives(instance))
-    if len(prim) * max(1, len(control_space)) > SWEEP_CAP:
-        raise CapExceeded(
-            len(prim) * len(control_space), SWEEP_CAP, "feasible-realization sweep"
-        )
-    out = []
-    for _, x0, w_seq, v_seq in prim:
-        for flat in control_space:
-            y, u = {}, {}
-            x = x0
-            pos = 0
-            for t in range(T + 1):
-                for k in range(1, K + 1):
-                    y[(t, k)] = int(sys.observation[k - 1][t, x, v_seq[k - 1][t]])
-                if t < T:
-                    controls = flat[pos : pos + K]
-                    pos += K
-                    for k in range(1, K + 1):
-                        u[(t, k)] = controls[k - 1]
-                    x = int(sys.transition[t, x, instance.joint_control_index(controls), w_seq[t]])
-            out.append((y, u))
-    return out
-
-
 def feasible_schema_realizations(instance: Instance, schema: InfoSchema):
     """Sorted realizations of `schema` reachable under free controls.
 
     Controls are treated as free exogenous choices, so the result is the union
-    of supports over all strategies.
+    of supports over all strategies. The forward pass branches over every
+    joint control and carries only the schema's variables: with free controls,
+    what can follow a stage depends on the state alone.
     """
     key = ("feas", schema)
     if key in instance._cache:
         return instance._cache[key]
-    if "sweep" not in instance._cache:
-        instance._cache["sweep"] = _trajectory_sweep(instance)
+    T = instance.horizon
+    every = list(enumerate_realizations(instance.system.control_sizes))
+
+    def decide(t, layout):
+        # stage-T controls enter no history, so one of them reaches every state
+        options = every if t < T else every[:1]
+        return lambda h: options
+
     found = set()
-    for y, u in instance._cache["sweep"]:
-        vals = []
-        ok = True
-        for var in schema:
-            src = y if var.kind == KIND_OBSERVATION else u
-            if (var.time, var.agent) not in src:
-                ok = False
-                break
-            vals.append(src[(var.time, var.agent)])
-        if ok:
-            found.add(tuple(vals))
+    for t, layout, acted in _forward_pass(instance, [set(schema)] * (T + 1), decide):
+        if t == T and set(schema) <= set(layout):
+            pos = [layout.index(v) for v in schema]
+            found = {tuple(h[i] for i in pos) for _, h, _, _, _ in acted}
     result = tuple(sorted(found))
     instance._cache[key] = result
     return result
@@ -502,19 +559,38 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _as_int(value, name: str) -> int:
+    """An integer field of an instance document; fractional values are rejected."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ShapeMismatch(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _int_array(raw, name: str) -> np.ndarray:
+    """An integer table of an instance document; fractional entries are rejected."""
+    arr = np.asarray(raw)
+    if arr.dtype.kind != "i":
+        arr = arr.astype(float)
+        if not np.all(np.isfinite(arr)) or np.any(arr != np.trunc(arr)):
+            raise ShapeMismatch(f"{name} entries must be integers")
+    return arr.astype(int)
+
+
 def instance_from_dict(data: dict) -> Instance:
     try:
         net = data["network"]
         raw = data["system"]
         K = len(raw["control_sizes"])
-        T = int(raw["horizon"])
-        state_size = int(raw["state_size"])
-        control_sizes = tuple(int(v) for v in raw["control_sizes"])
-        observation_sizes = tuple(int(v) for v in raw["observation_sizes"])
+        T = _as_int(raw["horizon"], "horizon")
+        state_size = _as_int(raw["state_size"], "state_size")
+        control_sizes = tuple(_as_int(v, "control_sizes") for v in raw["control_sizes"])
+        observation_sizes = tuple(
+            _as_int(v, "observation_sizes") for v in raw["observation_sizes"]
+        )
         dist = raw.get("disturbance", {"size": 1, "probs_per_t": [1.0]})
-        w_size = int(dist["size"])
+        w_size = _as_int(dist["size"], "disturbance size")
         noises = raw["noises"]
-        noise_sizes = tuple(int(n["size"]) for n in noises)
+        noise_sizes = tuple(_as_int(n["size"], "noise size") for n in noises)
         nu = 1
         for s in control_sizes:
             nu *= s
@@ -538,31 +614,34 @@ def instance_from_dict(data: dict) -> Instance:
                 for k in range(K)
             ),
             initial_probs=np.asarray(raw["initial_probs"], dtype=float),
-            transition=np.asarray(transition, dtype=int),
+            transition=_int_array(transition, "transition"),
             observation=tuple(
-                np.asarray(raw["observation"][k], dtype=int) for k in range(K)
+                _int_array(raw["observation"][k], f"observation[{k + 1}]") for k in range(K)
             ),
             cost=np.asarray(raw["cost"], dtype=float),
         )
+        if "links" in net:
+            network = netgraph.NetworkSpec(
+                agent_count=_as_int(net["agents"], "agents"),
+                links=tuple(
+                    tuple(_as_int(l[key], f"link {key}") for key in ("from", "to", "delay"))
+                    for l in net["links"]
+                ),
+            )
+        elif "delay_matrix" in net:
+            network = netgraph.DelayMatrix(
+                tuple(tuple(_as_int(v, "delay_matrix") for v in r) for r in net["delay_matrix"])
+            )
+            if "agents" in net and _as_int(net["agents"], "agents") != network.agent_count:
+                raise AgentCountMismatch(
+                    f"network.agents is {net['agents']} but the delay matrix has "
+                    f"{network.agent_count} rows"
+                )
+        else:
+            raise ShapeMismatch("network must carry either links or delay_matrix")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed instance document: {exc}") from exc
-    if "links" in net:
-        network = netgraph.NetworkSpec(
-            agent_count=int(net["agents"]),
-            links=tuple(
-                (int(l["from"]), int(l["to"]), int(l["delay"])) for l in net["links"]
-            ),
-        )
-        return validate_instance(system, network)
-    if "delay_matrix" in net:
-        matrix = netgraph.DelayMatrix(tuple(tuple(r) for r in net["delay_matrix"]))
-        if "agents" in net and int(net["agents"]) != matrix.agent_count:
-            raise AgentCountMismatch(
-                f"network.agents is {net['agents']} but the delay matrix has "
-                f"{matrix.agent_count} rows"
-            )
-        return validate_instance(system, matrix)
-    raise ShapeMismatch("network must carry either links or delay_matrix")
+    return validate_instance(system, network)
 
 
 def load_instance(path: str) -> Instance:

@@ -94,6 +94,29 @@ def reachable_branches(instance: Instance, psi: PrescriptionStrategy, k: int):
     return out
 
 
+def pomdp_dict(horizon: int) -> dict:
+    """Single-agent POMDP document: |X|=|W|=|V|=2, the control flips the state,
+    the cost is state mismatch plus an action charge."""
+    flip = [[x, 1 - x] for x in range(2)]
+    stage = [[[(x + u + w) % 2 for w in range(2)] for u in range(2)] for x in range(2)]
+    cost = [[float(u != x) + 0.3 * u for u in range(2)] for x in range(2)]
+    return {
+        "network": {"agents": 1, "links": []},
+        "system": {
+            "horizon": horizon,
+            "state_size": 2,
+            "control_sizes": [2],
+            "observation_sizes": [2],
+            "disturbance": {"size": 2, "probs_per_t": [0.8, 0.2]},
+            "noises": [{"size": 2, "probs_per_t": [0.85, 0.15]}],
+            "initial_probs": [0.4, 0.6],
+            "transition": [stage] * horizon,
+            "observation": [[flip] * (horizon + 1)],
+            "cost": [cost] * (horizon + 1),
+        },
+    }
+
+
 def _norm(rng, n):
     vec = [rng.uniform(0.1, 1.0) for _ in range(n)]
     s = sum(vec)

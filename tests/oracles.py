@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's evaluation paths: delays come from
 exhaustive simple-path enumeration, memories from an event-level message
-simulation, costs from a standalone trajectory enumerator, and posteriors
-from direct conditioning of the joint distribution.
+simulation, costs from a standalone trajectory enumerator, feasible
+realizations from every primitive sequence times every control sequence, and
+posteriors from direct conditioning of the joint distribution.
 """
 
 from __future__ import annotations
@@ -136,6 +137,35 @@ def hand_rolled_cost(instance, strategy_tables):
                         x = int(sys.transition[t, x, uj, w[t]])
                 total += p * run_cost
     return total
+
+
+def feasible_realizations(instance, schemas):
+    """{schema: sorted realizations} over every primitive sequence rolled out
+    under every control sequence (controls are free, so this is the union of
+    supports over all strategies)."""
+    from womctl.sysmodel import joint_primitives
+
+    sys = instance.system
+    K, T = sys.agent_count, sys.horizon
+    control_space = list(
+        itertools.product(*[range(sys.control_sizes[k]) for _ in range(T) for k in range(K)])
+    )
+    found = {schema: set() for schema in schemas}
+    for _, x0, w_seq, v_seq in joint_primitives(instance):
+        for flat in control_space:
+            y, u = {}, {}
+            x = x0
+            for t in range(T + 1):
+                for k in range(1, K + 1):
+                    y[(t, k)] = int(sys.observation[k - 1][t, x, v_seq[k - 1][t]])
+                if t < T:
+                    controls = flat[t * K : (t + 1) * K]
+                    for k in range(1, K + 1):
+                        u[(t, k)] = controls[k - 1]
+                    x = int(sys.transition[t, x, instance.joint_control_index(controls), w_seq[t]])
+            for schema in schemas:
+                found[schema].add(schema_values(schema, y, u))
+    return {schema: tuple(sorted(vals)) for schema, vals in found.items()}
 
 
 def joint_trajectories(instance, control_strategy):

@@ -39,6 +39,33 @@ def test_validate_dangling_link(tmp_path, capsys):
     assert "2" in err and "1" in err  # names the unreachable pair
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("system", "cost", 0, 0, 0), float("nan"), "cost entries must be finite"),
+        (("system", "cost", 1, 1, 2), float("inf"), "cost entries must be finite"),
+        (("system", "transition", 0, 0, 0, 0), 0.7, "transition entries must be integers"),
+        (("system", "observation", 0, 0, 0, 0), 0.7, "observation[1] entries must be integers"),
+        (("system", "state_size"), 2.5, "state_size must be an integer"),
+        (("system", "initial_probs", 0), float("nan"), "initial_probs"),
+        (("network", "links", 0, "delay"), 1.5, "link delay must be an integer"),
+        (("network", "agents"), "two", "malformed instance document"),
+    ],
+    ids=["nan-cost", "inf-cost", "fractional-transition", "fractional-observation",
+         "float-state-size", "nan-probability", "fractional-delay", "non-numeric-agents"],
+)
+def test_validate_rejects_malformed_numbers(tmp_path, capsys, path, value, message):
+    doc = d2_dict()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["validate", str(bad)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

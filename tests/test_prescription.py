@@ -13,6 +13,7 @@ from womctl.prescription import (
     count_strategies,
     enumerate_prescription_tables,
     enumerate_prescriptions,
+    induced_control_tables,
     joint_control_strategy,
     make_prescription,
     prescription_space_size,
@@ -195,10 +196,7 @@ def test_pointwise_translation_cases(static3):
     for j in range(1, 4):
         mem = info.memory(0, j)
         sizes = static3.schema_sizes(mem)
+        tables = [induced_control_tables(static3, psi, j)[0] for psi in strategies.values()]
         for real in itertools.product(*[range(s) for s in sizes]):
-            actions = set()
-            for owner, psi in strategies.items():
-                from womctl.prescription import _target_action
-
-                actions.add(_target_action(static3, psi, 0, j, real))
+            actions = {table[real] for table in tables}
             assert len(actions) == 1, (j, real)

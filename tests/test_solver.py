@@ -360,8 +360,12 @@ def test_evaluate_rejects_partial_strategy(d2):
     partial = PrescriptionStrategy(
         owner=1, laws={k: v for k, v in psi.laws.items() if k[0] == 0}
     )
-    with pytest.raises(DomainMismatch):
+    with pytest.raises(DomainMismatch, match="no law"):
         evaluate_prescription_strategy(d2, partial)
+    gappy = PrescriptionStrategy(owner=1, laws=dict(psi.laws))
+    gappy.laws[(1, 2)] = dict(list(psi.laws[(1, 2)].items())[1:])
+    with pytest.raises(DomainMismatch, match="missing conditioning realization"):
+        evaluate_prescription_strategy(d2, gappy)
 
 
 def test_fuzz_small_sample_agreement():

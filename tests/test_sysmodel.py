@@ -4,10 +4,17 @@ import random
 
 import pytest
 
-from helpers import copy_observation_strategy, random_control_strategy
-from oracles import hand_rolled_cost
+from helpers import (
+    copy_observation_strategy,
+    fuzz_instance,
+    pomdp_dict,
+    random_control_strategy,
+)
+from oracles import feasible_realizations, hand_rolled_cost
+from womctl import sysmodel
 from womctl.errors import (
     AgentCountMismatch,
+    CapExceeded,
     DistributionNotNormalized,
     DomainMismatch,
     ShapeMismatch,
@@ -15,7 +22,10 @@ from womctl.errors import (
 from womctl.instances import d2_dict
 from womctl.solver import solve_brute_force
 from womctl.sysmodel import (
+    SWEEP_CAP,
     exact_strategy_cost,
+    feasible_memory_realizations,
+    feasible_schema_realizations,
     instance_digest,
     instance_from_dict,
     instance_to_dict,
@@ -96,6 +106,75 @@ def test_random_strategies_match_hand_rolled_oracle(d2):
         assert math.isclose(
             report.expected_cost, hand_rolled_cost(d2, strat.tables), abs_tol=1e-12
         )
+
+
+def test_exact_cost_matches_hand_rolled_oracle_beyond_d2(d2ext):
+    rng = random.Random(17)
+    cases = [d2ext, d2ext, instance_from_dict(pomdp_dict(4))]  # two strategies on d2ext
+    cases += [fuzz_instance(seed) for seed in range(10)]
+    for inst in cases:
+        strat = random_control_strategy(inst, rng)
+        report = exact_strategy_cost(inst, strat)
+        assert math.isclose(
+            report.expected_cost, hand_rolled_cost(inst, strat.tables), abs_tol=1e-12
+        )
+
+
+def _split_disturbance(doc, copies):
+    """Each disturbance outcome becomes `copies` equally likely outcomes with
+    the same transitions."""
+    system = doc["system"]
+    dist = system["disturbance"]
+    dist["probs_per_t"] = [p / copies for p in dist["probs_per_t"] for _ in range(copies)]
+    dist["size"] *= copies
+    system["transition"] = [
+        [[[nxt for nxt in cell for _ in range(copies)] for cell in row] for row in stage]
+        for stage in system["transition"]
+    ]
+    return doc
+
+
+def test_exact_cost_and_feasibility_beyond_primitive_enumeration():
+    base = instance_from_dict(pomdp_dict(4))
+    split = instance_from_dict(_split_disturbance(pomdp_dict(4), 6))
+    sys = split.system
+    primitives = sys.state_size * sys.disturbance_size**4 * sys.noise_sizes[0] ** 5
+    assert primitives == 1_327_104 > SWEEP_CAP
+    strat = copy_observation_strategy(base)
+    want = exact_strategy_cost(base, strat)
+    got = exact_strategy_cost(split, strat)
+    assert math.isclose(got.expected_cost, want.expected_cost, abs_tol=1e-12)
+    for a, b in zip(got.per_stage_costs, want.per_stage_costs):
+        assert math.isclose(a, b, abs_tol=1e-12)
+    for t in range(5):
+        assert feasible_memory_realizations(split, t, 1) == feasible_memory_realizations(
+            base, t, 1
+        )
+
+
+def test_reachable_pairs_cap_fails_fast(monkeypatch):
+    inst = instance_from_dict(pomdp_dict(4))
+    strat = copy_observation_strategy(inst)
+    monkeypatch.setattr(sysmodel, "SWEEP_CAP", 8)
+    with pytest.raises(CapExceeded) as err:
+        exact_strategy_cost(inst, strat)
+    assert err.value.cap == 8 < err.value.required
+    assert "reachable (state, history) pairs" in str(err.value)
+    with pytest.raises(CapExceeded):
+        feasible_memory_realizations(inst, 4, 1)
+
+
+def test_feasible_realizations_match_sweep_oracle(static3, d2, d2ext, wom3):
+    for inst in [static3, d2, d2ext, wom3] + [fuzz_instance(seed) for seed in range(10)]:
+        info = inst.info
+        schemas = {
+            schema(t, k)
+            for schema in (info.memory, info.accessible)
+            for t in range(inst.horizon + 1)
+            for k in range(1, inst.agent_count + 1)
+        }
+        for schema, want in feasible_realizations(inst, schemas).items():
+            assert feasible_schema_realizations(inst, schema) == want, schema
 
 
 def test_exact_cost_report_consistency(d2):
@@ -187,8 +266,11 @@ def test_strategy_domain_validation(d2):
     with pytest.raises(DomainMismatch):
         validate_strategy(d2, ControlStrategy(tables=broken))
     free = ControlStrategy(tables={(0, 1): {}, (0, 2): {}, (1, 1): {}, (1, 2): {}})
-    with pytest.raises(DomainMismatch):
+    with pytest.raises(DomainMismatch, match="missing realization"):
         exact_strategy_cost(d2, free)
+    missing = {k: v for k, v in strat.tables.items() if k != (1, 2)}
+    with pytest.raises(DomainMismatch, match="no table"):
+        exact_strategy_cost(d2, ControlStrategy(tables=missing))
 
 
 def test_instance_round_trip_and_digest(d2):
