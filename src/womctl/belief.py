@@ -146,6 +146,11 @@ def hat_observation(instance, k, t, state_values, theta, w, v_vector):
 def hat_cost(instance, k, t, state_values, theta) -> float:
     """Stage cost decoded from the equivalent state and the complete prescription."""
     _check_theta(instance, k, t, theta)
+    return _hat_cost_unchecked(instance, k, t, state_values, theta)
+
+
+def _hat_cost_unchecked(instance, k, t, state_values, theta) -> float:
+    """`hat_cost` for a complete prescription the caller has already checked."""
     support = instance.info.equivalent_state(t, k)
     controls = _controls_from_state(instance, theta, support, tuple(state_values[1:]))
     return float(instance.system.cost[t, state_values[0], instance.joint_control_index(controls)])
@@ -305,7 +310,7 @@ def expected_stage_cost(instance, pi: InformationState, theta) -> float:
     total = 0.0
     for s_idx in np.nonzero(pi.probs > 0.0)[0]:
         s_vals = index_realization(sizes, int(s_idx))
-        total += float(pi.probs[s_idx]) * hat_cost(
+        total += float(pi.probs[s_idx]) * _hat_cost_unchecked(
             instance, pi.agent, pi.time, s_vals, theta
         )
     return total

@@ -60,6 +60,9 @@ class InfoStructure:
         self.agent_count = K
         self._memory: dict[tuple[int, int], InfoSchema] = {}
         self._accessible: dict[tuple[int, int], InfoSchema] = {}
+        self._inaccessible: dict[tuple[int, int, int], InfoSchema] = {}
+        self._new_info: dict[tuple[int, int], InfoSchema] = {}
+        self._equivalent_state: dict[tuple[int, int], InfoSchema] = {}
         for t in range(horizon + 1):
             for k in range(1, K + 1):
                 variables = []
@@ -74,6 +77,23 @@ class InfoStructure:
                 self._accessible[(t, k)] = schema_intersect(
                     [self._memory[(t, j)] for j in range(1, k + 1)]
                 )
+            for k in range(1, K + 1):
+                for i in range(k, K + 1):
+                    self._inaccessible[(t, k, i)] = schema_minus(
+                        self._memory[(t, k)], self._accessible[(t, i)]
+                    )
+                self._new_info[(t, k)] = (
+                    self._accessible[(0, k)]
+                    if t == 0
+                    else schema_minus(self._accessible[(t, k)], self._accessible[(t - 1, k)])
+                )
+            for k in range(1, K + 1):
+                variables = []
+                for j in range(1, k + 1):
+                    variables.extend(self._inaccessible[(t, j, k)])
+                for j in range(k + 1, K + 1):
+                    variables.extend(self._inaccessible[(t, j, j)])
+                self._equivalent_state[(t, k)] = make_schema(variables)
 
     def memory(self, t: int, k: int) -> InfoSchema:
         return self._memory[(t, k)]
@@ -86,12 +106,10 @@ class InfoStructure:
             raise IndexOrder(
                 f"inaccessible({k},{i}) undefined for i < k; swap the arguments"
             )
-        return schema_minus(self._memory[(t, k)], self._accessible[(t, i)])
+        return self._inaccessible[(t, k, i)]
 
     def new_info(self, t: int, k: int) -> InfoSchema:
-        if t == 0:
-            return self._accessible[(0, k)]
-        return schema_minus(self._accessible[(t, k)], self._accessible[(t - 1, k)])
+        return self._new_info[(t, k)]
 
     def equivalent_state(self, t: int, k: int) -> InfoSchema:
         """Variables accompanying the system state in agent k's sufficient state.
@@ -99,12 +117,7 @@ class InfoStructure:
         The system state X_t itself is a distinguished extra coordinate, kept
         out of the schema; belief supports prepend it.
         """
-        variables: list[VariableId] = []
-        for j in range(1, k + 1):
-            variables.extend(self.inaccessible(t, j, k))
-        for j in range(k + 1, self.agent_count + 1):
-            variables.extend(self.inaccessible(t, j, j))
-        return make_schema(variables)
+        return self._equivalent_state[(t, k)]
 
     def tail_difference(self, t: int, k: int, i: int) -> InfoSchema:
         """Coordinates of agent i's sufficient state that close the gap to agent k's.

@@ -27,7 +27,7 @@ from .belief import (
     initial_state_at,
 )
 from .errors import CapExceeded, ShapeMismatch, WomError
-from .infostruct import KIND_OBSERVATION
+from .infostruct import KIND_CONTROL, KIND_OBSERVATION, VariableId
 from .prescription import (
     CompletePrescription,
     Prescription,
@@ -96,6 +96,15 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     as increasingly fast digits; the reported minimizer is the one with the
     smallest encoding. Memory realizations never reachable under any strategy
     keep a fixed default action.
+
+    Encodings are scored a chunk at a time. A chunk fixes the leading digits;
+    its trailing digits, whose radix product is at most `_CHUNK`, span a cost
+    tensor with one axis per digit of radix above 1. Each primitive sequence
+    is walked as a decision tree over stages and agents: the memory
+    realization on a path names a digit that the chunk either fixes or that
+    branches along its axis, and each stage adds its weighted cost to the view
+    of the tensor the path selects. Every strategy thus sums its costs
+    primitive by primitive, stage by stage.
     """
     caps = resolve_caps(cap)
     start = time.perf_counter()
@@ -113,69 +122,83 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     if total > caps.brute:
         raise CapExceeded(total, caps.brute, "brute-force enumeration")
 
-    flat_radix, flat_cell_of = [], {}
-    for t, k, feas, radix in cells:
-        base = len(flat_radix)
-        flat_cell_of[(t, k)] = base
-        flat_radix.extend([radix] * len(feas))
-    suffix = np.ones(len(flat_radix) + 1, dtype=np.int64)
-    for c in range(len(flat_radix) - 1, -1, -1):
-        suffix[c] = suffix[c + 1] * flat_radix[c]
-    suffix_np = suffix[1:]  # weight of each digit
-    radix_np = np.asarray(flat_radix, dtype=np.int64)
-
-    lookup = {}  # (t, k) -> (sizes, code->local np array)
-    for t, k, feas, _ in cells:
-        sizes = instance.schema_sizes(instance.info.memory(t, k))
-        table = np.full(max(1, realization_count(sizes)), -1, dtype=np.int64)
-        for local, real in enumerate(feas):
-            table[realization_index(sizes, real)] = local
-        lookup[(t, k)] = (sizes, table)
-
-    prim = list(joint_primitives(instance))
     control_stride = [1] * K
     for k in range(K - 2, -1, -1):
         control_stride[k] = control_stride[k + 1] * sys.control_sizes[k + 1]
-
-    best_cost, best_id = math.inf, -1
-    for lo in range(0, total, _CHUNK):
-        hi = min(total, lo + _CHUNK)
-        ids = np.arange(lo, hi, dtype=np.int64)
-        costs = np.zeros(hi - lo)
-        for p, x0, w_seq, v_seq in prim:
-            x = np.full(hi - lo, x0, dtype=np.int64)
-            vals = {}
-            for t in range(T + 1):
-                for k in range(1, K + 1):
-                    vals[(t, k, KIND_OBSERVATION)] = sys.observation[k - 1][
-                        t, x, v_seq[k - 1][t]
-                    ]
-                uj = np.zeros(hi - lo, dtype=np.int64)
-                for k in range(1, K + 1):
-                    sizes, code_table = lookup[(t, k)]
-                    code = np.zeros(hi - lo, dtype=np.int64)
-                    for var, size in zip(instance.info.memory(t, k), sizes):
-                        code = code * size + vals[var]
-                    local = code_table[code]
-                    gidx = flat_cell_of[(t, k)] + local
-                    u = (ids // suffix_np[gidx]) % radix_np[gidx]
-                    vals[(t, k, "U")] = u
-                    uj += u * control_stride[k - 1]
-                costs += p * sys.cost[t][x, uj]
-                if t < T:
-                    x = sys.transition[t][x, uj, w_seq[t]]
-        arg = int(np.argmin(costs))
-        if costs[arg] < best_cost:
-            best_cost, best_id = float(costs[arg]), lo + arg
-
-    tables = {}
+    radix_of = []  # per digit
+    plan = [[] for _ in range(T + 1)]  # per stage and agent, how to find its digit
     for t, k, feas, radix in cells:
-        sizes = instance.schema_sizes(instance.info.memory(t, k))
-        table = {real: 0 for real in enumerate_realizations(sizes)}
-        base = flat_cell_of[(t, k)]
-        for local, real in enumerate(feas):
-            gidx = base + local
-            table[real] = int((best_id // int(suffix_np[gidx])) % radix)
+        digit_of = {real: len(radix_of) + i for i, real in enumerate(feas)}
+        plan[t].append(
+            (instance.info.memory(t, k), digit_of, control_stride[k - 1],
+             VariableId(t, k, KIND_CONTROL))
+        )
+        radix_of.extend([radix] * len(feas))
+
+    split, chunk_size = len(radix_of), 1  # digits from `split` on are trailing
+    while split and chunk_size * radix_of[split - 1] <= _CHUNK:
+        split -= 1
+        chunk_size *= radix_of[split]
+    axis_digits = [g for g in range(split, len(radix_of)) if radix_of[g] > 1]
+    axis_of = [-1] * len(radix_of)
+    for axis, g in enumerate(axis_digits):
+        axis_of[g] = axis
+    shape = tuple(radix_of[g] for g in axis_digits)
+
+    observe = [[VariableId(t, k, KIND_OBSERVATION) for k in range(1, K + 1)]
+               for t in range(T + 1)]
+    obs = [h.tolist() for h in sys.observation]
+    transition = sys.transition.tolist()
+    cost = sys.cost.tolist()
+    index = [slice(None)] * len(shape)
+    digit = [0] * len(radix_of)
+    vals = {}
+
+    def walk(t, k, x, uj):
+        # reads the chunk's `costs` and the primitive `p, w_seq, v_seq` set below
+        if k == K:
+            costs[tuple(index)] += p * cost[t][x][uj]
+            if t < T:
+                x = transition[t][x][uj][w_seq[t]]
+                for j, var in enumerate(observe[t + 1]):
+                    vals[var] = obs[j][t + 1][x][v_seq[j][t + 1]]
+                walk(t + 1, 0, x, 0)
+            return
+        schema, digit_of, stride, control = plan[t][k]
+        g = digit_of[tuple(map(vals.__getitem__, schema))]
+        axis = axis_of[g]
+        if axis < 0:
+            vals[control] = digit[g]
+            walk(t, k + 1, x, uj + digit[g] * stride)
+            return
+        for u in range(radix_of[g]):
+            index[axis] = u
+            vals[control] = u
+            walk(t, k + 1, x, uj + u * stride)
+        index[axis] = slice(None)
+
+    prim = list(joint_primitives(instance))
+    best_cost, best_lead, best_arg = math.inf, None, 0
+    for lead in itertools.product(*map(range, radix_of[:split])):
+        digit[:split] = lead
+        costs = np.zeros(shape)
+        for p, x0, w_seq, v_seq in prim:
+            for j, var in enumerate(observe[0]):
+                vals[var] = obs[j][0][x0][v_seq[j][0]]
+            walk(0, 0, x0, 0)
+        arg = int(costs.argmin())
+        if costs.flat[arg] < best_cost:
+            best_cost, best_lead, best_arg = float(costs.flat[arg]), lead, arg
+
+    digit[:split] = best_lead
+    for g, u in zip(axis_digits, np.unravel_index(best_arg, shape)):
+        digit[g] = int(u)
+    tables = {}
+    for t, k, _, _ in cells:
+        schema, digit_of, _, _ = plan[t][k - 1]
+        table = {real: 0 for real in enumerate_realizations(instance.schema_sizes(schema))}
+        for real, g in digit_of.items():
+            table[real] = digit[g]
         tables[(t, k)] = table
     strategy = ControlStrategy(tables=tables)
     report = exact_strategy_cost(instance, strategy)

@@ -238,3 +238,95 @@ def predictive_new_info(instance, control_strategy, k, t):
         total = sum(dist.values())
         out[a] = {z: mass / total for z, mass in dist.items()}
     return out
+
+
+def brute_force_reference(instance, chunk=1 << 18):
+    """(best cost, tables) of exhaustive search by per-id digit decoding.
+
+    Every strategy id in a chunk of `chunk` consecutive ids is rolled out over
+    every primitive sequence at once, its digits decoded with integer gathers.
+    Encoding, float addition order and tie-breaking are those of
+    `solve_brute_force`, so its `vectorized_cost` and tables must equal these
+    exactly.
+    """
+    import numpy as np
+
+    from womctl.sysmodel import (
+        enumerate_realizations,
+        feasible_schema_realizations,
+        joint_primitives,
+        realization_count,
+        realization_index,
+    )
+
+    sys = instance.system
+    T, K = instance.horizon, sys.agent_count
+    cells = []  # (t, k, realizations, radix)
+    for t in range(T + 1):
+        for k in range(1, K + 1):
+            feas = feasible_schema_realizations(instance, instance.info.memory(t, k))
+            cells.append((t, k, feas, sys.control_sizes[k - 1]))
+    total = 1
+    for _, _, feas, radix in cells:
+        total *= radix ** len(feas)
+
+    flat_radix, flat_cell_of = [], {}
+    for t, k, feas, radix in cells:
+        flat_cell_of[(t, k)] = len(flat_radix)
+        flat_radix.extend([radix] * len(feas))
+    suffix = [1] * (len(flat_radix) + 1)
+    for c in range(len(flat_radix) - 1, -1, -1):
+        suffix[c] = suffix[c + 1] * flat_radix[c]
+    suffix_np = np.asarray(suffix[1:], dtype=np.int64)  # weight of each digit
+    radix_np = np.asarray(flat_radix, dtype=np.int64)
+
+    lookup = {}  # (t, k) -> (sizes, code -> local index)
+    for t, k, feas, _ in cells:
+        sizes = instance.schema_sizes(instance.info.memory(t, k))
+        table = np.full(max(1, realization_count(sizes)), -1, dtype=np.int64)
+        for local, real in enumerate(feas):
+            table[realization_index(sizes, real)] = local
+        lookup[(t, k)] = (sizes, table)
+
+    prim = list(joint_primitives(instance))
+    control_stride = [1] * K
+    for k in range(K - 2, -1, -1):
+        control_stride[k] = control_stride[k + 1] * sys.control_sizes[k + 1]
+
+    best_cost, best_id = math.inf, -1
+    for lo in range(0, total, chunk):
+        hi = min(total, lo + chunk)
+        ids = np.arange(lo, hi, dtype=np.int64)
+        costs = np.zeros(hi - lo)
+        for p, x0, w_seq, v_seq in prim:
+            x = np.full(hi - lo, x0, dtype=np.int64)
+            vals = {}
+            for t in range(T + 1):
+                for k in range(1, K + 1):
+                    vals[(t, k, "Y")] = sys.observation[k - 1][t, x, v_seq[k - 1][t]]
+                uj = np.zeros(hi - lo, dtype=np.int64)
+                for k in range(1, K + 1):
+                    sizes, code_table = lookup[(t, k)]
+                    code = np.zeros(hi - lo, dtype=np.int64)
+                    for var, size in zip(instance.info.memory(t, k), sizes):
+                        code = code * size + vals[var]
+                    gidx = flat_cell_of[(t, k)] + code_table[code]
+                    u = (ids // suffix_np[gidx]) % radix_np[gidx]
+                    vals[(t, k, "U")] = u
+                    uj += u * control_stride[k - 1]
+                costs += p * sys.cost[t][x, uj]
+                if t < T:
+                    x = sys.transition[t][x, uj, w_seq[t]]
+        arg = int(np.argmin(costs))
+        if costs[arg] < best_cost:
+            best_cost, best_id = float(costs[arg]), lo + arg
+
+    tables = {}
+    for t, k, feas, radix in cells:
+        sizes = instance.schema_sizes(instance.info.memory(t, k))
+        table = {real: 0 for real in enumerate_realizations(sizes)}
+        base = flat_cell_of[(t, k)]
+        for local, real in enumerate(feas):
+            table[real] = (best_id // suffix[base + local + 1]) % radix
+        tables[(t, k)] = table
+    return best_cost, tables

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from helpers import fuzz_instance, random_prescription_strategy
+from oracles import brute_force_reference
+import womctl.solver as solver_mod
 from womctl.errors import CapExceeded, WomError
 from womctl.instances import d2_dict
 from womctl.prescription import (
@@ -22,6 +24,7 @@ from womctl.solver import (
 )
 from womctl.sysmodel import (
     exact_strategy_cost,
+    feasible_schema_realizations,
     instance_from_dict,
     permute_instance,
     validate_strategy,
@@ -40,7 +43,9 @@ def test_brute_force_static_counts(static3):
     validate_strategy(static3, res.control_strategy)
 
 
-def test_brute_force_zero_cost_picks_first_strategy():
+@pytest.mark.parametrize("chunk", [solver_mod._CHUNK, 4], ids=["default-chunk", "chunk-4"])
+def test_brute_force_zero_cost_picks_first_strategy(chunk, monkeypatch):
+    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
     doc = d2_dict()
     doc["system"]["cost"] = [[[0.0] * 4] * 2] * 2
     inst = instance_from_dict(doc)
@@ -59,6 +64,92 @@ def test_brute_force_d2_oracle_fixture(d2):
 def test_brute_force_cap(d2):
     with pytest.raises(CapExceeded):
         solve_brute_force(d2, cap=1000)
+
+
+def _assert_matches_reference(instance):
+    res = solve_brute_force(instance)
+    ref_cost, ref_tables = brute_force_reference(instance)
+    assert res.extras["vectorized_cost"] == ref_cost
+    assert res.control_strategy.tables == ref_tables
+
+
+@pytest.mark.parametrize("name", ["static3", "static3_reindexed", "d2"])
+def test_brute_force_matches_reference_on_bundled(name, request):
+    _assert_matches_reference(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_brute_force_matches_reference_on_fuzz(seed):
+    _assert_matches_reference(fuzz_instance(seed))
+
+
+def _ternary_static_instance():
+    """Static two-agent system with three controls each and tied costs:
+    729 strategies over six ternary digits."""
+    rng = random.Random(5)
+    flip = [[x, 1 - x] for x in range(2)]
+    doc = {
+        "network": {"agents": 2, "delay_matrix": [[0, 1], [0, 0]]},
+        "system": {
+            "horizon": 0,
+            "state_size": 2,
+            "control_sizes": [3, 3],
+            "observation_sizes": [2, 2],
+            "noises": [{"size": 2, "probs_per_t": [0.7, 0.3]} for _ in range(2)],
+            "initial_probs": [0.4, 0.6],
+            "observation": [[flip]] * 2,
+            "cost": [[[rng.choice([0.0, 0.5, 1.0]) for _ in range(9)] for _ in range(2)]],
+        },
+    }
+    return instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_brute_force_matches_reference_across_ternary_chunks(chunk, monkeypatch):
+    inst = _ternary_static_instance()
+    assert solve_brute_force(inst).search_size == 3**6
+    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    _assert_matches_reference(inst)
+
+
+def test_brute_force_radix_one_digits_take_no_tensor_axis():
+    # every control size is 1: 438 memory realizations, each a radix-1 digit,
+    # and a single strategy; numpy arrays allow at most 32 or 64 dimensions
+    flip = [[x, 1 - x] for x in range(2)]
+    doc = {
+        "network": {
+            "agents": 3,
+            "links": [
+                {"from": a, "to": b, "delay": 1}
+                for a in (1, 2, 3)
+                for b in (1, 2, 3)
+                if a != b
+            ],
+        },
+        "system": {
+            "horizon": 2,
+            "state_size": 2,
+            "control_sizes": [1, 1, 1],
+            "observation_sizes": [2, 2, 2],
+            "disturbance": {"size": 2, "probs_per_t": [0.5, 0.5]},
+            "noises": [{"size": 2, "probs_per_t": [0.75, 0.25]} for _ in range(3)],
+            "initial_probs": [0.5, 0.5],
+            "transition": [[[[0, 1]], [[1, 0]]]] * 2,
+            "observation": [[flip] * 3] * 3,
+            "cost": [[[1.0], [1.0]]] * 3,
+        },
+    }
+    inst = instance_from_dict(doc)
+    res = solve_brute_force(inst)
+    assert res.search_size == 1
+    digits = sum(
+        len(feasible_schema_realizations(inst, inst.info.memory(t, k)))
+        for t in range(3)
+        for k in range(1, 4)
+    )
+    assert digits == 438
+    assert abs(res.optimal_cost - 3.0) <= TOL
+    assert abs(res.extras["vectorized_cost"] - 3.0) <= TOL
 
 
 def test_common_info_single_agent_pomdp_matches_brute():
