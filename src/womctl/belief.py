@@ -88,9 +88,16 @@ def _check_theta(instance, k, t, theta: CompletePrescription):
             f"complete prescription is for owner {theta.owner} at t={theta.time}, "
             f"expected owner {k} at t={t}"
         )
-    for target in range(1, instance.agent_count + 1):
-        want = instance.info.prescription_domain(t, k, target)
-        if theta.parts[target - 1].domain != want:
+    check_domains(instance, k, t, theta.parts)
+
+
+def check_domains(instance, k, t, parts, first_target: int = 1):
+    """Raise unless each part has agent k's stage-t domain for its target.
+
+    `parts` are the prescriptions for targets first_target, first_target + 1, ...
+    """
+    for target, part in enumerate(parts, start=first_target):
+        if part.domain != instance.info.prescription_domain(t, k, target):
             raise SchemaMismatch(f"prescription domain for target {target} is wrong")
 
 
@@ -146,11 +153,6 @@ def hat_observation(instance, k, t, state_values, theta, w, v_vector):
 def hat_cost(instance, k, t, state_values, theta) -> float:
     """Stage cost decoded from the equivalent state and the complete prescription."""
     _check_theta(instance, k, t, theta)
-    return _hat_cost_unchecked(instance, k, t, state_values, theta)
-
-
-def _hat_cost_unchecked(instance, k, t, state_values, theta) -> float:
-    """`hat_cost` for a complete prescription the caller has already checked."""
     support = instance.info.equivalent_state(t, k)
     controls = _controls_from_state(instance, theta, support, tuple(state_values[1:]))
     return float(instance.system.cost[t, state_values[0], instance.joint_control_index(controls)])
@@ -306,14 +308,76 @@ def observation_probabilities(instance, pi, theta) -> dict:
 def expected_stage_cost(instance, pi: InformationState, theta) -> float:
     """Belief-weighted stage cost."""
     _check_theta(instance, pi.agent, pi.time, theta)
-    sizes = _support_sizes(instance, pi.support)
-    total = 0.0
-    for s_idx in np.nonzero(pi.probs > 0.0)[0]:
-        s_vals = index_realization(sizes, int(s_idx))
-        total += float(pi.probs[s_idx]) * _hat_cost_unchecked(
-            instance, pi.agent, pi.time, s_vals, theta
-        )
-    return total
+    tables = [np.array([part.table]) for part in theta.parts]
+    return float(CandidateScorer(instance, pi.agent, pi.time, tables)(pi)[0])
+
+
+class CandidateScorer:
+    """Belief-weighted stage costs of many of agent k's stage-t complete
+    prescriptions at once.
+
+    A candidate takes one table per head target 1..h and the same tail
+    prescriptions for targets h+1..K. `head_tables[m - 1]` stacks target m's
+    candidate tables as an int array of shape (tables, domain rows); the
+    candidates are the product of the stacks, first target slowest, the order
+    of `itertools.product`. Each call loops over the positive-mass support
+    indices in index order and adds every candidate's `p * cost` to a vector
+    over the candidates, so each candidate's sum has the float operations of
+    a one-candidate scan, and memory stays proportional to the candidates.
+    """
+
+    def __init__(self, instance, k, t, head_tables):
+        support = instance.info.equivalent_state(t, k)
+        sizes = _support_sizes(instance, support)
+        flat = np.arange(realization_count(sizes))
+        digits = []
+        stride = len(flat)
+        for size in sizes:
+            stride //= size
+            digits.append(flat // stride % size)
+        coord = dict(zip(support, digits[1:]))
+        rows = []  # per target, the prescription-domain row of every support index
+        for target in range(1, instance.agent_count + 1):
+            row = np.zeros_like(flat)
+            for var in instance.info.prescription_domain(t, k, target):
+                if var not in coord:
+                    raise SchemaMismatch(
+                        f"prescription domain variable {var} is not a state coordinate"
+                    )
+                row = row * instance.variable_size(var) + coord[var]
+            rows.append(row)
+        control_sizes = instance.system.control_sizes
+        strides = [1] * len(control_sizes)  # weight of each control in the joint index
+        for m in range(len(strides) - 2, -1, -1):
+            strides[m] = strides[m + 1] * control_sizes[m + 1]
+
+        heads = len(head_tables)
+        self.cost = instance.system.cost[t]
+        self.x = digits[0].tolist()
+        self.shape = tuple(len(tables) for tables in head_tables)
+        self.head_rows = [row.tolist() for row in rows[:heads]]
+        # per head target, row r holds every table's weighted control at r,
+        # laid out along that target's axis of the candidate grid
+        self.head_controls = []
+        for m, (tables, weight) in enumerate(zip(head_tables, strides)):
+            axis = tuple(n if a == m else 1 for a, n in enumerate(self.shape))
+            self.head_controls.append((tables.T * weight).reshape((-1,) + axis))
+        self.tail_rows = rows[heads:]
+        self.tail_strides = strides[heads:]
+
+    def __call__(self, pi: InformationState, tails=()) -> np.ndarray:
+        """Stage cost of every candidate under belief pi, as one flat vector."""
+        support = np.flatnonzero(pi.probs > 0.0)
+        offset = np.zeros(len(support), dtype=np.int64)
+        for part, rows, stride in zip(tails, self.tail_rows, self.tail_strides):
+            offset += stride * np.asarray(part.table)[rows[support]]
+        total = np.zeros(self.shape)
+        for s, base in zip(support.tolist(), offset.tolist()):
+            uj = base
+            for controls, rows in zip(self.head_controls, self.head_rows):
+                uj = uj + controls[rows[s]]
+            total += float(pi.probs[s]) * self.cost[self.x[s]][uj]
+        return total.ravel()
 
 
 def connection_term(instance, pi_i: InformationState, k: int) -> ConnectionTerm:

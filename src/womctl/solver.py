@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import logging
 import math
 import os
 import time
@@ -20,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import (
+    CandidateScorer,
     accessible_support,
     belief_step,
     belief_tuple_key,
-    expected_stage_cost,
+    check_domains,
     initial_state_at,
 )
 from .errors import CapExceeded, ShapeMismatch, WomError
@@ -54,6 +56,8 @@ from .sysmodel import (
 
 COST_TOL = 1e-9
 _CHUNK = 1 << 18
+
+log = logging.getLogger("womctl")
 
 
 @dataclass(frozen=True)
@@ -224,11 +228,16 @@ class _Chain:
         self.decisions: dict[int, dict] = {}  # agent -> {(t, key): heads tuple}
         self.values: dict[int, float] = {}
         self.examined: dict[int, int] = {}
+        self.seconds: dict[int, float] = {}
 
 
 def _head_spaces(instance: Instance, j: int, caps: Caps):
-    """Per stage, the candidate tables for each of agent j's own components."""
-    spaces = {}
+    """Per stage, the candidate tables for each of agent j's own components.
+
+    Every stage's table counts are checked against the cap before any table
+    is built.
+    """
+    shapes = {}
     for t in range(instance.horizon + 1):
         per_target = []
         joint = 1
@@ -236,17 +245,24 @@ def _head_spaces(instance: Instance, j: int, caps: Caps):
             domain = instance.info.prescription_domain(t, j, m)
             sizes = instance.schema_sizes(domain)
             csize = instance.system.control_sizes[m - 1]
-            joint *= prescription_space_size(sizes, csize)
-            per_target.append(
-                [
-                    Prescription(j, m, t, domain, sizes, csize, table)
-                    for table in enumerate_prescription_tables(sizes, csize, caps.tables)
-                ]
-            )
+            count = prescription_space_size(sizes, csize)
+            if count > caps.tables:
+                raise CapExceeded(count, caps.tables, "prescription enumeration")
+            joint *= count
+            per_target.append((domain, sizes, csize))
         if joint > caps.tables:
             raise CapExceeded(joint, caps.tables, f"stage-{t} joint prescription search")
-        spaces[t] = per_target
-    return spaces
+        shapes[t] = per_target
+    return {
+        t: [
+            [
+                Prescription(j, m, t, domain, sizes, csize, table)
+                for table in enumerate_prescription_tables(sizes, csize, caps.tables)
+            ]
+            for m, (domain, sizes, csize) in enumerate(per_target, start=1)
+        ]
+        for t, per_target in shapes.items()
+    }
 
 
 def _tail_parts(instance: Instance, chain: _Chain, j: int, t: int, pis) -> list:
@@ -289,14 +305,24 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
 
     Components for targets above j are fixed functions of the targets' belief
     tuples, inherited from their own passes; components up to j are chosen per
-    reachable belief tuple.
+    reachable belief tuple. A node scores the stage costs of all its joint
+    head candidates in one `CandidateScorer` call; the first minimizer in
+    `itertools.product` order wins.
     """
+    started = time.perf_counter()
     T = instance.horizon
     spaces = _head_spaces(instance, j, caps)
+    scorers: dict = {}  # per stage, built on the first visit
     memo: dict = {}
     decisions: dict = {}
     examined = 0
     nodes = 0
+
+    def scorer(t):
+        if t not in scorers:
+            tables = [np.array([p.table for p in heads]) for heads in spaces[t]]
+            scorers[t] = CandidateScorer(instance, j, t, tables)
+        return scorers[t]
 
     def visit(t, amap, pis):
         nonlocal examined, nodes
@@ -307,12 +333,20 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
         if nodes > caps.branches:
             raise CapExceeded(nodes, caps.branches, "reachable belief branches")
         tails = _tail_parts(instance, chain, j, t, pis)
-        best_val, best_heads = math.inf, None
-        for heads in itertools.product(*spaces[t]):
-            examined += 1
-            theta = CompletePrescription(owner=j, time=t, parts=heads + tuple(tails))
-            val = expected_stage_cost(instance, pis[0], theta)
-            if t < T:
+        check_domains(instance, j, t, tails, first_target=j + 1)
+        score = scorer(t)
+        stage = score(pis[0], tails)
+        if t == T:
+            best = int(stage.argmin())
+            examined += len(stage)
+            best_val = float(stage[best])
+            index = np.unravel_index(best, score.shape)
+            best_heads = tuple(space[int(i)] for space, i in zip(spaces[t], index))
+        else:
+            best_val, best_heads = math.inf, None
+            for val, heads in zip(stage.tolist(), itertools.product(*spaces[t])):
+                examined += 1
+                theta = CompletePrescription(owner=j, time=t, parts=heads + tuple(tails))
                 steps = belief_step(instance, pis[0], theta)
                 tail_steps = {
                     i: belief_step(
@@ -327,8 +361,8 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
                         instance, j, amap, pis, theta, z, pi_next, tail_steps
                     )
                     val += pz * visit(t + 1, amap_child, pis_child)
-            if val < best_val:
-                best_val, best_heads = val, heads
+                if val < best_val:
+                    best_val, best_heads = val, heads
         memo[key] = best_val
         decisions[key] = best_heads
         return best_val
@@ -347,6 +381,11 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
     chain.decisions[j] = decisions
     chain.values[j] = total
     chain.examined[j] = examined
+    chain.seconds[j] = time.perf_counter() - started
+    log.debug(
+        "agent %d pass: %d nodes, %d candidates, %.3f s",
+        j, nodes, examined, chain.seconds[j],
+    )
     return total
 
 
@@ -416,15 +455,9 @@ def _emit_strategy(instance: Instance, k: int, chain: _Chain):
     return PrescriptionStrategy(owner=k, laws=laws), belief_rows
 
 
-def solve_prescription_dp(instance: Instance, k: int, cap: int | None = None) -> SolveResult:
-    """Per-agent backward recursion with inherited higher-agent components."""
-    caps = resolve_caps(cap)
+def _dp_result(instance: Instance, k: int, chain: _Chain) -> SolveResult:
+    """Agent k's emitted strategy, exactly re-evaluated, from a chain solved down to k."""
     start = time.perf_counter()
-    if not 1 <= k <= instance.agent_count:
-        raise ShapeMismatch(f"agent {k} out of range")
-    chain = _Chain()
-    for j in range(instance.agent_count, k - 1, -1):
-        _solve_agent(instance, j, chain, caps)
     psi, belief_rows = _emit_strategy(instance, k, chain)
     strategy = joint_control_strategy(instance, psi)
     report = exact_strategy_cost(instance, strategy)
@@ -436,6 +469,7 @@ def solve_prescription_dp(instance: Instance, k: int, cap: int | None = None) ->
         }
         for (t, key), heads in sorted(chain.decisions[k].items())
     ]
+    passes = [j for j in chain.values if j >= k]
     return SolveResult(
         method="prescription-dp",
         agent=k,
@@ -443,15 +477,26 @@ def solve_prescription_dp(instance: Instance, k: int, cap: int | None = None) ->
         control_strategy=strategy,
         prescription_strategy=psi,
         search_size=chain.examined[k],
-        wall_time=time.perf_counter() - start,
+        wall_time=sum(chain.seconds[j] for j in passes) + time.perf_counter() - start,
         dp_value=chain.values[k],
         extras={
-            "chain_examined": dict(chain.examined),
-            "chain_values": dict(chain.values),
+            "chain_examined": {j: chain.examined[j] for j in passes},
+            "chain_values": {j: chain.values[j] for j in passes},
             "belief_tree": belief_rows,
             "belief_policy": belief_policy,
         },
     )
+
+
+def solve_prescription_dp(instance: Instance, k: int, cap: int | None = None) -> SolveResult:
+    """Per-agent backward recursion with inherited higher-agent components."""
+    caps = resolve_caps(cap)
+    if not 1 <= k <= instance.agent_count:
+        raise ShapeMismatch(f"agent {k} out of range")
+    chain = _Chain()
+    for j in range(instance.agent_count, k - 1, -1):
+        _solve_agent(instance, j, chain, caps)
+    return _dp_result(instance, k, chain)
 
 
 def solve_common_info_dp(instance: Instance, cap: int | None = None) -> SolveResult:
@@ -639,8 +684,16 @@ class CompareReport:
 
 
 def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
-    """Run every applicable solver and check the optima agree."""
+    """Run every applicable solver and check the optima agree.
+
+    The prescription-DP rows and the common-information row come from one
+    chain solved from agent K down, one pass per agent (only agent K's at
+    horizon 0, where the per-agent rows use the static decomposition). When a
+    pass exceeds a cap, the agents below it cannot inherit its decisions, so
+    their rows are skipped with the same reason.
+    """
     rows = []
+    K = instance.agent_count
 
     def attempt(label, agent, fn):
         try:
@@ -666,8 +719,27 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
             )
 
     attempt("brute", None, lambda: solve_brute_force(instance, cap))
-    attempt("common-info", None, lambda: solve_common_info_dp(instance, cap))
-    for k in range(1, instance.agent_count + 1):
+
+    caps = resolve_caps(cap)
+    chain = _Chain()
+    failure = None
+    lowest = 1 if instance.horizon else K
+    try:
+        for j in range(K, lowest - 1, -1):
+            _solve_agent(instance, j, chain, caps)
+    except CapExceeded as exc:
+        failure = exc
+    results: dict = {}
+
+    def dp_row(k):
+        if k not in chain.values:
+            raise failure
+        if k not in results:
+            results[k] = _dp_result(instance, k, chain)
+        return results[k]
+
+    attempt("common-info", None, lambda: dp_row(K))
+    for k in range(1, K + 1):
         if instance.horizon == 0:
             attempt(
                 "prescription-static",
@@ -675,9 +747,7 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
                 lambda k=k: solve_prescription_static(instance, k, cap),
             )
         else:
-            attempt(
-                "prescription-dp", k, lambda k=k: solve_prescription_dp(instance, k, cap)
-            )
+            attempt("prescription-dp", k, lambda k=k: dp_row(k))
     costs = [r["cost"] for r in rows if r["status"] == "ok"]
     spread = max(costs) - min(costs) if costs else 0.0
     if spread > COST_TOL:

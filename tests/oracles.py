@@ -330,3 +330,111 @@ def brute_force_reference(instance, chunk=1 << 18):
             table[real] = (best_id // suffix[base + local + 1]) % radix
         tables[(t, k)] = table
     return best_cost, tables
+
+
+def dp_reference(instance, k):
+    """Prescription DP for agent k by per-candidate stage-cost calls.
+
+    Solves agents K..k in turn. Every node tries its joint head candidates in
+    `itertools.product` order, scores each with `expected_stage_cost`, and
+    keeps the first strict minimum. Returns the dict of what
+    `solve_prescription_dp` reports: dp_value, chain_values, chain_examined,
+    belief_policy and the control tables of the emitted strategy.
+    """
+    import dataclasses
+    from types import SimpleNamespace
+
+    from womctl.belief import (
+        accessible_support,
+        belief_step,
+        belief_tuple_key,
+        expected_stage_cost,
+        initial_state_at,
+    )
+    from womctl.prescription import (
+        CompletePrescription,
+        derive_complete,
+        enumerate_prescriptions,
+        joint_control_strategy,
+    )
+    from womctl.solver import _emit_strategy
+    from womctl.sysmodel import restrict_realization
+
+    K, T = instance.agent_count, instance.horizon
+    info = instance.info
+    decisions, values, examined = {}, {}, {}
+
+    def tail_parts(j, t, pis):
+        return [
+            dataclasses.replace(
+                decisions[m][(t, belief_tuple_key(pis[m - j:]))][m - 1], owner=j
+            )
+            for m in range(j + 1, K + 1)
+        ]
+
+    def solve(j):
+        spaces = {
+            t: [list(enumerate_prescriptions(instance, t, j, m)) for m in range(1, j + 1)]
+            for t in range(T + 1)
+        }
+        memo, chosen, count = {}, {}, 0
+
+        def visit(t, amap, pis):
+            nonlocal count
+            key = (t, belief_tuple_key(pis))
+            if key in memo:
+                return memo[key]
+            tails = tail_parts(j, t, pis)
+            best_val, best_heads = math.inf, None
+            for heads in itertools.product(*spaces[t]):
+                count += 1
+                theta = CompletePrescription(owner=j, time=t, parts=heads + tuple(tails))
+                val = expected_stage_cost(instance, pis[0], theta)
+                if t < T:
+                    tail_steps = {
+                        i: belief_step(instance, pis[i - j], derive_complete(instance, theta, i))
+                        for i in range(j + 1, K + 1)
+                    }
+                    for z, (pz, pi_next) in belief_step(instance, pis[0], theta).items():
+                        child = dict(amap)
+                        child.update(zip(info.new_info(t + 1, j), z))
+                        pis_child = [pi_next]
+                        for i in range(j + 1, K + 1):
+                            z_i = tuple(child[var] for var in info.new_info(t + 1, i))
+                            pis_child.append(tail_steps[i][z_i][1])
+                        val += pz * visit(t + 1, child, tuple(pis_child))
+                if val < best_val:
+                    best_val, best_heads = val, heads
+            memo[key] = best_val
+            chosen[key] = best_heads
+            return best_val
+
+        acc0 = info.accessible(0, j)
+        total = 0.0
+        for a_real, pa in accessible_support(instance, j).items():
+            pis = tuple(
+                initial_state_at(
+                    instance, i, restrict_realization(acc0, a_real, info.accessible(0, i))
+                )
+                for i in range(j, K + 1)
+            )
+            total += pa * visit(0, dict(zip(acc0, a_real)), pis)
+        decisions[j], values[j], examined[j] = chosen, total, count
+
+    for j in range(K, k - 1, -1):
+        solve(j)
+    psi, _ = _emit_strategy(instance, k, SimpleNamespace(decisions=decisions))
+    return {
+        "dp_value": values[k],
+        "chain_values": values,
+        "chain_examined": examined,
+        "belief_policy": [
+            {
+                "t": t,
+                "belief_key": [list(part) for part in key],
+                "tables": {m: list(p.table) for m, p in enumerate(heads, start=1)},
+            }
+            for (t, key), heads in sorted(decisions[k].items())
+        ],
+        "tables": joint_control_strategy(instance, psi).tables,
+    }

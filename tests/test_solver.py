@@ -1,12 +1,13 @@
 import copy
 import itertools
+import logging
 import math
 import random
 
 import pytest
 
-from helpers import fuzz_instance, random_prescription_strategy
-from oracles import brute_force_reference
+from helpers import fuzz_instance, pomdp_dict, random_prescription_strategy
+from oracles import brute_force_reference, dp_reference
 import womctl.solver as solver_mod
 from womctl.errors import CapExceeded, WomError
 from womctl.instances import d2_dict
@@ -296,6 +297,58 @@ def test_compare_agents_d2(d2):
 def test_compare_agents_reports_skips(wom3):
     rep = compare_agents(wom3)
     assert all(r["status"] == "skipped" for r in rep.rows)
+    dp_reasons = {r["reason"] for r in rep.rows if r["method"] != "brute"}
+    assert dp_reasons == {
+        "stage-1 joint prescription search needs 4294967296 candidates, cap is 1048576"
+    }
+
+
+def _count_agent_passes(monkeypatch, fail_at=None):
+    calls = []
+    real = solver_mod._solve_agent
+
+    def counted(instance, j, chain, caps):
+        calls.append(j)
+        if j == fail_at:
+            raise CapExceeded(99, 1, "stand-in pass")
+        return real(instance, j, chain, caps)
+
+    monkeypatch.setattr(solver_mod, "_solve_agent", counted)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["d2", "fuzz7"])
+def test_compare_agents_runs_each_agent_pass_once(which, d2, monkeypatch):
+    inst = d2 if which == "d2" else fuzz_instance(7)
+    K = inst.agent_count
+    assert inst.horizon > 0 and K == (2 if which == "d2" else 3)
+    calls = _count_agent_passes(monkeypatch)
+    rows = {(r["method"], r["agent"]): r for r in compare_agents(inst).rows}
+    assert calls == list(range(K, 0, -1))
+    common, top = rows[("common-info", None)], rows[("prescription-dp", K)]
+    assert common["status"] == top["status"] == "ok"
+    assert common["cost"] == top["cost"]
+    assert common["search_size"] == top["search_size"]
+
+
+def test_compare_agents_records_a_cap_failure_once(monkeypatch):
+    inst = fuzz_instance(7)
+    calls = _count_agent_passes(monkeypatch, fail_at=2)
+    rows = {(r["method"], r["agent"]): r for r in compare_agents(inst).rows}
+    assert calls == [3, 2]
+    assert rows[("common-info", None)]["status"] == "ok"
+    assert rows[("prescription-dp", 3)]["status"] == "ok"
+    for k in (1, 2):
+        assert rows[("prescription-dp", k)]["status"] == "skipped"
+        assert rows[("prescription-dp", k)]["reason"] == (
+            "stand-in pass needs 99 candidates, cap is 1"
+        )
+
+
+def test_compare_agents_static_runs_only_the_top_pass(static3, monkeypatch):
+    calls = _count_agent_passes(monkeypatch)
+    compare_agents(static3)
+    assert calls == [3]
 
 
 def test_structural_measurability_of_emitted_strategy(d2):
@@ -341,6 +394,73 @@ def test_solver_determinism(d2):
 def test_dp_cap(d2):
     with pytest.raises(CapExceeded):
         solve_prescription_dp(d2, 1, cap=2)
+
+
+def test_dp_cap_fails_before_building_tables(d2, monkeypatch):
+    # agent 2's stage-1 targets have 16 tables each: each fits the cap of 16,
+    # their 256 joint candidates do not
+    built = []
+    real = solver_mod.enumerate_prescription_tables
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver_mod, "enumerate_prescription_tables", counted)
+    with pytest.raises(CapExceeded, match="stage-1 joint prescription search needs 256"):
+        solve_prescription_dp(d2, 2, cap=16)
+    assert built == []
+
+
+def _assert_dp_matches_reference(instance):
+    for k in range(1, instance.agent_count + 1):
+        res = solve_prescription_dp(instance, k)
+        ref = dp_reference(instance, k)
+        assert res.dp_value == ref["dp_value"]
+        assert res.extras["chain_values"] == ref["chain_values"]
+        assert res.extras["chain_examined"] == ref["chain_examined"]
+        assert res.extras["belief_policy"] == ref["belief_policy"]
+        assert res.control_strategy.tables == ref["tables"]
+
+
+@pytest.mark.parametrize("name", ["d2", "d2ext", "pomdp4"])
+def test_prescription_dp_matches_reference_on_bundled(name, request):
+    if name == "pomdp4":
+        _assert_dp_matches_reference(instance_from_dict(pomdp_dict(4)))
+    else:
+        _assert_dp_matches_reference(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_prescription_dp_matches_reference_on_fuzz(seed):
+    _assert_dp_matches_reference(fuzz_instance(seed))
+
+
+def test_prescription_dp_ties_pick_the_first_candidate():
+    doc = d2_dict()
+    doc["system"]["cost"] = [[[0.0] * 4] * 2] * 2
+    zero = instance_from_dict(doc)
+    _assert_dp_matches_reference(zero)
+    for k in (1, 2):
+        for row in solve_prescription_dp(zero, k).extras["belief_policy"]:
+            assert all(set(table) == {0} for table in row["tables"].values())
+    # coarse costs: many candidates tie at every node without all of them tying
+    rng = random.Random(11)
+    doc["system"]["cost"] = [
+        [[rng.choice([0.0, 1.0]) for _ in range(4)] for _ in range(2)] for _ in range(2)
+    ]
+    _assert_dp_matches_reference(instance_from_dict(doc))
+
+
+def test_agent_passes_are_logged(d2, caplog):
+    caplog.set_level(logging.DEBUG, logger="womctl")
+    res = solve_prescription_dp(d2, 1)
+    passes = [r for r in caplog.records if r.name == "womctl" and "pass" in r.getMessage()]
+    assert [r.args[0] for r in passes] == [2, 1]
+    for record in passes:
+        j, nodes, examined, seconds = record.args
+        assert nodes > 0 and seconds >= 0.0
+        assert examined == res.extras["chain_examined"][j]
 
 
 def test_compare_agents_detects_disagreement(d2, monkeypatch):
