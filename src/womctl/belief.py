@@ -108,14 +108,20 @@ def trace_step(instance, k, t, state_values, theta, w, v_vector):
     disturbance and v_vector the stage-t+1 noises. The new-information values
     are keyed to the agent's t+1 new-information schema.
     """
-    sys = instance.system
-    if t >= sys.horizon:
+    if t >= instance.system.horizon:
         raise SchemaMismatch("no stage follows the horizon")
     _check_theta(instance, k, t, theta)
     support = instance.info.equivalent_state(t, k)
+    controls = _controls_from_state(instance, theta, support, tuple(state_values[1:]))
+    return _trace_step(instance, k, t, state_values, controls, w, v_vector)
+
+
+def _trace_step(instance, k, t, state_values, controls, w, v_vector):
+    """`trace_step` given the controls a checked theta applies at the state."""
+    sys = instance.system
+    support = instance.info.equivalent_state(t, k)
     x = state_values[0]
     values = tuple(state_values[1:])
-    controls = _controls_from_state(instance, theta, support, values)
     uj = instance.joint_control_index(controls)
     x_next = int(sys.transition[t, x, uj, w])
 
@@ -160,32 +166,18 @@ def hat_cost(instance, k, t, state_values, theta) -> float:
 
 def accessible_support(instance, k) -> dict:
     """Probability of each realization of the agent's t=0 accessible info."""
-    sys = instance.system
-    acc = instance.info.accessible(0, k)
-    out: dict[tuple, float] = {}
-    noise_axes = [range(sys.noise_sizes[j]) for j in range(sys.agent_count)]
-    for x0 in range(sys.state_size):
-        p0 = float(sys.initial_probs[x0])
-        if p0 == 0.0:
-            continue
-        for v in itertools.product(*noise_axes):
-            p = p0
-            for j in range(sys.agent_count):
-                p *= float(sys.noise_probs[j][0, v[j]])
-            if p == 0.0:
-                continue
-            y = {
-                (0, j, KIND_OBSERVATION): int(sys.observation[j - 1][0, x0, v[j - 1]])
-                for j in range(1, sys.agent_count + 1)
-            }
-            real = tuple(y[var] for var in acc)
-            out[real] = out.get(real, 0.0) + p
-    return dict(sorted(out.items()))
+    return dict(_initial_pass(instance, k)[1])
 
 
 def initial_information_state(instance, k) -> dict:
     """Initial beliefs keyed by the realization of the agent's t=0 accessible info."""
-    cache_key = ("initial_beliefs", k)
+    return _initial_pass(instance, k)[0]
+
+
+def _initial_pass(instance, k) -> tuple[dict, dict]:
+    """One cached pass over (x0, t=0 noises): agent k's initial beliefs and the
+    mass of each accessible realization, both keyed in sorted order."""
+    cache_key = ("initial_pass", k)
     if cache_key in instance._cache:
         return instance._cache[cache_key]
     sys = instance.system
@@ -194,6 +186,7 @@ def initial_information_state(instance, k) -> dict:
     sizes = _support_sizes(instance, support)
     total = realization_count(sizes)
     masses: dict[tuple, np.ndarray] = {}
+    support_mass: dict[tuple, float] = {}
     noise_axes = [range(sys.noise_sizes[j]) for j in range(sys.agent_count)]
     for x0 in range(sys.state_size):
         p0 = float(sys.initial_probs[x0])
@@ -219,12 +212,14 @@ def initial_information_state(instance, k) -> dict:
             if a_real not in masses:
                 masses[a_real] = np.zeros(total)
             masses[a_real][realization_index(sizes, s_real)] += p
-    out = {}
+            support_mass[a_real] = support_mass.get(a_real, 0.0) + p
+    states = {}
     for a_real in sorted(masses):
         vec = masses[a_real]
-        out[a_real] = InformationState(
+        states[a_real] = InformationState(
             agent=k, time=0, support=support, probs=vec / vec.sum()
         )
+    out = states, dict(sorted(support_mass.items()))
     instance._cache[cache_key] = out
     return out
 
@@ -254,6 +249,8 @@ def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> 
     k, t = pi.agent, pi.time
     if t >= sys.horizon:
         raise SchemaMismatch("no stage follows the horizon")
+    _check_theta(instance, k, t, theta)
+    support = instance.info.equivalent_state(t, k)
     next_support = instance.info.equivalent_state(t + 1, k)
     next_sizes = _support_sizes(instance, next_support)
     next_total = realization_count(next_sizes)
@@ -263,6 +260,7 @@ def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> 
     for s_idx in np.nonzero(pi.probs > 0.0)[0]:
         ps = float(pi.probs[s_idx])
         s_vals = index_realization(sizes, int(s_idx))
+        controls = _controls_from_state(instance, theta, support, s_vals[1:])
         for w in range(sys.disturbance_size):
             pw = ps * float(sys.disturbance_probs[t, w])
             if pw == 0.0:
@@ -273,7 +271,7 @@ def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> 
                     p *= float(sys.noise_probs[j][t + 1, v[j]])
                 if p == 0.0:
                     continue
-                s_next, z = trace_step(instance, k, t, s_vals, theta, w, v)
+                s_next, z = _trace_step(instance, k, t, s_vals, controls, w, v)
                 if z not in acc:
                     acc[z] = np.zeros(next_total)
                 acc[z][realization_index(next_sizes, s_next)] += p

@@ -26,6 +26,7 @@ from .belief import (
     belief_step,
     belief_tuple_key,
     check_domains,
+    initial_information_state,
     initial_state_at,
 )
 from .errors import CapExceeded, ShapeMismatch, WomError
@@ -50,7 +51,6 @@ from .sysmodel import (
     feasible_schema_realizations,
     joint_primitives,
     realization_count,
-    realization_index,
     restrict_realization,
 )
 
@@ -510,159 +510,55 @@ def solve_common_info_dp(instance: Instance, cap: int | None = None) -> SolveRes
 
 
 def solve_prescription_static(instance: Instance, k: int, cap: int | None = None) -> SolveResult:
-    """Single-stage decomposition over the agent's conditioning realizations.
+    """Agent k's decomposition of a one-stage problem: the horizon-0 chain.
 
-    Components for targets above k are enumerated once per realization of the
-    target's own (coarser) conditioning information; components up to k are
-    minimized innermost per full conditioning realization. The relaxed value
-    in which every subproblem also picks its own shared components is reported
-    alongside for diagnosis.
+    Agents K..k are solved as in `solve_prescription_dp`. The result reports
+    the size of agent k's strategy space as its search size, and alongside it,
+    for diagnosis, the relaxed value in which every accessible realization
+    also picks its own components for the targets above k.
     """
     caps = resolve_caps(cap)
-    start = time.perf_counter()
     if instance.horizon != 0:
         raise ShapeMismatch("static decomposition requires horizon 0")
     if not 1 <= k <= instance.agent_count:
         raise ShapeMismatch(f"agent {k} out of range")
-    sys = instance.system
-    K = instance.agent_count
+    chain = _Chain()
+    for j in range(instance.agent_count, k - 1, -1):
+        _solve_agent(instance, j, chain, caps)
+    return _static_result(instance, _dp_result(instance, k, chain), caps)
 
-    rows_by_leaf: dict[tuple, list] = {}
-    acc_k = instance.info.accessible(0, k)
-    noise_axes = [range(sys.noise_sizes[j]) for j in range(K)]
-    for x0 in range(sys.state_size):
-        p0 = float(sys.initial_probs[x0])
-        if p0 == 0.0:
-            continue
-        for v in itertools.product(*noise_axes):
-            p = p0
-            for j in range(K):
-                p *= float(sys.noise_probs[j][0, v[j]])
-            if p == 0.0:
-                continue
-            yvals = {
-                (0, j, KIND_OBSERVATION): int(sys.observation[j - 1][0, x0, v[j - 1]])
-                for j in range(1, K + 1)
-            }
-            leaf = tuple(yvals[var] for var in acc_k)
-            rows_by_leaf.setdefault(leaf, []).append((p, x0, yvals))
 
-    head_tables = []
-    joint_heads = 1
-    for m in range(1, k + 1):
-        domain = instance.info.prescription_domain(0, k, m)
-        sizes = instance.schema_sizes(domain)
-        csize = sys.control_sizes[m - 1]
-        joint_heads *= prescription_space_size(sizes, csize)
-        head_tables.append(
-            [
-                Prescription(k, m, 0, domain, sizes, csize, tab)
-                for tab in enumerate_prescription_tables(sizes, csize, caps.tables)
-            ]
-        )
-    if joint_heads > caps.tables:
-        raise CapExceeded(joint_heads, caps.tables, "joint head search")
-    tail_tables = {}
-    for i in range(k + 1, K + 1):
-        domain = instance.info.prescription_domain(0, k, i)
-        sizes = instance.schema_sizes(domain)
-        csize = sys.control_sizes[i - 1]
-        tail_tables[i] = [
-            Prescription(k, i, 0, domain, sizes, csize, tab)
-            for tab in enumerate_prescription_tables(sizes, csize, caps.tables)
-        ]
+def _static_result(instance: Instance, res: SolveResult, caps: Caps) -> SolveResult:
+    """A horizon-0 chain result for agent k as the static decomposition's row.
 
-    domains = {
-        m: instance.info.prescription_domain(0, k, m) for m in range(1, K + 1)
-    }
-    relaxed_best: dict[tuple, float] = {leaf: math.inf for leaf in rows_by_leaf}
-    examined = 0
-
-    def leaf_value(leaf, tails):
-        """Min over joint heads of the unnormalized conditional stage cost."""
-        nonlocal examined
-        rows = rows_by_leaf[leaf]
-        best = math.inf
-        best_heads = None
-        for heads in itertools.product(*head_tables):
-            examined += 1
-            parts = list(heads) + [tails[i] for i in range(k + 1, K + 1)]
-            total = 0.0
-            for p, x0, yvals in rows:
-                controls = []
-                for m in range(1, K + 1):
-                    inputs = tuple(yvals[var] for var in domains[m])
-                    part = parts[m - 1]
-                    controls.append(part.table[realization_index(part.domain_sizes, inputs)])
-                total += p * float(sys.cost[0, x0, instance.joint_control_index(controls)])
-            if total < best:
-                best, best_heads = total, heads
-            if total < relaxed_best[leaf]:
-                relaxed_best[leaf] = total
-        return best, best_heads
-
-    tail_levels = list(range(K, k, -1))
-
-    def solve_part(depth, leaves, tails):
-        if depth == len(tail_levels):
-            total = 0.0
-            frag = {}
-            for leaf in sorted(leaves):
-                val, heads = leaf_value(leaf, tails)
-                total += val
-                frag[("heads", leaf)] = heads
-            return total, frag
-        i = tail_levels[depth]
-        acc_i = instance.info.accessible(0, i)
-        groups: dict[tuple, list] = {}
-        for leaf in leaves:
-            groups.setdefault(restrict_realization(acc_k, leaf, acc_i), []).append(leaf)
-        total = 0.0
-        frag: dict = {}
-        for gkey in sorted(groups):
-            best, best_frag, best_tab = math.inf, None, None
-            for tab in tail_tables[i]:
-                tails[i] = tab
-                val, sub = solve_part(depth + 1, groups[gkey], tails)
-                if val < best:
-                    best, best_frag, best_tab = val, sub, tab
-            del tails[i]
-            total += best
-            frag[("tail", i, gkey)] = best_tab
-            frag.update(best_frag)
-        return total, frag
-
-    leaves = sorted(rows_by_leaf)
-    dp_value, frag = solve_part(0, leaves, {})
-    relaxed_value = math.fsum(relaxed_best[leaf] for leaf in leaves)
-
-    laws = _default_laws(instance, k)
-    for keyed, chosen in frag.items():
-        if keyed[0] == "heads":
-            leaf = keyed[1]
-            for m in range(1, k + 1):
-                laws[(0, m)][leaf] = chosen[m - 1]
-        else:
-            _, i, gkey = keyed
-            laws[(0, i)][gkey] = chosen
-    psi = PrescriptionStrategy(owner=k, laws=laws)
-    strategy = joint_control_strategy(instance, psi)
-    report = exact_strategy_cost(instance, strategy)
-    extras = {
-        "relaxed_value": relaxed_value,
-        "relaxed_gap": abs(relaxed_value - report.expected_cost),
-    }
+    The relaxed value sums, over agent k's t=0 accessible realizations, the
+    mass times the least stage cost over every joint table tuple for all K
+    targets on agent k's domains. Its candidates number at most agent K's
+    stage-0 joint count, which the chain has checked against the cap.
+    """
+    start = time.perf_counter()
+    k = res.agent
+    tables = []
+    for m in range(1, instance.agent_count + 1):
+        sizes = instance.schema_sizes(instance.info.prescription_domain(0, k, m))
+        csize = instance.system.control_sizes[m - 1]
+        tables.append(np.array(list(enumerate_prescription_tables(sizes, csize, caps.tables))))
+    score = CandidateScorer(instance, k, 0, tables)
+    beliefs = initial_information_state(instance, k)
+    relaxed_value = math.fsum(
+        mass * float(score(beliefs[a_real]).min())
+        for a_real, mass in accessible_support(instance, k).items()
+    )
+    extras = dict(res.extras)
+    extras["relaxed_value"] = relaxed_value
+    extras["relaxed_gap"] = abs(relaxed_value - res.optimal_cost)
     if extras["relaxed_gap"] > COST_TOL:
         extras["relaxed_gap_exceeds_tolerance"] = True
-    return SolveResult(
+    return dataclasses.replace(
+        res,
         method="prescription-static",
-        agent=k,
-        optimal_cost=report.expected_cost,
-        control_strategy=strategy,
-        prescription_strategy=psi,
         search_size=count_strategies(instance, k),
-        wall_time=time.perf_counter() - start,
-        dp_value=dp_value,
+        wall_time=res.wall_time + time.perf_counter() - start,
         extras=extras,
     )
 
@@ -686,11 +582,11 @@ class CompareReport:
 def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
     """Run every applicable solver and check the optima agree.
 
-    The prescription-DP rows and the common-information row come from one
-    chain solved from agent K down, one pass per agent (only agent K's at
-    horizon 0, where the per-agent rows use the static decomposition). When a
-    pass exceeds a cap, the agents below it cannot inherit its decisions, so
-    their rows are skipped with the same reason.
+    The common-information row and every per-agent row come from one chain
+    solved from agent K down, one pass per agent; at horizon 0 the per-agent
+    rows are the static decomposition's. When a pass exceeds a cap, the agents
+    below it cannot inherit its decisions, so their rows are skipped with the
+    same reason.
     """
     rows = []
     K = instance.agent_count
@@ -723,9 +619,8 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
     caps = resolve_caps(cap)
     chain = _Chain()
     failure = None
-    lowest = 1 if instance.horizon else K
     try:
-        for j in range(K, lowest - 1, -1):
+        for j in range(K, 0, -1):
             _solve_agent(instance, j, chain, caps)
     except CapExceeded as exc:
         failure = exc
@@ -742,9 +637,7 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
     for k in range(1, K + 1):
         if instance.horizon == 0:
             attempt(
-                "prescription-static",
-                k,
-                lambda k=k: solve_prescription_static(instance, k, cap),
+                "prescription-static", k, lambda k=k: _static_result(instance, dp_row(k), caps)
             )
         else:
             attempt("prescription-dp", k, lambda k=k: dp_row(k))

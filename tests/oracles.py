@@ -438,3 +438,50 @@ def dp_reference(instance, k):
         ],
         "tables": joint_control_strategy(instance, psi).tables,
     }
+
+
+def relaxed_reference(instance, k):
+    """Relaxed value of agent k's static decomposition by plain loops.
+
+    For each realization of agent k's t=0 accessible information, takes the
+    least unnormalized stage cost over every joint tuple of tables for all K
+    targets on agent k's prescription domains, summing p * cost over the
+    (x0, noise) rows that produce the realization. Returns the fsum of those
+    minima.
+    """
+    sys = instance.system
+    K = sys.agent_count
+    domains = [instance.info.prescription_domain(0, k, m) for m in range(1, K + 1)]
+    acc = instance.info.accessible(0, k)
+    rows_by_leaf = {}
+    for x0 in range(sys.state_size):
+        for v in itertools.product(*(range(n) for n in sys.noise_sizes)):
+            p = float(sys.initial_probs[x0])
+            for j in range(K):
+                p *= float(sys.noise_probs[j][0, v[j]])
+            if p == 0.0:
+                continue
+            y = {(0, j, "Y"): int(sys.observation[j - 1][0, x0, v[j - 1]]) for j in range(1, K + 1)}
+            rows_by_leaf.setdefault(tuple(y[var] for var in acc), []).append((p, x0, y))
+
+    def row(domain, y):
+        index = 0
+        for var in domain:
+            index = index * instance.variable_size(var) + y[var]
+        return index
+
+    spaces = []
+    for m, domain in enumerate(domains, start=1):
+        entries = math.prod(instance.variable_size(var) for var in domain)
+        spaces.append(list(itertools.product(range(sys.control_sizes[m - 1]), repeat=entries)))
+    minima = []
+    for leaf in sorted(rows_by_leaf):
+        best = math.inf
+        for tables in itertools.product(*spaces):
+            total = 0.0
+            for p, x0, y in rows_by_leaf[leaf]:
+                controls = [table[row(domain, y)] for table, domain in zip(tables, domains)]
+                total += p * float(sys.cost[0, x0, instance.joint_control_index(controls)])
+            best = min(best, total)
+        minima.append(best)
+    return math.fsum(minima)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -20,7 +21,7 @@ from womctl.belief import (
     update_information_state,
     _support_sizes,
 )
-from womctl.errors import ImpossibleObservation, MissingConditional
+from womctl.errors import ImpossibleObservation, MissingConditional, SchemaMismatch
 from womctl.instances import d2_dict
 from womctl.prescription import (
     CompletePrescription,
@@ -298,6 +299,28 @@ def test_update_impossible_observation(d2):
         znew = d2.info.new_info(1, 1)
         z = tuple(1 if v.kind == "U" and v.agent == 1 else 0 for v in znew)
         update_information_state(d2, init[(0,)], theta, z)
+
+
+@pytest.mark.parametrize("wrong", ["owner", "time", "domain"])
+def test_belief_step_rejects_a_mismatched_theta(d2, wrong):
+    pi = initial_information_state(d2, 1)[(0,)]
+    theta = theta_for(d2, 1, 0, [[1], [0, 1]])
+    z = next(iter(belief_step(d2, pi, theta)))
+    if wrong == "owner":
+        bad = dataclasses.replace(theta, owner=2)
+    elif wrong == "time":
+        bad = dataclasses.replace(theta, time=1)
+    else:
+        # target 2's part on target 1's (empty) domain: every lookup still succeeds
+        own = theta.parts[0]
+        part = dataclasses.replace(
+            theta.parts[1], domain=own.domain, domain_sizes=own.domain_sizes, table=(0,)
+        )
+        bad = dataclasses.replace(theta, parts=(own, part))
+    with pytest.raises(SchemaMismatch):
+        belief_step(d2, pi, bad)
+    with pytest.raises(SchemaMismatch):
+        update_information_state(d2, pi, bad, z)
 
 
 def test_expected_stage_cost_point_mass(d2):

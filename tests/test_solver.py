@@ -7,12 +7,13 @@ import random
 import pytest
 
 from helpers import fuzz_instance, pomdp_dict, random_prescription_strategy
-from oracles import brute_force_reference, dp_reference
+from oracles import brute_force_reference, dp_reference, relaxed_reference
 import womctl.solver as solver_mod
 from womctl.errors import CapExceeded, WomError
 from womctl.instances import d2_dict
 from womctl.prescription import (
     control_law_to_strategy,
+    count_strategies,
     joint_control_strategy,
 )
 from womctl.solver import (
@@ -230,6 +231,20 @@ def test_static_relaxed_value_is_surfaced(static3):
     assert res.extras["relaxed_value"] <= res.optimal_cost + TOL
 
 
+@pytest.mark.parametrize(
+    "name", ["static3", "static3_reindexed"] + [f"fuzz{s}" for s in range(50) if s % 8 in (0, 1)]
+)
+def test_static_solver_matches_relaxed_reference_and_brute(name, request):
+    inst = fuzz_instance(int(name[4:])) if name.startswith("fuzz") else request.getfixturevalue(name)
+    assert inst.horizon == 0
+    brute = solve_brute_force(inst).optimal_cost
+    for k in range(1, inst.agent_count + 1):
+        res = solve_prescription_static(inst, k)
+        assert abs(res.extras["relaxed_value"] - relaxed_reference(inst, k)) <= 1e-12
+        assert abs(res.optimal_cost - brute) <= TOL
+        assert res.search_size == count_strategies(inst, k)
+
+
 def test_prescription_dp_highest_agent_equals_common_info(d2):
     a = solve_common_info_dp(d2)
     b = solve_prescription_dp(d2, 2)
@@ -317,18 +332,23 @@ def _count_agent_passes(monkeypatch, fail_at=None):
     return calls
 
 
-@pytest.mark.parametrize("which", ["d2", "fuzz7"])
-def test_compare_agents_runs_each_agent_pass_once(which, d2, monkeypatch):
-    inst = d2 if which == "d2" else fuzz_instance(7)
+@pytest.mark.parametrize("which", ["d2", "fuzz7", "static3"])
+def test_compare_agents_runs_each_agent_pass_once(which, request, monkeypatch):
+    inst = fuzz_instance(7) if which == "fuzz7" else request.getfixturevalue(which)
     K = inst.agent_count
-    assert inst.horizon > 0 and K == (2 if which == "d2" else 3)
+    assert K == (2 if which == "d2" else 3)
     calls = _count_agent_passes(monkeypatch)
     rows = {(r["method"], r["agent"]): r for r in compare_agents(inst).rows}
     assert calls == list(range(K, 0, -1))
-    common, top = rows[("common-info", None)], rows[("prescription-dp", K)]
+    method = "prescription-dp" if inst.horizon else "prescription-static"
+    common, top = rows[("common-info", None)], rows[(method, K)]
     assert common["status"] == top["status"] == "ok"
     assert common["cost"] == top["cost"]
-    assert common["search_size"] == top["search_size"]
+    if inst.horizon:
+        assert common["search_size"] == top["search_size"]
+    else:
+        sizes = [rows[(method, k)]["search_size"] for k in range(1, K + 1)]
+        assert sizes == [64, 64, 256]
 
 
 def test_compare_agents_records_a_cap_failure_once(monkeypatch):
@@ -345,10 +365,13 @@ def test_compare_agents_records_a_cap_failure_once(monkeypatch):
         )
 
 
-def test_compare_agents_static_runs_only_the_top_pass(static3, monkeypatch):
-    calls = _count_agent_passes(monkeypatch)
-    compare_agents(static3)
-    assert calls == [3]
+def test_compare_agents_static_rows_skip_with_the_chain_reason(static3):
+    # agent 3's stage-0 joint search has 128 candidates; agents 1 and 2 inherit from it
+    rows = compare_agents(static3, cap=64).rows
+    assert all(r["status"] == "skipped" for r in rows)
+    assert {r["reason"] for r in rows if r["method"] != "brute"} == {
+        "stage-0 joint prescription search needs 128 candidates, cap is 64"
+    }
 
 
 def test_structural_measurability_of_emitted_strategy(d2):
