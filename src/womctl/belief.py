@@ -299,10 +299,6 @@ def update_information_state(instance, pi, theta, z) -> InformationState:
     return steps[z][1]
 
 
-def observation_probabilities(instance, pi, theta) -> dict:
-    return {z: mass for z, (mass, _) in belief_step(instance, pi, theta).items()}
-
-
 def expected_stage_cost(instance, pi: InformationState, theta) -> float:
     """Belief-weighted stage cost."""
     _check_theta(instance, pi.agent, pi.time, theta)

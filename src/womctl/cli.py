@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import instances as bundled
-from .errors import CapExceeded, WomError
+from .errors import CapExceeded, WomError, format_count
 from .infostruct import schema_tables
 from .netgraph import information_path
 from .prescription import count_strategies
@@ -105,15 +105,19 @@ def _cmd_schema(args, out):
     return {"schemas": results}, inst
 
 
+def _counts(inst) -> dict:
+    """Strategy-space sizes per method, as decimal strings or power-of-ten bounds."""
+    modes = {"brute": "brute"} | {f"agent_{k}": k for k in range(1, inst.agent_count + 1)}
+    return {name: format_count(count_strategies(inst, mode)) for name, mode in modes.items()}
+
+
 def _cmd_counts(args, out):
     inst = _load(args.instance)
-    rows = {"brute": count_strategies(inst, "brute")}
-    for k in range(1, inst.agent_count + 1):
-        rows[f"agent_{k}"] = count_strategies(inst, k)
+    rows = _counts(inst)
     out.line("strategy-space sizes:")
     for name, n in rows.items():
         out.line(f"  {name:10s} {n}")
-    return {"counts": {k: str(v) for k, v in rows.items()}}, inst
+    return {"counts": rows}, inst
 
 
 def _result_row(res):
@@ -121,7 +125,7 @@ def _result_row(res):
         "method": res.method,
         "agent": res.agent,
         "optimal_cost": res.optimal_cost,
-        "search_size": str(res.search_size),
+        "search_size": format_count(res.search_size),
         "wall_time": res.wall_time,
     }
     if res.dp_value is not None:
@@ -242,9 +246,7 @@ def _cmd_demo(args, out):
 
         inst = instance_from_dict(doc)
         out.line(f"{name}: written to {path}")
-        counts = {"brute": str(count_strategies(inst, "brute"))}
-        for k in range(1, inst.agent_count + 1):
-            counts[f"agent_{k}"] = str(count_strategies(inst, k))
+        counts = _counts(inst)
         out.line("  counts " + json.dumps(counts))
         rep = compare_agents(inst, args.cap)
         for row in rep.rows:

@@ -63,12 +63,26 @@ class SchemaMismatch(WomError):
     pass
 
 
+def format_count(n: int) -> str:
+    """`n` in decimal, or "more than 10^N" when it has more digits than the
+    interpreter converts to a string; N is a power of ten that n exceeds."""
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        # 0.3010299956 < log10(2), so 10^N <= 2^(bit_length - 1) <= n
+        return f"more than 10^{(n.bit_length() - 1) * 3010299956 // 10**10}"
+
+
 class CapExceeded(WomError):
-    def __init__(self, required: int, cap: int, what: str = "search"):
+    """A search needs more candidates than its cap. With `exact=False` the
+    count stopped early and `required` is only a lower bound."""
+
+    def __init__(self, required: int, cap: int, what: str = "search", exact: bool = True):
         self.required = required
         self.cap = cap
         self.what = what
-        super().__init__(f"{what} needs {required} candidates, cap is {cap}")
+        need = format_count(required) if exact else f"more than {cap}"
+        super().__init__(f"{what} needs {need} candidates, cap is {cap}")
 
 
 class ImpossibleObservation(WomError):

@@ -17,6 +17,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +72,10 @@ def resolve_caps(cap: int | None = None) -> Caps:
     if cap is None:
         env = os.environ.get("WOMCTL_CAP")
         if env is not None:
-            cap = int(env)
+            try:
+                cap = int(env)
+            except ValueError:
+                raise WomError(f"WOMCTL_CAP must be an integer, got {env!r}") from None
     if cap is None:
         return Caps()
     return Caps(brute=cap, tables=cap, branches=cap)
@@ -116,15 +120,15 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     T, K = instance.horizon, sys.agent_count
 
     cells = []  # (t, k, realizations, radix)
+    total = 1
     for t in range(T + 1):
         for k in range(1, K + 1):
             feas = feasible_schema_realizations(instance, instance.info.memory(t, k))
             cells.append((t, k, feas, sys.control_sizes[k - 1]))
-    total = 1
-    for _, _, feas, radix in cells:
-        total *= radix ** len(feas)
-    if total > caps.brute:
-        raise CapExceeded(total, caps.brute, "brute-force enumeration")
+            total *= sys.control_sizes[k - 1] ** len(feas)
+            if total > caps.brute:  # later cells only multiply the count
+                last = (t, k) == (T, K)
+                raise CapExceeded(total, caps.brute, "brute-force enumeration", exact=last)
 
     control_stride = [1] * K
     for k in range(K - 2, -1, -1):
@@ -221,11 +225,21 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
 # -- prescription dynamic programming ------------------------------------------
 
 
+class _Decision(NamedTuple):
+    """A decided node as the search left it: the winning complete prescription,
+    the node's belief step under it and, per agent above the owner, that
+    agent's step under its projection. Both steps are empty at t = T."""
+
+    theta: CompletePrescription
+    steps: dict
+    tail_steps: dict
+
+
 class _Chain:
     """Stage decisions per agent, filled from agent K downward."""
 
     def __init__(self):
-        self.decisions: dict[int, dict] = {}  # agent -> {(t, key): heads tuple}
+        self.decisions: dict[int, dict] = {}  # agent -> {(t, key): _Decision}
         self.values: dict[int, float] = {}
         self.examined: dict[int, int] = {}
         self.seconds: dict[int, float] = {}
@@ -271,23 +285,20 @@ def _tail_parts(instance: Instance, chain: _Chain, j: int, t: int, pis) -> list:
     for m in range(j + 1, instance.agent_count + 1):
         key = (t, belief_tuple_key(pis[m - j :]))
         try:
-            heads = chain.decisions[m][key]
+            diag = chain.decisions[m][key].theta.parts[m - 1]
         except KeyError:
             raise WomError(
                 f"missing inherited decision for agent {m} at t={t}; "
                 "the belief tuple was never reached in that agent's pass"
             ) from None
-        diag = heads[m - 1]
         parts.append(dataclasses.replace(diag, owner=j))
     return parts
 
 
-def _advance_branch(instance, j, amap, pis, theta, z, pi_next, tail_steps):
+def _advance_branch(instance, j, t, amap, z, pi_next, tail_steps):
     """Child accessible map and belief tuple after observing z."""
     amap_child = dict(amap)
-    t = pis[0].time
-    for var, val in zip(instance.info.new_info(t + 1, j), z):
-        amap_child[var] = val
+    amap_child.update(zip(instance.info.new_info(t + 1, j), z))
     pis_child = [pi_next]
     for i in range(j + 1, instance.agent_count + 1):
         z_i = tuple(amap_child[var] for var in instance.info.new_info(t + 1, i))
@@ -298,6 +309,19 @@ def _advance_branch(instance, j, amap, pis, theta, z, pi_next, tail_steps):
             )
         pis_child.append(steps_i[z_i][1])
     return amap_child, tuple(pis_child)
+
+
+def _roots(instance: Instance, j: int):
+    """Agent j's t=0 nodes: (mass, accessible map, belief tuple of agents j..K)."""
+    acc0 = instance.info.accessible(0, j)
+    for a_real, pa in accessible_support(instance, j).items():
+        pis = tuple(
+            initial_state_at(
+                instance, i, restrict_realization(acc0, a_real, instance.info.accessible(0, i))
+            )
+            for i in range(j, instance.agent_count + 1)
+        )
+        yield pa, dict(zip(acc0, a_real)), pis
 
 
 def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float:
@@ -341,9 +365,10 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
             examined += len(stage)
             best_val = float(stage[best])
             index = np.unravel_index(best, score.shape)
-            best_heads = tuple(space[int(i)] for space, i in zip(spaces[t], index))
+            heads = tuple(space[int(i)] for space, i in zip(spaces[t], index))
+            best_decision = _Decision(CompletePrescription(j, t, heads + tuple(tails)), {}, {})
         else:
-            best_val, best_heads = math.inf, None
+            best_val, best_decision = math.inf, None
             for val, heads in zip(stage.tolist(), itertools.product(*spaces[t])):
                 examined += 1
                 theta = CompletePrescription(owner=j, time=t, parts=heads + tuple(tails))
@@ -358,26 +383,18 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
                 # at any tuple their own candidate profiles can reach
                 for z, (pz, pi_next) in steps.items():
                     amap_child, pis_child = _advance_branch(
-                        instance, j, amap, pis, theta, z, pi_next, tail_steps
+                        instance, j, t, amap, z, pi_next, tail_steps
                     )
                     val += pz * visit(t + 1, amap_child, pis_child)
                 if val < best_val:
-                    best_val, best_heads = val, heads
+                    best_val, best_decision = val, _Decision(theta, steps, tail_steps)
         memo[key] = best_val
-        decisions[key] = best_heads
+        decisions[key] = best_decision
         return best_val
 
-    support = accessible_support(instance, j)
-    acc0 = instance.info.accessible(0, j)
     total = 0.0
-    for a_real, pa in support.items():
-        pis = tuple(
-            initial_state_at(
-                instance, i, restrict_realization(acc0, a_real, instance.info.accessible(0, i))
-            )
-            for i in range(j, instance.agent_count + 1)
-        )
-        total += pa * visit(0, dict(zip(acc0, a_real)), pis)
+    for pa, amap, pis in _roots(instance, j):
+        total += pa * visit(0, amap, pis)
     chain.decisions[j] = decisions
     chain.values[j] = total
     chain.examined[j] = examined
@@ -405,22 +422,18 @@ def _default_laws(instance: Instance, k: int) -> dict:
 
 
 def _emit_strategy(instance: Instance, k: int, chain: _Chain):
-    """Replay the decided tree, filling laws and collecting reachable beliefs."""
+    """Walk agent k's decided tree through the search's own belief steps,
+    filling laws and collecting reachable beliefs."""
     laws = _default_laws(instance, k)
     belief_rows = []
+    decided = chain.decisions[k]
 
     def record(t, amap, pis):
-        key = (t, belief_tuple_key(pis))
-        heads = chain.decisions[k][key]
-        tails = _tail_parts(instance, chain, k, t, pis)
-        theta = CompletePrescription(owner=k, time=t, parts=heads + tuple(tails))
+        decision = decided[(t, belief_tuple_key(pis))]
         acc_k = instance.info.accessible(t, k)
-        a_real = tuple(amap[v] for v in acc_k)
-        for m in range(1, instance.agent_count + 1):
+        for m, part in enumerate(decision.theta.parts, start=1):
             cond = instance.info.conditioning_schema(t, k, m)
-            cond_real = tuple(amap[v] for v in cond)
-            part = theta.parts[m - 1]
-            laws[(t, m)][cond_real] = dataclasses.replace(part, owner=k)
+            laws[(t, m)][tuple(amap[v] for v in cond)] = part
         belief_rows.append(
             {
                 "t": t,
@@ -430,28 +443,11 @@ def _emit_strategy(instance: Instance, k: int, chain: _Chain):
                 },
             }
         )
-        if t < instance.horizon:
-            steps = belief_step(instance, pis[0], theta)
-            tail_steps = {
-                i: belief_step(instance, pis[i - k], derive_complete(instance, theta, i))
-                for i in range(k + 1, instance.agent_count + 1)
-            }
-            for z, (pz, pi_next) in steps.items():
-                amap_child, pis_child = _advance_branch(
-                    instance, k, amap, pis, theta, z, pi_next, tail_steps
-                )
-                record(t + 1, amap_child, pis_child)
+        for z, (_, pi_next) in decision.steps.items():
+            record(t + 1, *_advance_branch(instance, k, t, amap, z, pi_next, decision.tail_steps))
 
-    support = accessible_support(instance, k)
-    acc0 = instance.info.accessible(0, k)
-    for a_real in support:
-        pis = tuple(
-            initial_state_at(
-                instance, i, restrict_realization(acc0, a_real, instance.info.accessible(0, i))
-            )
-            for i in range(k, instance.agent_count + 1)
-        )
-        record(0, dict(zip(acc0, a_real)), pis)
+    for _, amap, pis in _roots(instance, k):
+        record(0, amap, pis)
     return PrescriptionStrategy(owner=k, laws=laws), belief_rows
 
 
@@ -465,9 +461,11 @@ def _dp_result(instance: Instance, k: int, chain: _Chain) -> SolveResult:
         {
             "t": t,
             "belief_key": [list(part) for part in key],
-            "tables": {m: list(p.table) for m, p in enumerate(heads, start=1)},
+            "tables": {
+                m: list(p.table) for m, p in enumerate(decision.theta.parts[:k], start=1)
+            },
         }
-        for (t, key), heads in sorted(chain.decisions[k].items())
+        for (t, key), decision in sorted(chain.decisions[k].items())
     ]
     passes = [j for j in chain.values if j >= k]
     return SolveResult(
@@ -592,27 +590,15 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
     K = instance.agent_count
 
     def attempt(label, agent, fn):
+        row = {"method": label, "agent": agent}
         try:
             res = fn()
-            rows.append(
-                {
-                    "method": label,
-                    "agent": agent,
-                    "status": "ok",
-                    "cost": res.optimal_cost,
-                    "search_size": res.search_size,
-                    "wall_time": res.wall_time,
-                }
-            )
         except CapExceeded as exc:
-            rows.append(
-                {
-                    "method": label,
-                    "agent": agent,
-                    "status": "skipped",
-                    "reason": str(exc),
-                }
-            )
+            row.update(status="skipped", reason=str(exc))
+        else:
+            row.update(status="ok", cost=res.optimal_cost, search_size=res.search_size,
+                       wall_time=res.wall_time)
+        rows.append(row)
 
     attempt("brute", None, lambda: solve_brute_force(instance, cap))
 

@@ -337,12 +337,13 @@ def dp_reference(instance, k):
 
     Solves agents K..k in turn. Every node tries its joint head candidates in
     `itertools.product` order, scores each with `expected_stage_cost`, and
-    keeps the first strict minimum. Returns the dict of what
+    keeps the first strict minimum. The strategy is then emitted by replaying
+    the decided tree through `belief_step`. Returns the dict of what
     `solve_prescription_dp` reports: dp_value, chain_values, chain_examined,
-    belief_policy and the control tables of the emitted strategy.
+    belief_policy, belief_tree, the prescription laws and the control tables
+    of the emitted strategy.
     """
     import dataclasses
-    from types import SimpleNamespace
 
     from womctl.belief import (
         accessible_support,
@@ -353,24 +354,51 @@ def dp_reference(instance, k):
     )
     from womctl.prescription import (
         CompletePrescription,
+        PrescriptionStrategy,
         derive_complete,
         enumerate_prescriptions,
         joint_control_strategy,
+        make_prescription,
     )
-    from womctl.solver import _emit_strategy
-    from womctl.sysmodel import restrict_realization
+    from womctl.sysmodel import enumerate_realizations, realization_count, restrict_realization
 
     K, T = instance.agent_count, instance.horizon
     info = instance.info
     decisions, values, examined = {}, {}, {}
 
-    def tail_parts(j, t, pis):
-        return [
+    def theta_at(j, t, pis, heads):
+        tails = [
             dataclasses.replace(
                 decisions[m][(t, belief_tuple_key(pis[m - j:]))][m - 1], owner=j
             )
             for m in range(j + 1, K + 1)
         ]
+        return CompletePrescription(owner=j, time=t, parts=heads + tuple(tails))
+
+    def roots(j):
+        acc0 = info.accessible(0, j)
+        for a_real, pa in accessible_support(instance, j).items():
+            pis = tuple(
+                initial_state_at(
+                    instance, i, restrict_realization(acc0, a_real, info.accessible(0, i))
+                )
+                for i in range(j, K + 1)
+            )
+            yield pa, dict(zip(acc0, a_real)), pis
+
+    def children(j, t, amap, pis, theta):
+        tail_steps = {
+            i: belief_step(instance, pis[i - j], derive_complete(instance, theta, i))
+            for i in range(j + 1, K + 1)
+        }
+        for z, (pz, pi_next) in belief_step(instance, pis[0], theta).items():
+            child = dict(amap)
+            child.update(zip(info.new_info(t + 1, j), z))
+            pis_child = [pi_next]
+            for i in range(j + 1, K + 1):
+                z_i = tuple(child[var] for var in info.new_info(t + 1, i))
+                pis_child.append(tail_steps[i][z_i][1])
+            yield pz, child, tuple(pis_child)
 
     def solve(j):
         spaces = {
@@ -384,46 +412,54 @@ def dp_reference(instance, k):
             key = (t, belief_tuple_key(pis))
             if key in memo:
                 return memo[key]
-            tails = tail_parts(j, t, pis)
             best_val, best_heads = math.inf, None
             for heads in itertools.product(*spaces[t]):
                 count += 1
-                theta = CompletePrescription(owner=j, time=t, parts=heads + tuple(tails))
+                theta = theta_at(j, t, pis, heads)
                 val = expected_stage_cost(instance, pis[0], theta)
                 if t < T:
-                    tail_steps = {
-                        i: belief_step(instance, pis[i - j], derive_complete(instance, theta, i))
-                        for i in range(j + 1, K + 1)
-                    }
-                    for z, (pz, pi_next) in belief_step(instance, pis[0], theta).items():
-                        child = dict(amap)
-                        child.update(zip(info.new_info(t + 1, j), z))
-                        pis_child = [pi_next]
-                        for i in range(j + 1, K + 1):
-                            z_i = tuple(child[var] for var in info.new_info(t + 1, i))
-                            pis_child.append(tail_steps[i][z_i][1])
-                        val += pz * visit(t + 1, child, tuple(pis_child))
+                    for pz, child, pis_child in children(j, t, amap, pis, theta):
+                        val += pz * visit(t + 1, child, pis_child)
                 if val < best_val:
                     best_val, best_heads = val, heads
             memo[key] = best_val
             chosen[key] = best_heads
             return best_val
 
-        acc0 = info.accessible(0, j)
         total = 0.0
-        for a_real, pa in accessible_support(instance, j).items():
-            pis = tuple(
-                initial_state_at(
-                    instance, i, restrict_realization(acc0, a_real, info.accessible(0, i))
-                )
-                for i in range(j, K + 1)
-            )
-            total += pa * visit(0, dict(zip(acc0, a_real)), pis)
+        for pa, amap, pis in roots(j):
+            total += pa * visit(0, amap, pis)
         decisions[j], values[j], examined[j] = chosen, total, count
 
     for j in range(K, k - 1, -1):
         solve(j)
-    psi, _ = _emit_strategy(instance, k, SimpleNamespace(decisions=decisions))
+
+    laws = {}
+    for t in range(T + 1):
+        for m in range(1, K + 1):
+            entries = realization_count(instance.schema_sizes(info.prescription_domain(t, k, m)))
+            zero = make_prescription(instance, t, k, m, (0,) * entries)
+            cond_sizes = instance.schema_sizes(info.conditioning_schema(t, k, m))
+            laws[(t, m)] = {real: zero for real in enumerate_realizations(cond_sizes)}
+    tree = []
+
+    def replay(t, amap, pis):
+        theta = theta_at(k, t, pis, decisions[k][(t, belief_tuple_key(pis))])
+        for m, part in enumerate(theta.parts, start=1):
+            laws[(t, m)][tuple(amap[v] for v in info.conditioning_schema(t, k, m))] = part
+        tree.append(
+            {
+                "t": t,
+                "accessible": {v.label(): amap[v] for v in info.accessible(t, k)},
+                "beliefs": {f"agent_{pi.agent}": [float(p) for p in pi.probs] for pi in pis},
+            }
+        )
+        if t < T:
+            for _, child, pis_child in children(k, t, amap, pis, theta):
+                replay(t + 1, child, pis_child)
+
+    for _, amap, pis in roots(k):
+        replay(0, amap, pis)
     return {
         "dp_value": values[k],
         "chain_values": values,
@@ -436,7 +472,9 @@ def dp_reference(instance, k):
             }
             for (t, key), heads in sorted(decisions[k].items())
         ],
-        "tables": joint_control_strategy(instance, psi).tables,
+        "belief_tree": tree,
+        "laws": laws,
+        "tables": joint_control_strategy(instance, PrescriptionStrategy(k, laws)).tables,
     }
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import pomdp_dict
 from womctl.cli import main
 from womctl.instances import d2_dict, static3_dict
 
@@ -10,6 +11,14 @@ from womctl.instances import d2_dict, static3_dict
 def d2_path(tmp_path):
     path = tmp_path / "d2.json"
     path.write_text(json.dumps(d2_dict()))
+    return str(path)
+
+
+@pytest.fixture()
+def pomdp7_path(tmp_path):
+    # 2^43690 brute-force strategies: the count has more digits than Python prints
+    path = tmp_path / "pomdp7.json"
+    path.write_text(json.dumps(pomdp_dict(7)))
     return str(path)
 
 
@@ -155,6 +164,38 @@ def test_solve_cap_exit_code(d2_path):
 def test_cap_env_override(d2_path, monkeypatch):
     monkeypatch.setenv("WOMCTL_CAP", "10")
     assert run(["solve", d2_path, "--method", "brute"]) == 2
+
+
+def test_cap_env_rejects_a_malformed_value(d2_path, monkeypatch, capsys):
+    monkeypatch.setenv("WOMCTL_CAP", "abc")
+    assert run(["solve", d2_path, "--method", "brute"]) == 3
+    assert "WOMCTL_CAP must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_solve_brute_long_horizon_hits_the_cap(pomdp7_path, capsys):
+    assert run(["solve", pomdp7_path, "--method", "brute"]) == 2
+    assert capsys.readouterr().err == (
+        "error: brute-force enumeration needs more than 16777216 candidates, "
+        "cap is 16777216\n"
+    )
+
+
+def test_compare_long_horizon_skips_brute(pomdp7_path, tmp_path):
+    report = tmp_path / "cmp.json"
+    assert run(["compare", pomdp7_path, "--report", str(report)]) == 0
+    rows = json.loads(report.read_text())["results"]["rows"]
+    assert [(r["method"], r["status"]) for r in rows] == [
+        ("brute", "skipped"), ("common-info", "ok"), ("prescription-dp", "ok"),
+    ]
+    assert rows[0]["reason"].startswith("brute-force enumeration needs more than")
+
+
+def test_counts_long_horizon(pomdp7_path, tmp_path, capsys):
+    report = tmp_path / "counts.json"
+    assert run(["counts", pomdp7_path, "--report", str(report)]) == 0
+    counts = json.loads(report.read_text())["results"]["counts"]
+    assert counts == {"brute": "more than 10^13152", "agent_1": "87380"}
+    assert "brute      more than 10^13152" in capsys.readouterr().out
 
 
 def test_compare_command(d2_path, tmp_path):

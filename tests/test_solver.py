@@ -435,6 +435,86 @@ def test_dp_cap_fails_before_building_tables(d2, monkeypatch):
     assert built == []
 
 
+def _count_sweeps(monkeypatch):
+    calls = []
+    real = solver_mod.feasible_schema_realizations
+
+    def counted(instance, schema):
+        calls.append(schema)
+        return real(instance, schema)
+
+    monkeypatch.setattr(solver_mod, "feasible_schema_realizations", counted)
+    return calls
+
+
+def test_brute_cap_stops_at_the_first_cell_past_it(d2, monkeypatch):
+    # d2's cells (t, k) contribute 2^2, 2^2, 2^8 and 2^8 strategies in turn
+    calls = _count_sweeps(monkeypatch)
+    with pytest.raises(CapExceeded) as err:
+        solve_brute_force(d2, cap=10)
+    assert len(calls) == 2
+    assert err.value.required == 16
+    assert str(err.value) == "brute-force enumeration needs more than 10 candidates, cap is 10"
+    # past the cap only at the last cell: the count is exact, in the old words
+    calls.clear()
+    with pytest.raises(CapExceeded) as err:
+        solve_brute_force(d2, cap=2**19)
+    assert len(calls) == 4
+    assert str(err.value) == (
+        "brute-force enumeration needs 1048576 candidates, cap is 524288"
+    )
+
+
+def test_brute_cap_fails_fast_on_a_long_horizon(monkeypatch):
+    inst = instance_from_dict(pomdp_dict(7))
+    calls = _count_sweeps(monkeypatch)
+    with pytest.raises(CapExceeded, match="needs more than 16777216 candidates"):
+        solve_brute_force(inst)
+    assert 0 < len(calls) < inst.horizon + 1
+
+
+def test_huge_counts_are_written_as_a_power_of_ten():
+    from womctl.errors import format_count
+
+    assert format_count(16384) == "16384"
+    assert format_count(10**4000) == str(10**4000)
+    huge = 2**43690  # the brute-force count of the T=7 POMDP; 43690 log10(2) = 13152.0...
+    assert format_count(huge) == "more than 10^13152"
+    assert str(CapExceeded(huge, 5, "brute-force enumeration")) == (
+        "brute-force enumeration needs more than 10^13152 candidates, cap is 5"
+    )
+
+
+@pytest.mark.parametrize("which", ["d2", "fuzz7", "pomdp4"])
+def test_dp_result_reads_the_search_records(which, monkeypatch):
+    import womctl.belief as belief_mod
+    import womctl.prescription as prescription_mod
+
+    inst = {
+        "d2": lambda: instance_from_dict(d2_dict()),
+        "fuzz7": lambda: fuzz_instance(7),
+        "pomdp4": lambda: instance_from_dict(pomdp_dict(4)),
+    }[which]()
+    chain = solver_mod._Chain()
+    for j in range(inst.agent_count, 0, -1):
+        solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
+    calls = []
+
+    def counting(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        return counted
+
+    for module, name in [(solver_mod, "belief_step"), (belief_mod, "belief_step"),
+                         (solver_mod, "derive_complete"), (prescription_mod, "derive_complete")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for k in range(1, inst.agent_count + 1):
+        solver_mod._dp_result(inst, k, chain)
+    assert calls == []
+
+
 def _assert_dp_matches_reference(instance):
     for k in range(1, instance.agent_count + 1):
         res = solve_prescription_dp(instance, k)
@@ -443,6 +523,8 @@ def _assert_dp_matches_reference(instance):
         assert res.extras["chain_values"] == ref["chain_values"]
         assert res.extras["chain_examined"] == ref["chain_examined"]
         assert res.extras["belief_policy"] == ref["belief_policy"]
+        assert res.extras["belief_tree"] == ref["belief_tree"]
+        assert res.prescription_strategy.laws == ref["laws"]
         assert res.control_strategy.tables == ref["tables"]
 
 
