@@ -25,14 +25,12 @@ from .serialize import (
 )
 from .solver import (
     compare_agents,
-    evaluate_prescription_strategy,
     solve_brute_force,
     solve_common_info_dp,
     solve_prescription_dp,
     solve_prescription_static,
 )
 from .sysmodel import (
-    ControlStrategy,
     exact_strategy_cost,
     instance_digest,
     load_instance,
@@ -178,11 +176,7 @@ def _read_strategy(inst, path):
 
 def _cmd_evaluate(args, out):
     inst = _load(args.instance)
-    strat = _read_strategy(inst, args.strategy)
-    if isinstance(strat, ControlStrategy):
-        report = exact_strategy_cost(inst, strat)
-    else:
-        report = evaluate_prescription_strategy(inst, strat)
+    report = exact_strategy_cost(inst, _read_strategy(inst, args.strategy))
     out.line(f"exact expected cost {report.expected_cost:.9f}")
     out.line("per-stage " + " ".join(f"{c:.9f}" for c in report.per_stage_costs))
     return {
@@ -194,12 +188,7 @@ def _cmd_evaluate(args, out):
 
 def _cmd_simulate(args, out):
     inst = _load(args.instance)
-    strat = _read_strategy(inst, args.strategy)
-    if not isinstance(strat, ControlStrategy):
-        from .prescription import joint_control_strategy
-
-        strat = joint_control_strategy(inst, strat)
-    report = monte_carlo_cost(inst, strat, args.samples, args.seed)
+    report = monte_carlo_cost(inst, _read_strategy(inst, args.strategy), args.samples, args.seed)
     out.line(
         f"monte carlo: {report.expected_cost:.9f} +/- {report.stderr:.9f} "
         f"({args.samples} samples, seed {args.seed})"

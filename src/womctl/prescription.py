@@ -50,10 +50,82 @@ class CompletePrescription:
 
 @dataclass(frozen=True)
 class PrescriptionStrategy:
-    """Per (stage, target) law tables keyed by conditioning realizations."""
+    """Per (stage, target) law tables keyed by conditioning realizations.
+
+    A law may omit conditioning realizations when its (stage, target) has a
+    default prescription, which then stands for every realization it omits.
+    """
 
     owner: int
     laws: dict = field(default_factory=dict)  # (t, target) -> {cond real: Prescription}
+    defaults: dict = field(default_factory=dict)  # (t, target) -> Prescription
+
+    def lookup(self, t: int, target: int, cond_real) -> Prescription:
+        """The law's entry at one conditioning realization, else the law's default."""
+        law, default = self._law(t, target)
+        presc = law.get(cond_real, default)
+        if presc is None:
+            raise DomainMismatch(
+                f"law (t={t}, target={target}) missing conditioning realization {cond_real}"
+            )
+        return presc
+
+    def _law(self, t: int, target: int):
+        try:
+            law = self.laws[(t, target)]
+        except KeyError:
+            raise DomainMismatch(f"strategy has no law for (t={t}, target={target})") from None
+        return law, self.defaults.get((t, target))
+
+    def _checked_law(self, instance: Instance, t: int, target: int):
+        """(law, default) of one (stage, target), checked over the law's own entries.
+
+        Every prescription must have the domain sizes of the target's
+        prescription domain, and a law without a default must cover every
+        conditioning realization.
+        """
+        law, default = self._law(t, target)
+        info = instance.info
+        dom_sizes = instance.schema_sizes(info.prescription_domain(t, self.owner, target))
+        for cond_real, presc in itertools.chain(law.items(), [("default", default)]):
+            if presc is not None and presc.domain_sizes != dom_sizes:
+                raise OutOfRange(
+                    f"law (t={t}, target={target}) prescription at {cond_real} has domain "
+                    f"sizes {presc.domain_sizes}, expected {dom_sizes}"
+                )
+        if default is None:
+            cond_sizes = instance.schema_sizes(info.conditioning_schema(t, self.owner, target))
+            for cond_real in enumerate_realizations(cond_sizes):
+                self.lookup(t, target, cond_real)  # raises at the first one missing
+        return law, default
+
+    def rule(self, instance: Instance, t: int, layout):
+        """Per-history joint control at stage t, as `ControlStrategy.rule`.
+
+        Each target's control is read from the prescription its law gives the
+        history's conditioning realization, at the row of the history's
+        prescription-domain realization.
+        """
+        info = instance.info
+        lookups = []
+        for target in range(1, instance.agent_count + 1):
+            law, default = self._checked_law(instance, t, target)
+            cond = info.conditioning_schema(t, self.owner, target)
+            domain = info.prescription_domain(t, self.owner, target)
+            stride, row = 1, []
+            for var, size in reversed(list(zip(domain, instance.schema_sizes(domain)))):
+                row.append((layout.index(var), stride))
+                stride *= size
+            lookups.append((law, default, [layout.index(v) for v in cond], row))
+
+        def rule(h):
+            controls = []
+            for law, default, cond_pos, row in lookups:
+                presc = law.get(tuple([h[i] for i in cond_pos]), default)
+                controls.append(presc.table[sum([h[i] * s for i, s in row])])
+            return (tuple(controls),)
+
+        return rule
 
 
 def make_prescription(
@@ -153,28 +225,13 @@ def induced_control_tables(instance: Instance, psi: PrescriptionStrategy, agent:
     info = instance.info
     tables = {}
     for t in range(instance.horizon + 1):
-        try:
-            law = psi.laws[(t, agent)]
-        except KeyError:
-            raise DomainMismatch(f"strategy has no law for (t={t}, target={agent})") from None
+        law, default = psi._checked_law(instance, t, agent)
         mem = info.memory(t, agent)
         cond = info.conditioning_schema(t, psi.owner, agent)
-        cond_sizes = instance.schema_sizes(cond)
-        dom_sizes = instance.schema_sizes(info.prescription_domain(t, psi.owner, agent))
-        rows = []
-        for cond_real in enumerate_realizations(cond_sizes):
-            try:
-                presc = law[cond_real]
-            except KeyError:
-                raise DomainMismatch(
-                    f"law (t={t}, target={agent}) missing conditioning realization {cond_real}"
-                ) from None
-            if presc.domain_sizes != dom_sizes:
-                raise OutOfRange(
-                    f"law (t={t}, target={agent}) prescription at {cond_real} has domain "
-                    f"sizes {presc.domain_sizes}, expected {dom_sizes}"
-                )
-            rows.append(presc.table)
+        rows = [
+            law.get(cond_real, default).table
+            for cond_real in enumerate_realizations(instance.schema_sizes(cond))
+        ]
         sizes = instance.schema_sizes(mem)
         flat = np.arange(realization_count(sizes))
         row = np.zeros_like(flat)
@@ -300,5 +357,5 @@ def complete_prescription_at(
     for target in range(1, instance.agent_count + 1):
         cond = instance.info.conditioning_schema(t, k, target)
         cond_real = restrict_realization(own, accessible_real, cond)
-        parts.append(psi.laws[(t, target)][cond_real])
+        parts.append(psi.lookup(t, target, cond_real))
     return CompletePrescription(owner=k, time=t, parts=tuple(parts))

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .errors import ShapeMismatch
 from .infostruct import VariableId
 from .prescription import PrescriptionStrategy, make_prescription
-from .sysmodel import ControlStrategy, Instance
+from .sysmodel import ControlStrategy, Instance, enumerate_realizations
 
 
 def _var(v: VariableId):
@@ -42,13 +42,14 @@ def control_strategy_from_dict(instance: Instance, data: dict) -> ControlStrateg
 
 
 def prescription_strategy_to_dict(instance: Instance, psi: PrescriptionStrategy) -> dict:
+    """Every law written out in full: an omitted realization gets its default."""
     laws = []
     for (t, target) in sorted(psi.laws):
-        law = psi.laws[(t, target)]
-        entries = [
-            [list(cond), list(p.table)] for cond, p in sorted(law.items())
-        ]
         cond_schema = instance.info.conditioning_schema(t, psi.owner, target)
+        entries = [
+            [list(cond), list(psi.lookup(t, target, cond).table)]
+            for cond in enumerate_realizations(instance.schema_sizes(cond_schema))
+        ]
         domain = instance.info.prescription_domain(t, psi.owner, target)
         laws.append(
             {

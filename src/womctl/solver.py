@@ -11,13 +11,14 @@ so reported optima are directly comparable.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import logging
 import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,29 +70,47 @@ class Caps:
 
 
 def resolve_caps(cap: int | None = None) -> Caps:
+    """The caps of one solve: `cap` for all three, else `WOMCTL_CAP`, else the defaults."""
+    source = "cap"
     if cap is None:
         env = os.environ.get("WOMCTL_CAP")
         if env is not None:
+            source = "WOMCTL_CAP"
             try:
                 cap = int(env)
             except ValueError:
                 raise WomError(f"WOMCTL_CAP must be an integer, got {env!r}") from None
     if cap is None:
         return Caps()
+    if cap < 1:
+        raise WomError(f"{source} must be at least 1, got {cap}")
     return Caps(brute=cap, tables=cap, branches=cap)
 
 
 @dataclass
 class SolveResult:
+    """One solver's optimum and the strategy that attains it.
+
+    `control` holds the dense control strategy, or for a prescription
+    strategy's result a function that builds it; `control_strategy` builds
+    it on first read.
+    """
+
     method: str
     agent: int | None
     optimal_cost: float
-    control_strategy: ControlStrategy
+    control: ControlStrategy | Callable[[], ControlStrategy] = field(repr=False)
     prescription_strategy: PrescriptionStrategy | None
     search_size: int
     wall_time: float
     dp_value: float | None = None
     extras: dict = field(default_factory=dict)
+
+    @property
+    def control_strategy(self) -> ControlStrategy:
+        if callable(self.control):
+            self.control = self.control()
+        return self.control
 
 
 # -- brute force ---------------------------------------------------------------
@@ -214,7 +233,7 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
         method="brute",
         agent=None,
         optimal_cost=report.expected_cost,
-        control_strategy=strategy,
+        control=strategy,
         prescription_strategy=None,
         search_size=total,
         wall_time=time.perf_counter() - start,
@@ -406,25 +425,21 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
     return total
 
 
-def _default_laws(instance: Instance, k: int) -> dict:
-    laws = {}
-    for t in range(instance.horizon + 1):
-        for target in range(1, instance.agent_count + 1):
-            cond = instance.info.conditioning_schema(t, k, target)
-            domain = instance.info.prescription_domain(t, k, target)
-            entries = realization_count(instance.schema_sizes(domain))
-            zero = make_prescription(instance, t, k, target, (0,) * entries)
-            laws[(t, target)] = {
-                real: zero
-                for real in enumerate_realizations(instance.schema_sizes(cond))
-            }
-    return laws
-
-
 def _emit_strategy(instance: Instance, k: int, chain: _Chain):
     """Walk agent k's decided tree through the search's own belief steps,
-    filling laws and collecting reachable beliefs."""
-    laws = _default_laws(instance, k)
+    filling laws and collecting reachable beliefs.
+
+    Laws hold the conditioning realizations the walk reaches; every other
+    realization gets its (stage, target)'s default, the all-zero table.
+    """
+    laws, defaults = {}, {}
+    for t in range(instance.horizon + 1):
+        for m in range(1, instance.agent_count + 1):
+            entries = realization_count(
+                instance.schema_sizes(instance.info.prescription_domain(t, k, m))
+            )
+            laws[(t, m)] = {}
+            defaults[(t, m)] = make_prescription(instance, t, k, m, (0,) * entries)
     belief_rows = []
     decided = chain.decisions[k]
 
@@ -448,15 +463,14 @@ def _emit_strategy(instance: Instance, k: int, chain: _Chain):
 
     for _, amap, pis in _roots(instance, k):
         record(0, amap, pis)
-    return PrescriptionStrategy(owner=k, laws=laws), belief_rows
+    return PrescriptionStrategy(owner=k, laws=laws, defaults=defaults), belief_rows
 
 
 def _dp_result(instance: Instance, k: int, chain: _Chain) -> SolveResult:
     """Agent k's emitted strategy, exactly re-evaluated, from a chain solved down to k."""
     start = time.perf_counter()
     psi, belief_rows = _emit_strategy(instance, k, chain)
-    strategy = joint_control_strategy(instance, psi)
-    report = exact_strategy_cost(instance, strategy)
+    report = exact_strategy_cost(instance, psi)
     belief_policy = [
         {
             "t": t,
@@ -472,7 +486,7 @@ def _dp_result(instance: Instance, k: int, chain: _Chain) -> SolveResult:
         method="prescription-dp",
         agent=k,
         optimal_cost=report.expected_cost,
-        control_strategy=strategy,
+        control=functools.partial(joint_control_strategy, instance, psi),
         prescription_strategy=psi,
         search_size=chain.examined[k],
         wall_time=sum(chain.seconds[j] for j in passes) + time.perf_counter() - start,
@@ -568,7 +582,7 @@ def evaluate_prescription_strategy(
     instance: Instance, psi: PrescriptionStrategy
 ) -> CostReport:
     """Exact cost of the control strategy a prescription strategy induces."""
-    return exact_strategy_cost(instance, joint_control_strategy(instance, psi))
+    return exact_strategy_cost(instance, psi)
 
 
 @dataclass
@@ -586,6 +600,7 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
     below it cannot inherit its decisions, so their rows are skipped with the
     same reason.
     """
+    caps = resolve_caps(cap)
     rows = []
     K = instance.agent_count
 
@@ -602,7 +617,6 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
 
     attempt("brute", None, lambda: solve_brute_force(instance, cap))
 
-    caps = resolve_caps(cap)
     chain = _Chain()
     failure = None
     try:

@@ -134,6 +134,32 @@ class ControlStrategy:
 
     tables: dict  # (t, k) -> {realization tuple: action}
 
+    def rule(self, instance: Instance, t: int, layout):
+        """Per-history joint control at stage t, one table lookup per agent.
+
+        `layout` names the variables of the histories the rule is applied to.
+        """
+        lookups = []
+        for k in range(1, instance.agent_count + 1):
+            table = self.tables.get((t, k))
+            if table is None:
+                raise DomainMismatch(f"strategy has no table for (t={t}, agent={k})")
+            lookups.append((k, table, [layout.index(v) for v in instance.info.memory(t, k)]))
+
+        def rule(h):
+            controls = []
+            for k, table, pos in lookups:
+                real = tuple(h[i] for i in pos)
+                try:
+                    controls.append(table[real])
+                except KeyError:
+                    raise DomainMismatch(
+                        f"strategy table (t={t}, agent={k}) missing realization {real}"
+                    ) from None
+            return (tuple(controls),)
+
+        return rule
+
 
 @dataclass(frozen=True)
 class CostReport:
@@ -389,39 +415,20 @@ def _forward_pass(instance: Instance, keep, decide):
             _check_reach(len(states))
 
 
-def _strategy_rule(instance: Instance, strategy: ControlStrategy, t: int, layout):
-    """Per-history joint control of `strategy` at stage t, one table lookup per agent."""
-    lookups = []
-    for k in range(1, instance.agent_count + 1):
-        table = strategy.tables.get((t, k))
-        if table is None:
-            raise DomainMismatch(f"strategy has no table for (t={t}, agent={k})")
-        lookups.append((k, table, [layout.index(v) for v in instance.info.memory(t, k)]))
+def exact_strategy_cost(instance: Instance, strategy) -> CostReport:
+    """Expected total cost by one forward pass over the reachable histories.
 
-    def rule(h):
-        controls = []
-        for k, table, pos in lookups:
-            real = tuple(h[i] for i in pos)
-            try:
-                controls.append(table[real])
-            except KeyError:
-                raise DomainMismatch(
-                    f"strategy table (t={t}, agent={k}) missing realization {real}"
-                ) from None
-        return (tuple(controls),)
-
-    return rule
-
-
-def exact_strategy_cost(instance: Instance, strategy: ControlStrategy) -> CostReport:
-    """Expected total cost by one forward pass over the reachable histories."""
+    `strategy` is a `ControlStrategy` or a `prescription.PrescriptionStrategy`:
+    either supplies the per-stage `rule(instance, t, layout)` the pass acts by,
+    so only the reachable histories are ever looked up.
+    """
     info, T, K = instance.info, instance.horizon, instance.agent_count
     keep = [set() for _ in range(T + 1)]
     for t in range(T - 1, -1, -1):
         keep[t] = keep[t + 1].union(*[info.memory(t + 1, k) for k in range(1, K + 1)])
     stage_terms: list[list[float]] = []
     for t, _, acted in _forward_pass(
-        instance, keep, lambda t, layout: _strategy_rule(instance, strategy, t, layout)
+        instance, keep, lambda t, layout: strategy.rule(instance, t, layout)
     ):
         cost = instance.system.cost[t].tolist()
         stage_terms.append([mass * cost[x][uj] for x, _, _, uj, mass in acted])
@@ -431,10 +438,11 @@ def exact_strategy_cost(instance: Instance, strategy: ControlStrategy) -> CostRe
     )
 
 
-def monte_carlo_cost(
-    instance: Instance, strategy: ControlStrategy, samples: int, seed: int = 0
-) -> CostReport:
-    """Seeded sample mean of the total cost over independent rollouts."""
+def monte_carlo_cost(instance: Instance, strategy, samples: int, seed: int = 0) -> CostReport:
+    """Seeded sample mean of the total cost over independent rollouts.
+
+    `strategy` is either strategy kind, as for `exact_strategy_cost`.
+    """
     if samples < 1:
         raise ShapeMismatch("samples must be >= 1")
     sys = instance.system
@@ -461,7 +469,7 @@ def monte_carlo_cost(
     rules, layout = [], ()
     for t in range(T + 1):
         layout += _stage_variables(t, K, KIND_OBSERVATION)
-        rules.append(_strategy_rule(instance, strategy, t, layout))
+        rules.append(strategy.rule(instance, t, layout))
         layout += _stage_variables(t, K, KIND_CONTROL)
     totals = np.empty(samples)
     stage_sums = np.zeros(T + 1)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -166,10 +167,27 @@ def test_cap_env_override(d2_path, monkeypatch):
     assert run(["solve", d2_path, "--method", "brute"]) == 2
 
 
-def test_cap_env_rejects_a_malformed_value(d2_path, monkeypatch, capsys):
-    monkeypatch.setenv("WOMCTL_CAP", "abc")
+_CAP_ENV_ERRORS = {
+    "abc": "WOMCTL_CAP must be an integer, got 'abc'",
+    "0": "WOMCTL_CAP must be at least 1, got 0",
+    "-5": "WOMCTL_CAP must be at least 1, got -5",
+}
+
+
+@pytest.mark.parametrize("value", list(_CAP_ENV_ERRORS))
+def test_cap_env_rejects_a_malformed_value(d2_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("WOMCTL_CAP", value)
     assert run(["solve", d2_path, "--method", "brute"]) == 3
-    assert "WOMCTL_CAP must be an integer, got 'abc'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {_CAP_ENV_ERRORS[value]}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_cap_option_rejects_a_value_below_one(d2_path, capsys, command):
+    args = [command, d2_path, "--cap", "-5"]
+    if command == "solve":
+        args += ["--method", "prescription", "--agent", "1"]
+    assert run(args) == 3
+    assert capsys.readouterr().err == "error: cap must be at least 1, got -5\n"
 
 
 def test_solve_brute_long_horizon_hits_the_cap(pomdp7_path, capsys):
@@ -220,3 +238,50 @@ def test_demo_static3(tmp_path):
     from womctl.sysmodel import load_instance
 
     load_instance(str(tmp_path / "static3.json"))
+
+
+def test_prescription_round_trip_long_horizon(tmp_path, capsys):
+    path = tmp_path / "pomdp7.json"
+    path.write_text(json.dumps(pomdp_dict(7)))
+    strategy = tmp_path / "psi.json"
+    args = ["solve", str(path), "--method", "prescription", "--agent", "1"]
+    assert run(args + ["--emit-strategy", str(strategy)]) == 0
+    solved = capsys.readouterr().out.split("optimal cost ")[1].split(",")[0]
+    assert run(["evaluate", str(path), "--strategy", str(strategy)]) == 0
+    assert f"exact expected cost {solved}" in capsys.readouterr().out
+    # the emitted laws are sparse in memory and complete on disk
+    laws = json.loads(strategy.read_text())["laws"]
+    assert len(laws) == 8
+    for law in laws:
+        assert [cond for cond, _ in law["entries"]] == [
+            list(r) for r in itertools.product(range(2), repeat=len(law["conditioning"]))
+        ]
+
+
+@pytest.mark.parametrize("which", ["d2", "pomdp4"])
+def test_simulate_prescription_builds_no_dense_tables(which, tmp_path, monkeypatch, capsys):
+    import womctl.prescription as prescription_mod
+    from womctl.prescription import joint_control_strategy
+    from womctl.solver import solve_prescription_dp
+    from womctl.sysmodel import instance_from_dict, monte_carlo_cost
+
+    doc = {"d2": d2_dict, "pomdp4": lambda: pomdp_dict(4)}[which]()
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    strategy, report = tmp_path / "psi.json", tmp_path / "mc.json"
+    inst = instance_from_dict(doc)
+    psi = solve_prescription_dp(inst, 1).prescription_strategy
+    dense = monte_carlo_cost(inst, joint_control_strategy(inst, psi), 3000, 4)
+    assert run(["solve", str(path), "--method", "prescription", "--agent", "1",
+                "--emit-strategy", str(strategy)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("dense control tables built")
+
+    monkeypatch.setattr(prescription_mod, "induced_control_tables", refuse)
+    assert run(["simulate", str(path), "--strategy", str(strategy), "--samples", "3000",
+                "--seed", "4", "--report", str(report)]) == 0
+    got = json.loads(report.read_text())["results"]
+    assert got["expected_cost"] == dense.expected_cost
+    assert got["stderr"] == dense.stderr
+    assert tuple(got["per_stage_costs"]) == dense.per_stage_costs

@@ -25,6 +25,7 @@ from womctl.solver import (
     solve_prescription_static,
 )
 from womctl.sysmodel import (
+    enumerate_realizations,
     exact_strategy_cost,
     feasible_schema_realizations,
     instance_from_dict,
@@ -485,16 +486,19 @@ def test_huge_counts_are_written_as_a_power_of_ten():
     )
 
 
-@pytest.mark.parametrize("which", ["d2", "fuzz7", "pomdp4"])
+_RECORD_CASES = {
+    "d2": lambda: instance_from_dict(d2_dict()),
+    "fuzz7": lambda: fuzz_instance(7),
+    "pomdp4": lambda: instance_from_dict(pomdp_dict(4)),
+}
+
+
+@pytest.mark.parametrize("which", list(_RECORD_CASES))
 def test_dp_result_reads_the_search_records(which, monkeypatch):
     import womctl.belief as belief_mod
     import womctl.prescription as prescription_mod
 
-    inst = {
-        "d2": lambda: instance_from_dict(d2_dict()),
-        "fuzz7": lambda: fuzz_instance(7),
-        "pomdp4": lambda: instance_from_dict(pomdp_dict(4)),
-    }[which]()
+    inst = _RECORD_CASES[which]()
     chain = solver_mod._Chain()
     for j in range(inst.agent_count, 0, -1):
         solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
@@ -515,6 +519,110 @@ def test_dp_result_reads_the_search_records(which, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("which", list(_RECORD_CASES))
+def test_emission_and_evaluation_build_no_dense_tables(which, monkeypatch):
+    import womctl.prescription as prescription_mod
+
+    inst = _RECORD_CASES[which]()
+    K = inst.agent_count
+    chain = solver_mod._Chain()
+    for j in range(K, 0, -1):
+        solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
+    calls = []
+    real = prescription_mod.induced_control_tables
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(prescription_mod, "induced_control_tables", counted)
+    results = [solver_mod._dp_result(inst, k, chain) for k in range(1, K + 1)]
+    for res in results:
+        evaluate_prescription_strategy(inst, res.prescription_strategy)
+    compare_agents(inst)
+    assert calls == []
+    # the dense tables are built on the first read, once per result
+    for res in results:
+        assert res.control_strategy == joint_control_strategy(inst, res.prescription_strategy)
+        assert res.control_strategy is res.control_strategy
+    assert len(calls) == 2 * K * len(results)
+
+
+def test_emitted_laws_hold_only_the_reached_realizations():
+    inst = instance_from_dict(pomdp_dict(4))
+    res = solve_prescription_dp(inst, 1)
+    psi = res.prescription_strategy
+    reached = {}
+    for row in res.extras["belief_tree"]:
+        cond = inst.info.conditioning_schema(row["t"], 1, 1)
+        reached.setdefault(row["t"], set()).add(
+            tuple(row["accessible"][v.label()] for v in cond)
+        )
+    for t in range(inst.horizon + 1):
+        assert set(psi.laws[(t, 1)]) == reached[t]
+        assert psi.defaults[(t, 1)].table == (0,)
+    # from t=1 on, the decided controls leave most histories unreached
+    assert len(psi.laws[(4, 1)]) < 2**9
+
+
+def test_law_defaults_stand_for_the_omitted_realizations(d2):
+    import dataclasses
+
+    from womctl.errors import OutOfRange
+    from womctl.prescription import PrescriptionStrategy
+    from womctl.serialize import prescription_strategy_to_dict
+
+    psi = random_prescription_strategy(d2, 1, random.Random(32))
+    (cond, dropped), *rest = psi.laws[(1, 2)].items()
+    laws = dict(psi.laws)
+    laws[(1, 2)] = dict(rest)
+    gappy = PrescriptionStrategy(owner=1, laws=laws, defaults={(1, 2): dropped})
+    assert gappy.lookup(1, 2, cond) is dropped
+    assert evaluate_prescription_strategy(d2, gappy) == evaluate_prescription_strategy(d2, psi)
+    assert joint_control_strategy(d2, gappy) == joint_control_strategy(d2, psi)
+    assert prescription_strategy_to_dict(d2, gappy) == prescription_strategy_to_dict(d2, psi)
+    bad = dataclasses.replace(dropped, domain_sizes=dropped.domain_sizes + (2,))
+    with pytest.raises(OutOfRange, match="domain sizes"):
+        evaluate_prescription_strategy(
+            d2, PrescriptionStrategy(owner=1, laws=laws, defaults={(1, 2): bad})
+        )
+    laws[(1, 2)] = {cond: bad, **dict(rest)}
+    with pytest.raises(OutOfRange, match="domain sizes"):
+        evaluate_prescription_strategy(d2, PrescriptionStrategy(owner=1, laws=laws))
+
+
+@pytest.mark.parametrize("which", ["d2", "pomdp4"])
+def test_monte_carlo_of_a_prescription_strategy_matches_its_dense_tables(which):
+    from womctl.sysmodel import monte_carlo_cost
+
+    inst = _RECORD_CASES[which]()
+    for k in range(1, inst.agent_count + 1):
+        for psi in (
+            solve_prescription_dp(inst, k).prescription_strategy,
+            random_prescription_strategy(inst, k, random.Random(k)),
+        ):
+            dense = joint_control_strategy(inst, psi)
+            assert monte_carlo_cost(inst, psi, 2000, 3) == monte_carlo_cost(inst, dense, 2000, 3)
+
+
+def test_prescription_dp_long_horizon():
+    res = solve_prescription_dp(instance_from_dict(pomdp_dict(10)), 1)
+    assert abs(res.dp_value - res.optimal_cost) <= TOL
+
+
+def _completed_laws(instance, psi):
+    """psi's laws with every conditioning realization filled in through its lookup."""
+    return {
+        (t, m): {
+            cond: psi.lookup(t, m, cond)
+            for cond in enumerate_realizations(
+                instance.schema_sizes(instance.info.conditioning_schema(t, psi.owner, m))
+            )
+        }
+        for t, m in psi.laws
+    }
+
+
 def _assert_dp_matches_reference(instance):
     for k in range(1, instance.agent_count + 1):
         res = solve_prescription_dp(instance, k)
@@ -524,7 +632,7 @@ def _assert_dp_matches_reference(instance):
         assert res.extras["chain_examined"] == ref["chain_examined"]
         assert res.extras["belief_policy"] == ref["belief_policy"]
         assert res.extras["belief_tree"] == ref["belief_tree"]
-        assert res.prescription_strategy.laws == ref["laws"]
+        assert _completed_laws(instance, res.prescription_strategy) == ref["laws"]
         assert res.control_strategy.tables == ref["tables"]
 
 
