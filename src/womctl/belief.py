@@ -8,6 +8,7 @@ row-major with the system state as the slowest coordinate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,7 +38,11 @@ class InformationState:
     probs: np.ndarray
 
     def key(self) -> tuple:
-        return tuple(round(float(p), KEY_DECIMALS) for p in self.probs)
+        return self._key
+
+    @functools.cached_property
+    def _key(self) -> tuple:
+        return tuple([round(p, KEY_DECIMALS) for p in self.probs.tolist()])
 
 
 @dataclass(frozen=True)
@@ -237,6 +242,92 @@ def initial_state_at(instance, k, a_real) -> InformationState:
     return states[key]
 
 
+class StepKernel:
+    """Agent k's stage-t filter step, with its transitions traced on first use.
+
+    An entry holds, for one (support index, joint-control index), the
+    transition of every stage noise pair (w, v) whose probabilities are all
+    nonzero, in `itertools.product` order with w slowest: the disturbance
+    probability, the noise probabilities in agent order, the new-information
+    realization and the next-support index. Entries are filled on first use,
+    so no transition is traced at a support point or control that no step
+    reaches.
+    """
+
+    def __init__(self, instance, k, t):
+        sys = instance.system
+        if t >= sys.horizon:
+            raise SchemaMismatch("no stage follows the horizon")
+        self.instance, self.k, self.t = instance, k, t
+        self.sizes = _support_sizes(instance, instance.info.equivalent_state(t, k))
+        self.next_support = instance.info.equivalent_state(t + 1, k)
+        self.next_sizes = _support_sizes(instance, self.next_support)
+        self.next_total = realization_count(self.next_sizes)
+        noises = []
+        for v in itertools.product(*(range(n) for n in sys.noise_sizes)):
+            factors = tuple(
+                float(sys.noise_probs[j][t + 1, v[j]]) for j in range(sys.agent_count)
+            )
+            if 0.0 not in factors:
+                noises.append((v, factors))
+        self.noise_paths = [
+            (w, pw, v, factors)
+            for w in range(sys.disturbance_size)
+            if (pw := float(sys.disturbance_probs[t, w])) != 0.0
+            for v, factors in noises
+        ]
+        self.entries: dict = {}
+
+    def _fill(self, s: int, uj: int) -> list:
+        values = index_realization(self.sizes, s)
+        controls = index_realization(self.instance.system.control_sizes, uj)
+        entry = []
+        for w, pw, v, factors in self.noise_paths:
+            s_next, z = _trace_step(self.instance, self.k, self.t, values, controls, w, v)
+            entry.append((pw, factors, z, realization_index(self.next_sizes, s_next)))
+        self.entries[(s, uj)] = entry
+        return entry
+
+    def step(self, pi: InformationState, controls) -> dict:
+        """`belief_step` of pi given the joint-control index at each of its
+        positive-mass support indices, in index order.
+
+        Each probability is the product of the support point's mass, the
+        disturbance probability and the noise probabilities, in that order,
+        and each new-information vector sums its terms in (support, w, v)
+        order, as the one-point-at-a-time filter does.
+        """
+        acc: dict[tuple, list] = {}
+        support = np.flatnonzero(pi.probs > 0.0)
+        for s, ps, uj in zip(support.tolist(), pi.probs[support].tolist(), controls):
+            entry = self.entries.get((s, uj))
+            if entry is None:
+                entry = self._fill(s, uj)
+            for pw, factors, z, idx in entry:
+                p = ps * pw
+                for f in factors:
+                    p *= f
+                if p == 0.0:
+                    continue
+                vec = acc.get(z)
+                if vec is None:
+                    vec = acc[z] = [0.0] * self.next_total
+                vec[idx] += p
+        out = {}
+        for z in sorted(acc):
+            vec = np.array(acc[z])
+            mass = float(vec.sum())
+            if mass <= ZERO_TOL:
+                continue
+            out[z] = (
+                mass,
+                InformationState(
+                    agent=self.k, time=self.t + 1, support=self.next_support, probs=vec / mass
+                ),
+            )
+        return out
+
+
 def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> dict:
     """Joint one-step distribution: {new-info realization: (probability, next belief)}.
 
@@ -245,47 +336,17 @@ def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> 
     posterior even when fresh observations depend on the same disturbance that
     drives the state.
     """
-    sys = instance.system
-    k, t = pi.agent, pi.time
-    if t >= sys.horizon:
-        raise SchemaMismatch("no stage follows the horizon")
-    _check_theta(instance, k, t, theta)
-    support = instance.info.equivalent_state(t, k)
-    next_support = instance.info.equivalent_state(t + 1, k)
-    next_sizes = _support_sizes(instance, next_support)
-    next_total = realization_count(next_sizes)
+    kernel = StepKernel(instance, pi.agent, pi.time)
+    _check_theta(instance, pi.agent, pi.time, theta)
+    support = instance.info.equivalent_state(pi.time, pi.agent)
     sizes = _support_sizes(instance, pi.support)
-    noise_axes = [range(sys.noise_sizes[j]) for j in range(sys.agent_count)]
-    acc: dict[tuple, np.ndarray] = {}
-    for s_idx in np.nonzero(pi.probs > 0.0)[0]:
-        ps = float(pi.probs[s_idx])
-        s_vals = index_realization(sizes, int(s_idx))
-        controls = _controls_from_state(instance, theta, support, s_vals[1:])
-        for w in range(sys.disturbance_size):
-            pw = ps * float(sys.disturbance_probs[t, w])
-            if pw == 0.0:
-                continue
-            for v in itertools.product(*noise_axes):
-                p = pw
-                for j in range(sys.agent_count):
-                    p *= float(sys.noise_probs[j][t + 1, v[j]])
-                if p == 0.0:
-                    continue
-                s_next, z = _trace_step(instance, k, t, s_vals, controls, w, v)
-                if z not in acc:
-                    acc[z] = np.zeros(next_total)
-                acc[z][realization_index(next_sizes, s_next)] += p
-    out = {}
-    for z in sorted(acc):
-        vec = acc[z]
-        mass = float(vec.sum())
-        if mass <= ZERO_TOL:
-            continue
-        out[z] = (
-            mass,
-            InformationState(agent=k, time=t + 1, support=next_support, probs=vec / mass),
+    controls = [
+        instance.joint_control_index(
+            _controls_from_state(instance, theta, support, index_realization(sizes, s)[1:])
         )
-    return out
+        for s in np.flatnonzero(pi.probs > 0.0).tolist()
+    ]
+    return kernel.step(pi, controls)
 
 
 def update_information_state(instance, pi, theta, z) -> InformationState:
@@ -321,25 +382,13 @@ class CandidateScorer:
     """
 
     def __init__(self, instance, k, t, head_tables):
-        support = instance.info.equivalent_state(t, k)
-        sizes = _support_sizes(instance, support)
-        flat = np.arange(realization_count(sizes))
-        digits = []
-        stride = len(flat)
-        for size in sizes:
-            stride //= size
-            digits.append(flat // stride % size)
-        coord = dict(zip(support, digits[1:]))
-        rows = []  # per target, the prescription-domain row of every support index
-        for target in range(1, instance.agent_count + 1):
-            row = np.zeros_like(flat)
-            for var in instance.info.prescription_domain(t, k, target):
-                if var not in coord:
-                    raise SchemaMismatch(
-                        f"prescription domain variable {var} is not a state coordinate"
-                    )
-                row = row * instance.variable_size(var) + coord[var]
-            rows.append(row)
+        self.instance, self.t = instance, t
+        self.domains = [
+            instance.info.prescription_domain(t, k, target)
+            for target in range(1, instance.agent_count + 1)
+        ]
+        x, rows = _support_rows(instance, k, t, self.domains)
+        self.rows_at = {k: rows}  # per agent, each target's domain row on its support
         control_sizes = instance.system.control_sizes
         strides = [1] * len(control_sizes)  # weight of each control in the joint index
         for m in range(len(strides) - 2, -1, -1):
@@ -347,7 +396,7 @@ class CandidateScorer:
 
         heads = len(head_tables)
         self.cost = instance.system.cost[t]
-        self.x = digits[0].tolist()
+        self.x = x.tolist()
         self.shape = tuple(len(tables) for tables in head_tables)
         self.head_rows = [row.tolist() for row in rows[:heads]]
         # per head target, row r holds every table's weighted control at r,
@@ -372,6 +421,51 @@ class CandidateScorer:
                 uj = uj + controls[rows[s]]
             total += float(pi.probs[s]) * self.cost[self.x[s]][uj]
         return total.ravel()
+
+    def controls(self, pi: InformationState, tails=()) -> list:
+        """Every candidate's joint-control indices at the positive-mass support
+        indices of pi, one tuple per candidate in candidate order.
+
+        pi may be the stage-t belief of any agent i >= k: agent i's state
+        holds every coordinate of agent k's prescription domains, so each
+        candidate acts on it as its projection onto agent i's domains would.
+        """
+        i = pi.agent
+        if i not in self.rows_at:
+            self.rows_at[i] = _support_rows(self.instance, i, self.t, self.domains)[1]
+        rows = self.rows_at[i]
+        support = np.flatnonzero(pi.probs > 0.0)
+        grid = np.zeros((len(support),) + (1,) * len(self.shape), dtype=np.int64)
+        for part, row, stride in zip(tails, rows[len(self.shape) :], self.tail_strides):
+            grid += (stride * np.asarray(part.table)[row[support]]).reshape(grid.shape)
+        for controls, row in zip(self.head_controls, rows):
+            grid = grid + controls[row[support]]
+        return list(map(tuple, grid.reshape(len(support), -1).T.tolist()))
+
+
+def _support_rows(instance, k, t, domains):
+    """The system state, and the row of each domain's realization, at every
+    index of agent k's stage-t support."""
+    support = instance.info.equivalent_state(t, k)
+    sizes = _support_sizes(instance, support)
+    flat = np.arange(realization_count(sizes))
+    digits = []
+    stride = len(flat)
+    for size in sizes:
+        stride //= size
+        digits.append(flat // stride % size)
+    coord = dict(zip(support, digits[1:]))
+    rows = []
+    for domain in domains:
+        row = np.zeros_like(flat)
+        for var in domain:
+            if var not in coord:
+                raise SchemaMismatch(
+                    f"prescription domain variable {var} is not a state coordinate"
+                )
+            row = row * instance.variable_size(var) + coord[var]
+        rows.append(row)
+    return digits[0], rows
 
 
 def connection_term(instance, pi_i: InformationState, k: int) -> ConnectionTerm:

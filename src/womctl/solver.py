@@ -24,8 +24,8 @@ import numpy as np
 
 from .belief import (
     CandidateScorer,
+    StepKernel,
     accessible_support,
-    belief_step,
     belief_tuple_key,
     check_domains,
     initial_information_state,
@@ -38,7 +38,6 @@ from .prescription import (
     Prescription,
     PrescriptionStrategy,
     count_strategies,
-    derive_complete,
     enumerate_prescription_tables,
     joint_control_strategy,
     make_prescription,
@@ -255,12 +254,20 @@ class _Decision(NamedTuple):
 
 
 class _Chain:
-    """Stage decisions per agent, filled from agent K downward."""
+    """Stage decisions per agent, filled from agent K downward.
+
+    Per agent pass it also counts the belief steps computed, the candidate
+    steps served by an identical step of the same node, and the step-kernel
+    entries filled.
+    """
 
     def __init__(self):
         self.decisions: dict[int, dict] = {}  # agent -> {(t, key): _Decision}
         self.values: dict[int, float] = {}
         self.examined: dict[int, int] = {}
+        self.steps: dict[int, int] = {}
+        self.shared: dict[int, int] = {}
+        self.entries: dict[int, int] = {}
         self.seconds: dict[int, float] = {}
 
 
@@ -350,22 +357,36 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
     tuples, inherited from their own passes; components up to j are chosen per
     reachable belief tuple. A node scores the stage costs of all its joint
     head candidates in one `CandidateScorer` call; the first minimizer in
-    `itertools.product` order wins.
+    `itertools.product` order wins. Below the horizon, each candidate steps
+    the belief of every agent j..K through that agent's `StepKernel`, with
+    the controls the scorer reads off the agent's support; candidates that
+    act alike on an agent's positive-mass support share its step.
     """
     started = time.perf_counter()
-    T = instance.horizon
+    T, K = instance.horizon, instance.agent_count
     spaces = _head_spaces(instance, j, caps)
     scorers: dict = {}  # per stage, built on the first visit
+    kernels: dict = {}  # per (stage, agent), built on the first step
     memo: dict = {}
     decisions: dict = {}
-    examined = 0
-    nodes = 0
+    examined = nodes = computed = shared = 0
 
     def scorer(t):
         if t not in scorers:
             tables = [np.array([p.table for p in heads]) for heads in spaces[t]]
             scorers[t] = CandidateScorer(instance, j, t, tables)
         return scorers[t]
+
+    def step(t, pi, controls, done):
+        nonlocal computed, shared
+        if controls in done:
+            shared += 1
+            return done[controls]
+        if (t, pi.agent) not in kernels:
+            kernels[(t, pi.agent)] = StepKernel(instance, pi.agent, t)
+        computed += 1
+        done[controls] = kernels[(t, pi.agent)].step(pi, controls)
+        return done[controls]
 
     def visit(t, amap, pis):
         nonlocal examined, nodes
@@ -375,29 +396,27 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
         nodes += 1
         if nodes > caps.branches:
             raise CapExceeded(nodes, caps.branches, "reachable belief branches")
-        tails = _tail_parts(instance, chain, j, t, pis)
+        tails = tuple(_tail_parts(instance, chain, j, t, pis))
         check_domains(instance, j, t, tails, first_target=j + 1)
         score = scorer(t)
         stage = score(pis[0], tails)
+        examined += len(stage)
         if t == T:
             best = int(stage.argmin())
-            examined += len(stage)
             best_val = float(stage[best])
             index = np.unravel_index(best, score.shape)
             heads = tuple(space[int(i)] for space, i in zip(spaces[t], index))
-            best_decision = _Decision(CompletePrescription(j, t, heads + tuple(tails)), {}, {})
+            best_decision = _Decision(CompletePrescription(j, t, heads + tails), {}, {})
         else:
+            controls = [score.controls(pi, tails) for pi in pis]
+            done = [{} for _ in pis]  # per agent, the node's steps by control tuple
             best_val, best_decision = math.inf, None
-            for val, heads in zip(stage.tolist(), itertools.product(*spaces[t])):
-                examined += 1
-                theta = CompletePrescription(owner=j, time=t, parts=heads + tuple(tails))
-                steps = belief_step(instance, pis[0], theta)
-                tail_steps = {
-                    i: belief_step(
-                        instance, pis[i - j], derive_complete(instance, theta, i)
-                    )
-                    for i in range(j + 1, instance.agent_count + 1)
-                }
+            candidates = itertools.product(*spaces[t])
+            for c, (val, heads) in enumerate(zip(stage.tolist(), candidates)):
+                steps, *tail = [
+                    step(t, pi, ctrl[c], seen) for pi, ctrl, seen in zip(pis, controls, done)
+                ]
+                tail_steps = dict(zip(range(j + 1, K + 1), tail))
                 # every child is visited so lower agents can inherit decisions
                 # at any tuple their own candidate profiles can reach
                 for z, (pz, pi_next) in steps.items():
@@ -406,6 +425,7 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
                     )
                     val += pz * visit(t + 1, amap_child, pis_child)
                 if val < best_val:
+                    theta = CompletePrescription(owner=j, time=t, parts=heads + tails)
                     best_val, best_decision = val, _Decision(theta, steps, tail_steps)
         memo[key] = best_val
         decisions[key] = best_decision
@@ -417,10 +437,14 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
     chain.decisions[j] = decisions
     chain.values[j] = total
     chain.examined[j] = examined
+    chain.steps[j] = computed
+    chain.shared[j] = shared
+    chain.entries[j] = sum(len(kernel.entries) for kernel in kernels.values())
     chain.seconds[j] = time.perf_counter() - started
     log.debug(
-        "agent %d pass: %d nodes, %d candidates, %.3f s",
-        j, nodes, examined, chain.seconds[j],
+        "agent %d pass: %d nodes, %d candidates, %d steps (%d shared), "
+        "%d kernel entries, %.3f s",
+        j, nodes, examined, computed, shared, chain.entries[j], chain.seconds[j],
     )
     return total
 

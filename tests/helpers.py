@@ -324,3 +324,33 @@ def fuzz_instance(seed: int) -> Instance:
             },
         }
     return instance_from_dict(doc)
+
+
+def relay_dict() -> dict:
+    """Three agents on the relay links 1->2 (delay 2), 1->3, 2->1, 2->3 and
+    3->2 (delay 1), T=1, noise-free identity observations, one control each.
+
+    Y1@0 enters agent 1's t=1 state through agent 3's unshared block, which
+    the filter cannot read off agent 1's t=0 state, so agent 1's first step
+    fails with `SchemaMismatch`.
+    """
+    ident = [[x] for x in range(2)]
+    links = [(1, 2, 2), (1, 3, 1), (2, 1, 1), (2, 3, 1), (3, 2, 1)]
+    return {
+        "network": {
+            "agents": 3,
+            "links": [{"from": f, "to": t, "delay": d} for f, t, d in links],
+        },
+        "system": {
+            "horizon": 1,
+            "state_size": 2,
+            "control_sizes": [1, 1, 1],
+            "observation_sizes": [2, 2, 2],
+            "disturbance": {"size": 2, "probs_per_t": [0.6, 0.4]},
+            "noises": [{"size": 1, "probs_per_t": [1.0]} for _ in range(3)],
+            "initial_probs": [0.3, 0.7],
+            "transition": [[[[x, (x + 1) % 2]] for x in range(2)]],
+            "observation": [[ident, ident]] * 3,
+            "cost": [[[0.5], [1.5]], [[1.0], [0.25]]],
+        },
+    }

@@ -332,13 +332,74 @@ def brute_force_reference(instance, chunk=1 << 18):
     return best_cost, tables
 
 
+def belief_step_reference(instance, pi, theta):
+    """`womctl.belief.belief_step` as a scalar loop: one `_trace_step` per
+    positive-mass support point, disturbance and noise vector, with the
+    controls recomputed from theta at every support point."""
+    import numpy as np
+
+    from womctl.belief import (
+        ZERO_TOL,
+        InformationState,
+        _check_theta,
+        _controls_from_state,
+        _support_sizes,
+        _trace_step,
+    )
+    from womctl.errors import SchemaMismatch
+    from womctl.sysmodel import index_realization, realization_count, realization_index
+
+    sys = instance.system
+    k, t = pi.agent, pi.time
+    if t >= sys.horizon:
+        raise SchemaMismatch("no stage follows the horizon")
+    _check_theta(instance, k, t, theta)
+    support = instance.info.equivalent_state(t, k)
+    next_support = instance.info.equivalent_state(t + 1, k)
+    next_sizes = _support_sizes(instance, next_support)
+    next_total = realization_count(next_sizes)
+    sizes = _support_sizes(instance, pi.support)
+    noise_axes = [range(sys.noise_sizes[j]) for j in range(sys.agent_count)]
+    acc: dict[tuple, np.ndarray] = {}
+    for s_idx in np.nonzero(pi.probs > 0.0)[0]:
+        ps = float(pi.probs[s_idx])
+        s_vals = index_realization(sizes, int(s_idx))
+        controls = _controls_from_state(instance, theta, support, s_vals[1:])
+        for w in range(sys.disturbance_size):
+            pw = ps * float(sys.disturbance_probs[t, w])
+            if pw == 0.0:
+                continue
+            for v in itertools.product(*noise_axes):
+                p = pw
+                for j in range(sys.agent_count):
+                    p *= float(sys.noise_probs[j][t + 1, v[j]])
+                if p == 0.0:
+                    continue
+                s_next, z = _trace_step(instance, k, t, s_vals, controls, w, v)
+                if z not in acc:
+                    acc[z] = np.zeros(next_total)
+                acc[z][realization_index(next_sizes, s_next)] += p
+    out = {}
+    for z in sorted(acc):
+        vec = acc[z]
+        mass = float(vec.sum())
+        if mass <= ZERO_TOL:
+            continue
+        out[z] = (
+            mass,
+            InformationState(agent=k, time=t + 1, support=next_support, probs=vec / mass),
+        )
+    return out
+
+
 def dp_reference(instance, k):
     """Prescription DP for agent k by per-candidate stage-cost calls.
 
     Solves agents K..k in turn. Every node tries its joint head candidates in
     `itertools.product` order, scores each with `expected_stage_cost`, and
-    keeps the first strict minimum. The strategy is then emitted by replaying
-    the decided tree through `belief_step`. Returns the dict of what
+    keeps the first strict minimum. Beliefs advance through
+    `belief_step_reference`, and the strategy is emitted by replaying the
+    decided tree. Returns the dict of what
     `solve_prescription_dp` reports: dp_value, chain_values, chain_examined,
     belief_policy, belief_tree, the prescription laws and the control tables
     of the emitted strategy.
@@ -347,7 +408,6 @@ def dp_reference(instance, k):
 
     from womctl.belief import (
         accessible_support,
-        belief_step,
         belief_tuple_key,
         expected_stage_cost,
         initial_state_at,
@@ -388,10 +448,10 @@ def dp_reference(instance, k):
 
     def children(j, t, amap, pis, theta):
         tail_steps = {
-            i: belief_step(instance, pis[i - j], derive_complete(instance, theta, i))
+            i: belief_step_reference(instance, pis[i - j], derive_complete(instance, theta, i))
             for i in range(j + 1, K + 1)
         }
-        for z, (pz, pi_next) in belief_step(instance, pis[0], theta).items():
+        for z, (pz, pi_next) in belief_step_reference(instance, pis[0], theta).items():
             child = dict(amap)
             child.update(zip(info.new_info(t + 1, j), z))
             pis_child = [pi_next]

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from helpers import random_prescription_strategy
-from oracles import bayes_posteriors, predictive_new_info
+from helpers import fuzz_instance, pomdp_dict, random_prescription_strategy, relay_dict
+from oracles import bayes_posteriors, belief_step_reference, predictive_new_info
 from womctl.belief import (
     belief_step,
     connection_term,
@@ -29,8 +29,11 @@ from womctl.prescription import (
     joint_control_strategy,
     make_prescription,
 )
+from womctl.solver import solve_prescription_dp
 from womctl.sysmodel import (
+    enumerate_realizations,
     instance_from_dict,
+    realization_count,
     realization_index,
     restrict_realization,
 )
@@ -554,3 +557,92 @@ def test_normalization_preserved_along_reachable_branches(d2):
         psi = random_prescription_strategy(d2, k, rng)
         for _, _, pi, _ in reachable_branches(d2, psi, k):
             assert abs(float(pi.probs.sum()) - 1.0) <= 1e-9
+
+
+def draw_theta(instance, k, t, rng):
+    """Agent k's stage-t complete prescription with a seeded table per target."""
+    tables = []
+    for m in range(1, instance.agent_count + 1):
+        domain = instance.info.prescription_domain(t, k, m)
+        csize = instance.system.control_sizes[m - 1]
+        entries = realization_count(instance.schema_sizes(domain))
+        tables.append([rng.randrange(csize) for _ in range(entries)])
+    return theta_for(instance, k, t, tables)
+
+
+def assert_same_step(got, want):
+    """Same new-information keys in the same order, same masses and the same
+    next beliefs, bit for bit."""
+    assert list(got) == list(want)
+    for z, (mass, pi) in want.items():
+        got_mass, got_pi = got[z]
+        assert got_mass == mass
+        assert (got_pi.agent, got_pi.time, got_pi.support) == (pi.agent, pi.time, pi.support)
+        assert got_pi.probs.dtype == pi.probs.dtype
+        assert got_pi.probs.tobytes() == pi.probs.tobytes()
+
+
+_STEP_CASES = ["d2", "d2ext", "pomdp4"] + [f"fuzz{seed}" for seed in range(50)]
+
+
+@pytest.mark.parametrize("name", _STEP_CASES)
+def test_belief_step_matches_the_reference_filter(name, request):
+    if name == "pomdp4":
+        inst = instance_from_dict(pomdp_dict(4))
+    elif name.startswith("fuzz"):
+        inst = fuzz_instance(int(name[4:]))
+    else:
+        inst = request.getfixturevalue(name)
+    rng = random.Random(name)
+    steps = 0
+    for k in range(1, inst.agent_count + 1):
+        frontier = list(initial_information_state(inst, k).values())
+        for t in range(inst.horizon):
+            reached = []
+            for pi in frontier:
+                for _ in range(2):
+                    theta = draw_theta(inst, k, t, rng)
+                    want = belief_step_reference(inst, pi, theta)
+                    assert_same_step(belief_step(inst, pi, theta), want)
+                    steps += 1
+                reached.extend(pi_next for _, pi_next in want.values())
+            frontier = reached
+    assert steps > 0 or inst.horizon == 0
+
+
+def test_update_rejects_the_observations_the_reference_step_omits(d2):
+    rng = random.Random(5)
+    for k in (1, 2):
+        for pi in initial_information_state(d2, k).values():
+            theta = draw_theta(d2, k, 0, rng)
+            want = belief_step_reference(d2, pi, theta)
+            sizes = d2.schema_sizes(d2.info.new_info(1, k))
+            omitted = 0
+            for z in enumerate_realizations(sizes):
+                if z in want:
+                    assert_same_step({z: (0.0, update_information_state(d2, pi, theta, z))},
+                                     {z: (0.0, want[z][1])})
+                else:
+                    omitted += 1
+                    with pytest.raises(ImpossibleObservation):
+                        update_information_state(d2, pi, theta, z)
+            assert omitted > 0
+
+
+RELAY_FAILURE = "variable VariableId(time=0, agent=1, kind='Y') not derivable from the state"
+
+
+def test_relay_step_fails_as_the_reference_filter_does():
+    inst = instance_from_dict(relay_dict())
+    pi = next(iter(initial_information_state(inst, 1).values()))
+    theta = draw_theta(inst, 1, 0, random.Random(0))
+    with pytest.raises(SchemaMismatch) as want:
+        belief_step_reference(inst, pi, theta)
+    with pytest.raises(SchemaMismatch) as got:
+        belief_step(inst, pi, theta)
+    assert str(got.value) == str(want.value) == RELAY_FAILURE
+    for k in (2, 3):
+        solve_prescription_dp(inst, k)
+    with pytest.raises(SchemaMismatch) as solved:
+        solve_prescription_dp(inst, 1)
+    assert str(solved.value) == RELAY_FAILURE

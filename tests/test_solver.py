@@ -493,15 +493,16 @@ _RECORD_CASES = {
 }
 
 
-@pytest.mark.parametrize("which", list(_RECORD_CASES))
-def test_dp_result_reads_the_search_records(which, monkeypatch):
+def _count_filter_calls(monkeypatch) -> list:
+    """Record every `belief_step` and `derive_complete` call from here on.
+
+    The solver imports neither, so patching their defining modules sees
+    every call it could make."""
     import womctl.belief as belief_mod
     import womctl.prescription as prescription_mod
 
-    inst = _RECORD_CASES[which]()
-    chain = solver_mod._Chain()
-    for j in range(inst.agent_count, 0, -1):
-        solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
+    assert not hasattr(solver_mod, "belief_step")
+    assert not hasattr(solver_mod, "derive_complete")
     calls = []
 
     def counting(name, real):
@@ -511,12 +512,50 @@ def test_dp_result_reads_the_search_records(which, monkeypatch):
 
         return counted
 
-    for module, name in [(solver_mod, "belief_step"), (belief_mod, "belief_step"),
-                         (solver_mod, "derive_complete"), (prescription_mod, "derive_complete")]:
+    for module, name in [(belief_mod, "belief_step"), (prescription_mod, "derive_complete")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("which", list(_RECORD_CASES))
+def test_dp_result_reads_the_search_records(which, monkeypatch):
+    inst = _RECORD_CASES[which]()
+    chain = solver_mod._Chain()
+    for j in range(inst.agent_count, 0, -1):
+        solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
+    calls = _count_filter_calls(monkeypatch)
     for k in range(1, inst.agent_count + 1):
         solver_mod._dp_result(inst, k, chain)
     assert calls == []
+
+
+@pytest.mark.parametrize("which", list(_RECORD_CASES))
+def test_search_steps_through_kernels_tracing_each_transition_once(which, monkeypatch):
+    import womctl.belief as belief_mod
+
+    inst = _RECORD_CASES[which]()
+    calls = _count_filter_calls(monkeypatch)
+    traced = []
+    real = belief_mod._trace_step
+
+    def counted(instance, k, t, state_values, controls, w, v):
+        traced.append((k, t, tuple(state_values), tuple(controls), w, tuple(v)))
+        return real(instance, k, t, state_values, controls, w, v)
+
+    monkeypatch.setattr(belief_mod, "_trace_step", counted)
+    chain = solver_mod._Chain()
+    total = 0
+    for j in range(inst.agent_count, 0, -1):
+        traced.clear()
+        solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
+        assert len(set(traced)) == len(traced)
+        # one kernel entry per traced (agent, stage, support point, controls)
+        assert chain.entries[j] == len({key[:4] for key in traced})
+        total += len(traced)
+    assert calls == []
+    assert total > 0
+    res = solver_mod._dp_result(inst, 1, chain)
+    assert res.dp_value == dp_reference(inst, 1)["dp_value"]
 
 
 @pytest.mark.parametrize("which", list(_RECORD_CASES))
@@ -671,9 +710,44 @@ def test_agent_passes_are_logged(d2, caplog):
     passes = [r for r in caplog.records if r.name == "womctl" and "pass" in r.getMessage()]
     assert [r.args[0] for r in passes] == [2, 1]
     for record in passes:
-        j, nodes, examined, seconds = record.args
+        j, nodes, examined, _, _, _, seconds = record.args
         assert nodes > 0 and seconds >= 0.0
         assert examined == res.extras["chain_examined"][j]
+
+
+@pytest.mark.parametrize("seed", [5, 13])  # two-agent, T=2: candidates share steps
+def test_agent_passes_log_their_step_counts(seed, caplog, monkeypatch):
+    from womctl.belief import CandidateScorer, StepKernel
+
+    inst = fuzz_instance(seed)
+    calls = {"steps": 0, "candidate_steps": 0}
+    real_step, real_controls = StepKernel.step, CandidateScorer.controls
+
+    def step(self, pi, controls):
+        calls["steps"] += 1
+        return real_step(self, pi, controls)
+
+    def controls(self, pi, tails=()):
+        out = real_controls(self, pi, tails)
+        calls["candidate_steps"] += len(out)
+        return out
+
+    monkeypatch.setattr(StepKernel, "step", step)
+    monkeypatch.setattr(CandidateScorer, "controls", controls)
+    caplog.set_level(logging.DEBUG, logger="womctl")
+    chain = solver_mod._Chain()
+    for j in range(inst.agent_count, 0, -1):
+        solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
+        (record,) = [r for r in caplog.records if r.name == "womctl" and "pass" in r.getMessage()]
+        caplog.clear()
+        agent, _, examined, steps, shared, entries, _ = record.args
+        assert (agent, examined) == (j, chain.examined[j])
+        assert (steps, shared, entries) == (chain.steps[j], chain.shared[j], chain.entries[j])
+        # every (candidate, agent) step below the horizon is computed or shared
+        assert steps == calls["steps"] and steps + shared == calls["candidate_steps"]
+        assert entries > 0
+        calls.update(steps=0, candidate_steps=0)
+    assert sum(chain.shared.values()) > 0
 
 
 def test_compare_agents_detects_disagreement(d2, monkeypatch):
