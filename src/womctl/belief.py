@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .sysmodel import (
 NORM_TOL = 1e-9
 ZERO_TOL = 1e-12
 KEY_DECIMALS = 12
+SCORE_BLOCK = 1 << 16  # (pair, candidate) costs a scorer holds at once
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,12 @@ class InformationState:
 
     @functools.cached_property
     def _key(self) -> tuple:
-        return tuple([round(p, KEY_DECIMALS) for p in self.probs.tolist()])
+        return probs_key(self.probs.tolist())
+
+
+def probs_key(probs: list) -> tuple:
+    """The key of a belief's probabilities: each rounded to KEY_DECIMALS."""
+    return tuple([round(p, KEY_DECIMALS) for p in probs])
 
 
 @dataclass(frozen=True)
@@ -242,16 +249,28 @@ def initial_state_at(instance, k, a_real) -> InformationState:
     return states[key]
 
 
+class StepBatch(NamedTuple):
+    """`StepKernel.step` of a stack: per row, per new-information realization
+    of positive mass in sorted order, a group; row r's groups are
+    `start[r]:start[r + 1]`, each with its realization, probability and
+    posterior (a row of `probs`)."""
+
+    start: list
+    z: list
+    mass: list
+    probs: np.ndarray
+
+
 class StepKernel:
     """Agent k's stage-t filter step, with its transitions traced on first use.
 
-    An entry holds, for one (support index, joint-control index), the
-    transition of every stage noise pair (w, v) whose probabilities are all
-    nonzero, in `itertools.product` order with w slowest: the disturbance
-    probability, the noise probabilities in agent order, the new-information
-    realization and the next-support index. Entries are filled on first use,
-    so no transition is traced at a support point or control that no step
-    reaches.
+    The noise paths are the pairs (w, v) whose probabilities are all nonzero,
+    in `itertools.product` order with w slowest; column p of `factors` holds
+    path p's disturbance probability and then its noise probabilities in
+    agent order. An entry holds, for one (support index, joint-control
+    index) and each path, the new-information index and the next-support
+    index. Entries are filled on first use, so no transition is traced at a
+    support point or control that no step reaches.
     """
 
     def __init__(self, instance, k, t):
@@ -263,69 +282,87 @@ class StepKernel:
         self.next_support = instance.info.equivalent_state(t + 1, k)
         self.next_sizes = _support_sizes(instance, self.next_support)
         self.next_total = realization_count(self.next_sizes)
-        noises = []
-        for v in itertools.product(*(range(n) for n in sys.noise_sizes)):
-            factors = tuple(
-                float(sys.noise_probs[j][t + 1, v[j]]) for j in range(sys.agent_count)
-            )
-            if 0.0 not in factors:
-                noises.append((v, factors))
-        self.noise_paths = [
-            (w, pw, v, factors)
-            for w in range(sys.disturbance_size)
-            if (pw := float(sys.disturbance_probs[t, w])) != 0.0
-            for v, factors in noises
-        ]
-        self.entries: dict = {}
+        self.new_sizes = instance.schema_sizes(instance.info.new_info(t + 1, k))
+        self.paths, factors = [], []
+        for w in range(sys.disturbance_size):
+            for v in itertools.product(*(range(n) for n in sys.noise_sizes)):
+                probs = (float(sys.disturbance_probs[t, w]),) + tuple(
+                    float(sys.noise_probs[j][t + 1, v[j]]) for j in range(sys.agent_count)
+                )
+                if 0.0 not in probs:
+                    self.paths.append((w, v))
+                    factors.append(probs)
+        self.factors = np.array(factors).reshape(len(factors), sys.agent_count + 1).T
+        self.entries: dict = {}  # s * joint-control count + uj -> entry
+        self._rows: list = []  # per entry and path: (new-info index, next-support index)
+        self._table = np.zeros((0, len(self.paths), 2), dtype=np.int64)
+        self._z: dict = {}  # new-information index -> realization
 
-    def _fill(self, s: int, uj: int) -> list:
-        values = index_realization(self.sizes, s)
-        controls = index_realization(self.instance.system.control_sizes, uj)
-        entry = []
-        for w, pw, v, factors in self.noise_paths:
-            s_next, z = _trace_step(self.instance, self.k, self.t, values, controls, w, v)
-            entry.append((pw, factors, z, realization_index(self.next_sizes, s_next)))
-        self.entries[(s, uj)] = entry
-        return entry
+    def _entry(self, code: int) -> int:
+        if code not in self.entries:  # first use: trace every path
+            s, uj = divmod(code, self.instance.system.joint_control_count)
+            values = index_realization(self.sizes, s)
+            controls = index_realization(self.instance.system.control_sizes, uj)
+            row = []
+            for w, v in self.paths:
+                s_next, z = _trace_step(self.instance, self.k, self.t, values, controls, w, v)
+                self._z[z_index := realization_index(self.new_sizes, z)] = z
+                row.append((z_index, realization_index(self.next_sizes, s_next)))
+            self.entries[code] = len(self._rows)
+            self._rows.append(row)
+        return self.entries[code]
 
-    def step(self, pi: InformationState, controls) -> dict:
-        """`belief_step` of pi given the joint-control index at each of its
-        positive-mass support indices, in index order.
+    def step(self, probs, controls) -> StepBatch:
+        """`belief_step` of each row of a stack of agent k's stage-t beliefs.
 
-        Each probability is the product of the support point's mass, the
-        disturbance probability and the noise probabilities, in that order,
-        and each new-information vector sums its terms in (support, w, v)
-        order, as the one-point-at-a-time filter does.
+        `probs` stacks the beliefs, one per row; `controls[r, s]` is the
+        joint-control index row r applies at support index s, or -1 where
+        the row has no mass. Every (row, support index, noise pair) adds the
+        product of the row's mass, the disturbance probability and the noise
+        probabilities, in that order, to its posterior's next-support entry,
+        in (support, w, v) order as the one-point-at-a-time filter does;
+        terms that are exactly zero are skipped. Each posterior is divided by
+        its row's sum, and realizations of mass at most `ZERO_TOL` dropped.
         """
-        acc: dict[tuple, list] = {}
-        support = np.flatnonzero(pi.probs > 0.0)
-        for s, ps, uj in zip(support.tolist(), pi.probs[support].tolist(), controls):
-            entry = self.entries.get((s, uj))
-            if entry is None:
-                entry = self._fill(s, uj)
-            for pw, factors, z, idx in entry:
-                p = ps * pw
-                for f in factors:
-                    p *= f
-                if p == 0.0:
-                    continue
-                vec = acc.get(z)
-                if vec is None:
-                    vec = acc[z] = [0.0] * self.next_total
-                vec[idx] += p
-        out = {}
-        for z in sorted(acc):
-            vec = np.array(acc[z])
-            mass = float(vec.sum())
-            if mass <= ZERO_TOL:
-                continue
-            out[z] = (
-                mass,
-                InformationState(
-                    agent=self.k, time=self.t + 1, support=self.next_support, probs=vec / mass
-                ),
+        rows, s = np.nonzero(controls >= 0)
+        codes = s * self.instance.system.joint_control_count + controls[rows, s]
+        entry = [self._entry(code) for code in codes.tolist()]
+        if len(self._rows) > len(self._table):
+            self._table = np.array(self._rows, dtype=np.int64).reshape(-1, len(self.paths), 2)
+        table = self._table[entry]
+        z_index, s_next = table[:, :, 0], table[:, :, 1]  # per (pair, path)
+        p = probs[rows, s][:, None] * self.factors[0]
+        for f in self.factors[1:]:
+            p = p * f
+        live = p != 0.0
+        new_count = realization_count(self.new_sizes)
+        group, g = np.unique((rows[:, None] * new_count + z_index)[live], return_inverse=True)
+        acc = np.bincount(
+            g * self.next_total + s_next[live],
+            weights=p[live],
+            minlength=len(group) * self.next_total,
+        ).reshape(len(group), self.next_total)
+        mass = acc.sum(axis=1)
+        keep = mass > ZERO_TOL
+        group, acc, mass = group[keep], acc[keep], mass[keep]
+        row, z_index = np.divmod(group, new_count)
+        return StepBatch(
+            start=np.searchsorted(row, np.arange(len(probs) + 1)).tolist(),
+            z=[self._z[z] for z in z_index.tolist()],
+            mass=mass.tolist(),
+            probs=acc / mass[:, None],
+        )
+
+    def branches(self, batch: StepBatch, r: int) -> dict:
+        """Row r of a step batch as `belief_step` returns it, each posterior on
+        its own copy of its row."""
+        return {
+            batch.z[g]: (
+                batch.mass[g],
+                InformationState(self.k, self.t + 1, self.next_support, batch.probs[g].copy()),
             )
-        return out
+            for g in range(batch.start[r], batch.start[r + 1])
+        }
 
 
 def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> dict:
@@ -338,15 +375,12 @@ def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> 
     """
     kernel = StepKernel(instance, pi.agent, pi.time)
     _check_theta(instance, pi.agent, pi.time, theta)
-    support = instance.info.equivalent_state(pi.time, pi.agent)
-    sizes = _support_sizes(instance, pi.support)
-    controls = [
-        instance.joint_control_index(
-            _controls_from_state(instance, theta, support, index_realization(sizes, s)[1:])
-        )
-        for s in np.flatnonzero(pi.probs > 0.0).tolist()
-    ]
-    return kernel.step(pi, controls)
+    score = CandidateScorer(instance, pi.agent, pi.time, [np.array([p.table]) for p in theta.parts])
+    probs = pi.probs[None]
+    support = np.nonzero(probs > 0.0)
+    controls = np.full(probs.shape, -1, dtype=np.int64)
+    controls[support] = score.controls(pi.agent, support)[:, 0]
+    return kernel.branches(kernel.step(probs, controls), 0)
 
 
 def update_information_state(instance, pi, theta, z) -> InformationState:
@@ -364,25 +398,29 @@ def expected_stage_cost(instance, pi: InformationState, theta) -> float:
     """Belief-weighted stage cost."""
     _check_theta(instance, pi.agent, pi.time, theta)
     tables = [np.array([part.table]) for part in theta.parts]
-    return float(CandidateScorer(instance, pi.agent, pi.time, tables)(pi)[0])
+    return float(CandidateScorer(instance, pi.agent, pi.time, tables)(pi.probs[None])[0, 0])
 
 
 class CandidateScorer:
     """Belief-weighted stage costs of many of agent k's stage-t complete
-    prescriptions at once.
+    prescriptions at once, under a stack of beliefs.
 
-    A candidate takes one table per head target 1..h and the same tail
-    prescriptions for targets h+1..K. `head_tables[m - 1]` stacks target m's
-    candidate tables as an int array of shape (tables, domain rows); the
-    candidates are the product of the stacks, first target slowest, the order
-    of `itertools.product`. Each call loops over the positive-mass support
-    indices in index order and adds every candidate's `p * cost` to a vector
-    over the candidates, so each candidate's sum has the float operations of
-    a one-candidate scan, and memory stays proportional to the candidates.
+    A candidate takes one table per head target 1..h and, per belief, the
+    same tail prescriptions for targets h+1..K. `head_tables[m - 1]` stacks
+    target m's candidate tables as an int array of shape (tables, domain
+    rows); the candidates are the product of the stacks, first target
+    slowest, the order of `itertools.product`. A tail argument stacks, per
+    tail target, one table per belief as an int array of shape (beliefs,
+    domain rows).
+
+    Beliefs are read at their positive-mass (row, support index) pairs, as
+    `np.nonzero` lists them. Each belief's candidate costs add `p * cost`
+    over its support indices in ascending order, so each sum has the float
+    operations of a one-candidate scan of that belief alone.
     """
 
     def __init__(self, instance, k, t, head_tables):
-        self.instance, self.t = instance, t
+        self.instance, self.k, self.t = instance, k, t
         self.domains = [
             instance.info.prescription_domain(t, k, target)
             for target in range(1, instance.agent_count + 1)
@@ -394,53 +432,67 @@ class CandidateScorer:
         for m in range(len(strides) - 2, -1, -1):
             strides[m] = strides[m + 1] * control_sizes[m + 1]
 
-        heads = len(head_tables)
         self.cost = instance.system.cost[t]
-        self.x = x.tolist()
+        self.x = x
         self.shape = tuple(len(tables) for tables in head_tables)
-        self.head_rows = [row.tolist() for row in rows[:heads]]
+        self.candidates = realization_count(self.shape)
         # per head target, row r holds every table's weighted control at r,
         # laid out along that target's axis of the candidate grid
         self.head_controls = []
         for m, (tables, weight) in enumerate(zip(head_tables, strides)):
             axis = tuple(n if a == m else 1 for a, n in enumerate(self.shape))
             self.head_controls.append((tables.T * weight).reshape((-1,) + axis))
-        self.tail_rows = rows[heads:]
-        self.tail_strides = strides[heads:]
+        self.tail_strides = strides[len(head_tables) :]
 
-    def __call__(self, pi: InformationState, tails=()) -> np.ndarray:
-        """Stage cost of every candidate under belief pi, as one flat vector."""
-        support = np.flatnonzero(pi.probs > 0.0)
-        offset = np.zeros(len(support), dtype=np.int64)
-        for part, rows, stride in zip(tails, self.tail_rows, self.tail_strides):
-            offset += stride * np.asarray(part.table)[rows[support]]
-        total = np.zeros(self.shape)
-        for s, base in zip(support.tolist(), offset.tolist()):
-            uj = base
-            for controls, rows in zip(self.head_controls, self.head_rows):
-                uj = uj + controls[rows[s]]
-            total += float(pi.probs[s]) * self.cost[self.x[s]][uj]
-        return total.ravel()
+    def __call__(self, probs, tails=(), support=None) -> np.ndarray:
+        """Stage cost of every candidate under each belief of the stack `probs`,
+        one row per belief. `support` is the stack's positive-mass pairs.
 
-    def controls(self, pi: InformationState, tails=()) -> list:
-        """Every candidate's joint-control indices at the positive-mass support
-        indices of pi, one tuple per candidate in candidate order.
-
-        pi may be the stage-t belief of any agent i >= k: agent i's state
-        holds every coordinate of agent k's prescription domains, so each
-        candidate acts on it as its projection onto agent i's domains would.
+        Pairs are scored in blocks of at most `SCORE_BLOCK` (pair, candidate)
+        costs, which bounds the memory a call takes whatever the stack's size.
         """
-        i = pi.agent
-        if i not in self.rows_at:
-            self.rows_at[i] = _support_rows(self.instance, i, self.t, self.domains)[1]
-        rows = self.rows_at[i]
-        support = np.flatnonzero(pi.probs > 0.0)
-        grid = np.zeros((len(support),) + (1,) * len(self.shape), dtype=np.int64)
-        for part, row, stride in zip(tails, rows[len(self.shape) :], self.tail_strides):
-            grid += (stride * np.asarray(part.table)[row[support]]).reshape(grid.shape)
-        for controls, row in zip(self.head_controls, rows):
-            grid = grid + controls[row[support]]
-        return list(map(tuple, grid.reshape(len(support), -1).T.tolist()))
+        if support is None:
+            support = np.nonzero(probs > 0.0)
+        rows, s = support
+        total = np.zeros((len(probs), self.candidates))
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place in its row's support
+        block = max(1, SCORE_BLOCK // self.candidates)
+        for lo in range(0, len(rows), block):
+            pairs = rows[lo : lo + block], s[lo : lo + block]
+            # flat indices into the (state, joint control) cost table
+            flat = self._controls(self.k, pairs, tails, self.x[pairs[1]] * self.cost.shape[1])
+            terms = probs[pairs][:, None] * np.take(self.cost, flat)
+            ranks = rank[lo : lo + block]
+            for r in range(ranks.min(), ranks.max() + 1):  # each row's terms in support order
+                at = ranks == r
+                total[pairs[0][at]] += terms[at]
+        return total
+
+    def controls(self, agent, support, tails=()) -> np.ndarray:
+        """Every candidate's joint-control index at each positive-mass pair of a
+        stack of agent `agent`'s stage-t beliefs, one row per pair, candidates
+        in candidate order.
+
+        The agent may be any i >= k: agent i's state holds every coordinate of
+        agent k's prescription domains, so each candidate acts on it as its
+        projection onto agent i's domains would.
+        """
+        return self._controls(agent, support, tails)
+
+    def _controls(self, agent, support, tails, base=0):
+        """`controls`, each plus `base`, one entry per pair or a scalar."""
+        if agent not in self.rows_at:
+            self.rows_at[agent] = _support_rows(self.instance, agent, self.t, self.domains)[1]
+        domain_rows = self.rows_at[agent]
+        rows, s = support
+        grid = np.zeros((len(s),) + (1,) * len(self.shape), dtype=np.int64)
+        grid += np.reshape(base, (-1,) + grid.shape[1:])
+        heads = len(self.shape)
+        for tables, row, stride in zip(tails, domain_rows[heads:], self.tail_strides):
+            grid += (stride * tables[rows, row[s]]).reshape(grid.shape)
+        for controls, row in zip(self.head_controls, domain_rows):
+            grid = grid + controls[row[s]]
+        return grid.reshape(len(s), -1)
 
 
 def _support_rows(instance, k, t, domains):

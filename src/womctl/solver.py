@@ -28,6 +28,7 @@ from .belief import (
     accessible_support,
     belief_tuple_key,
     check_domains,
+    probs_key,
     initial_information_state,
     initial_state_at,
 )
@@ -258,7 +259,7 @@ class _Chain:
 
     Per agent pass it also counts the belief steps computed, the candidate
     steps served by an identical step of the same node, and the step-kernel
-    entries filled.
+    entries filled, and keeps the number of nodes at each stage.
     """
 
     def __init__(self):
@@ -268,6 +269,7 @@ class _Chain:
         self.steps: dict[int, int] = {}
         self.shared: dict[int, int] = {}
         self.entries: dict[int, int] = {}
+        self.widths: dict[int, tuple] = {}
         self.seconds: dict[int, float] = {}
 
 
@@ -305,20 +307,19 @@ def _head_spaces(instance: Instance, j: int, caps: Caps):
     }
 
 
-def _tail_parts(instance: Instance, chain: _Chain, j: int, t: int, pis) -> list:
-    """Inherited prescriptions for targets above j at the current belief tuple."""
+def _tail_parts(instance: Instance, chain: _Chain, j: int, t: int, key) -> tuple:
+    """Inherited prescriptions for targets above j at the belief tuple with key `key`."""
     parts = []
     for m in range(j + 1, instance.agent_count + 1):
-        key = (t, belief_tuple_key(pis[m - j :]))
         try:
-            diag = chain.decisions[m][key].theta.parts[m - 1]
+            diag = chain.decisions[m][(t, key[m - j :])].theta.parts[m - 1]
         except KeyError:
             raise WomError(
                 f"missing inherited decision for agent {m} at t={t}; "
                 "the belief tuple was never reached in that agent's pass"
             ) from None
         parts.append(dataclasses.replace(diag, owner=j))
-    return parts
+    return tuple(parts)
 
 
 def _advance_branch(instance, j, t, amap, z, pi_next, tail_steps):
@@ -350,101 +351,229 @@ def _roots(instance: Instance, j: int):
         yield pa, dict(zip(acc0, a_real)), pis
 
 
+class _Stage:
+    """One stage of an agent pass: its nodes, belief tuples of agents j..K,
+    in order of first discovery, each with the accessible map it was first
+    reached with. `probs[a]` stacks agent j + a's beliefs, a row per node;
+    `kids[n]` lists the next-stage nodes node n reached first."""
+
+    def __init__(self):
+        self.keys, self.amaps, self.kids, self.probs = [], [], [], []
+        self.index: dict = {}  # key -> node
+
+    def node(self, key, amap, caps: Caps, before: int) -> tuple[int, bool]:
+        """The node with this key, and whether it is new; `before` counts the
+        pass's nodes at earlier stages."""
+        if key in self.index:
+            return self.index[key], False
+        if before + len(self.keys) >= caps.branches:
+            raise CapExceeded(caps.branches + 1, caps.branches, "reachable belief branches")
+        self.index[key] = len(self.keys)
+        self.keys.append(key)
+        self.amaps.append(amap)
+        self.kids.append([])
+        return len(self.keys) - 1, True
+
+    def forget(self):
+        """Drop what only the forward sweep reads; keys and kids stay."""
+        self.amaps = self.probs = self.index = None
+
+
+def _unique_rows(a, **kwargs):
+    """`np.unique` of the rows of a 2-D int array, compared as raw bytes."""
+    a = np.ascontiguousarray(a)
+    rows = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    found, *extras = np.unique(rows, **kwargs)
+    return (found.view(a.dtype).reshape(-1, a.shape[1]), *extras)
+
+
+def _distinct_rows(probs, support, controls):
+    """Per (node, candidate), the index of its distinct control vector on the
+    node's positive-mass `support`, where `controls` holds every candidate's
+    joint-control index at each pair; and those rows as `StepKernel.step`
+    reads them."""
+    rows, s = support
+    nodes, candidates = len(probs), controls.shape[1]
+    first = np.searchsorted(rows, np.arange(nodes))
+    rank = np.arange(len(rows)) - first[rows]
+    grid = np.full((nodes, candidates, int(rank.max()) + 1), -1, dtype=np.int64)
+    grid[rows, :, rank] = controls
+    node_of = np.repeat(np.arange(nodes), candidates)[:, None]
+    keyed = np.hstack([node_of, grid.reshape(len(node_of), -1)])
+    distinct, row_of = _unique_rows(keyed, return_inverse=True)
+    node = distinct[:, 0]
+    step_controls = np.full((len(distinct), probs.shape[1]), -1, dtype=np.int64)
+    r, k = np.nonzero(distinct[:, 1:] >= 0)
+    step_controls[r, s[first[node[r]] + k]] = distinct[r, 1 + k]
+    return row_of.reshape(nodes, candidates), probs[node], step_controls
+
+
+def _expand(instance, j, t, stage, batches, row_of, caps, before):
+    """Stage t + 1 of agent j's pass from agent j + a's steps `batches[a]`,
+    and every (node, candidate)'s branches.
+
+    `row_of[a]` gives each (node, candidate)'s step row. Branches are
+    followed per distinct combination of rows, in order of the first (node,
+    candidate) with it, and then in new-information order: new nodes come in
+    depth-first first-visit order. Returns the new stage, and per (node,
+    candidate, branch) its probability and node, padded with 0 and -1.
+    """
+    nodes, candidates = row_of[0].shape
+    combos, first, combo_of = _unique_rows(
+        np.stack([rows.ravel() for rows in row_of], axis=1), return_index=True, return_inverse=True
+    )
+    keys = [{} for _ in batches]  # per agent, group -> belief key
+
+    def key_of(a, g):
+        if g not in keys[a]:
+            keys[a][g] = probs_key(batches[a].probs[g].tolist())
+        return keys[a][g]
+
+    new_info = [instance.info.new_info(t + 1, i) for i in range(j, instance.agent_count + 1)]
+    owner, child, sources = batches[0], _Stage(), []
+    pz = np.zeros((len(combos), max(np.diff(owner.start))))
+    kid = np.full(pz.shape, -1, dtype=np.int64)
+    for u in np.argsort(first, kind="stable").tolist():
+        n, rows = int(first[u]) // candidates, combos[u].tolist()
+        tails = [
+            {batch.z[g]: g for g in range(batch.start[r], batch.start[r + 1])}
+            for batch, r in zip(batches[1:], rows[1:])
+        ]
+        for b, g in enumerate(range(owner.start[rows[0]], owner.start[rows[0] + 1])):
+            amap = dict(stage.amaps[n])
+            amap.update(zip(new_info[0], owner.z[g]))
+            groups = [g]
+            for a, at in enumerate(tails, start=1):
+                z_a = tuple(amap[var] for var in new_info[a])
+                if z_a not in at:
+                    raise WomError(
+                        f"agent {j + a} new information {z_a} impossible on a positive branch"
+                    )
+                groups.append(at[z_a])
+            c, new = child.node(tuple(map(key_of, range(len(groups)), groups)), amap, caps, before)
+            if new:
+                stage.kids[n].append(c)
+                sources.append(groups)
+            pz[u, b], kid[u, b] = owner.mass[g], c
+    child.probs = [batch.probs[list(groups)] for batch, groups in zip(batches, zip(*sources))]
+    combo_of = combo_of.reshape(nodes, candidates)
+    return child, pz[combo_of], kid[combo_of]
+
+
 def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float:
-    """Backward recursion over agent j's reachable accessible-history tree.
+    """Backward induction over agent j's reachable accessible-history tree,
+    one stage at a time.
 
     Components for targets above j are fixed functions of the targets' belief
     tuples, inherited from their own passes; components up to j are chosen per
-    reachable belief tuple. A node scores the stage costs of all its joint
-    head candidates in one `CandidateScorer` call; the first minimizer in
-    `itertools.product` order wins. Below the horizon, each candidate steps
-    the belief of every agent j..K through that agent's `StepKernel`, with
-    the controls the scorer reads off the agent's support; candidates that
-    act alike on an agent's positive-mass support share its step.
+    reachable belief tuple. A forward sweep registers each stage's nodes, and
+    a backward sweep from stage T then values and decides them.
+
+    Each stage scores every node's joint head candidates in one
+    `CandidateScorer` call. Below the horizon, every candidate steps the
+    belief of every agent j..K through one `StepKernel` call per agent, with
+    the controls the scorer reads off that agent's support; candidates of a
+    node that act alike on an agent's positive-mass support share its step.
+    Every candidate's branches are followed, so that lower agents can inherit
+    decisions at any tuple their own candidate profiles reach.
+
+    A node's value adds to a candidate's stage cost the probability times the
+    value of each branch in new-information order, and the first minimizer in
+    `itertools.product` order wins: the values and decisions of a depth-first
+    recursion, whose completion order the decisions are listed in.
     """
     started = time.perf_counter()
     T, K = instance.horizon, instance.agent_count
     spaces = _head_spaces(instance, j, caps)
-    scorers: dict = {}  # per stage, built on the first visit
-    kernels: dict = {}  # per (stage, agent), built on the first step
-    memo: dict = {}
-    decisions: dict = {}
-    examined = nodes = computed = shared = 0
-
-    def scorer(t):
-        if t not in scorers:
-            tables = [np.array([p.table for p in heads]) for heads in spaces[t]]
-            scorers[t] = CandidateScorer(instance, j, t, tables)
-        return scorers[t]
-
-    def step(t, pi, controls, done):
-        nonlocal computed, shared
-        if controls in done:
-            shared += 1
-            return done[controls]
-        if (t, pi.agent) not in kernels:
-            kernels[(t, pi.agent)] = StepKernel(instance, pi.agent, t)
-        computed += 1
-        done[controls] = kernels[(t, pi.agent)].step(pi, controls)
-        return done[controls]
-
-    def visit(t, amap, pis):
-        nonlocal examined, nodes
-        key = (t, belief_tuple_key(pis))
-        if key in memo:
-            return memo[key]
-        nodes += 1
-        if nodes > caps.branches:
-            raise CapExceeded(nodes, caps.branches, "reachable belief branches")
-        tails = tuple(_tail_parts(instance, chain, j, t, pis))
-        check_domains(instance, j, t, tails, first_target=j + 1)
-        score = scorer(t)
-        stage = score(pis[0], tails)
-        examined += len(stage)
-        if t == T:
-            best = int(stage.argmin())
-            best_val = float(stage[best])
-            index = np.unravel_index(best, score.shape)
-            heads = tuple(space[int(i)] for space, i in zip(spaces[t], index))
-            best_decision = _Decision(CompletePrescription(j, t, heads + tails), {}, {})
-        else:
-            controls = [score.controls(pi, tails) for pi in pis]
-            done = [{} for _ in pis]  # per agent, the node's steps by control tuple
-            best_val, best_decision = math.inf, None
-            candidates = itertools.product(*spaces[t])
-            for c, (val, heads) in enumerate(zip(stage.tolist(), candidates)):
-                steps, *tail = [
-                    step(t, pi, ctrl[c], seen) for pi, ctrl, seen in zip(pis, controls, done)
-                ]
-                tail_steps = dict(zip(range(j + 1, K + 1), tail))
-                # every child is visited so lower agents can inherit decisions
-                # at any tuple their own candidate profiles can reach
-                for z, (pz, pi_next) in steps.items():
-                    amap_child, pis_child = _advance_branch(
-                        instance, j, t, amap, z, pi_next, tail_steps
-                    )
-                    val += pz * visit(t + 1, amap_child, pis_child)
-                if val < best_val:
-                    theta = CompletePrescription(owner=j, time=t, parts=heads + tails)
-                    best_val, best_decision = val, _Decision(theta, steps, tail_steps)
-        memo[key] = best_val
-        decisions[key] = best_decision
-        return best_val
-
-    total = 0.0
+    examined = computed = shared = entries = 0
+    stage, roots = _Stage(), []  # per root, its mass and node
     for pa, amap, pis in _roots(instance, j):
-        total += pa * visit(0, amap, pis)
+        n, new = stage.node(belief_tuple_key(pis), amap, caps, 0)
+        if new:
+            stage.probs.append([pi.probs for pi in pis])
+        roots.append((pa, n))
+    stage.probs = [np.array(rows) for rows in zip(*stage.probs)]  # per agent, a row per node
+    stages, work = [], []  # per stage, its nodes and what its backward step reads
+    for t in range(T + 1):
+        stages.append(stage)
+        tails = [_tail_parts(instance, chain, j, t, key) for key in stage.keys]
+        for parts in tails:
+            check_domains(instance, j, t, parts, first_target=j + 1)
+        tail_tables = [np.array([parts[m].table for parts in tails]) for m in range(K - j)]
+        head_tables = [np.array([p.table for p in space]) for space in spaces[t]]
+        score = CandidateScorer(instance, j, t, head_tables)
+        support = [np.nonzero(probs > 0.0) for probs in stage.probs]
+        cost = score(stage.probs[0], tail_tables, support[0])
+        examined += cost.size
+        work.append((cost, tails, None))
+        if t == T:
+            break
+        kernels, batches, row_of = [], [], []
+        for i, probs, pairs in zip(range(j, K + 1), stage.probs, support):
+            controls = score.controls(i, pairs, tail_tables)
+            rows, step_probs, step_controls = _distinct_rows(probs, pairs, controls)
+            kernels.append(StepKernel(instance, i, t))
+            batches.append(kernels[-1].step(step_probs, step_controls))
+            row_of.append(rows)
+            computed += len(step_probs)
+            shared += rows.size - len(step_probs)
+            entries += len(kernels[-1].entries)
+        before = sum(len(done.keys) for done in stages)
+        stage, pz, kid = _expand(instance, j, t, stage, batches, row_of, caps, before)
+        work[t] = (cost, tails, (pz, kid, kernels, batches, row_of))
+        stages[t].forget()
+
+    stages[-1].forget()
+    decided = []  # per stage from the last, its nodes' values and decisions
+    for t in range(len(stages) - 1, -1, -1):
+        (cost, tails, steps), work[t] = work[t], None  # the scratch goes with its stage
+        if steps:
+            pz, kid, kernels, batches, row_of = steps
+            later = np.append(decided[-1][0], 0.0)  # padding reads the trailing zero
+            for b in range(pz.shape[2]):
+                cost += pz[:, :, b] * later[kid[:, :, b]]
+        best = cost.argmin(axis=1)
+        heads_at = np.unravel_index(best, tuple(map(len, spaces[t])))
+        made = []
+        for n, c in enumerate(best.tolist()):
+            heads = tuple(space[i[n]] for space, i in zip(spaces[t], heads_at))
+            theta = CompletePrescription(owner=j, time=t, parts=heads + tails[n])
+            if not steps:
+                made.append(_Decision(theta, {}, {}))
+                continue
+            own, *tail = [
+                kernel.branches(batch, rows[n, c])
+                for kernel, batch, rows in zip(kernels, batches, row_of)
+            ]
+            made.append(_Decision(theta, own, dict(zip(range(j + 1, K + 1), tail))))
+        decided.append((cost[np.arange(len(best)), best], made))
+    decided.reverse()
+
+    decisions = {}  # in the order a depth-first recursion completes the nodes
+    pending = [(0, n, False) for n in reversed(range(len(stages[0].keys)))]
+    while pending:
+        t, n, done = pending.pop()
+        if done:
+            decisions[(t, stages[t].keys[n])] = decided[t][1][n]
+        else:
+            pending.append((t, n, True))
+            pending.extend((t + 1, c, False) for c in reversed(stages[t].kids[n]))
+    total = 0.0
+    for pa, n in roots:
+        total += pa * float(decided[0][0][n])
     chain.decisions[j] = decisions
     chain.values[j] = total
     chain.examined[j] = examined
     chain.steps[j] = computed
     chain.shared[j] = shared
-    chain.entries[j] = sum(len(kernel.entries) for kernel in kernels.values())
+    chain.entries[j] = entries
+    chain.widths[j] = tuple(len(done.keys) for done in stages)
     chain.seconds[j] = time.perf_counter() - started
     log.debug(
-        "agent %d pass: %d nodes, %d candidates, %d steps (%d shared), "
+        "agent %d pass: %d nodes %s per stage, %d candidates, %d steps (%d shared), "
         "%d kernel entries, %.3f s",
-        j, nodes, examined, computed, shared, chain.entries[j], chain.seconds[j],
+        j, sum(chain.widths[j]), list(chain.widths[j]), examined, computed, shared,
+        entries, chain.seconds[j],
     )
     return total
 
@@ -466,17 +595,20 @@ def _emit_strategy(instance: Instance, k: int, chain: _Chain):
             defaults[(t, m)] = make_prescription(instance, t, k, m, (0,) * entries)
     belief_rows = []
     decided = chain.decisions[k]
+    labels = [
+        [(v.label(), v) for v in instance.info.accessible(t, k)]
+        for t in range(instance.horizon + 1)
+    ]
 
     def record(t, amap, pis):
         decision = decided[(t, belief_tuple_key(pis))]
-        acc_k = instance.info.accessible(t, k)
         for m, part in enumerate(decision.theta.parts, start=1):
             cond = instance.info.conditioning_schema(t, k, m)
             laws[(t, m)][tuple(amap[v] for v in cond)] = part
         belief_rows.append(
             {
                 "t": t,
-                "accessible": {v.label(): amap[v] for v in acc_k},
+                "accessible": {label: amap[v] for label, v in labels[t]},
                 "beliefs": {
                     f"agent_{pi.agent}": [float(p) for p in pi.probs] for pi in pis
                 },
@@ -579,12 +711,12 @@ def _static_result(instance: Instance, res: SolveResult, caps: Caps) -> SolveRes
         sizes = instance.schema_sizes(instance.info.prescription_domain(0, k, m))
         csize = instance.system.control_sizes[m - 1]
         tables.append(np.array(list(enumerate_prescription_tables(sizes, csize, caps.tables))))
-    score = CandidateScorer(instance, k, 0, tables)
     beliefs = initial_information_state(instance, k)
-    relaxed_value = math.fsum(
-        mass * float(score(beliefs[a_real]).min())
-        for a_real, mass in accessible_support(instance, k).items()
-    )
+    masses = accessible_support(instance, k)
+    least = CandidateScorer(instance, k, 0, tables)(
+        np.array([beliefs[a_real].probs for a_real in masses])
+    ).min(axis=1)
+    relaxed_value = math.fsum(mass * m for mass, m in zip(masses.values(), least.tolist()))
     extras = dict(res.extras)
     extras["relaxed_value"] = relaxed_value
     extras["relaxed_gap"] = abs(relaxed_value - res.optimal_cost)

@@ -354,3 +354,70 @@ def relay_dict() -> dict:
             "cost": [[[0.5], [1.5]], [[1.0], [0.25]]],
         },
     }
+
+
+def random_topology_instance(seed: int) -> Instance:
+    """A random word-of-mouth network within the brute-force cap.
+
+    Two or three agents on a strongly connected link set: a directed cycle
+    through the agents in random order, plus each other ordered pair with
+    probability 1/2, every link with delay 1 or 2. Each agent's observation
+    is noise-free or flipped by its own noise, and controls have one or two
+    values. The horizon is 1 or 2, or 0 for one seed in five. While brute
+    force would count more than 2**24 strategies, agents are made passive
+    (one control value) from the last, keeping one active, and then the
+    horizon is shortened.
+    """
+    from womctl.prescription import count_strategies
+
+    rng = random.Random(7331 + seed)
+    agents = rng.choice([2, 3])
+    order = rng.sample(range(1, agents + 1), agents)
+    pairs = {(order[i - 1], order[i]) for i in range(agents)}
+    pairs |= {
+        (f, t)
+        for f in range(1, agents + 1)
+        for t in range(1, agents + 1)
+        if f != t and rng.random() < 0.5
+    }
+    links = [{"from": f, "to": t, "delay": rng.choice([1, 2])} for f, t in sorted(pairs)]
+    active = [rng.random() < 0.6 for _ in range(agents)]
+    active[rng.randrange(agents)] = True
+    noisy = [rng.random() < 0.5 for _ in range(agents)]
+    noises = [
+        {"size": 2, "probs_per_t": _norm(rng, 2)} if n else {"size": 1, "probs_per_t": [1.0]}
+        for n in noisy
+    ]
+    tables = [[[x, 1 - x] if n else [x] for x in range(2)] for n in noisy]
+    initial = _norm(rng, 2)
+    disturbance = {"size": 2, "probs_per_t": _norm(rng, 2)}
+    tstream = random.Random(rng.random())  # transitions and costs, drawn per joint-control size
+    horizon = rng.choice([0, 1, 1, 2, 2])
+
+    def build(horizon, control_sizes):
+        nu = realization_count(control_sizes)
+        system = {
+            "horizon": horizon,
+            "state_size": 2,
+            "control_sizes": control_sizes,
+            "observation_sizes": [2] * agents,
+            "noises": noises,
+            "initial_probs": initial,
+            "observation": [[table] * (horizon + 1) for table in tables],
+            "cost": [_rand_cost(tstream, 2, nu) for _ in range(horizon + 1)],
+        }
+        if horizon:
+            system.update(
+                disturbance=disturbance,
+                transition=[_rand_transition(tstream, 2, nu, 2) for _ in range(horizon)],
+            )
+        return instance_from_dict({"network": {"agents": agents, "links": links}, "system": system})
+
+    while True:
+        inst = build(horizon, [2 if a else 1 for a in active])
+        if count_strategies(inst, "brute") <= 2**24:
+            return inst
+        if sum(active) > 1:
+            active[max(k for k, a in enumerate(active) if a)] = False
+        else:
+            horizon -= 1

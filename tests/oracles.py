@@ -583,3 +583,119 @@ def relaxed_reference(instance, k):
             best = min(best, total)
         minima.append(best)
     return math.fsum(minima)
+
+
+def solve_agent_reference(instance, j, chain, caps):
+    """Agent j's pass as a depth-first recursion, one node at a time.
+
+    This is the search `solver._solve_agent` ran before it went stage by
+    stage, with its scorer and kernel calls made on one-row stacks. It fills
+    the same `_Chain` fields, decisions in the order the recursion completes
+    them and node counts per stage, and returns the same value.
+    """
+    import time
+
+    import numpy as np
+
+    from womctl.belief import CandidateScorer, StepKernel, belief_tuple_key, check_domains
+    from womctl.errors import CapExceeded
+    from womctl.prescription import CompletePrescription
+    from womctl.solver import (
+        _advance_branch,
+        _Decision,
+        _head_spaces,
+        _roots,
+        _tail_parts,
+    )
+
+    started = time.perf_counter()
+    T, K = instance.horizon, instance.agent_count
+    spaces = _head_spaces(instance, j, caps)
+    scorers: dict = {}  # per stage, built on the first visit
+    kernels: dict = {}  # per (stage, agent), built on the first step
+    memo: dict = {}
+    decisions: dict = {}
+    widths = [0] * (T + 1)
+    examined = nodes = computed = shared = 0
+
+    def scorer(t):
+        if t not in scorers:
+            tables = [np.array([p.table for p in heads]) for heads in spaces[t]]
+            scorers[t] = CandidateScorer(instance, j, t, tables)
+        return scorers[t]
+
+    def step(t, pi, controls, done):
+        nonlocal computed, shared
+        if controls in done:
+            shared += 1
+            return done[controls]
+        if (t, pi.agent) not in kernels:
+            kernels[(t, pi.agent)] = StepKernel(instance, pi.agent, t)
+        computed += 1
+        kernel = kernels[(t, pi.agent)]
+        row = np.full((1, len(pi.probs)), -1, dtype=np.int64)
+        row[0, np.flatnonzero(pi.probs > 0.0)] = controls
+        done[controls] = kernel.branches(kernel.step(pi.probs[None], row), 0)
+        return done[controls]
+
+    def visit(t, amap, pis):
+        nonlocal examined, nodes
+        key = (t, belief_tuple_key(pis))
+        if key in memo:
+            return memo[key]
+        nodes += 1
+        widths[t] += 1
+        if nodes > caps.branches:
+            raise CapExceeded(nodes, caps.branches, "reachable belief branches")
+        tails = _tail_parts(instance, chain, j, t, key[1])
+        check_domains(instance, j, t, tails, first_target=j + 1)
+        tail_tables = [np.array([part.table]) for part in tails]
+        score = scorer(t)
+        stage = score(pis[0].probs[None], tail_tables)[0]
+        examined += len(stage)
+        if t == T:
+            best = int(stage.argmin())
+            best_val = float(stage[best])
+            index = np.unravel_index(best, score.shape)
+            heads = tuple(space[int(i)] for space, i in zip(spaces[t], index))
+            best_decision = _Decision(CompletePrescription(j, t, heads + tails), {}, {})
+        else:
+            controls = []
+            for pi in pis:
+                support = np.nonzero(pi.probs[None] > 0.0)
+                at = score.controls(pi.agent, support, tail_tables)
+                controls.append(list(map(tuple, at.T.tolist())))
+            done = [{} for _ in pis]  # per agent, the node's steps by control tuple
+            best_val, best_decision = math.inf, None
+            candidates = itertools.product(*spaces[t])
+            for c, (val, heads) in enumerate(zip(stage.tolist(), candidates)):
+                steps, *tail = [
+                    step(t, pi, ctrl[c], seen) for pi, ctrl, seen in zip(pis, controls, done)
+                ]
+                tail_steps = dict(zip(range(j + 1, K + 1), tail))
+                # every child is visited so lower agents can inherit decisions
+                # at any tuple their own candidate profiles can reach
+                for z, (pz, pi_next) in steps.items():
+                    amap_child, pis_child = _advance_branch(
+                        instance, j, t, amap, z, pi_next, tail_steps
+                    )
+                    val += pz * visit(t + 1, amap_child, pis_child)
+                if val < best_val:
+                    theta = CompletePrescription(owner=j, time=t, parts=heads + tails)
+                    best_val, best_decision = val, _Decision(theta, steps, tail_steps)
+        memo[key] = best_val
+        decisions[key] = best_decision
+        return best_val
+
+    total = 0.0
+    for pa, amap, pis in _roots(instance, j):
+        total += pa * visit(0, amap, pis)
+    chain.decisions[j] = decisions
+    chain.values[j] = total
+    chain.examined[j] = examined
+    chain.steps[j] = computed
+    chain.shared[j] = shared
+    chain.entries[j] = sum(len(kernel.entries) for kernel in kernels.values())
+    chain.widths[j] = tuple(widths)
+    chain.seconds[j] = time.perf_counter() - started
+    return total

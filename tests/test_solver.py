@@ -4,6 +4,7 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 
 from helpers import fuzz_instance, pomdp_dict, random_prescription_strategy
@@ -710,8 +711,9 @@ def test_agent_passes_are_logged(d2, caplog):
     passes = [r for r in caplog.records if r.name == "womctl" and "pass" in r.getMessage()]
     assert [r.args[0] for r in passes] == [2, 1]
     for record in passes:
-        j, nodes, examined, _, _, _, seconds = record.args
+        j, nodes, widths, examined, _, _, _, seconds = record.args
         assert nodes > 0 and seconds >= 0.0
+        assert nodes == sum(widths) and len(widths) == d2.horizon + 1
         assert examined == res.extras["chain_examined"][j]
 
 
@@ -723,13 +725,14 @@ def test_agent_passes_log_their_step_counts(seed, caplog, monkeypatch):
     calls = {"steps": 0, "candidate_steps": 0}
     real_step, real_controls = StepKernel.step, CandidateScorer.controls
 
-    def step(self, pi, controls):
-        calls["steps"] += 1
-        return real_step(self, pi, controls)
+    def step(self, probs, controls):
+        calls["steps"] += len(probs)
+        return real_step(self, probs, controls)
 
-    def controls(self, pi, tails=()):
-        out = real_controls(self, pi, tails)
-        calls["candidate_steps"] += len(out)
+    def controls(self, agent, support, tails=()):
+        out = real_controls(self, agent, support, tails)
+        # one candidate step per (belief of the stack, candidate)
+        calls["candidate_steps"] += len(np.unique(support[0])) * out.shape[1]
         return out
 
     monkeypatch.setattr(StepKernel, "step", step)
@@ -740,8 +743,9 @@ def test_agent_passes_log_their_step_counts(seed, caplog, monkeypatch):
         solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
         (record,) = [r for r in caplog.records if r.name == "womctl" and "pass" in r.getMessage()]
         caplog.clear()
-        agent, _, examined, steps, shared, entries, _ = record.args
+        agent, nodes, widths, examined, steps, shared, entries, _ = record.args
         assert (agent, examined) == (j, chain.examined[j])
+        assert (nodes, tuple(widths)) == (sum(chain.widths[j]), chain.widths[j])
         assert (steps, shared, entries) == (chain.steps[j], chain.shared[j], chain.entries[j])
         # every (candidate, agent) step below the horizon is computed or shared
         assert steps == calls["steps"] and steps + shared == calls["candidate_steps"]
