@@ -58,6 +58,7 @@ from .sysmodel import (
 
 COST_TOL = 1e-9
 _CHUNK = 1 << 18
+_INNER = 1 << 10
 
 log = logging.getLogger("womctl")
 
@@ -126,12 +127,18 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
 
     Encodings are scored a chunk at a time. A chunk fixes the leading digits;
     its trailing digits, whose radix product is at most `_CHUNK`, span a cost
-    tensor with one axis per digit of radix above 1. Each primitive sequence
-    is walked as a decision tree over stages and agents: the memory
-    realization on a path names a digit that the chunk either fixes or that
-    branches along its axis, and each stage adds its weighted cost to the view
-    of the tensor the path selects. Every strategy thus sums its costs
-    primitive by primitive, stage by stage.
+    tensor with one axis per digit of radix above 1. Its last axes, of at
+    most `_INNER` points together, form a contiguous inner block. Each
+    primitive sequence is walked as a decision tree over stages and agents:
+    the memory realization on a path names a digit that the chunk either
+    fixes or that branches along its axis. While a path has read only outer
+    digits, each stage adds its weighted cost to the view of the tensor the
+    path selects, which spans whole inner blocks. Digits are read in order,
+    so below the first inner read every read is inner: there each stage's
+    leaves assign their costs into a buffer shaped like the inner block,
+    which they cover exactly, and on leaving that subtree the buffers are
+    added to the path's view in stage order. Every strategy thus gets one
+    add per primitive and stage, primitive by primitive, stage by stage.
     """
     caps = resolve_caps(cap)
     start = time.perf_counter()
@@ -171,6 +178,11 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     for axis, g in enumerate(axis_digits):
         axis_of[g] = axis
     shape = tuple(radix_of[g] for g in axis_digits)
+    outer, inner_size = len(shape), 1  # axes from `outer` on form the inner block
+    while outer and inner_size * shape[outer - 1] <= _INNER:
+        outer -= 1
+        inner_size *= shape[outer]
+    bufs = [np.empty(shape[outer:]) for _ in range(T + 1)]
 
     observe = [[VariableId(t, k, KIND_OBSERVATION) for k in range(1, K + 1)]
                for t in range(T + 1)]
@@ -181,28 +193,36 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     digit = [0] * len(radix_of)
     vals = {}
 
-    def walk(t, k, x, uj):
+    def walk(t, k, x, uj, inner):
         # reads the chunk's `costs` and the primitive `p, w_seq, v_seq` set below
         if k == K:
-            costs[tuple(index)] += p * cost[t][x][uj]
+            if inner:
+                bufs[t][tuple(index[outer:])] = p * cost[t][x][uj]
+            else:
+                costs[tuple(index)] += p * cost[t][x][uj]
             if t < T:
                 x = transition[t][x][uj][w_seq[t]]
                 for j, var in enumerate(observe[t + 1]):
                     vals[var] = obs[j][t + 1][x][v_seq[j][t + 1]]
-                walk(t + 1, 0, x, 0)
+                walk(t + 1, 0, x, 0, inner)
             return
         schema, digit_of, stride, control = plan[t][k]
         g = digit_of[tuple(map(vals.__getitem__, schema))]
         axis = axis_of[g]
         if axis < 0:
             vals[control] = digit[g]
-            walk(t, k + 1, x, uj + digit[g] * stride)
+            walk(t, k + 1, x, uj + digit[g] * stride, inner)
             return
+        first = not inner and axis >= outer  # the path's first inner read
         for u in range(radix_of[g]):
             index[axis] = u
             vals[control] = u
-            walk(t, k + 1, x, uj + u * stride)
+            walk(t, k + 1, x, uj + u * stride, inner or first)
         index[axis] = slice(None)
+        if first:  # leaving its subtree
+            view = costs[tuple(index)]
+            for buf in bufs[t:]:
+                view += buf
 
     prim = list(joint_primitives(instance))
     best_cost, best_lead, best_arg = math.inf, None, 0
@@ -212,7 +232,7 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
         for p, x0, w_seq, v_seq in prim:
             for j, var in enumerate(observe[0]):
                 vals[var] = obs[j][0][x0][v_seq[j][0]]
-            walk(0, 0, x0, 0)
+            walk(0, 0, x0, 0, False)
         arg = int(costs.argmin())
         if costs.flat[arg] < best_cost:
             best_cost, best_lead, best_arg = float(costs.flat[arg]), lead, arg
@@ -481,7 +501,22 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
     value of each branch in new-information order, and the first minimizer in
     `itertools.product` order wins: the values and decisions of a depth-first
     recursion, whose completion order the decisions are listed in.
+
+    A failure other than a cap keeps its class, and its message is prefixed
+    with the agent and the stage it occurred at.
     """
+    at = [0]  # the stage the pass is at
+    try:
+        return _agent_pass(instance, j, chain, caps, at)
+    except CapExceeded:
+        raise
+    except WomError as exc:
+        exc.args = (f"agent {j}, stage {at[0]}: {exc}",)
+        raise
+
+
+def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list) -> float:
+    """The body of `_solve_agent`, keeping the stage it is at in `at[0]`."""
     started = time.perf_counter()
     T, K = instance.horizon, instance.agent_count
     spaces = _head_spaces(instance, j, caps)
@@ -495,6 +530,7 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
     stage.probs = [np.array(rows) for rows in zip(*stage.probs)]  # per agent, a row per node
     stages, work = [], []  # per stage, its nodes and what its backward step reads
     for t in range(T + 1):
+        at[0] = t
         stages.append(stage)
         tails = [_tail_parts(instance, chain, j, t, key) for key in stage.keys]
         for parts in tails:

@@ -591,14 +591,15 @@ def solve_agent_reference(instance, j, chain, caps):
     This is the search `solver._solve_agent` ran before it went stage by
     stage, with its scorer and kernel calls made on one-row stacks. It fills
     the same `_Chain` fields, decisions in the order the recursion completes
-    them and node counts per stage, and returns the same value.
+    them and node counts per stage, and returns the same value. A failure
+    other than a cap names the agent and the stage of the visit it left open.
     """
     import time
 
     import numpy as np
 
     from womctl.belief import CandidateScorer, StepKernel, belief_tuple_key, check_domains
-    from womctl.errors import CapExceeded
+    from womctl.errors import CapExceeded, WomError
     from womctl.prescription import CompletePrescription
     from womctl.solver import (
         _advance_branch,
@@ -617,6 +618,7 @@ def solve_agent_reference(instance, j, chain, caps):
     decisions: dict = {}
     widths = [0] * (T + 1)
     examined = nodes = computed = shared = 0
+    open_stages = []  # the stages of the visits in progress
 
     def scorer(t):
         if t not in scorers:
@@ -645,6 +647,7 @@ def solve_agent_reference(instance, j, chain, caps):
             return memo[key]
         nodes += 1
         widths[t] += 1
+        open_stages.append(t)
         if nodes > caps.branches:
             raise CapExceeded(nodes, caps.branches, "reachable belief branches")
         tails = _tail_parts(instance, chain, j, t, key[1])
@@ -685,11 +688,18 @@ def solve_agent_reference(instance, j, chain, caps):
                     best_val, best_decision = val, _Decision(theta, steps, tail_steps)
         memo[key] = best_val
         decisions[key] = best_decision
+        open_stages.pop()
         return best_val
 
     total = 0.0
-    for pa, amap, pis in _roots(instance, j):
-        total += pa * visit(0, amap, pis)
+    try:
+        for pa, amap, pis in _roots(instance, j):
+            total += pa * visit(0, amap, pis)
+    except CapExceeded:
+        raise
+    except WomError as exc:
+        exc.args = (f"agent {j}, stage {open_stages[-1] if open_stages else 0}: {exc}",)
+        raise
     chain.decisions[j] = decisions
     chain.values[j] = total
     chain.examined[j] = examined

@@ -645,4 +645,4 @@ def test_relay_step_fails_as_the_reference_filter_does():
         solve_prescription_dp(inst, k)
     with pytest.raises(SchemaMismatch) as solved:
         solve_prescription_dp(inst, 1)
-    assert str(solved.value) == RELAY_FAILURE
+    assert str(solved.value) == "agent 1, stage 0: " + RELAY_FAILURE

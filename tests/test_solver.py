@@ -1,17 +1,25 @@
 import copy
+import functools
 import itertools
 import logging
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from helpers import fuzz_instance, pomdp_dict, random_prescription_strategy
+from helpers import (
+    fuzz_instance,
+    pomdp_dict,
+    random_prescription_strategy,
+    random_topology_instance,
+    relay_dict,
+)
 from oracles import brute_force_reference, dp_reference, relaxed_reference
 import womctl.solver as solver_mod
-from womctl.errors import CapExceeded, WomError
-from womctl.instances import d2_dict
+from womctl.errors import CapExceeded, SchemaMismatch, WomError
+from womctl.instances import d2_dict, load_d2, load_static3
 from womctl.prescription import (
     control_law_to_strategy,
     count_strategies,
@@ -70,11 +78,47 @@ def test_brute_force_cap(d2):
         solve_brute_force(d2, cap=1000)
 
 
-def _assert_matches_reference(instance):
+def _assert_matches_reference(instance, reference=None):
     res = solve_brute_force(instance)
-    ref_cost, ref_tables = brute_force_reference(instance)
+    ref_cost, ref_tables = reference or brute_force_reference(instance)
     assert res.extras["vectorized_cost"] == ref_cost
     assert res.control_strategy.tables == ref_tables
+
+
+# (_INNER, _CHUNK): no inner block, small blocks, the default, the whole
+# chunk inner, and a small chunk split into inner blocks
+SPLITS = {
+    "inner-1": (1, solver_mod._CHUNK),
+    "inner-2": (2, solver_mod._CHUNK),
+    "inner-16": (16, solver_mod._CHUNK),
+    "inner-default": (solver_mod._INNER, solver_mod._CHUNK),
+    "inner-whole": (solver_mod._CHUNK, solver_mod._CHUNK),
+    "inner-16-chunk-64": (16, 64),
+}
+SPLIT_CASES = {
+    "static3": load_static3,
+    "d2": load_d2,
+    **{
+        f"random-{seed}": lambda seed=seed: random_topology_instance(seed)
+        for seed in range(60)
+        if count_strategies(random_topology_instance(seed), "brute") <= 2**14
+    },
+}
+
+
+@functools.cache
+def _split_case(name):
+    instance = SPLIT_CASES[name]()
+    return instance, brute_force_reference(instance)
+
+
+@pytest.mark.parametrize("split", list(SPLITS))
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_brute_force_matches_reference_across_inner_blocks(name, split, monkeypatch):
+    inner, chunk = SPLITS[split]
+    monkeypatch.setattr(solver_mod, "_INNER", inner)
+    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    _assert_matches_reference(*_split_case(name))
 
 
 @pytest.mark.parametrize("name", ["static3", "static3_reindexed", "d2"])
@@ -752,6 +796,44 @@ def test_agent_passes_log_their_step_counts(seed, caplog, monkeypatch):
         assert entries > 0
         calls.update(steps=0, candidate_steps=0)
     assert sum(chain.shared.values()) > 0
+
+
+RELAY_FAILURE = "variable VariableId(time=0, agent=1, kind='Y') not derivable from the state"
+RELAY_DEFECT_SEEDS = {8, 9, 33, 42}  # raise RELAY_FAILURE on agent 1's pass
+PRESCRIPTION_CAP_SEEDS = {15, 29, 46, 47, 48, 59}  # every DP row skipped at the cap
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_compare_agents_matches_brute_on_random_topologies(seed):
+    # the defect seeds are asserted as they fail today: a fix must change this test
+    instance = random_topology_instance(seed)
+    if seed in RELAY_DEFECT_SEEDS:
+        with pytest.raises(SchemaMismatch) as failure:
+            compare_agents(instance)
+        assert str(failure.value) == "agent 1, stage 0: " + RELAY_FAILURE
+        return
+    rows = compare_agents(instance).rows
+    brute, *others = rows
+    assert brute["method"] == "brute" and brute["status"] == "ok"
+    assert len(others) == instance.agent_count + 1
+    for row in others:
+        if seed in PRESCRIPTION_CAP_SEEDS:
+            assert row["status"] == "skipped"
+            assert re.fullmatch(
+                r"(prescription enumeration|stage-\d joint prescription search) "
+                rf"needs \d+ candidates, cap is {solver_mod.Caps().tables}",
+                row["reason"],
+            )
+        else:
+            assert row["status"] == "ok"
+            assert abs(row["cost"] - brute["cost"]) <= TOL
+
+
+def test_compare_agents_names_the_agent_and_stage_of_a_failure():
+    with pytest.raises(SchemaMismatch) as failure:
+        compare_agents(instance_from_dict(relay_dict()))
+    assert type(failure.value) is SchemaMismatch  # the bench allowance matches the class name
+    assert str(failure.value) == "agent 1, stage 0: " + RELAY_FAILURE
 
 
 def test_compare_agents_detects_disagreement(d2, monkeypatch):
