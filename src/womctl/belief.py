@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -38,18 +38,37 @@ class InformationState:
     time: int
     support: InfoSchema  # variables after the implicit leading system-state coordinate
     probs: np.ndarray
+    known_key: tuple | None = field(default=None, repr=False, compare=False)  # made by a step
 
     def key(self) -> tuple:
         return self._key
 
     @functools.cached_property
     def _key(self) -> tuple:
-        return probs_key(self.probs.tolist())
+        return probs_key(self.probs.tolist()) if self.known_key is None else self.known_key
 
 
 def probs_key(probs: list) -> tuple:
     """The key of a belief's probabilities: each rounded to KEY_DECIMALS."""
     return tuple([round(p, KEY_DECIMALS) for p in probs])
+
+
+def probs_keys(probs: np.ndarray) -> list:
+    """`probs_key` of each row of a 2-D array, equal to it bit for bit.
+
+    `round` picks the integer nearest to p * 10**12 and returns the float
+    nearest to that integer over 10**12. Below 2**40 the product's float has
+    an error under 1e-4, so away from a half its `rint` is that integer, and
+    IEEE division returns the nearest float. Elements within 1e-3 of a half,
+    and larger ones, go through `round` itself.
+    """
+    scale = float(10**KEY_DECIMALS)
+    scaled = probs * scale
+    rows = (np.rint(scaled) / scale).tolist()
+    sure = (np.abs(scaled) < 2.0**40) & (np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-3)
+    for r, c in np.argwhere(~sure).tolist():
+        rows[r][c] = round(float(probs[r, c]), KEY_DECIMALS)
+    return list(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -252,13 +271,16 @@ def initial_state_at(instance, k, a_real) -> InformationState:
 class StepBatch(NamedTuple):
     """`StepKernel.step` of a stack: per row, per new-information realization
     of positive mass in sorted order, a group; row r's groups are
-    `start[r]:start[r + 1]`, each with its realization, probability and
-    posterior (a row of `probs`)."""
+    `start[r]:start[r + 1]`, each with its realization, probability,
+    posterior (a row of `probs`) and that posterior's `probs_key`. `read`
+    counts the distinct kernel entries the step read."""
 
     start: list
     z: list
     mass: list
     probs: np.ndarray
+    keys: list
+    read: int
 
 
 class StepKernel:
@@ -270,7 +292,9 @@ class StepKernel:
     agent order. An entry holds, for one (support index, joint-control
     index) and each path, the new-information index and the next-support
     index. Entries are filled on first use, so no transition is traced at a
-    support point or control that no step reaches.
+    support point or control that no step reaches, and they last as long as
+    the kernel: an agent chain keeps one kernel per (agent, stage), so a
+    transition traced in one pass serves every later pass.
     """
 
     def __init__(self, instance, k, t):
@@ -323,10 +347,12 @@ class StepKernel:
         in (support, w, v) order as the one-point-at-a-time filter does;
         terms that are exactly zero are skipped. Each posterior is divided by
         its row's sum, and realizations of mass at most `ZERO_TOL` dropped.
+        Each posterior's key is made here, once, by `probs_keys`.
         """
         rows, s = np.nonzero(controls >= 0)
         codes = s * self.instance.system.joint_control_count + controls[rows, s]
         entry = [self._entry(code) for code in codes.tolist()]
+        read = len(set(entry))
         if len(self._rows) > len(self._table):
             self._table = np.array(self._rows, dtype=np.int64).reshape(-1, len(self.paths), 2)
         table = self._table[entry]
@@ -346,20 +372,25 @@ class StepKernel:
         keep = mass > ZERO_TOL
         group, acc, mass = group[keep], acc[keep], mass[keep]
         row, z_index = np.divmod(group, new_count)
+        posteriors = acc / mass[:, None]
         return StepBatch(
             start=np.searchsorted(row, np.arange(len(probs) + 1)).tolist(),
             z=[self._z[z] for z in z_index.tolist()],
             mass=mass.tolist(),
-            probs=acc / mass[:, None],
+            probs=posteriors,
+            keys=probs_keys(posteriors),
+            read=read,
         )
 
     def branches(self, batch: StepBatch, r: int) -> dict:
         """Row r of a step batch as `belief_step` returns it, each posterior on
-        its own copy of its row."""
+        its own copy of its row and carrying its key."""
         return {
             batch.z[g]: (
                 batch.mass[g],
-                InformationState(self.k, self.t + 1, self.next_support, batch.probs[g].copy()),
+                InformationState(
+                    self.k, self.t + 1, self.next_support, batch.probs[g].copy(), batch.keys[g]
+                ),
             )
             for g in range(batch.start[r], batch.start[r + 1])
         }
@@ -421,19 +452,13 @@ class CandidateScorer:
 
     def __init__(self, instance, k, t, head_tables):
         self.instance, self.k, self.t = instance, k, t
-        self.domains = [
-            instance.info.prescription_domain(t, k, target)
-            for target in range(1, instance.agent_count + 1)
-        ]
-        x, rows = _support_rows(instance, k, t, self.domains)
-        self.rows_at = {k: rows}  # per agent, each target's domain row on its support
         control_sizes = instance.system.control_sizes
         strides = [1] * len(control_sizes)  # weight of each control in the joint index
         for m in range(len(strides) - 2, -1, -1):
             strides[m] = strides[m + 1] * control_sizes[m + 1]
 
         self.cost = instance.system.cost[t]
-        self.x = x
+        self.x = _support_rows(instance, k, k, t)[0]
         self.shape = tuple(len(tables) for tables in head_tables)
         self.candidates = realization_count(self.shape)
         # per head target, row r holds every table's weighted control at r,
@@ -481,9 +506,7 @@ class CandidateScorer:
 
     def _controls(self, agent, support, tails, base=0):
         """`controls`, each plus `base`, one entry per pair or a scalar."""
-        if agent not in self.rows_at:
-            self.rows_at[agent] = _support_rows(self.instance, agent, self.t, self.domains)[1]
-        domain_rows = self.rows_at[agent]
+        domain_rows = _support_rows(self.instance, agent, self.k, self.t)[1]
         rows, s = support
         grid = np.zeros((len(s),) + (1,) * len(self.shape), dtype=np.int64)
         grid += np.reshape(base, (-1,) + grid.shape[1:])
@@ -495,10 +518,13 @@ class CandidateScorer:
         return grid.reshape(len(s), -1)
 
 
-def _support_rows(instance, k, t, domains):
-    """The system state, and the row of each domain's realization, at every
-    index of agent k's stage-t support."""
-    support = instance.info.equivalent_state(t, k)
+def _support_rows(instance, i, k, t):
+    """The system state, and the row of each of agent k's stage-t prescription
+    domains, at every index of agent i's stage-t support; cached per instance."""
+    cache_key = ("support_rows", i, k, t)
+    if cache_key in instance._cache:
+        return instance._cache[cache_key]
+    support = instance.info.equivalent_state(t, i)
     sizes = _support_sizes(instance, support)
     flat = np.arange(realization_count(sizes))
     digits = []
@@ -508,7 +534,8 @@ def _support_rows(instance, k, t, domains):
         digits.append(flat // stride % size)
     coord = dict(zip(support, digits[1:]))
     rows = []
-    for domain in domains:
+    for target in range(1, instance.agent_count + 1):
+        domain = instance.info.prescription_domain(t, k, target)
         row = np.zeros_like(flat)
         for var in domain:
             if var not in coord:
@@ -517,6 +544,7 @@ def _support_rows(instance, k, t, domains):
                 )
             row = row * instance.variable_size(var) + coord[var]
         rows.append(row)
+    instance._cache[cache_key] = digits[0], rows
     return digits[0], rows
 
 

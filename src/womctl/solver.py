@@ -28,7 +28,6 @@ from .belief import (
     accessible_support,
     belief_tuple_key,
     check_domains,
-    probs_key,
     initial_information_state,
     initial_state_at,
 )
@@ -275,20 +274,24 @@ class _Decision(NamedTuple):
 
 
 class _Chain:
-    """Stage decisions per agent, filled from agent K downward.
+    """Stage decisions per agent, filled from agent K downward, and one
+    `StepKernel` per (agent, stage) that every pass steps through.
 
     Per agent pass it also counts the belief steps computed, the candidate
-    steps served by an identical step of the same node, and the step-kernel
-    entries filled, and keeps the number of nodes at each stage.
+    steps served by an identical step of the same node, the distinct kernel
+    entries read and those of them traced first in this pass, and keeps the
+    number of nodes at each stage.
     """
 
     def __init__(self):
+        self.kernels: dict[tuple, StepKernel] = {}  # (agent, stage) -> kernel
         self.decisions: dict[int, dict] = {}  # agent -> {(t, key): _Decision}
         self.values: dict[int, float] = {}
         self.examined: dict[int, int] = {}
         self.steps: dict[int, int] = {}
         self.shared: dict[int, int] = {}
         self.entries: dict[int, int] = {}
+        self.traced: dict[int, int] = {}
         self.widths: dict[int, tuple] = {}
         self.seconds: dict[int, float] = {}
 
@@ -442,13 +445,6 @@ def _expand(instance, j, t, stage, batches, row_of, caps, before):
     combos, first, combo_of = _unique_rows(
         np.stack([rows.ravel() for rows in row_of], axis=1), return_index=True, return_inverse=True
     )
-    keys = [{} for _ in batches]  # per agent, group -> belief key
-
-    def key_of(a, g):
-        if g not in keys[a]:
-            keys[a][g] = probs_key(batches[a].probs[g].tolist())
-        return keys[a][g]
-
     new_info = [instance.info.new_info(t + 1, i) for i in range(j, instance.agent_count + 1)]
     owner, child, sources = batches[0], _Stage(), []
     pz = np.zeros((len(combos), max(np.diff(owner.start))))
@@ -470,7 +466,8 @@ def _expand(instance, j, t, stage, batches, row_of, caps, before):
                         f"agent {j + a} new information {z_a} impossible on a positive branch"
                     )
                 groups.append(at[z_a])
-            c, new = child.node(tuple(map(key_of, range(len(groups)), groups)), amap, caps, before)
+            key = tuple(batch.keys[g] for batch, g in zip(batches, groups))
+            c, new = child.node(key, amap, caps, before)
             if new:
                 stage.kids[n].append(c)
                 sources.append(groups)
@@ -491,9 +488,11 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
 
     Each stage scores every node's joint head candidates in one
     `CandidateScorer` call. Below the horizon, every candidate steps the
-    belief of every agent j..K through one `StepKernel` call per agent, with
-    the controls the scorer reads off that agent's support; candidates of a
-    node that act alike on an agent's positive-mass support share its step.
+    belief of every agent j..K through one call per agent of the chain's
+    `StepKernel` for that (agent, stage), with the controls the scorer reads
+    off that agent's support; candidates of a node that act alike on an
+    agent's positive-mass support share its step. Nodes are keyed by the keys
+    the steps made.
     Every candidate's branches are followed, so that lower agents can inherit
     decisions at any tuple their own candidate profiles reach.
 
@@ -520,7 +519,7 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
     started = time.perf_counter()
     T, K = instance.horizon, instance.agent_count
     spaces = _head_spaces(instance, j, caps)
-    examined = computed = shared = entries = 0
+    examined = computed = shared = entries = traced = 0
     stage, roots = _Stage(), []  # per root, its mass and node
     for pa, amap, pis in _roots(instance, j):
         n, new = stage.node(belief_tuple_key(pis), amap, caps, 0)
@@ -548,12 +547,16 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
         for i, probs, pairs in zip(range(j, K + 1), stage.probs, support):
             controls = score.controls(i, pairs, tail_tables)
             rows, step_probs, step_controls = _distinct_rows(probs, pairs, controls)
-            kernels.append(StepKernel(instance, i, t))
+            if (i, t) not in chain.kernels:
+                chain.kernels[(i, t)] = StepKernel(instance, i, t)
+            kernels.append(chain.kernels[(i, t)])
+            filled = len(kernels[-1].entries)
             batches.append(kernels[-1].step(step_probs, step_controls))
             row_of.append(rows)
             computed += len(step_probs)
             shared += rows.size - len(step_probs)
-            entries += len(kernels[-1].entries)
+            entries += batches[-1].read
+            traced += len(kernels[-1].entries) - filled
         before = sum(len(done.keys) for done in stages)
         stage, pz, kid = _expand(instance, j, t, stage, batches, row_of, caps, before)
         work[t] = (cost, tails, (pz, kid, kernels, batches, row_of))
@@ -603,13 +606,14 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
     chain.steps[j] = computed
     chain.shared[j] = shared
     chain.entries[j] = entries
+    chain.traced[j] = traced
     chain.widths[j] = tuple(len(done.keys) for done in stages)
     chain.seconds[j] = time.perf_counter() - started
     log.debug(
         "agent %d pass: %d nodes %s per stage, %d candidates, %d steps (%d shared), "
-        "%d kernel entries, %.3f s",
+        "%d kernel entries (%d traced), %.3f s",
         j, sum(chain.widths[j]), list(chain.widths[j]), examined, computed, shared,
-        entries, chain.seconds[j],
+        entries, traced, chain.seconds[j],
     )
     return total
 

@@ -8,6 +8,7 @@ are 1-based, values 0-based.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -57,9 +58,9 @@ class SystemSpec:
     def agent_count(self) -> int:
         return len(self.control_sizes)
 
-    @property
+    @functools.cached_property
     def joint_control_count(self) -> int:
-        return int(np.prod(self.control_sizes))
+        return math.prod(self.control_sizes)
 
 
 @dataclass(frozen=True)

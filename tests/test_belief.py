@@ -18,6 +18,8 @@ from womctl.belief import (
     hat_observation,
     initial_information_state,
     make_information_state,
+    probs_key,
+    probs_keys,
     update_information_state,
     _support_sizes,
 )
@@ -29,6 +31,7 @@ from womctl.prescription import (
     joint_control_strategy,
     make_prescription,
 )
+import womctl.solver as solver_mod
 from womctl.solver import solve_prescription_dp
 from womctl.sysmodel import (
     enumerate_realizations,
@@ -646,3 +649,86 @@ def test_relay_step_fails_as_the_reference_filter_does():
     with pytest.raises(SchemaMismatch) as solved:
         solve_prescription_dp(inst, 1)
     assert str(solved.value) == "agent 1, stage 0: " + RELAY_FAILURE
+
+
+def _assert_keys_match(rows):
+    """`probs_keys` of a stack equals `probs_key` of each row, float for float."""
+    stack = np.array(rows, dtype=float)
+    got = probs_keys(stack)
+    want = [probs_key(row) for row in stack.tolist()]
+    assert got == want
+    assert [[p.hex() for p in key] for key in got] == [[p.hex() for p in key] for key in want]
+
+
+def test_stacked_keys_match_probs_key_on_random_rows():
+    rng = np.random.default_rng(12)
+    for width in range(1, 9):
+        rows = rng.random((2000, width)) ** 4  # many small masses
+        _assert_keys_match(rows / rows.sum(axis=1, keepdims=True))
+
+
+def test_stacked_keys_match_probs_key_at_ties_and_edges():
+    rng = random.Random(12)
+    # exact binary ties: odd multiples of 2**-13 scale to a .5
+    values = [m * 2.0**-13 for m in range(1, 8192, 2)]
+    assert values[0] * 1e12 == 122070312.5
+    # within a few ulps of a 12-decimal half
+    for n in [0, 1, 2, 499999999999, 999999999999] + rng.sample(range(10**12), 500):
+        half = (n + 0.5) / 1e12
+        for direction in (0.0, 2.0):
+            p = half
+            for _ in range(3):
+                p = float(np.nextafter(p, direction))
+                values.append(p)
+        values.append(half)
+    # zeros, and values just above 1
+    values += [0.0, -0.0, 1.0, 1e-300, 5e-324]
+    p = 1.0
+    for _ in range(5):
+        p = float(np.nextafter(p, 2.0))
+        values.append(p)
+    values += [1.0000000000005, 1.0000000000004999, 1.0000000000015, 1.000000000001]
+    width = 8
+    values += [0.0] * (-len(values) % width)
+    _assert_keys_match(np.reshape(values, (-1, width)))
+    _assert_keys_match([values])
+
+
+def _step_batch_cases():
+    from test_stage_pass import _bench_workloads
+
+    workloads = _bench_workloads()
+    cases = {f"fuzz-{s}": lambda s=s: (fuzz_instance(s), None) for s in range(10)}
+    for name in ("oracle_brute", "fuzz_compare", "pomdp_horizon"):
+        for op in workloads.GENERATORS[name](7):
+            cases[f"{name}-{op.label}"] = lambda op=op: (instance_from_dict(op.doc), op.known_defect)
+    return cases
+
+
+_STEP_BATCH_CASES = _step_batch_cases()
+
+
+@pytest.mark.parametrize("name", list(_STEP_BATCH_CASES))
+def test_step_batch_keys_are_probs_keys_of_their_rows(name, monkeypatch):
+    from womctl.belief import StepKernel
+
+    instance, known_defect = _STEP_BATCH_CASES[name]()
+    real_step = StepKernel.step
+    checked = [0]
+
+    def step(self, probs, controls):
+        batch = real_step(self, probs, controls)
+        assert batch.keys == [probs_key(row) for row in batch.probs.tolist()]
+        checked[0] += len(batch.keys)
+        return batch
+
+    monkeypatch.setattr(StepKernel, "step", step)
+    chain = solver_mod._Chain()
+    try:
+        for j in range(instance.agent_count, 0, -1):
+            solver_mod._solve_agent(instance, j, chain, solver_mod.resolve_caps())
+    except SchemaMismatch:
+        assert known_defect == "SchemaMismatch"
+    else:
+        assert known_defect is None
+    assert checked[0] > 0 or instance.horizon == 0

@@ -589,18 +589,48 @@ def test_search_steps_through_kernels_tracing_each_transition_once(which, monkey
 
     monkeypatch.setattr(belief_mod, "_trace_step", counted)
     chain = solver_mod._Chain()
-    total = 0
     for j in range(inst.agent_count, 0, -1):
-        traced.clear()
+        before = len(traced)
         solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
-        assert len(set(traced)) == len(traced)
-        # one kernel entry per traced (agent, stage, support point, controls)
-        assert chain.entries[j] == len({key[:4] for key in traced})
-        total += len(traced)
+        # one kernel entry per (agent, stage, support point, controls) first traced in this pass
+        assert chain.traced[j] == len({key[:4] for key in traced[before:]})
+        assert chain.traced[j] <= chain.entries[j]
+    # no transition is traced twice anywhere in the K..1 chain
+    assert len(set(traced)) == len(traced)
     assert calls == []
-    assert total > 0
+    assert len(traced) > 0
     res = solver_mod._dp_result(inst, 1, chain)
     assert res.dp_value == dp_reference(inst, 1)["dp_value"]
+
+
+def _linked3_two():
+    from test_stage_pass import _bench_workloads
+
+    (op,) = [op for op in _bench_workloads().fuzz_compare(7) if op.label == "linked3-two-0"]
+    return instance_from_dict(op.doc)
+
+
+@pytest.mark.parametrize("which", ["linked3-two", "d2"])
+def test_compare_agents_builds_one_kernel_per_agent_and_stage(which, monkeypatch):
+    from womctl.belief import StepKernel
+
+    inst = _linked3_two() if which == "linked3-two" else instance_from_dict(d2_dict())
+    built, stepped = [], []
+    real_init, real_step = StepKernel.__init__, StepKernel.step
+
+    def init(self, instance, k, t):
+        built.append((k, t))
+        real_init(self, instance, k, t)
+
+    def step(self, probs, controls):
+        stepped.append((self.k, self.t))
+        return real_step(self, probs, controls)
+
+    monkeypatch.setattr(StepKernel, "__init__", init)
+    monkeypatch.setattr(StepKernel, "step", step)
+    compare_agents(inst)
+    assert sorted(built) == sorted(set(stepped))
+    assert len(stepped) > len(built)  # lower passes step the higher agents' kernels
 
 
 @pytest.mark.parametrize("which", list(_RECORD_CASES))
@@ -755,7 +785,7 @@ def test_agent_passes_are_logged(d2, caplog):
     passes = [r for r in caplog.records if r.name == "womctl" and "pass" in r.getMessage()]
     assert [r.args[0] for r in passes] == [2, 1]
     for record in passes:
-        j, nodes, widths, examined, _, _, _, seconds = record.args
+        j, nodes, widths, examined, _, _, _, _, seconds = record.args
         assert nodes > 0 and seconds >= 0.0
         assert nodes == sum(widths) and len(widths) == d2.horizon + 1
         assert examined == res.extras["chain_examined"][j]
@@ -787,10 +817,11 @@ def test_agent_passes_log_their_step_counts(seed, caplog, monkeypatch):
         solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
         (record,) = [r for r in caplog.records if r.name == "womctl" and "pass" in r.getMessage()]
         caplog.clear()
-        agent, nodes, widths, examined, steps, shared, entries, _ = record.args
+        agent, nodes, widths, examined, steps, shared, entries, traced, _ = record.args
         assert (agent, examined) == (j, chain.examined[j])
         assert (nodes, tuple(widths)) == (sum(chain.widths[j]), chain.widths[j])
         assert (steps, shared, entries) == (chain.steps[j], chain.shared[j], chain.entries[j])
+        assert traced == chain.traced[j] <= entries
         # every (candidate, agent) step below the horizon is computed or shared
         assert steps == calls["steps"] and steps + shared == calls["candidate_steps"]
         assert entries > 0
