@@ -8,9 +8,8 @@ row-major with the system state as the slowest coordinate.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,14 +37,9 @@ class InformationState:
     time: int
     support: InfoSchema  # variables after the implicit leading system-state coordinate
     probs: np.ndarray
-    known_key: tuple | None = field(default=None, repr=False, compare=False)  # made by a step
 
     def key(self) -> tuple:
-        return self._key
-
-    @functools.cached_property
-    def _key(self) -> tuple:
-        return probs_key(self.probs.tolist()) if self.known_key is None else self.known_key
+        return probs_key(self.probs.tolist())
 
 
 def probs_key(probs: list) -> tuple:
@@ -384,13 +378,12 @@ class StepKernel:
 
     def branches(self, batch: StepBatch, r: int) -> dict:
         """Row r of a step batch as `belief_step` returns it, each posterior on
-        its own copy of its row and carrying its key."""
+        its own copy of its row. The prescription DP reads its batches by
+        group instead."""
         return {
             batch.z[g]: (
                 batch.mass[g],
-                InformationState(
-                    self.k, self.t + 1, self.next_support, batch.probs[g].copy(), batch.keys[g]
-                ),
+                InformationState(self.k, self.t + 1, self.next_support, batch.probs[g].copy()),
             )
             for g in range(batch.start[r], batch.start[r + 1])
         }

@@ -33,6 +33,7 @@ from .solver import (
 from .sysmodel import (
     exact_strategy_cost,
     instance_digest,
+    instance_from_dict,
     load_instance,
     monte_carlo_cost,
 )
@@ -47,18 +48,14 @@ def _schema_str(schema) -> str:
     return "{" + ", ".join(v.label() for v in schema) + "}" if schema else "{}"
 
 
-def _load(path: str):
-    return load_instance(path)
-
-
 def _cmd_validate(args, out):
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     out.line(f"instance ok: {inst.agent_count} agents, horizon {inst.horizon}")
     return {"valid": True, "agents": inst.agent_count, "horizon": inst.horizon}, inst
 
 
 def _cmd_delays(args, out):
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     out.line("minimal delays d[from][to]:")
     for row in inst.delays.rows:
         out.line("  " + " ".join(f"{d:3d}" for d in row))
@@ -73,7 +70,7 @@ def _cmd_delays(args, out):
 
 
 def _cmd_schema(args, out):
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     times = [args.time] if args.time is not None else list(range(inst.horizon + 1))
     agents = [args.agent] if args.agent is not None else list(range(1, inst.agent_count + 1))
     results = []
@@ -110,7 +107,7 @@ def _counts(inst) -> dict:
 
 
 def _cmd_counts(args, out):
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     rows = _counts(inst)
     out.line("strategy-space sizes:")
     for name, n in rows.items():
@@ -132,7 +129,7 @@ def _result_row(res):
 
 
 def _cmd_solve(args, out):
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     method = args.method
     if method == "brute":
         res = solve_brute_force(inst, args.cap)
@@ -175,7 +172,7 @@ def _read_strategy(inst, path):
 
 
 def _cmd_evaluate(args, out):
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     report = exact_strategy_cost(inst, _read_strategy(inst, args.strategy))
     out.line(f"exact expected cost {report.expected_cost:.9f}")
     out.line("per-stage " + " ".join(f"{c:.9f}" for c in report.per_stage_costs))
@@ -187,7 +184,7 @@ def _cmd_evaluate(args, out):
 
 
 def _cmd_simulate(args, out):
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     report = monte_carlo_cost(inst, _read_strategy(inst, args.strategy), args.samples, args.seed)
     out.line(
         f"monte carlo: {report.expected_cost:.9f} +/- {report.stderr:.9f} "
@@ -202,10 +199,9 @@ def _cmd_simulate(args, out):
     }, inst
 
 
-def _cmd_compare(args, out):
-    inst = _load(args.instance)
-    rep = compare_agents(inst, args.cap)
-    for row in rep.rows:
+def _print_rows(out, rows):
+    """One line per `compare_agents` row: its cost and search size, or why it was skipped."""
+    for row in rows:
         if row["status"] == "ok":
             agent = f" agent {row['agent']}" if row["agent"] else ""
             out.line(
@@ -214,6 +210,12 @@ def _cmd_compare(args, out):
             )
         else:
             out.line(f"  {row['method']:20s} skipped: {row['reason']}")
+
+
+def _cmd_compare(args, out):
+    inst = load_instance(args.instance)
+    rep = compare_agents(inst, args.cap)
+    _print_rows(out, rep.rows)
     out.line(f"max cost spread {rep.max_spread:.3e}")
     return {"rows": rep.rows, "max_spread": rep.max_spread}, inst
 
@@ -231,22 +233,12 @@ def _cmd_demo(args, out):
         path = os.path.join(outdir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
-        from .sysmodel import instance_from_dict
-
         inst = instance_from_dict(doc)
         out.line(f"{name}: written to {path}")
         counts = _counts(inst)
         out.line("  counts " + json.dumps(counts))
         rep = compare_agents(inst, args.cap)
-        for row in rep.rows:
-            if row["status"] == "ok":
-                agent = f" agent {row['agent']}" if row["agent"] else ""
-                out.line(
-                    f"  {row['method']:20s}{agent:9s} cost {row['cost']:.9f} "
-                    f"searched {row['search_size']}"
-                )
-            else:
-                out.line(f"  {row['method']:20s} skipped ({row['reason']})")
+        _print_rows(out, rep.rows)
         results[name] = {
             "path": path,
             "counts": counts,

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -263,19 +263,10 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
 # -- prescription dynamic programming ------------------------------------------
 
 
-class _Decision(NamedTuple):
-    """A decided node as the search left it: the winning complete prescription,
-    the node's belief step under it and, per agent above the owner, that
-    agent's step under its projection. Both steps are empty at t = T."""
-
-    theta: CompletePrescription
-    steps: dict
-    tail_steps: dict
-
-
 class _Chain:
-    """Stage decisions per agent, filled from agent K downward, and one
-    `StepKernel` per (agent, stage) that every pass steps through.
+    """Each agent pass's decided stages and t=0 roots, filled from agent K
+    downward, and one `StepKernel` per (agent, stage) that every pass steps
+    through.
 
     Per agent pass it also counts the belief steps computed, the candidate
     steps served by an identical step of the same node, the distinct kernel
@@ -285,7 +276,8 @@ class _Chain:
 
     def __init__(self):
         self.kernels: dict[tuple, StepKernel] = {}  # (agent, stage) -> kernel
-        self.decisions: dict[int, dict] = {}  # agent -> {(t, key): _Decision}
+        self.stages: dict[int, list] = {}  # agent -> its pass's `_Stage`s
+        self.roots: dict[int, list] = {}  # agent -> [(mass, node, accessible map, beliefs)]
         self.values: dict[int, float] = {}
         self.examined: dict[int, int] = {}
         self.steps: dict[int, int] = {}
@@ -334,31 +326,15 @@ def _tail_parts(instance: Instance, chain: _Chain, j: int, t: int, key) -> tuple
     """Inherited prescriptions for targets above j at the belief tuple with key `key`."""
     parts = []
     for m in range(j + 1, instance.agent_count + 1):
-        try:
-            diag = chain.decisions[m][(t, key[m - j :])].theta.parts[m - 1]
-        except KeyError:
+        stage = chain.stages[m][t]
+        n = stage.index.get(key[m - j :])
+        if n is None:
             raise WomError(
                 f"missing inherited decision for agent {m} at t={t}; "
                 "the belief tuple was never reached in that agent's pass"
-            ) from None
-        parts.append(dataclasses.replace(diag, owner=j))
-    return tuple(parts)
-
-
-def _advance_branch(instance, j, t, amap, z, pi_next, tail_steps):
-    """Child accessible map and belief tuple after observing z."""
-    amap_child = dict(amap)
-    amap_child.update(zip(instance.info.new_info(t + 1, j), z))
-    pis_child = [pi_next]
-    for i in range(j + 1, instance.agent_count + 1):
-        z_i = tuple(amap_child[var] for var in instance.info.new_info(t + 1, i))
-        steps_i = tail_steps[i]
-        if z_i not in steps_i:
-            raise WomError(
-                f"agent {i} new information {z_i} impossible on a positive branch"
             )
-        pis_child.append(steps_i[z_i][1])
-    return amap_child, tuple(pis_child)
+        parts.append(dataclasses.replace(stage.thetas[n].parts[m - 1], owner=j))
+    return tuple(parts)
 
 
 def _roots(instance: Instance, j: int):
@@ -375,31 +351,34 @@ def _roots(instance: Instance, j: int):
 
 
 class _Stage:
-    """One stage of an agent pass: its nodes, belief tuples of agents j..K,
-    in order of first discovery, each with the accessible map it was first
-    reached with. `probs[a]` stacks agent j + a's beliefs, a row per node;
-    `kids[n]` lists the next-stage nodes node n reached first."""
+    """One stage of an agent pass, as the pass leaves it.
+
+    Its nodes are belief tuples of agents j..K, in order of first discovery:
+    `keys[n]`, and `index` from key to node. Once decided, `thetas[n]` is node
+    n's complete prescription. Below the horizon the stage keeps its step
+    batches, one per agent j..K, and how its winners branch: `win[n]` is the
+    combination of step rows node n's winner uses, and per (combination,
+    branch) `kid` holds the next-stage node and `groups` each agent's group
+    in its batch, both padded with -1.
+    """
 
     def __init__(self):
-        self.keys, self.amaps, self.kids, self.probs = [], [], [], []
+        self.keys, self.thetas, self.batches = [], [], []
         self.index: dict = {}  # key -> node
+        self.win = self.kid = self.groups = None
 
-    def node(self, key, amap, caps: Caps, before: int) -> tuple[int, bool]:
+    def node(self, key, caps: Caps, before: int) -> tuple[int, bool]:
         """The node with this key, and whether it is new; `before` counts the
         pass's nodes at earlier stages."""
         if key in self.index:
             return self.index[key], False
         if before + len(self.keys) >= caps.branches:
-            raise CapExceeded(caps.branches + 1, caps.branches, "reachable belief branches")
+            raise CapExceeded(
+                caps.branches + 1, caps.branches, "reachable belief branches", exact=False
+            )
         self.index[key] = len(self.keys)
         self.keys.append(key)
-        self.amaps.append(amap)
-        self.kids.append([])
         return len(self.keys) - 1, True
-
-    def forget(self):
-        """Drop what only the forward sweep reads; keys and kids stay."""
-        self.amaps = self.probs = self.index = None
 
 
 def _unique_rows(a, **kwargs):
@@ -431,24 +410,27 @@ def _distinct_rows(probs, support, controls):
     return row_of.reshape(nodes, candidates), probs[node], step_controls
 
 
-def _expand(instance, j, t, stage, batches, row_of, caps, before):
-    """Stage t + 1 of agent j's pass from agent j + a's steps `batches[a]`,
-    and every (node, candidate)'s branches.
+def _expand(instance, j, t, stage, amaps, row_of, caps, before):
+    """Stage t + 1 of agent j's pass from the step batches of `stage`, whose
+    nodes were first reached with the accessible maps `amaps`.
 
-    `row_of[a]` gives each (node, candidate)'s step row. Branches are
-    followed per distinct combination of rows, in order of the first (node,
-    candidate) with it, and then in new-information order: new nodes come in
-    depth-first first-visit order. Returns the new stage, and per (node,
-    candidate, branch) its probability and node, padded with 0 and -1.
+    `row_of[a]` gives each (node, candidate)'s step row in agent j + a's
+    batch. Branches are followed per distinct combination of rows, in order
+    of the first (node, candidate) with it, and then in new-information
+    order: new nodes come in depth-first first-visit order. Fills
+    `stage.kid` and `stage.groups`. Returns the new stage, its nodes'
+    accessible maps, per agent their beliefs a row per node, and each (node,
+    candidate)'s combination.
     """
     nodes, candidates = row_of[0].shape
     combos, first, combo_of = _unique_rows(
         np.stack([rows.ravel() for rows in row_of], axis=1), return_index=True, return_inverse=True
     )
     new_info = [instance.info.new_info(t + 1, i) for i in range(j, instance.agent_count + 1)]
-    owner, child, sources = batches[0], _Stage(), []
-    pz = np.zeros((len(combos), max(np.diff(owner.start))))
-    kid = np.full(pz.shape, -1, dtype=np.int64)
+    batches, child, amaps_child, sources = stage.batches, _Stage(), [], []
+    owner = batches[0]
+    stage.kid = np.full((len(combos), max(np.diff(owner.start))), -1, dtype=np.int64)
+    stage.groups = np.full(stage.kid.shape + (len(batches),), -1, dtype=np.int64)
     for u in np.argsort(first, kind="stable").tolist():
         n, rows = int(first[u]) // candidates, combos[u].tolist()
         tails = [
@@ -456,7 +438,7 @@ def _expand(instance, j, t, stage, batches, row_of, caps, before):
             for batch, r in zip(batches[1:], rows[1:])
         ]
         for b, g in enumerate(range(owner.start[rows[0]], owner.start[rows[0] + 1])):
-            amap = dict(stage.amaps[n])
+            amap = dict(amaps[n])
             amap.update(zip(new_info[0], owner.z[g]))
             groups = [g]
             for a, at in enumerate(tails, start=1):
@@ -467,14 +449,13 @@ def _expand(instance, j, t, stage, batches, row_of, caps, before):
                     )
                 groups.append(at[z_a])
             key = tuple(batch.keys[g] for batch, g in zip(batches, groups))
-            c, new = child.node(key, amap, caps, before)
+            c, new = child.node(key, caps, before)
             if new:
-                stage.kids[n].append(c)
+                amaps_child.append(amap)
                 sources.append(groups)
-            pz[u, b], kid[u, b] = owner.mass[g], c
-    child.probs = [batch.probs[list(groups)] for batch, groups in zip(batches, zip(*sources))]
-    combo_of = combo_of.reshape(nodes, candidates)
-    return child, pz[combo_of], kid[combo_of]
+            stage.kid[u, b], stage.groups[u, b] = c, groups
+    probs = [batch.probs[list(groups)] for batch, groups in zip(batches, zip(*sources))]
+    return child, amaps_child, probs, combo_of.reshape(nodes, candidates)
 
 
 def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float:
@@ -499,7 +480,9 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
     A node's value adds to a candidate's stage cost the probability times the
     value of each branch in new-information order, and the first minimizer in
     `itertools.product` order wins: the values and decisions of a depth-first
-    recursion, whose completion order the decisions are listed in.
+    recursion. The pass's record is its list of decided `_Stage`s and its
+    roots, (mass, node, accessible map, beliefs) per t=0 accessible
+    realization, kept in the chain.
 
     A failure other than a cap keeps its class, and its message is prefixed
     with the agent and the stage it occurred at.
@@ -520,13 +503,15 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
     T, K = instance.horizon, instance.agent_count
     spaces = _head_spaces(instance, j, caps)
     examined = computed = shared = entries = traced = 0
-    stage, roots = _Stage(), []  # per root, its mass and node
+    stage, roots, amaps, probs = _Stage(), [], [], []  # per node, its map and beliefs
     for pa, amap, pis in _roots(instance, j):
-        n, new = stage.node(belief_tuple_key(pis), amap, caps, 0)
+        beliefs = [pi.probs for pi in pis]
+        n, new = stage.node(belief_tuple_key(pis), caps, 0)
         if new:
-            stage.probs.append([pi.probs for pi in pis])
-        roots.append((pa, n))
-    stage.probs = [np.array(rows) for rows in zip(*stage.probs)]  # per agent, a row per node
+            amaps.append(amap)
+            probs.append(beliefs)
+        roots.append((pa, n, amap, beliefs))
+    probs = [np.array(rows) for rows in zip(*probs)]  # per agent, a row per node
     stages, work = [], []  # per stage, its nodes and what its backward step reads
     for t in range(T + 1):
         at[0] = t
@@ -537,70 +522,53 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
         tail_tables = [np.array([parts[m].table for parts in tails]) for m in range(K - j)]
         head_tables = [np.array([p.table for p in space]) for space in spaces[t]]
         score = CandidateScorer(instance, j, t, head_tables)
-        support = [np.nonzero(probs > 0.0) for probs in stage.probs]
-        cost = score(stage.probs[0], tail_tables, support[0])
+        support = [np.nonzero(rows > 0.0) for rows in probs]
+        cost = score(probs[0], tail_tables, support[0])
         examined += cost.size
         work.append((cost, tails, None))
         if t == T:
             break
-        kernels, batches, row_of = [], [], []
-        for i, probs, pairs in zip(range(j, K + 1), stage.probs, support):
+        row_of = []
+        for i, rows, pairs in zip(range(j, K + 1), probs, support):
             controls = score.controls(i, pairs, tail_tables)
-            rows, step_probs, step_controls = _distinct_rows(probs, pairs, controls)
+            step_of, step_probs, step_controls = _distinct_rows(rows, pairs, controls)
             if (i, t) not in chain.kernels:
                 chain.kernels[(i, t)] = StepKernel(instance, i, t)
-            kernels.append(chain.kernels[(i, t)])
-            filled = len(kernels[-1].entries)
-            batches.append(kernels[-1].step(step_probs, step_controls))
-            row_of.append(rows)
+            kernel = chain.kernels[(i, t)]
+            filled = len(kernel.entries)
+            stage.batches.append(kernel.step(step_probs, step_controls))
+            row_of.append(step_of)
             computed += len(step_probs)
-            shared += rows.size - len(step_probs)
-            entries += batches[-1].read
-            traced += len(kernels[-1].entries) - filled
+            shared += step_of.size - len(step_probs)
+            entries += stage.batches[-1].read
+            traced += len(kernel.entries) - filled
         before = sum(len(done.keys) for done in stages)
-        stage, pz, kid = _expand(instance, j, t, stage, batches, row_of, caps, before)
-        work[t] = (cost, tails, (pz, kid, kernels, batches, row_of))
-        stages[t].forget()
+        stage, amaps, probs, combo_of = _expand(instance, j, t, stage, amaps, row_of, caps, before)
+        work[t] = (cost, tails, combo_of)
 
-    stages[-1].forget()
-    decided = []  # per stage from the last, its nodes' values and decisions
-    for t in range(len(stages) - 1, -1, -1):
-        (cost, tails, steps), work[t] = work[t], None  # the scratch goes with its stage
-        if steps:
-            pz, kid, kernels, batches, row_of = steps
-            later = np.append(decided[-1][0], 0.0)  # padding reads the trailing zero
-            for b in range(pz.shape[2]):
-                cost += pz[:, :, b] * later[kid[:, :, b]]
+    for t in range(T, -1, -1):
+        (cost, tails, combo_of), work[t] = work[t], None  # the scratch goes with its stage
+        stage = stages[t]
+        if combo_of is not None:  # padded groups and kids read the trailing zeros
+            pz = np.append(stage.batches[0].mass, 0.0)[stage.groups[:, :, 0]]
+            later = np.append(values, 0.0)
+            for b in range(pz.shape[1]):
+                cost += (pz[:, b] * later[stage.kid[:, b]])[combo_of]
         best = cost.argmin(axis=1)
+        nodes = np.arange(len(best))
         heads_at = np.unravel_index(best, tuple(map(len, spaces[t])))
-        made = []
-        for n, c in enumerate(best.tolist()):
+        for n, tail in enumerate(tails):
             heads = tuple(space[i[n]] for space, i in zip(spaces[t], heads_at))
-            theta = CompletePrescription(owner=j, time=t, parts=heads + tails[n])
-            if not steps:
-                made.append(_Decision(theta, {}, {}))
-                continue
-            own, *tail = [
-                kernel.branches(batch, rows[n, c])
-                for kernel, batch, rows in zip(kernels, batches, row_of)
-            ]
-            made.append(_Decision(theta, own, dict(zip(range(j + 1, K + 1), tail))))
-        decided.append((cost[np.arange(len(best)), best], made))
-    decided.reverse()
+            stage.thetas.append(CompletePrescription(owner=j, time=t, parts=heads + tail))
+        if combo_of is not None:
+            stage.win = combo_of[nodes, best]
+        values = cost[nodes, best]
 
-    decisions = {}  # in the order a depth-first recursion completes the nodes
-    pending = [(0, n, False) for n in reversed(range(len(stages[0].keys)))]
-    while pending:
-        t, n, done = pending.pop()
-        if done:
-            decisions[(t, stages[t].keys[n])] = decided[t][1][n]
-        else:
-            pending.append((t, n, True))
-            pending.extend((t + 1, c, False) for c in reversed(stages[t].kids[n]))
     total = 0.0
-    for pa, n in roots:
-        total += pa * float(decided[0][0][n])
-    chain.decisions[j] = decisions
+    for pa, n, _, _ in roots:
+        total += pa * float(values[n])
+    chain.stages[j] = stages
+    chain.roots[j] = roots
     chain.values[j] = total
     chain.examined[j] = examined
     chain.steps[j] = computed
@@ -619,11 +587,14 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
 
 
 def _emit_strategy(instance: Instance, k: int, chain: _Chain):
-    """Walk agent k's decided tree through the search's own belief steps,
+    """Walk agent k's decided stages from the roots its pass recorded,
     filling laws and collecting reachable beliefs.
 
-    Laws hold the conditioning realizations the walk reaches; every other
-    realization gets its (stage, target)'s default, the all-zero table.
+    A path descends through its node's winning branches with its own
+    accessible map and the posteriors its own steps made, read out of the
+    stage's step batches. Laws hold the conditioning realizations the walk
+    reaches; every other realization gets its (stage, target)'s default, the
+    all-zero table.
     """
     laws, defaults = {}, {}
     for t in range(instance.horizon + 1):
@@ -634,15 +605,15 @@ def _emit_strategy(instance: Instance, k: int, chain: _Chain):
             laws[(t, m)] = {}
             defaults[(t, m)] = make_prescription(instance, t, k, m, (0,) * entries)
     belief_rows = []
-    decided = chain.decisions[k]
+    stages = chain.stages[k]
     labels = [
         [(v.label(), v) for v in instance.info.accessible(t, k)]
         for t in range(instance.horizon + 1)
     ]
 
-    def record(t, amap, pis):
-        decision = decided[(t, belief_tuple_key(pis))]
-        for m, part in enumerate(decision.theta.parts, start=1):
+    def record(t, n, amap, beliefs):
+        stage = stages[t]
+        for m, part in enumerate(stage.thetas[n].parts, start=1):
             cond = instance.info.conditioning_schema(t, k, m)
             laws[(t, m)][tuple(amap[v] for v in cond)] = part
         belief_rows.append(
@@ -650,15 +621,22 @@ def _emit_strategy(instance: Instance, k: int, chain: _Chain):
                 "t": t,
                 "accessible": {label: amap[v] for label, v in labels[t]},
                 "beliefs": {
-                    f"agent_{pi.agent}": [float(p) for p in pi.probs] for pi in pis
+                    f"agent_{i}": probs.tolist() for i, probs in enumerate(beliefs, start=k)
                 },
             }
         )
-        for z, (_, pi_next) in decision.steps.items():
-            record(t + 1, *_advance_branch(instance, k, t, amap, z, pi_next, decision.tail_steps))
+        if stage.win is None:
+            return
+        u, new_info = stage.win[n], instance.info.new_info(t + 1, k)
+        for c, groups in zip(stage.kid[u].tolist(), stage.groups[u].tolist()):
+            if c < 0:
+                break
+            child = dict(amap)
+            child.update(zip(new_info, stage.batches[0].z[groups[0]]))
+            record(t + 1, c, child, [b.probs[g] for b, g in zip(stage.batches, groups)])
 
-    for _, amap, pis in _roots(instance, k):
-        record(0, amap, pis)
+    for _, n, amap, beliefs in chain.roots[k]:
+        record(0, n, amap, beliefs)
     return PrescriptionStrategy(owner=k, laws=laws, defaults=defaults), belief_rows
 
 
@@ -670,12 +648,11 @@ def _dp_result(instance: Instance, k: int, chain: _Chain) -> SolveResult:
     belief_policy = [
         {
             "t": t,
-            "belief_key": [list(part) for part in key],
-            "tables": {
-                m: list(p.table) for m, p in enumerate(decision.theta.parts[:k], start=1)
-            },
+            "belief_key": [list(part) for part in stage.keys[n]],
+            "tables": {m: list(p.table) for m, p in enumerate(stage.thetas[n].parts[:k], start=1)},
         }
-        for (t, key), decision in sorted(chain.decisions[k].items())
+        for t, stage in enumerate(chain.stages[k])
+        for n in sorted(range(len(stage.keys)), key=stage.keys.__getitem__)
     ]
     passes = [j for j in chain.values if j >= k]
     return SolveResult(

@@ -585,14 +585,44 @@ def relaxed_reference(instance, k):
     return math.fsum(minima)
 
 
+class _ReferenceStage:
+    """A stage of the reference pass: node keys in first-visit order, `index`
+    from key to node, and per node its complete prescription and its winner's
+    branches as (z, mass, child key, child beliefs of agents j..K)."""
+
+    def __init__(self):
+        self.keys, self.thetas, self.branches = [], [], []
+        self.index = {}
+
+
+def _advance_branch(instance, j, t, amap, z, pi_next, tail_steps):
+    """Child accessible map and belief tuple after observing z."""
+    from womctl.errors import WomError
+
+    amap_child = dict(amap)
+    amap_child.update(zip(instance.info.new_info(t + 1, j), z))
+    pis_child = [pi_next]
+    for i in range(j + 1, instance.agent_count + 1):
+        z_i = tuple(amap_child[var] for var in instance.info.new_info(t + 1, i))
+        steps_i = tail_steps[i]
+        if z_i not in steps_i:
+            raise WomError(
+                f"agent {i} new information {z_i} impossible on a positive branch"
+            )
+        pis_child.append(steps_i[z_i][1])
+    return amap_child, tuple(pis_child)
+
+
 def solve_agent_reference(instance, j, chain, caps):
     """Agent j's pass as a depth-first recursion, one node at a time.
 
     This is the search `solver._solve_agent` ran before it went stage by
     stage, with its scorer and kernel calls made on one-row stacks. It fills
-    the same `_Chain` fields, decisions in the order the recursion completes
-    them and node counts per stage, and returns the same value. A failure
-    other than a cap names the agent and the stage of the visit it left open.
+    the same `_Chain` counters and returns the same value. Its stages are
+    `_ReferenceStage`s, which `solver._tail_parts` reads as it reads the
+    pass's own, and its roots are (mass, node, accessible map, beliefs). A
+    failure other than a cap names the agent and the stage of the visit it
+    left open.
     """
     import time
 
@@ -601,13 +631,7 @@ def solve_agent_reference(instance, j, chain, caps):
     from womctl.belief import CandidateScorer, StepKernel, belief_tuple_key, check_domains
     from womctl.errors import CapExceeded, WomError
     from womctl.prescription import CompletePrescription
-    from womctl.solver import (
-        _advance_branch,
-        _Decision,
-        _head_spaces,
-        _roots,
-        _tail_parts,
-    )
+    from womctl.solver import _head_spaces, _roots, _tail_parts
 
     started = time.perf_counter()
     T, K = instance.horizon, instance.agent_count
@@ -615,8 +639,7 @@ def solve_agent_reference(instance, j, chain, caps):
     scorers: dict = {}  # per stage, built on the first visit
     kernels: dict = {}  # per (stage, agent), built on the first step
     memo: dict = {}
-    decisions: dict = {}
-    widths = [0] * (T + 1)
+    stages = [_ReferenceStage() for _ in range(T + 1)]
     examined = nodes = computed = shared = 0
     open_stages = []  # the stages of the visits in progress
 
@@ -645,23 +668,27 @@ def solve_agent_reference(instance, j, chain, caps):
         key = (t, belief_tuple_key(pis))
         if key in memo:
             return memo[key]
+        stage = stages[t]
+        n = stage.index[key[1]] = len(stage.keys)
+        stage.keys.append(key[1])
+        stage.thetas.append(None)
+        stage.branches.append(None)
         nodes += 1
-        widths[t] += 1
         open_stages.append(t)
         if nodes > caps.branches:
-            raise CapExceeded(nodes, caps.branches, "reachable belief branches")
+            raise CapExceeded(nodes, caps.branches, "reachable belief branches", exact=False)
         tails = _tail_parts(instance, chain, j, t, key[1])
         check_domains(instance, j, t, tails, first_target=j + 1)
         tail_tables = [np.array([part.table]) for part in tails]
         score = scorer(t)
-        stage = score(pis[0].probs[None], tail_tables)[0]
-        examined += len(stage)
+        stage_cost = score(pis[0].probs[None], tail_tables)[0]
+        examined += len(stage_cost)
         if t == T:
-            best = int(stage.argmin())
-            best_val = float(stage[best])
+            best = int(stage_cost.argmin())
+            best_val = float(stage_cost[best])
             index = np.unravel_index(best, score.shape)
             heads = tuple(space[int(i)] for space, i in zip(spaces[t], index))
-            best_decision = _Decision(CompletePrescription(j, t, heads + tails), {}, {})
+            best_decision = (CompletePrescription(j, t, heads + tails), [])
         else:
             controls = []
             for pi in pis:
@@ -671,41 +698,48 @@ def solve_agent_reference(instance, j, chain, caps):
             done = [{} for _ in pis]  # per agent, the node's steps by control tuple
             best_val, best_decision = math.inf, None
             candidates = itertools.product(*spaces[t])
-            for c, (val, heads) in enumerate(zip(stage.tolist(), candidates)):
+            for c, (val, heads) in enumerate(zip(stage_cost.tolist(), candidates)):
                 steps, *tail = [
                     step(t, pi, ctrl[c], seen) for pi, ctrl, seen in zip(pis, controls, done)
                 ]
                 tail_steps = dict(zip(range(j + 1, K + 1), tail))
                 # every child is visited so lower agents can inherit decisions
                 # at any tuple their own candidate profiles can reach
+                branches = []
                 for z, (pz, pi_next) in steps.items():
                     amap_child, pis_child = _advance_branch(
                         instance, j, t, amap, z, pi_next, tail_steps
                     )
                     val += pz * visit(t + 1, amap_child, pis_child)
+                    branches.append(
+                        (z, pz, belief_tuple_key(pis_child), [pi.probs for pi in pis_child])
+                    )
                 if val < best_val:
                     theta = CompletePrescription(owner=j, time=t, parts=heads + tails)
-                    best_val, best_decision = val, _Decision(theta, steps, tail_steps)
+                    best_val, best_decision = val, (theta, branches)
         memo[key] = best_val
-        decisions[key] = best_decision
+        stage.thetas[n], stage.branches[n] = best_decision
         open_stages.pop()
         return best_val
 
-    total = 0.0
+    total, roots = 0.0, []
     try:
         for pa, amap, pis in _roots(instance, j):
             total += pa * visit(0, amap, pis)
+            n = stages[0].index[belief_tuple_key(pis)]
+            roots.append((pa, n, amap, [pi.probs for pi in pis]))
     except CapExceeded:
         raise
     except WomError as exc:
         exc.args = (f"agent {j}, stage {open_stages[-1] if open_stages else 0}: {exc}",)
         raise
-    chain.decisions[j] = decisions
+    chain.stages[j] = stages
+    chain.roots[j] = roots
     chain.values[j] = total
     chain.examined[j] = examined
     chain.steps[j] = computed
     chain.shared[j] = shared
     chain.entries[j] = sum(len(kernel.entries) for kernel in kernels.values())
-    chain.widths[j] = tuple(widths)
+    chain.widths[j] = tuple(len(stage.keys) for stage in stages)
     chain.seconds[j] = time.perf_counter() - started
     return total

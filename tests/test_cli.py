@@ -240,6 +240,16 @@ def test_demo_static3(tmp_path):
     load_instance(str(tmp_path / "static3.json"))
 
 
+def test_compare_and_demo_print_the_same_rows(static3_path, tmp_path, capsys):
+    def rows(args):
+        assert run(args) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if "searched" in line]
+
+    compared = rows(["compare", static3_path])
+    assert len(compared) == 5  # brute, common-info and three static rows
+    assert rows(["demo", "static3", "--outdir", str(tmp_path)]) == compared
+
+
 def test_prescription_round_trip_long_horizon(tmp_path, capsys):
     path = tmp_path / "pomdp7.json"
     path.write_text(json.dumps(pomdp_dict(7)))

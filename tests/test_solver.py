@@ -481,6 +481,14 @@ def test_dp_cap_fails_before_building_tables(d2, monkeypatch):
     assert built == []
 
 
+def test_branch_cap_message_gives_a_lower_bound():
+    # the pass stops at its 21st node: it knows only that more than 20 are needed
+    with pytest.raises(CapExceeded) as err:
+        solve_prescription_dp(instance_from_dict(pomdp_dict(7)), 1, cap=20)
+    assert err.value.required == 21
+    assert str(err.value) == "reachable belief branches needs more than 20 candidates, cap is 20"
+
+
 def _count_sweeps(monkeypatch):
     calls = []
     real = solver_mod.feasible_schema_realizations

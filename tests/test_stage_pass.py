@@ -2,10 +2,11 @@
 
 `oracles.solve_agent_reference` visits one node at a time; `_solve_agent`
 expands each stage's nodes together. Both must leave every `_Chain` field
-equal: values, decisions (keys in order, prescriptions, and each decided
-step down to its probability arrays), candidates examined, steps computed
-and shared, kernel entries and nodes per stage. A pass that fails must fail
-alike in both.
+equal: values, per stage the node keys in first-visit order, each node's
+prescription and its winner's branches (new information, probability, child
+and every agent's posterior down to its array), the roots, candidates
+examined, steps computed and shared, kernel entries and nodes per stage. A
+pass that fails must fail alike in both.
 """
 
 import importlib.util
@@ -18,8 +19,10 @@ import pytest
 from helpers import fuzz_instance, pomdp_dict, random_topology_instance, relay_dict
 from oracles import solve_agent_reference
 import womctl.solver as solver_mod
+from womctl.belief import StepKernel, accessible_support
 from womctl.instances import load_d2, load_d2ext, load_static3, load_wom3
 from womctl.prescription import count_strategies
+from womctl.solver import compare_agents, solve_prescription_dp
 from womctl.sysmodel import instance_from_dict
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -66,29 +69,53 @@ def _run(instance, solve):
     return chain, None
 
 
-def _assert_steps_equal(ours, theirs):
-    assert list(ours) == list(theirs)  # new-information order
-    for z, (mass, pi) in theirs.items():
-        our_mass, our_pi = ours[z]
-        assert our_mass == mass
-        assert (our_pi.agent, our_pi.time, our_pi.support) == (pi.agent, pi.time, pi.support)
-        assert our_pi.probs.dtype == pi.probs.dtype
-        assert np.array_equal(our_pi.probs, pi.probs)
+def _our_branches(stages, t, n):
+    """Node n's winning branches in the pass's own stages, as the reference
+    records them: (z, mass, child key, child beliefs of agents j..K)."""
+    stage = stages[t]
+    if stage.win is None:
+        return []
+    u, owner = stage.win[n], stage.batches[0]
+    return [
+        (owner.z[groups[0]], owner.mass[groups[0]], stages[t + 1].keys[c],
+         [batch.probs[g] for batch, g in zip(stage.batches, groups)])
+        for c, groups in zip(stage.kid[u].tolist(), stage.groups[u].tolist())
+        if c >= 0
+    ]
+
+
+def _assert_beliefs_equal(ours, theirs):
+    assert len(ours) == len(theirs)
+    for mine, pi in zip(ours, theirs):
+        assert mine.dtype == pi.dtype
+        assert np.array_equal(mine, pi)
 
 
 def _assert_chains_equal(ours, theirs):
     for field in ("values", "examined", "steps", "shared", "entries", "widths"):
         assert getattr(ours, field) == getattr(theirs, field), field
-    assert list(ours.decisions) == list(theirs.decisions)
-    for j, decided in theirs.decisions.items():
-        assert list(ours.decisions[j]) == list(decided)  # completion order
-        for key, decision in decided.items():
-            mine = ours.decisions[j][key]
-            assert mine.theta == decision.theta
-            _assert_steps_equal(mine.steps, decision.steps)
-            assert list(mine.tail_steps) == list(decision.tail_steps)
-            for i, steps in decision.tail_steps.items():
-                _assert_steps_equal(mine.tail_steps[i], steps)
+    assert list(ours.stages) == list(theirs.stages) == list(ours.roots) == list(theirs.roots)
+    for j, stages in theirs.stages.items():
+        assert len(ours.stages[j]) == len(stages)
+        for t, stage in enumerate(stages):
+            mine = ours.stages[j][t]
+            assert mine.keys == stage.keys  # first-visit order
+            assert mine.index == stage.index
+            assert mine.thetas == stage.thetas
+            for n, branches in enumerate(stage.branches):
+                our_branches = _our_branches(ours.stages[j], t, n)
+                assert len(our_branches) == len(branches)  # new-information order
+                for (z, mass, key, beliefs), (our_z, our_mass, our_key, our_beliefs) in zip(
+                    branches, our_branches
+                ):
+                    assert (our_z, our_mass, our_key) == (z, mass, key)
+                    _assert_beliefs_equal(our_beliefs, beliefs)
+        assert len(ours.roots[j]) == len(theirs.roots[j])
+        for (mass, n, amap, beliefs), (our_mass, our_n, our_amap, our_beliefs) in zip(
+            theirs.roots[j], ours.roots[j]
+        ):
+            assert (our_mass, our_n, our_amap) == (mass, n, amap)
+            _assert_beliefs_equal(our_beliefs, beliefs)
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -121,6 +148,38 @@ def test_random_topologies_match_the_reference(seed):
     theirs, reference_failure = _run(instance, solve_agent_reference)
     assert failure == reference_failure  # the relay defect raises here on some seeds
     _assert_chains_equal(ours, theirs)
+
+
+def test_emission_reads_the_pass_record_by_node_index(monkeypatch):
+    """No search or emission expands a step into `InformationState`s, and
+    only the t=0 roots are keyed, once per accessible realization per pass."""
+    branches, keyed = [], []
+    real_branches, real_key = StepKernel.branches, solver_mod.belief_tuple_key
+
+    def counted_branches(kernel, batch, r):
+        branches.append((kernel.k, kernel.t))
+        return real_branches(kernel, batch, r)
+
+    def counted_key(pis):
+        keyed.append({pi.time for pi in pis})
+        return real_key(pis)
+
+    monkeypatch.setattr(StepKernel, "branches", counted_branches)
+    monkeypatch.setattr(solver_mod, "belief_tuple_key", counted_key)
+    linked3 = next(
+        op.doc for op in _bench_workloads().GENERATORS["fuzz_compare"](7)
+        if op.label.startswith("linked3-two")
+    )
+    for instance in (load_d2(), instance_from_dict(linked3), instance_from_dict(pomdp_dict(4))):
+        K = instance.agent_count
+        roots = {j: len(accessible_support(instance, j)) for j in range(1, K + 1)}
+        solves = [(k, lambda k=k: solve_prescription_dp(instance, k)) for k in range(1, K + 1)]
+        for lowest, solve in solves + [(1, lambda: compare_agents(instance))]:
+            branches.clear()
+            keyed.clear()
+            solve()
+            assert branches == []
+            assert keyed == [{0}] * sum(roots[j] for j in range(lowest, K + 1))
 
 
 def test_random_topologies_are_strongly_connected_and_within_the_brute_cap():
