@@ -18,11 +18,13 @@ from .errors import ImpossibleObservation, SchemaMismatch
 from .infostruct import KIND_CONTROL, KIND_OBSERVATION, InfoSchema
 from .prescription import CompletePrescription, apply_prescription
 from .sysmodel import (
+    STATE,
     Instance,
     index_realization,
     realization_count,
     realization_index,
-    restrict_realization,
+    realization_strides,
+    schema_rows,
 )
 
 NORM_TOL = 1e-9
@@ -39,30 +41,20 @@ class InformationState:
     probs: np.ndarray
 
     def key(self) -> tuple:
-        return probs_key(self.probs.tolist())
-
-
-def probs_key(probs: list) -> tuple:
-    """The key of a belief's probabilities: each rounded to KEY_DECIMALS."""
-    return tuple([round(p, KEY_DECIMALS) for p in probs])
+        return probs_key(self.probs)
 
 
 def probs_keys(probs: np.ndarray) -> list:
-    """`probs_key` of each row of a 2-D array, equal to it bit for bit.
-
-    `round` picks the integer nearest to p * 10**12 and returns the float
-    nearest to that integer over 10**12. Below 2**40 the product's float has
-    an error under 1e-4, so away from a half its `rint` is that integer, and
-    IEEE division returns the nearest float. Elements within 1e-3 of a half,
-    and larger ones, go through `round` itself.
-    """
+    """The key of each row of a 2-D array of belief probabilities, the one
+    key function: every element rounded to KEY_DECIMALS as
+    `rint(p * 10**12) / 10**12`, ties to even."""
     scale = float(10**KEY_DECIMALS)
-    scaled = probs * scale
-    rows = (np.rint(scaled) / scale).tolist()
-    sure = (np.abs(scaled) < 2.0**40) & (np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-3)
-    for r, c in np.argwhere(~sure).tolist():
-        rows[r][c] = round(float(probs[r, c]), KEY_DECIMALS)
-    return list(map(tuple, rows))
+    return list(map(tuple, (np.rint(probs * scale) / scale).tolist()))
+
+
+def probs_key(probs) -> tuple:
+    """`probs_keys` of one belief's probabilities."""
+    return probs_keys(np.asarray(probs, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -445,11 +437,7 @@ class CandidateScorer:
 
     def __init__(self, instance, k, t, head_tables):
         self.instance, self.k, self.t = instance, k, t
-        control_sizes = instance.system.control_sizes
-        strides = [1] * len(control_sizes)  # weight of each control in the joint index
-        for m in range(len(strides) - 2, -1, -1):
-            strides[m] = strides[m + 1] * control_sizes[m + 1]
-
+        strides = realization_strides(instance.system.control_sizes)  # in the joint index
         self.cost = instance.system.cost[t]
         self.x = _support_rows(instance, k, k, t)[0]
         self.shape = tuple(len(tables) for tables in head_tables)
@@ -515,43 +503,24 @@ def _support_rows(instance, i, k, t):
     """The system state, and the row of each of agent k's stage-t prescription
     domains, at every index of agent i's stage-t support; cached per instance."""
     cache_key = ("support_rows", i, k, t)
-    if cache_key in instance._cache:
-        return instance._cache[cache_key]
-    support = instance.info.equivalent_state(t, i)
-    sizes = _support_sizes(instance, support)
-    flat = np.arange(realization_count(sizes))
-    digits = []
-    stride = len(flat)
-    for size in sizes:
-        stride //= size
-        digits.append(flat // stride % size)
-    coord = dict(zip(support, digits[1:]))
-    rows = []
-    for target in range(1, instance.agent_count + 1):
-        domain = instance.info.prescription_domain(t, k, target)
-        row = np.zeros_like(flat)
-        for var in domain:
-            if var not in coord:
-                raise SchemaMismatch(
-                    f"prescription domain variable {var} is not a state coordinate"
-                )
-            row = row * instance.variable_size(var) + coord[var]
-        rows.append(row)
-    instance._cache[cache_key] = digits[0], rows
-    return digits[0], rows
+    if cache_key not in instance._cache:
+        domains = [
+            instance.info.prescription_domain(t, k, m) for m in range(1, instance.agent_count + 1)
+        ]
+        support = instance.info.equivalent_state(t, i)
+        x, *rows = schema_rows(instance, support, [(STATE,)] + domains, state=True)
+        instance._cache[cache_key] = x, rows
+    return instance._cache[cache_key]
 
 
 def connection_term(instance, pi_i: InformationState, k: int) -> ConnectionTerm:
     """Marginal of agent i's belief onto the coordinates agent k lacks (k < i)."""
     i = pi_i.agent
     diff = instance.info.tail_difference(pi_i.time, k, i)
-    diff_sizes = instance.schema_sizes(diff)
-    sizes = _support_sizes(instance, pi_i.support)
-    vec = np.zeros(realization_count(diff_sizes))
-    for s_idx in np.nonzero(pi_i.probs > 0.0)[0]:
-        s_vals = index_realization(sizes, int(s_idx))
-        ext = restrict_realization(pi_i.support, s_vals[1:], diff)
-        vec[realization_index(diff_sizes, ext)] += float(pi_i.probs[s_idx])
+    (row,) = schema_rows(instance, pi_i.support, [diff], state=True)
+    live = pi_i.probs > 0.0  # summed in support order, as one point at a time
+    size = realization_count(instance.schema_sizes(diff))
+    vec = np.bincount(row[live], weights=pi_i.probs[live], minlength=size)
     return ConnectionTerm(low_agent=k, high_agent=i, time=pi_i.time, support=diff, probs=vec)
 
 
@@ -566,22 +535,17 @@ def factorization_check(instance, pi_k_by_extension: dict, pi_i, lam: Connection
     k, i = lam.low_agent, pi_i.agent
     if lam.high_agent != i or pi_i.time != lam.time:
         raise SchemaMismatch("connection term does not match the belief")
-    support_k = instance.info.equivalent_state(pi_i.time, k)
-    sizes_i = _support_sizes(instance, pi_i.support)
-    sizes_k = _support_sizes(instance, support_k)
+    support_k = (STATE,) + instance.info.equivalent_state(pi_i.time, k)
+    rows_k, rows_ext = schema_rows(instance, pi_i.support, [support_k, lam.support], state=True)
     diff_sizes = instance.schema_sizes(lam.support)
     worst = 0.0
-    for s_idx in np.nonzero(pi_i.probs > 0.0)[0]:
-        s_vals = index_realization(sizes_i, int(s_idx))
-        ext = restrict_realization(pi_i.support, s_vals[1:], lam.support)
+    for s_idx in np.nonzero(pi_i.probs > 0.0)[0].tolist():
+        ext = index_realization(diff_sizes, int(rows_ext[s_idx]))
         pk = pi_k_by_extension.get(ext)
         if pk is None:
             raise MissingConditional(f"no agent-{k} belief supplied for extension {ext}")
-        sk_vals = (s_vals[0],) + restrict_realization(pi_i.support, s_vals[1:], support_k)
         lhs = float(pi_i.probs[s_idx])
-        rhs = float(pk.probs[realization_index(sizes_k, sk_vals)]) * float(
-            lam.probs[realization_index(diff_sizes, ext)]
-        )
+        rhs = float(pk.probs[rows_k[s_idx]]) * float(lam.probs[rows_ext[s_idx]])
         worst = max(worst, abs(lhs - rhs))
     return worst
 

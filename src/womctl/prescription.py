@@ -22,7 +22,9 @@ from .sysmodel import (
     feasible_schema_realizations,
     realization_count,
     realization_index,
+    realization_strides,
     restrict_realization,
+    schema_rows,
 )
 
 DEFAULT_TABLE_CAP = 2**20
@@ -112,10 +114,8 @@ class PrescriptionStrategy:
             law, default = self._checked_law(instance, t, target)
             cond = info.conditioning_schema(t, self.owner, target)
             domain = info.prescription_domain(t, self.owner, target)
-            stride, row = 1, []
-            for var, size in reversed(list(zip(domain, instance.schema_sizes(domain)))):
-                row.append((layout.index(var), stride))
-                stride *= size
+            strides = realization_strides(instance.schema_sizes(domain))
+            row = [(layout.index(var), stride) for var, stride in zip(domain, strides)]
             lookups.append((law, default, [layout.index(v) for v in cond], row))
 
         def rule(h):
@@ -219,8 +219,7 @@ def induced_control_tables(instance: Instance, psi: PrescriptionStrategy, agent:
     The conditioning schema and the prescription domain partition the
     agent's memory, so every memory realization's action is one entry of the
     matrix whose rows are the law's prescription tables in conditioning
-    order; the row and column of each realization come from its mixed-radix
-    digits.
+    order, at the realization's conditioning row and domain row.
     """
     info = instance.info
     tables = {}
@@ -232,20 +231,9 @@ def induced_control_tables(instance: Instance, psi: PrescriptionStrategy, agent:
             law.get(cond_real, default).table
             for cond_real in enumerate_realizations(instance.schema_sizes(cond))
         ]
-        sizes = instance.schema_sizes(mem)
-        flat = np.arange(realization_count(sizes))
-        row = np.zeros_like(flat)
-        col = np.zeros_like(flat)
-        stride = len(flat)
-        for var, size in zip(mem, sizes):
-            stride //= size
-            digit = flat // stride % size
-            if var in cond:
-                row = row * size + digit
-            else:
-                col = col * size + digit
+        row, col = schema_rows(instance, mem, [cond, info.prescription_domain(t, psi.owner, agent)])
         actions = np.array(rows, dtype=np.int64)[row, col]
-        tables[t] = dict(zip(enumerate_realizations(sizes), actions.tolist()))
+        tables[t] = dict(zip(enumerate_realizations(instance.schema_sizes(mem)), actions.tolist()))
     return tables
 
 
@@ -273,7 +261,9 @@ def control_law_to_strategy(
 
     The diagonal component splits the owner's memory into conditioning and
     table input; components for other targets apply the same construction to
-    each target's own law through the matching memory partition.
+    each target's own law through the matching memory partition. Each
+    target's control table is read in memory order and scattered into the
+    (conditioning, domain) matrix whose rows are the law's tables.
     """
     info = instance.info
     laws = {}
@@ -287,23 +277,24 @@ def control_law_to_strategy(
                     f"conditioning and domain do not partition memory "
                     f"(t={t}, owner={k}, target={target})"
                 )
-            mem_pos = {v: i for i, v in enumerate(mem)}
             g_table = strategy.tables.get((t, target))
             if g_table is None:
                 raise DomainMismatch(f"control strategy missing (t={t}, agent={target})")
-            law = {}
-            dom_sizes = instance.schema_sizes(domain)
-            for cond_real in enumerate_realizations(instance.schema_sizes(cond)):
-                table = []
-                for dom_real in enumerate_realizations(dom_sizes):
-                    values = [0] * len(mem)
-                    for v, val in zip(cond, cond_real):
-                        values[mem_pos[v]] = val
-                    for v, val in zip(domain, dom_real):
-                        values[mem_pos[v]] = val
-                    table.append(g_table[tuple(values)])
-                law[cond_real] = make_prescription(instance, t, k, target, table)
-            laws[(t, target)] = law
+            try:
+                actions = [g_table[r] for r in enumerate_realizations(instance.schema_sizes(mem))]
+            except KeyError as exc:
+                raise DomainMismatch(
+                    f"strategy table (t={t}, agent={target}) missing realization {exc.args[0]}"
+                ) from None
+            cond_sizes, dom_sizes = instance.schema_sizes(cond), instance.schema_sizes(domain)
+            tables = np.empty(
+                (realization_count(cond_sizes), realization_count(dom_sizes)), dtype=np.int64
+            )
+            tables[tuple(schema_rows(instance, mem, [cond, domain]))] = actions
+            laws[(t, target)] = {
+                cond_real: make_prescription(instance, t, k, target, table)
+                for cond_real, table in zip(enumerate_realizations(cond_sizes), tables.tolist())
+            }
     return PrescriptionStrategy(owner=k, laws=laws)
 
 
@@ -338,12 +329,10 @@ def derive_complete(
                 f"cannot project prescription for target {target}: "
                 f"source domain is not contained in the new domain"
             )
+        (row,) = schema_rows(instance, dst_domain, [src.domain])
+        table = tuple(np.take(src.table, row).tolist())
         dst_sizes = instance.schema_sizes(dst_domain)
-        table = [
-            apply_prescription(src, restrict_realization(dst_domain, real, src.domain))
-            for real in enumerate_realizations(dst_sizes)
-        ]
-        parts.append(Prescription(i, target, t, dst_domain, dst_sizes, src.control_size, tuple(table)))
+        parts.append(Prescription(i, target, t, dst_domain, dst_sizes, src.control_size, table))
     return CompletePrescription(owner=i, time=t, parts=tuple(parts))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .errors import ShapeMismatch
 from .infostruct import VariableId
 from .prescription import PrescriptionStrategy, make_prescription
-from .sysmodel import ControlStrategy, Instance, enumerate_realizations
+from .sysmodel import ControlStrategy, Instance
 
 
 def _var(v: VariableId):
@@ -42,41 +42,38 @@ def control_strategy_from_dict(instance: Instance, data: dict) -> ControlStrateg
 
 
 def prescription_strategy_to_dict(instance: Instance, psi: PrescriptionStrategy) -> dict:
-    """Every law written out in full: an omitted realization gets its default."""
-    laws = []
-    for (t, target) in sorted(psi.laws):
-        cond_schema = instance.info.conditioning_schema(t, psi.owner, target)
-        entries = [
-            [list(cond), list(psi.lookup(t, target, cond).table)]
-            for cond in enumerate_realizations(instance.schema_sizes(cond_schema))
-        ]
-        domain = instance.info.prescription_domain(t, psi.owner, target)
-        laws.append(
-            {
-                "t": t,
-                "target": target,
-                "conditioning": [_var(v) for v in cond_schema],
-                "domain": [_var(v) for v in domain],
-                "entries": entries,
-            }
-        )
+    """Each law's own entries, and its `"default"` table when it has one."""
+    info, laws = instance.info, []
+    for (t, target), law in sorted(psi.laws.items()):
+        block = {
+            "t": t,
+            "target": target,
+            "conditioning": [_var(v) for v in info.conditioning_schema(t, psi.owner, target)],
+            "domain": [_var(v) for v in info.prescription_domain(t, psi.owner, target)],
+            "entries": [[list(cond), list(presc.table)] for cond, presc in sorted(law.items())],
+        }
+        if (t, target) in psi.defaults:
+            block["default"] = list(psi.defaults[(t, target)].table)
+        laws.append(block)
     return {"kind": "prescription", "owner": psi.owner, "laws": laws}
 
 
 def prescription_strategy_from_dict(instance: Instance, data: dict) -> PrescriptionStrategy:
+    """The inverse of `prescription_strategy_to_dict`. A law without a
+    `"default"` table must list every conditioning realization."""
     if data.get("kind") != "prescription":
         raise ShapeMismatch("not a prescription strategy document")
     owner = int(data["owner"])
-    laws = {}
+    laws, defaults = {}, {}
     for block in data["laws"]:
         t, target = int(block["t"]), int(block["target"])
-        law = {}
-        for cond, table in block["entries"]:
-            law[tuple(int(v) for v in cond)] = make_prescription(
-                instance, t, owner, target, table
-            )
-        laws[(t, target)] = law
-    return PrescriptionStrategy(owner=owner, laws=laws)
+        laws[(t, target)] = {
+            tuple(int(v) for v in cond): make_prescription(instance, t, owner, target, table)
+            for cond, table in block["entries"]
+        }
+        if "default" in block:
+            defaults[(t, target)] = make_prescription(instance, t, owner, target, block["default"])
+    return PrescriptionStrategy(owner=owner, laws=laws, defaults=defaults)
 
 
 def strategy_from_dict(instance: Instance, data: dict):

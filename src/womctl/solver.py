@@ -52,6 +52,7 @@ from .sysmodel import (
     feasible_schema_realizations,
     joint_primitives,
     realization_count,
+    realization_strides,
     restrict_realization,
 )
 
@@ -155,9 +156,7 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
                 last = (t, k) == (T, K)
                 raise CapExceeded(total, caps.brute, "brute-force enumeration", exact=last)
 
-    control_stride = [1] * K
-    for k in range(K - 2, -1, -1):
-        control_stride[k] = control_stride[k + 1] * sys.control_sizes[k + 1]
+    control_stride = realization_strides(sys.control_sizes)
     radix_of = []  # per digit
     plan = [[] for _ in range(T + 1)]  # per stage and agent, how to find its digit
     for t, k, feas, radix in cells:

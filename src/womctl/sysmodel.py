@@ -23,6 +23,7 @@ from .errors import (
     CapExceeded,
     DistributionNotNormalized,
     DomainMismatch,
+    SchemaMismatch,
     ShapeMismatch,
 )
 from .infostruct import (
@@ -90,17 +91,16 @@ class Instance:
         return tuple(self.variable_size(v) for v in schema)
 
     def joint_control_index(self, controls) -> int:
-        idx = 0
-        for size, u in zip(self.system.control_sizes, controls):
-            idx = idx * size + u
-        return idx
+        return realization_index(self.system.control_sizes, controls)
 
 
 def realization_count(sizes) -> int:
-    n = 1
-    for s in sizes:
-        n *= s
-    return n
+    return math.prod(sizes)
+
+
+def realization_strides(sizes) -> tuple[int, ...]:
+    """The weight of each coordinate in the row-major index; the last one's is 1."""
+    return tuple(math.prod(sizes[i + 1 :]) for i in range(len(sizes)))
 
 
 def enumerate_realizations(sizes):
@@ -127,6 +127,33 @@ def restrict_realization(schema: InfoSchema, values, sub: InfoSchema) -> tuple[i
     """Project values of `schema` onto the subset schema `sub`."""
     pos = {v: i for i, v in enumerate(schema)}
     return tuple(values[pos[v]] for v in sub)
+
+
+STATE = None  # names the system state in a sub-schema of a state-led schema
+
+
+def schema_rows(instance: Instance, schema: InfoSchema, subs, state: bool = False) -> list:
+    """At every row-major realization index of `schema`, the row-major index
+    of each sub-schema's restriction: one int array per sub-schema.
+
+    With `state` the schema is led by the system state, its slowest
+    coordinate, which a sub-schema names as `STATE`. A sub-schema variable
+    the schema lacks raises `SchemaMismatch`.
+    """
+    names = ((STATE,) if state else ()) + tuple(schema)
+    sizes = ((instance.system.state_size,) if state else ()) + instance.schema_sizes(schema)
+    flat = np.arange(realization_count(sizes))
+    digit = {v: (flat // w % n, n) for v, n, w in zip(names, sizes, realization_strides(sizes))}
+    rows = []
+    for sub in subs:
+        row = np.zeros_like(flat)
+        for var in sub:
+            if var not in digit:
+                raise SchemaMismatch(f"variable {var} is not a coordinate of the schema")
+            d, n = digit[var]
+            row = row * n + d
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -600,9 +627,7 @@ def instance_from_dict(data: dict) -> Instance:
         w_size = _as_int(dist["size"], "disturbance size")
         noises = raw["noises"]
         noise_sizes = tuple(_as_int(n["size"], "noise size") for n in noises)
-        nu = 1
-        for s in control_sizes:
-            nu *= s
+        nu = realization_count(control_sizes)
         transition = raw.get("transition")
         if transition is None:
             if T != 0:
@@ -678,11 +703,9 @@ def permute_instance(instance: Instance, perm: tuple[int, ...]) -> Instance:
         new_of_old[old] = new
 
     control_sizes = tuple(sys.control_sizes[o] for o in old_of_new)
-    new_nu = sys.joint_control_count
-    joint_map = np.empty(new_nu, dtype=int)
-    for idx, combo in enumerate(enumerate_realizations(control_sizes)):
-        old_combo = tuple(combo[new_of_old[o]] for o in range(K))
-        joint_map[idx] = realization_index(sys.control_sizes, old_combo)
+    # the old joint index at each new one: old control axes in the new order
+    joint_map = np.arange(sys.joint_control_count).reshape(sys.control_sizes)
+    joint_map = joint_map.transpose(old_of_new).ravel()
 
     transition = sys.transition[:, :, joint_map, :] if sys.horizon else sys.transition
     cost = sys.cost[:, :, joint_map]

@@ -652,12 +652,14 @@ def test_relay_step_fails_as_the_reference_filter_does():
 
 
 def _assert_keys_match(rows):
-    """`probs_keys` of a stack equals `probs_key` of each row, float for float."""
+    """Every key element of a stack is `rint(p * 1e12) / 1e12`, float for
+    float, and a row's key does not depend on the rows stacked with it."""
     stack = np.array(rows, dtype=float)
     got = probs_keys(stack)
-    want = [probs_key(row) for row in stack.tolist()]
-    assert got == want
+    want = [[float(np.rint(p * 1e12) / 1e12) for p in row] for row in stack.tolist()]
     assert [[p.hex() for p in key] for key in got] == [[p.hex() for p in key] for key in want]
+    assert probs_keys(stack[::-1])[::-1] == got
+    assert [probs_key(row) for row in stack.tolist()] == got
 
 
 def test_stacked_keys_match_probs_key_on_random_rows():

@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import pytest
@@ -251,6 +250,9 @@ def test_compare_and_demo_print_the_same_rows(static3_path, tmp_path, capsys):
 
 
 def test_prescription_round_trip_long_horizon(tmp_path, capsys):
+    from womctl.solver import solve_prescription_dp
+    from womctl.sysmodel import load_instance
+
     path = tmp_path / "pomdp7.json"
     path.write_text(json.dumps(pomdp_dict(7)))
     strategy = tmp_path / "psi.json"
@@ -259,13 +261,14 @@ def test_prescription_round_trip_long_horizon(tmp_path, capsys):
     solved = capsys.readouterr().out.split("optimal cost ")[1].split(",")[0]
     assert run(["evaluate", str(path), "--strategy", str(strategy)]) == 0
     assert f"exact expected cost {solved}" in capsys.readouterr().out
-    # the emitted laws are sparse in memory and complete on disk
+    # on disk each law holds its own entries and its default
+    psi = solve_prescription_dp(load_instance(str(path)), 1).prescription_strategy
     laws = json.loads(strategy.read_text())["laws"]
     assert len(laws) == 8
     for law in laws:
-        assert [cond for cond, _ in law["entries"]] == [
-            list(r) for r in itertools.product(range(2), repeat=len(law["conditioning"]))
-        ]
+        own = psi.laws[(law["t"], law["target"])]
+        assert [cond for cond, _ in law["entries"]] == [list(r) for r in sorted(own)]
+        assert law["default"] == list(psi.defaults[(law["t"], law["target"])].table)
 
 
 @pytest.mark.parametrize("which", ["d2", "pomdp4"])

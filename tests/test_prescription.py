@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from helpers import random_control_strategy, random_prescription_strategy
-from womctl.errors import CapExceeded, OutOfRange
+from womctl.errors import CapExceeded, DomainMismatch, OutOfRange
 from womctl.prescription import (
     Prescription,
     apply_prescription,
@@ -20,8 +21,8 @@ from womctl.prescription import (
     strategy_to_control_law,
     translate_strategy,
 )
-from womctl.solver import evaluate_prescription_strategy
-from womctl.sysmodel import exact_strategy_cost
+from womctl.solver import evaluate_prescription_strategy, solve_brute_force
+from womctl.sysmodel import ControlStrategy, exact_strategy_cost
 
 
 def test_apply_constant_prescription(static3):
@@ -162,6 +163,16 @@ def test_control_law_round_trip(d2):
         own = strategy_to_control_law(d2, psi)
         for t in range(d2.horizon + 1):
             assert own.tables[(t, k)] == g.tables[(t, k)]
+
+
+def test_control_law_missing_a_realization_is_a_domain_mismatch(d2):
+    tables = dict(solve_brute_force(d2).control_strategy.tables)
+    (real, _), *rest = tables[(1, 2)].items()
+    tables[(1, 2)] = dict(rest)
+    want = re.escape(f"strategy table (t=1, agent=2) missing realization {real}")
+    for k in (1, 2):
+        with pytest.raises(DomainMismatch, match=want):
+            control_law_to_strategy(d2, ControlStrategy(tables=tables), k)
 
 
 def test_control_law_round_trip_costs(d2):

@@ -692,7 +692,7 @@ def test_law_defaults_stand_for_the_omitted_realizations(d2):
 
     from womctl.errors import OutOfRange
     from womctl.prescription import PrescriptionStrategy
-    from womctl.serialize import prescription_strategy_to_dict
+    from womctl.serialize import prescription_strategy_from_dict, prescription_strategy_to_dict
 
     psi = random_prescription_strategy(d2, 1, random.Random(32))
     (cond, dropped), *rest = psi.laws[(1, 2)].items()
@@ -702,7 +702,10 @@ def test_law_defaults_stand_for_the_omitted_realizations(d2):
     assert gappy.lookup(1, 2, cond) is dropped
     assert evaluate_prescription_strategy(d2, gappy) == evaluate_prescription_strategy(d2, psi)
     assert joint_control_strategy(d2, gappy) == joint_control_strategy(d2, psi)
-    assert prescription_strategy_to_dict(d2, gappy) == prescription_strategy_to_dict(d2, psi)
+    for strategy in (gappy, psi):
+        loaded = prescription_strategy_from_dict(d2, prescription_strategy_to_dict(d2, strategy))
+        assert (loaded.laws, loaded.defaults) == (strategy.laws, strategy.defaults)
+        assert evaluate_prescription_strategy(d2, loaded) == evaluate_prescription_strategy(d2, psi)
     bad = dataclasses.replace(dropped, domain_sizes=dropped.domain_sizes + (2,))
     with pytest.raises(OutOfRange, match="domain sizes"):
         evaluate_prescription_strategy(

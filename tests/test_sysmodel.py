@@ -17,12 +17,16 @@ from womctl.errors import (
     CapExceeded,
     DistributionNotNormalized,
     DomainMismatch,
+    SchemaMismatch,
     ShapeMismatch,
 )
-from womctl.instances import d2_dict
+from womctl.infostruct import VariableId
+from womctl.instances import d2_dict, load_d2, load_d2ext, load_static3, load_wom3
 from womctl.solver import solve_brute_force
 from womctl.sysmodel import (
+    STATE,
     SWEEP_CAP,
+    enumerate_realizations,
     exact_strategy_cost,
     feasible_memory_realizations,
     feasible_schema_realizations,
@@ -31,6 +35,10 @@ from womctl.sysmodel import (
     instance_to_dict,
     monte_carlo_cost,
     permute_instance,
+    realization_index,
+    realization_strides,
+    restrict_realization,
+    schema_rows,
     validate_strategy,
 )
 
@@ -289,3 +297,53 @@ def test_permute_instance_preserves_optimum(d2):
 def test_permute_requires_permutation(d2):
     with pytest.raises(ShapeMismatch):
         permute_instance(d2, (1, 1))
+
+
+def test_strides_weigh_each_coordinate_of_the_row_major_index():
+    assert realization_strides(()) == ()
+    assert realization_strides((3, 1, 2, 4)) == (8, 8, 4, 1)
+    for real in enumerate_realizations((3, 1, 2, 4)):
+        assert realization_index((3, 1, 2, 4), real) == sum(
+            v * w for v, w in zip(real, realization_strides((3, 1, 2, 4)))
+        )
+
+
+def test_schema_rows_match_restrict_and_index_on_random_sub_schemas():
+    rng = random.Random(14)
+    instances = [load_static3(), load_d2(), load_d2ext(), load_wom3()]
+    instances += [fuzz_instance(seed) for seed in range(12)]
+    checked = 0
+    for inst in instances:
+        info = inst.info
+        schemas = {
+            schema
+            for t in range(inst.horizon + 1)
+            for k in range(1, inst.agent_count + 1)
+            for schema in (info.memory(t, k), info.equivalent_state(t, k), info.accessible(t, k))
+        }
+        for schema in sorted(schemas):
+            for state in (False, True):
+                names = ((STATE,) if state else ()) + schema
+                sizes = ((inst.system.state_size,) if state else ()) + inst.schema_sizes(schema)
+                if math.prod(sizes) > 4096:
+                    continue
+                size = dict(zip(names, sizes))
+                # random subsets in random order, the empty one and the whole
+                subs = [tuple(rng.sample(names, rng.randint(0, len(names)))) for _ in range(3)]
+                subs += [(), names]
+                rows = schema_rows(inst, schema, subs, state=state)
+                assert [row.shape for row in rows] == [(math.prod(sizes),)] * len(subs)
+                for index, real in enumerate(enumerate_realizations(sizes)):
+                    for sub, row in zip(subs, rows):
+                        want = realization_index(
+                            [size[v] for v in sub], restrict_realization(names, real, sub)
+                        )
+                        assert row[index] == want
+                checked += 1
+        missing = VariableId(inst.horizon + 1, 1, "Y")
+        for state in (False, True):
+            with pytest.raises(SchemaMismatch):
+                schema_rows(inst, info.memory(0, 1), [(missing,)], state=state)
+        with pytest.raises(SchemaMismatch):
+            schema_rows(inst, info.memory(0, 1), [(STATE,)])
+    assert checked > 200

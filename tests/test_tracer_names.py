@@ -1,6 +1,8 @@
 """The benchmark's span tracer (`bench/spans.py`) wraps womctl functions by
-module and attribute name. Every name it wraps must resolve, so that a rename
-in the package fails here rather than only in a benchmark run."""
+module and attribute name: the layers of its `TRACED` table, and
+`sysmodel.joint_primitives`, whose primitive sequences it counts. Every name
+it wraps must resolve, so that a rename in the package fails here rather than
+only in a benchmark run."""
 
 import importlib
 import importlib.util
@@ -15,7 +17,8 @@ def test_every_traced_function_resolves():
     spec.loader.exec_module(spans)
     assert spans.TRACED
     missing = []
-    for layer, (module_name, path) in spans.TRACED.items():
+    counted = {"primitive count": ("womctl.sysmodel", "joint_primitives")}
+    for layer, (module_name, path) in {**spans.TRACED, **counted}.items():
         obj = importlib.import_module(module_name)
         for attr in path.split("."):
             obj = getattr(obj, attr, None)
