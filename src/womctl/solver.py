@@ -139,6 +139,12 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     which they cover exactly, and on leaving that subtree the buffers are
     added to the path's view in stage order. Every strategy thus gets one
     add per primitive and stage, primitive by primitive, stage by stage.
+
+    The running sum after the first primitives depends only on the digits
+    they read. A probe walks every branch of each primitive once per solve;
+    the head, the longest run of leading primitives whose axes span at most
+    `_INNER` points over all chunks, is walked per chunk into a tensor of
+    size 1 on every other axis, which is broadcast into the chunk's tensor.
     """
     caps = resolve_caps(cap)
     start = time.perf_counter()
@@ -180,7 +186,6 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     while outer and inner_size * shape[outer - 1] <= _INNER:
         outer -= 1
         inner_size *= shape[outer]
-    bufs = [np.empty(shape[outer:]) for _ in range(T + 1)]
 
     observe = [[VariableId(t, k, KIND_OBSERVATION) for k in range(1, K + 1)]
                for t in range(T + 1)]
@@ -190,14 +195,17 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     index = [slice(None)] * len(shape)
     digit = [0] * len(radix_of)
     vals = {}
+    reads = None  # while probing, the axes read so far
 
     def walk(t, k, x, uj, inner):
-        # reads the chunk's `costs` and the primitive `p, w_seq, v_seq` set below
+        # adds the primitive `p, w_seq, v_seq` into `costs` through `bufs`;
+        # while probing it adds nothing and takes every branch of every digit
         if k == K:
-            if inner:
-                bufs[t][tuple(index[outer:])] = p * cost[t][x][uj]
-            else:
-                costs[tuple(index)] += p * cost[t][x][uj]
+            if reads is None:
+                if inner:
+                    bufs[t][tuple(index[outer:])] = p * cost[t][x][uj]
+                else:
+                    costs[tuple(index)] += p * cost[t][x][uj]
             if t < T:
                 x = transition[t][x][uj][w_seq[t]]
                 for j, var in enumerate(observe[t + 1]):
@@ -207,6 +215,12 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
         schema, digit_of, stride, control = plan[t][k]
         g = digit_of[tuple(map(vals.__getitem__, schema))]
         axis = axis_of[g]
+        if reads is not None:
+            reads.add(axis)
+            for u in range(radix_of[g]):
+                vals[control] = u
+                walk(t, k + 1, x, uj + u * stride, inner)
+            return
         if axis < 0:
             vals[control] = digit[g]
             walk(t, k + 1, x, uj + digit[g] * stride, inner)
@@ -222,18 +236,43 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
             for buf in bufs[t:]:
                 view += buf
 
-    prim = list(joint_primitives(instance))
-    best_cost, best_lead, best_arg = math.inf, None, 0
-    for lead in itertools.product(*map(range, radix_of[:split])):
-        digit[:split] = lead
-        costs = np.zeros(shape)
-        for p, x0, w_seq, v_seq in prim:
+    p = w_seq = v_seq = None
+
+    def fold(prims):
+        nonlocal p, w_seq, v_seq
+        for p, x0, w_seq, v_seq in prims:
             for j, var in enumerate(observe[0]):
                 vals[var] = obs[j][0][x0][v_seq[j][0]]
             walk(0, 0, x0, 0, False)
+
+    # the head: the leading primitives whose reads, over every chunk, span at
+    # most `_INNER` points; each chunk broadcasts their running sums
+    prim = list(joint_primitives(instance))
+    head, head_axes = 0, set()
+    for primitive in prim:
+        reads = set(head_axes)
+        fold([primitive])
+        if math.prod(shape[a] for a in reads if a >= 0) > _INNER:
+            break
+        head, head_axes = head + 1, reads
+    reads = None
+    head_shape = tuple(n if a in head_axes else 1 for a, n in enumerate(shape))
+    head_bufs = [np.empty(head_shape[outer:]) for _ in range(T + 1)]
+    chunk_bufs = [np.empty(shape[outer:]) for _ in range(T + 1)]
+
+    best_cost, best_lead, best_arg = math.inf, None, 0
+    for lead in itertools.product(*map(range, radix_of[:split])):
+        digit[:split] = lead
+        costs, bufs = np.zeros(head_shape), head_bufs
+        fold(prim[:head])
+        costs, bufs = np.broadcast_to(costs, shape).copy(), chunk_bufs
+        fold(prim[head:])
         arg = int(costs.argmin())
         if costs.flat[arg] < best_cost:
             best_cost, best_lead, best_arg = float(costs.flat[arg]), lead, arg
+    log.debug("brute force: %d strategies, %d chunks, %d primitives, head of %d primitives "
+              "over %d points, %.3f s", total, math.prod(radix_of[:split]), len(prim), head,
+              math.prod(head_shape), time.perf_counter() - start)
 
     digit[:split] = best_lead
     for g, u in zip(axis_digits, np.unravel_index(best_arg, shape)):

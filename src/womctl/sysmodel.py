@@ -533,7 +533,9 @@ def feasible_schema_realizations(instance: Instance, schema: InfoSchema):
     Controls are treated as free exogenous choices, so the result is the union
     of supports over all strategies. The forward pass branches over every
     joint control and carries only the schema's variables: with free controls,
-    what can follow a stage depends on the state alone.
+    what can follow a stage depends on the state alone. It stops at the first
+    stage whose layout holds the whole schema, since every realization there
+    carries on unchanged to each later stage.
     """
     key = ("feas", schema)
     if key in instance._cache:
@@ -548,9 +550,10 @@ def feasible_schema_realizations(instance: Instance, schema: InfoSchema):
 
     found = set()
     for t, layout, acted in _forward_pass(instance, [set(schema)] * (T + 1), decide):
-        if t == T and set(schema) <= set(layout):
+        if set(schema) <= set(layout):
             pos = [layout.index(v) for v in schema]
             found = {tuple(h[i] for i in pos) for _, h, _, _, _ in acted}
+            break
     result = tuple(sorted(found))
     instance._cache[key] = result
     return result

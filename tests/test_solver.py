@@ -38,6 +38,7 @@ from womctl.sysmodel import (
     exact_strategy_cost,
     feasible_schema_realizations,
     instance_from_dict,
+    joint_primitives,
     permute_instance,
     validate_strategy,
 )
@@ -119,6 +120,36 @@ def test_brute_force_matches_reference_across_inner_blocks(name, split, monkeypa
     monkeypatch.setattr(solver_mod, "_INNER", inner)
     monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
     _assert_matches_reference(*_split_case(name))
+
+
+def _brute_force_record(caplog):
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("brute force:")]
+    caplog.clear()
+    return record.args  # strategies, chunks, primitives, head, head points, seconds
+
+
+# the head bound is `_INNER`: 0 admits no primitive, a whole chunk admits every one
+HEADS = {"head-none": 0, "head-default": solver_mod._INNER, "head-whole": solver_mod._CHUNK}
+
+
+@pytest.mark.parametrize("bound", list(HEADS))
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_brute_force_matches_reference_across_head_bounds(name, bound, monkeypatch, caplog):
+    monkeypatch.setattr(solver_mod, "_INNER", HEADS[bound])
+    caplog.set_level(logging.DEBUG, logger="womctl")
+    _assert_matches_reference(*_split_case(name))
+    _, _, primitives, head, _, _ = _brute_force_record(caplog)
+    assert head == {"head-none": 0, "head-whole": primitives}.get(bound, head)
+
+
+def test_brute_force_d2_chunks_share_a_head_smaller_than_the_chunk(d2, caplog):
+    caplog.set_level(logging.DEBUG, logger="womctl")
+    res = solve_brute_force(d2)
+    strategies, chunks, primitives, head, points, seconds = _brute_force_record(caplog)
+    assert (strategies, chunks) == (res.search_size, 4)
+    assert primitives == len(list(joint_primitives(d2)))
+    assert 0 < head < primitives and points <= solver_mod._INNER
+    assert points < strategies // chunks and seconds >= 0.0
 
 
 @pytest.mark.parametrize("name", ["static3", "static3_reindexed", "d2"])

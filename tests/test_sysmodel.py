@@ -172,6 +172,29 @@ def test_reachable_pairs_cap_fails_fast(monkeypatch):
         feasible_memory_realizations(inst, 4, 1)
 
 
+def test_feasibility_sweep_stops_once_the_schema_is_complete(monkeypatch):
+    inst = instance_from_dict(pomdp_dict(7))
+    stages = []
+    real_pass = sysmodel._forward_pass
+
+    def forward_pass(*args):
+        for stage in real_pass(*args):
+            stages.append(stage[0])
+            yield stage
+
+    monkeypatch.setattr(sysmodel, "_forward_pass", forward_pass)
+    schema = inst.info.memory(0, 1)
+    found = feasible_schema_realizations(inst, schema)
+    assert stages == [0]
+    # the sweep run on to the horizon carries the same realizations
+    every = list(enumerate_realizations(inst.system.control_sizes))
+    keep = [set(schema)] * (inst.horizon + 1)
+    *_, (t, layout, acted) = real_pass(inst, keep, lambda t, layout: lambda h: every)
+    pos = [layout.index(v) for v in schema]
+    assert t == 7 and found == tuple(sorted({tuple(h[i] for i in pos) for _, h, *_ in acted}))
+    assert len(found) > 1
+
+
 def test_feasible_realizations_match_sweep_oracle(static3, d2, d2ext, wom3):
     for inst in [static3, d2, d2ext, wom3] + [fuzz_instance(seed) for seed in range(10)]:
         info = inst.info
