@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ImpossibleObservation, SchemaMismatch
-from .infostruct import KIND_CONTROL, KIND_OBSERVATION, InfoSchema
-from .prescription import CompletePrescription, apply_prescription
+from .errors import ImpossibleObservation, OutOfRange, SchemaMismatch
+from .infostruct import KIND_CONTROL, KIND_OBSERVATION, InfoSchema, VariableId
+from .prescription import CompletePrescription
 from .sysmodel import (
     STATE,
     Instance,
@@ -83,22 +83,6 @@ def make_information_state(instance, agent, time, probs) -> InformationState:
     return InformationState(agent=agent, time=time, support=support, probs=vec)
 
 
-def _controls_from_state(instance, theta: CompletePrescription, support, values):
-    """Apply every prescription of theta to its coordinates inside the state."""
-    var_vals = dict(zip(support, values))
-    controls = []
-    for target in range(1, instance.agent_count + 1):
-        part = theta.parts[target - 1]
-        try:
-            inputs = tuple(var_vals[v] for v in part.domain)
-        except KeyError as exc:
-            raise SchemaMismatch(
-                f"prescription domain variable {exc.args[0]} is not a state coordinate"
-            ) from exc
-        controls.append(apply_prescription(part, inputs))
-    return tuple(controls)
-
-
 def _check_theta(instance, k, t, theta: CompletePrescription):
     if theta.owner != k or theta.time != t:
         raise SchemaMismatch(
@@ -123,43 +107,73 @@ def trace_step(instance, k, t, state_values, theta, w, v_vector):
 
     `state_values` is (x, *support values) at stage t; w is the stage-t
     disturbance and v_vector the stage-t+1 noises. The new-information values
-    are keyed to the agent's t+1 new-information schema.
+    are keyed to the agent's t+1 new-information schema. This is one point of
+    `StepKernel.advance`, through a kernel kept per instance, agent and stage.
     """
     if t >= instance.system.horizon:
         raise SchemaMismatch("no stage follows the horizon")
+    s, uj = _point(instance, k, t, state_values, theta)
+    if ("step_kernel", k, t) not in instance._cache:
+        instance._cache[("step_kernel", k, t)] = StepKernel(instance, k, t)
+    kernel = instance._cache[("step_kernel", k, t)]
+    z, s_next = kernel.advance(s, uj, w, v_vector)
+    return (
+        index_realization(kernel.next_sizes, int(s_next)),
+        index_realization(kernel.new_sizes, int(z)),
+    )
+
+
+def _point(instance, k, t, state_values, theta) -> tuple[int, int]:
+    """The support index of agent k's stage-t state values, and the joint
+    control theta applies there, read off the domain rows the scorer reads."""
     _check_theta(instance, k, t, theta)
-    support = instance.info.equivalent_state(t, k)
-    controls = _controls_from_state(instance, theta, support, tuple(state_values[1:]))
-    return _trace_step(instance, k, t, state_values, controls, w, v_vector)
+    sizes = _support_sizes(instance, instance.info.equivalent_state(t, k))
+    if len(state_values) != len(sizes) or not all(0 <= v < n for v, n in zip(state_values, sizes)):
+        raise OutOfRange(f"state values {tuple(state_values)} outside sizes {sizes}")
+    s = realization_index(sizes, state_values)
+    rows = _support_rows(instance, k, k, t)[1]
+    return s, instance.joint_control_index([p.table[row[s]] for p, row in zip(theta.parts, rows)])
 
 
-def _trace_step(instance, k, t, state_values, controls, w, v_vector):
-    """`trace_step` given the controls a checked theta applies at the state."""
-    sys = instance.system
-    support = instance.info.equivalent_state(t, k)
-    x = state_values[0]
-    values = tuple(state_values[1:])
-    uj = instance.joint_control_index(controls)
-    x_next = int(sys.transition[t, x, uj, w])
+def _plan(schema, source) -> list:
+    """Where each coordinate of `schema` is read, the (operand, stride, size)
+    that `source` gives its variable, and its weight in the row-major index;
+    coordinates read off the support index or the joint control come first,
+    so that their partial sum keeps those operands' shape. A variable without
+    a source raises."""
+    try:
+        found = [source[var] for var in schema]
+    except KeyError as exc:
+        raise SchemaMismatch(f"variable {exc.args[0]} not derivable from the state") from exc
+    weights = realization_strides([size for _, _, size in found])
+    return sorted((c + (w,) for c, w in zip(found, weights)), key=lambda c: c[0] >= 2)
 
-    known = dict(zip(support, values))
-    for j in range(1, sys.agent_count + 1):
-        known[(t + 1, j, KIND_OBSERVATION)] = int(
-            sys.observation[j - 1][t + 1, x_next, v_vector[j - 1]]
-        )
-        known[(t, j, KIND_CONTROL)] = controls[j - 1]
 
-    def read(schema):
-        out = []
-        for var in schema:
-            if var not in known:
-                raise SchemaMismatch(f"variable {var} not derivable from the state")
-            out.append(known[var])
-        return tuple(out)
+def _encode(plan, operands):
+    """The row-major index of the realization whose coordinates the plan reads
+    off `operands`, for any broadcast shapes of the operands; 0 for an empty
+    plan. Operands 0 and 1 are row-major codes, whose digit is `operand //
+    stride % size`; every later operand is a coordinate's value itself."""
+    index = 0
+    for o, stride, size, weight in plan:
+        index = index + (operands[o] if o >= 2 else operands[o] // stride % size) * weight
+    return index
 
-    next_state = (x_next,) + read(instance.info.equivalent_state(t + 1, k))
-    new_info = read(instance.info.new_info(t + 1, k))
-    return next_state, new_info
+
+def _fresh_sources(sys, t) -> dict:
+    """The sources of the stage-t system state and observations in the
+    operands `_operands` lays out."""
+    source = {STATE: (2, 1, sys.state_size)}
+    for j, n in enumerate(sys.observation_sizes, start=1):
+        source[VariableId(t, j, KIND_OBSERVATION)] = (2 + j, 1, n)
+    return source
+
+
+def _operands(sys, t, s, uj, x, v) -> list:
+    """The operands of an encoding: 0 the support index s, 1 the joint
+    control uj, 2 the stage-t state x, and 2 + j agent j's observation
+    `observation[j][t][x, v[j - 1]]`."""
+    return [s, uj, x] + [sys.observation[j][t][x, v[j]] for j in range(sys.agent_count)]
 
 
 def hat_dynamics(instance, k, t, state_values, w, v_vector, theta):
@@ -175,10 +189,8 @@ def hat_observation(instance, k, t, state_values, theta, w, v_vector):
 
 def hat_cost(instance, k, t, state_values, theta) -> float:
     """Stage cost decoded from the equivalent state and the complete prescription."""
-    _check_theta(instance, k, t, theta)
-    support = instance.info.equivalent_state(t, k)
-    controls = _controls_from_state(instance, theta, support, tuple(state_values[1:]))
-    return float(instance.system.cost[t, state_values[0], instance.joint_control_index(controls)])
+    _, uj = _point(instance, k, t, state_values, theta)
+    return float(instance.system.cost[t, state_values[0], uj])
 
 
 def accessible_support(instance, k) -> dict:
@@ -193,50 +205,38 @@ def initial_information_state(instance, k) -> dict:
 
 def _initial_pass(instance, k) -> tuple[dict, dict]:
     """One cached pass over (x0, t=0 noises): agent k's initial beliefs and the
-    mass of each accessible realization, both keyed in sorted order."""
+    mass of each accessible realization, both keyed in sorted order.
+
+    The points run with x0 slowest and the noises in `itertools.product`
+    order, each of mass `p(x0) * p(v1) * ... * p(vK)`; masses add in that
+    order and points of mass 0 are skipped.
+    """
     cache_key = ("initial_pass", k)
     if cache_key in instance._cache:
         return instance._cache[cache_key]
     sys = instance.system
+    K = sys.agent_count
     acc = instance.info.accessible(0, k)
     support = instance.info.equivalent_state(0, k)
-    sizes = _support_sizes(instance, support)
-    total = realization_count(sizes)
-    masses: dict[tuple, np.ndarray] = {}
-    support_mass: dict[tuple, float] = {}
-    noise_axes = [range(sys.noise_sizes[j]) for j in range(sys.agent_count)]
-    for x0 in range(sys.state_size):
-        p0 = float(sys.initial_probs[x0])
-        if p0 == 0.0:
-            continue
-        for v in itertools.product(*noise_axes):
-            p = p0
-            for j in range(sys.agent_count):
-                p *= float(sys.noise_probs[j][0, v[j]])
-            if p == 0.0:
-                continue
-            y = {
-                (0, j, KIND_OBSERVATION): int(sys.observation[j - 1][0, x0, v[j - 1]])
-                for j in range(1, sys.agent_count + 1)
-            }
-            try:
-                a_real = tuple(y[var] for var in acc)
-                s_real = (x0,) + tuple(y[var] for var in support)
-            except KeyError as exc:
-                raise SchemaMismatch(
-                    f"initial schema variable {exc.args[0]} is not a t=0 observation"
-                ) from exc
-            if a_real not in masses:
-                masses[a_real] = np.zeros(total)
-            masses[a_real][realization_index(sizes, s_real)] += p
-            support_mass[a_real] = support_mass.get(a_real, 0.0) + p
-    states = {}
-    for a_real in sorted(masses):
-        vec = masses[a_real]
-        states[a_real] = InformationState(
-            agent=k, time=0, support=support, probs=vec / vec.sum()
-        )
-    out = states, dict(sorted(support_mass.items()))
+    total = realization_count(_support_sizes(instance, support))
+    p = sys.initial_probs
+    for j in range(K):
+        p = np.multiply.outer(p, sys.noise_probs[j][0])
+    live = np.flatnonzero(p)
+    (x, *v), p = np.unravel_index(live, p.shape), p.ravel()[live]
+    operands = _operands(sys, 0, None, None, x, v)
+    source = _fresh_sources(sys, 0)  # at t=0 every source is fresh
+    s = _encode(_plan((STATE,) + support, source), operands)
+    a = _encode(_plan(acc, source), operands) + np.zeros_like(x)
+    group = np.unique(a)
+    g = np.searchsorted(group, a)
+    masses = np.bincount(g * total + s, weights=p, minlength=len(group) * total)
+    keys = [index_realization(instance.schema_sizes(acc), code) for code in group.tolist()]
+    states = {
+        a_real: InformationState(agent=k, time=0, support=support, probs=vec / vec.sum())
+        for a_real, vec in zip(keys, masses.reshape(len(group), total))
+    }
+    out = states, dict(zip(keys, np.bincount(g, weights=p).tolist()))
     instance._cache[cache_key] = out
     return out
 
@@ -259,7 +259,7 @@ class StepBatch(NamedTuple):
     of positive mass in sorted order, a group; row r's groups are
     `start[r]:start[r + 1]`, each with its realization, probability,
     posterior (a row of `probs`) and that posterior's `probs_key`. `read`
-    counts the distinct kernel entries the step read."""
+    counts the distinct (support index, joint control) codes the step read."""
 
     start: list
     z: list
@@ -270,57 +270,59 @@ class StepBatch(NamedTuple):
 
 
 class StepKernel:
-    """Agent k's stage-t filter step, with its transitions traced on first use.
+    """Agent k's stage-t equivalent-state map and filter step.
+
+    At construction each coordinate of the next support (the system state
+    first) and of the new information is resolved to its source: a digit of
+    the support index, a digit of the joint control, the next state, or a
+    fresh observation `observation[j][t+1][x', v_j]`. A coordinate without a
+    source raises `SchemaMismatch` here.
 
     The noise paths are the pairs (w, v) whose probabilities are all nonzero,
-    in `itertools.product` order with w slowest; column p of `factors` holds
-    path p's disturbance probability and then its noise probabilities in
-    agent order. An entry holds, for one (support index, joint-control
-    index) and each path, the new-information index and the next-support
-    index. Entries are filled on first use, so no transition is traced at a
-    support point or control that no step reaches, and they last as long as
-    the kernel: an agent chain keeps one kernel per (agent, stage), so a
-    transition traced in one pass serves every later pass.
+    in `itertools.product` order with w slowest; column p of `paths` holds
+    path p's disturbance and then its noises in agent order, and column p of
+    `factors` their probabilities.
     """
 
     def __init__(self, instance, k, t):
-        sys = instance.system
+        sys, K = instance.system, instance.agent_count
         if t >= sys.horizon:
             raise SchemaMismatch("no stage follows the horizon")
         self.instance, self.k, self.t = instance, k, t
-        self.sizes = _support_sizes(instance, instance.info.equivalent_state(t, k))
+        support = instance.info.equivalent_state(t, k)
+        self.sizes = _support_sizes(instance, support)
+        self.x_stride, *strides = realization_strides(self.sizes)
         self.next_support = instance.info.equivalent_state(t + 1, k)
         self.next_sizes = _support_sizes(instance, self.next_support)
         self.next_total = realization_count(self.next_sizes)
-        self.new_sizes = instance.schema_sizes(instance.info.new_info(t + 1, k))
-        self.paths, factors = [], []
-        for w in range(sys.disturbance_size):
-            for v in itertools.product(*(range(n) for n in sys.noise_sizes)):
-                probs = (float(sys.disturbance_probs[t, w]),) + tuple(
-                    float(sys.noise_probs[j][t + 1, v[j]]) for j in range(sys.agent_count)
-                )
-                if 0.0 not in probs:
-                    self.paths.append((w, v))
-                    factors.append(probs)
-        self.factors = np.array(factors).reshape(len(factors), sys.agent_count + 1).T
-        self.entries: dict = {}  # s * joint-control count + uj -> entry
-        self._rows: list = []  # per entry and path: (new-info index, next-support index)
-        self._table = np.zeros((0, len(self.paths), 2), dtype=np.int64)
-        self._z: dict = {}  # new-information index -> realization
+        new_info = instance.info.new_info(t + 1, k)
+        self.new_sizes = instance.schema_sizes(new_info)
+        source = {var: (0, stride, n) for var, stride, n in zip(support, strides, self.sizes[1:])}
+        control_strides = realization_strides(sys.control_sizes)
+        for j, (stride, n) in enumerate(zip(control_strides, sys.control_sizes), start=1):
+            source[VariableId(t, j, KIND_CONTROL)] = (1, stride, n)
+        source.update(_fresh_sources(sys, t + 1))
+        self.next_plan = _plan((STATE,) + self.next_support, source)
+        self.new_plan = _plan(new_info, source)
+        laws = [sys.disturbance_probs[t]] + [sys.noise_probs[j][t + 1] for j in range(K)]
+        live = laws[0] != 0.0
+        for law in laws[1:]:
+            live = np.logical_and.outer(live, law != 0.0)
+        self.paths = np.array(np.unravel_index(np.flatnonzero(live), live.shape))
+        self.factors = np.array([law[i] for law, i in zip(laws, self.paths)])
 
-    def _entry(self, code: int) -> int:
-        if code not in self.entries:  # first use: trace every path
-            s, uj = divmod(code, self.instance.system.joint_control_count)
-            values = index_realization(self.sizes, s)
-            controls = index_realization(self.instance.system.control_sizes, uj)
-            row = []
-            for w, v in self.paths:
-                s_next, z = _trace_step(self.instance, self.k, self.t, values, controls, w, v)
-                self._z[z_index := realization_index(self.new_sizes, z)] = z
-                row.append((z_index, realization_index(self.next_sizes, s_next)))
-            self.entries[code] = len(self._rows)
-            self._rows.append(row)
-        return self.entries[code]
+    def advance(self, s, uj, w, v):
+        """The new-information index and the next-support index of the step
+        from support index s under joint control uj, disturbance w and
+        stage-t+1 noises v (agent j's is `v[j - 1]`, shaped like w),
+        elementwise over the broadcast shape of (s, uj, w), which both
+        results take. Any values in range may be given, of probability zero
+        too."""
+        sys = self.instance.system
+        x_next = sys.transition[self.t][s // self.x_stride, uj, w]
+        operands = _operands(sys, self.t + 1, s, uj, x_next, v)
+        zero = np.zeros_like(x_next)
+        return _encode(self.new_plan, operands) + zero, _encode(self.next_plan, operands) + zero
 
     def step(self, probs, controls) -> StepBatch:
         """`belief_step` of each row of a stack of agent k's stage-t beliefs.
@@ -336,19 +338,17 @@ class StepKernel:
         Each posterior's key is made here, once, by `probs_keys`.
         """
         rows, s = np.nonzero(controls >= 0)
-        codes = s * self.instance.system.joint_control_count + controls[rows, s]
-        entry = [self._entry(code) for code in codes.tolist()]
-        read = len(set(entry))
-        if len(self._rows) > len(self._table):
-            self._table = np.array(self._rows, dtype=np.int64).reshape(-1, len(self.paths), 2)
-        table = self._table[entry]
-        z_index, s_next = table[:, :, 0], table[:, :, 1]  # per (pair, path)
+        uj = controls[rows, s]
+        read = len(set((s * self.instance.system.joint_control_count + uj).tolist()))
+        z_index, s_next = self.advance(s[:, None], uj[:, None], self.paths[0], self.paths[1:])
         p = probs[rows, s][:, None] * self.factors[0]
         for f in self.factors[1:]:
             p = p * f
         live = p != 0.0
         new_count = realization_count(self.new_sizes)
-        group, g = np.unique((rows[:, None] * new_count + z_index)[live], return_inverse=True)
+        key = (rows[:, None] * new_count + z_index)[live]
+        group = np.unique(key)
+        g = np.searchsorted(group, key)
         acc = np.bincount(
             g * self.next_total + s_next[live],
             weights=p[live],
@@ -359,9 +359,11 @@ class StepKernel:
         group, acc, mass = group[keep], acc[keep], mass[keep]
         row, z_index = np.divmod(group, new_count)
         posteriors = acc / mass[:, None]
+        strides = realization_strides(self.new_sizes)
+        digits = [(z_index // w % n).tolist() for w, n in zip(strides, self.new_sizes)]
         return StepBatch(
             start=np.searchsorted(row, np.arange(len(probs) + 1)).tolist(),
-            z=[self._z[z] for z in z_index.tolist()],
+            z=list(zip(*digits)) if digits else [()] * len(group),
             mass=mass.tolist(),
             probs=posteriors,
             keys=probs_keys(posteriors),
@@ -389,8 +391,8 @@ def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> 
     posterior even when fresh observations depend on the same disturbance that
     drives the state.
     """
-    kernel = StepKernel(instance, pi.agent, pi.time)
     _check_theta(instance, pi.agent, pi.time, theta)
+    kernel = StepKernel(instance, pi.agent, pi.time)
     score = CandidateScorer(instance, pi.agent, pi.time, [np.array([p.table]) for p in theta.parts])
     probs = pi.probs[None]
     support = np.nonzero(probs > 0.0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .errors import IndexOrder
+from .errors import IndexOrder, OutOfRange
 from .netgraph import DelayMatrix
 
 KIND_OBSERVATION = "Y"
@@ -211,6 +211,10 @@ class SchemaTables:
 
 
 def schema_tables(info: InfoStructure, t: int, k: int) -> SchemaTables:
+    if not 0 <= t <= info.horizon:
+        raise OutOfRange(f"time {t} is out of range 0..{info.horizon}")
+    if not 1 <= k <= info.agent_count:
+        raise OutOfRange(f"agent {k} is out of range 1..{info.agent_count}")
     inacc = {
         i: info.inaccessible(t, k, i) for i in range(k, info.agent_count + 1)
     }

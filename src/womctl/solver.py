@@ -307,8 +307,8 @@ class _Chain:
     through.
 
     Per agent pass it also counts the belief steps computed, the candidate
-    steps served by an identical step of the same node, the distinct kernel
-    entries read and those of them traced first in this pass, and keeps the
+    steps served by an identical step of the same node and the distinct
+    kernel entries, (support index, joint control) codes, read, and keeps the
     number of nodes at each stage.
     """
 
@@ -321,7 +321,6 @@ class _Chain:
         self.steps: dict[int, int] = {}
         self.shared: dict[int, int] = {}
         self.entries: dict[int, int] = {}
-        self.traced: dict[int, int] = {}
         self.widths: dict[int, tuple] = {}
         self.seconds: dict[int, float] = {}
 
@@ -540,7 +539,7 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
     started = time.perf_counter()
     T, K = instance.horizon, instance.agent_count
     spaces = _head_spaces(instance, j, caps)
-    examined = computed = shared = entries = traced = 0
+    examined = computed = shared = entries = 0
     stage, roots, amaps, probs = _Stage(), [], [], []  # per node, its map and beliefs
     for pa, amap, pis in _roots(instance, j):
         beliefs = [pi.probs for pi in pis]
@@ -572,14 +571,11 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
             step_of, step_probs, step_controls = _distinct_rows(rows, pairs, controls)
             if (i, t) not in chain.kernels:
                 chain.kernels[(i, t)] = StepKernel(instance, i, t)
-            kernel = chain.kernels[(i, t)]
-            filled = len(kernel.entries)
-            stage.batches.append(kernel.step(step_probs, step_controls))
+            stage.batches.append(chain.kernels[(i, t)].step(step_probs, step_controls))
             row_of.append(step_of)
             computed += len(step_probs)
             shared += step_of.size - len(step_probs)
             entries += stage.batches[-1].read
-            traced += len(kernel.entries) - filled
         before = sum(len(done.keys) for done in stages)
         stage, amaps, probs, combo_of = _expand(instance, j, t, stage, amaps, row_of, caps, before)
         work[t] = (cost, tails, combo_of)
@@ -612,14 +608,13 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
     chain.steps[j] = computed
     chain.shared[j] = shared
     chain.entries[j] = entries
-    chain.traced[j] = traced
     chain.widths[j] = tuple(len(done.keys) for done in stages)
     chain.seconds[j] = time.perf_counter() - started
     log.debug(
         "agent %d pass: %d nodes %s per stage, %d candidates, %d steps (%d shared), "
-        "%d kernel entries (%d traced), %.3f s",
+        "%d kernel entries, %.3f s",
         j, sum(chain.widths[j]), list(chain.widths[j]), examined, computed, shared,
-        entries, traced, chain.seconds[j],
+        entries, chain.seconds[j],
     )
     return total
 

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,16 +208,11 @@ def _check_distribution(name: str, vec: np.ndarray):
         raise DistributionNotNormalized(name, total)
 
 
-def _per_t_probs(raw, steps: int, size: int, name: str) -> np.ndarray:
-    """Accept one vector (constant over time) or one vector per step."""
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 1:
-        arr = np.tile(arr, (steps, 1)) if steps else np.zeros((0, size))
-    if arr.shape != (steps, size):
-        raise ShapeMismatch(f"{name} must have shape ({steps},{size}), got {arr.shape}")
-    for t in range(steps):
-        _check_distribution(f"{name}[t={t}]", arr[t])
-    return arr
+def _per_t_probs(raw, steps: int, name: str) -> np.ndarray:
+    """Accept one vector (constant over time) or one vector per step;
+    `validate_instance` checks the shape and each step's distribution."""
+    arr = _numbers(raw, name)
+    return np.tile(arr, (steps, 1)) if arr.ndim == 1 else arr
 
 
 def validate_instance(system: SystemSpec, network) -> Instance:
@@ -245,17 +241,28 @@ def validate_instance(system: SystemSpec, network) -> Instance:
         raise ShapeMismatch("horizon must be >= 0")
     if len(system.observation_sizes) != K or len(system.noise_sizes) != K:
         raise AgentCountMismatch("per-agent size lists must all have length K")
+    for name, sizes in (
+        ("state_size", (system.state_size,)),
+        ("control_sizes", system.control_sizes),
+        ("observation_sizes", system.observation_sizes),
+        ("disturbance size", (system.disturbance_size,)),
+        ("noise sizes", system.noise_sizes),
+    ):
+        if any(n < 1 for n in sizes):
+            raise ShapeMismatch(f"{name} must be >= 1, got {list(sizes)}")
 
     _check_distribution("initial_probs", system.initial_probs)
     if system.initial_probs.shape != (system.state_size,):
         raise ShapeMismatch("initial_probs length must equal state_size")
-    if system.disturbance_probs.shape != (T, system.disturbance_size):
-        raise ShapeMismatch("disturbance_probs must have one row per stage 0..T-1")
+    shape, want = system.disturbance_probs.shape, (T, system.disturbance_size)
+    if shape != want:
+        raise ShapeMismatch(f"disturbance probs must have shape {want}, got {shape}")
     for t in range(T):
         _check_distribution(f"disturbance[t={t}]", system.disturbance_probs[t])
     for k in range(K):
-        if system.noise_probs[k].shape != (T + 1, system.noise_sizes[k]):
-            raise ShapeMismatch(f"noise_probs[{k + 1}] must have one row per stage 0..T")
+        shape, want = system.noise_probs[k].shape, (T + 1, system.noise_sizes[k])
+        if shape != want:
+            raise ShapeMismatch(f"noise[{k + 1}] probs must have shape {want}, got {shape}")
         for t in range(T + 1):
             _check_distribution(f"noise[{k + 1}][t={t}]", system.noise_probs[k][t])
 
@@ -598,8 +605,19 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _numbers(raw, name: str) -> np.ndarray:
+    """A numeric field or table of an instance document as a float array. A
+    string, a boolean or any other non-number in it raises `TypeError`, which
+    `instance_from_dict` reports as a malformed document."""
+    for value in np.asarray(raw, dtype=object).flat:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be numeric, got {value!r}")
+    return np.asarray(raw, dtype=float)
+
+
 def _as_int(value, name: str) -> int:
     """An integer field of an instance document; fractional values are rejected."""
+    _numbers(value, name)
     if isinstance(value, float) and not value.is_integer():
         raise ShapeMismatch(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -607,11 +625,9 @@ def _as_int(value, name: str) -> int:
 
 def _int_array(raw, name: str) -> np.ndarray:
     """An integer table of an instance document; fractional entries are rejected."""
-    arr = np.asarray(raw)
-    if arr.dtype.kind != "i":
-        arr = arr.astype(float)
-        if not np.all(np.isfinite(arr)) or np.any(arr != np.trunc(arr)):
-            raise ShapeMismatch(f"{name} entries must be integers")
+    arr = _numbers(raw, name)
+    if not np.all(np.isfinite(arr)) or np.any(arr != np.trunc(arr)):
+        raise ShapeMismatch(f"{name} entries must be integers")
     return arr.astype(int)
 
 
@@ -642,20 +658,18 @@ def instance_from_dict(data: dict) -> Instance:
             control_sizes=control_sizes,
             observation_sizes=observation_sizes,
             disturbance_size=w_size,
-            disturbance_probs=_per_t_probs(dist["probs_per_t"], T, w_size, "disturbance"),
+            disturbance_probs=_per_t_probs(dist["probs_per_t"], T, "disturbance"),
             noise_sizes=noise_sizes,
             noise_probs=tuple(
-                _per_t_probs(
-                    noises[k]["probs_per_t"], T + 1, noise_sizes[k], f"noise[{k + 1}]"
-                )
+                _per_t_probs(noises[k]["probs_per_t"], T + 1, f"noise[{k + 1}]")
                 for k in range(K)
             ),
-            initial_probs=np.asarray(raw["initial_probs"], dtype=float),
+            initial_probs=_numbers(raw["initial_probs"], "initial_probs"),
             transition=_int_array(transition, "transition"),
             observation=tuple(
                 _int_array(raw["observation"][k], f"observation[{k + 1}]") for k in range(K)
             ),
-            cost=np.asarray(raw["cost"], dtype=float),
+            cost=_numbers(raw["cost"], "cost"),
         )
         if "links" in net:
             network = netgraph.NetworkSpec(

@@ -332,9 +332,115 @@ def brute_force_reference(instance, chunk=1 << 18):
     return best_cost, tables
 
 
+def trace_step_reference(instance, k, t, state_values, controls, w, v_vector):
+    """`womctl.belief.StepKernel.advance` at one point, decoded, by a
+    dictionary of every variable known after the step: the stage-t state's
+    coordinates, the stage-t controls and the fresh stage-t+1 observations.
+    Returns (next state values, new-information values)."""
+    from womctl.errors import SchemaMismatch
+    from womctl.infostruct import KIND_CONTROL, KIND_OBSERVATION
+
+    sys = instance.system
+    support = instance.info.equivalent_state(t, k)
+    x = state_values[0]
+    values = tuple(state_values[1:])
+    uj = instance.joint_control_index(controls)
+    x_next = int(sys.transition[t, x, uj, w])
+
+    known = dict(zip(support, values))
+    for j in range(1, sys.agent_count + 1):
+        known[(t + 1, j, KIND_OBSERVATION)] = int(
+            sys.observation[j - 1][t + 1, x_next, v_vector[j - 1]]
+        )
+        known[(t, j, KIND_CONTROL)] = controls[j - 1]
+
+    def read(schema):
+        out = []
+        for var in schema:
+            if var not in known:
+                raise SchemaMismatch(f"variable {var} not derivable from the state")
+            out.append(known[var])
+        return tuple(out)
+
+    next_state = (x_next,) + read(instance.info.equivalent_state(t + 1, k))
+    new_info = read(instance.info.new_info(t + 1, k))
+    return next_state, new_info
+
+
+def initial_pass_reference(instance, k):
+    """`womctl.belief._initial_pass` as a scalar loop over (x0, t=0 noises):
+    agent k's initial beliefs and the mass of each accessible realization,
+    both keyed in sorted order."""
+    import numpy as np
+
+    from womctl.belief import InformationState, _support_sizes
+    from womctl.errors import SchemaMismatch
+    from womctl.infostruct import KIND_OBSERVATION
+    from womctl.sysmodel import realization_count, realization_index
+
+    sys = instance.system
+    acc = instance.info.accessible(0, k)
+    support = instance.info.equivalent_state(0, k)
+    sizes = _support_sizes(instance, support)
+    total = realization_count(sizes)
+    masses: dict[tuple, np.ndarray] = {}
+    support_mass: dict[tuple, float] = {}
+    noise_axes = [range(sys.noise_sizes[j]) for j in range(sys.agent_count)]
+    for x0 in range(sys.state_size):
+        p0 = float(sys.initial_probs[x0])
+        if p0 == 0.0:
+            continue
+        for v in itertools.product(*noise_axes):
+            p = p0
+            for j in range(sys.agent_count):
+                p *= float(sys.noise_probs[j][0, v[j]])
+            if p == 0.0:
+                continue
+            y = {
+                (0, j, KIND_OBSERVATION): int(sys.observation[j - 1][0, x0, v[j - 1]])
+                for j in range(1, sys.agent_count + 1)
+            }
+            try:
+                a_real = tuple(y[var] for var in acc)
+                s_real = (x0,) + tuple(y[var] for var in support)
+            except KeyError as exc:
+                raise SchemaMismatch(
+                    f"initial schema variable {exc.args[0]} is not a t=0 observation"
+                ) from exc
+            if a_real not in masses:
+                masses[a_real] = np.zeros(total)
+            masses[a_real][realization_index(sizes, s_real)] += p
+            support_mass[a_real] = support_mass.get(a_real, 0.0) + p
+    states = {}
+    for a_real in sorted(masses):
+        vec = masses[a_real]
+        states[a_real] = InformationState(agent=k, time=0, support=support, probs=vec / vec.sum())
+    return states, dict(sorted(support_mass.items()))
+
+
+def controls_from_state_reference(instance, theta, support, values):
+    """The controls theta's prescriptions give at one state: each part applied
+    to its domain's coordinates, read by variable name."""
+    from womctl.errors import SchemaMismatch
+    from womctl.prescription import apply_prescription
+
+    var_vals = dict(zip(support, values))
+    controls = []
+    for target in range(1, instance.agent_count + 1):
+        part = theta.parts[target - 1]
+        try:
+            inputs = tuple(var_vals[v] for v in part.domain)
+        except KeyError as exc:
+            raise SchemaMismatch(
+                f"prescription domain variable {exc.args[0]} is not a state coordinate"
+            ) from exc
+        controls.append(apply_prescription(part, inputs))
+    return tuple(controls)
+
+
 def belief_step_reference(instance, pi, theta):
-    """`womctl.belief.belief_step` as a scalar loop: one `_trace_step` per
-    positive-mass support point, disturbance and noise vector, with the
+    """`womctl.belief.belief_step` as a scalar loop: one `trace_step_reference`
+    per positive-mass support point, disturbance and noise vector, with the
     controls recomputed from theta at every support point."""
     import numpy as np
 
@@ -342,9 +448,7 @@ def belief_step_reference(instance, pi, theta):
         ZERO_TOL,
         InformationState,
         _check_theta,
-        _controls_from_state,
         _support_sizes,
-        _trace_step,
     )
     from womctl.errors import SchemaMismatch
     from womctl.sysmodel import index_realization, realization_count, realization_index
@@ -364,7 +468,7 @@ def belief_step_reference(instance, pi, theta):
     for s_idx in np.nonzero(pi.probs > 0.0)[0]:
         ps = float(pi.probs[s_idx])
         s_vals = index_realization(sizes, int(s_idx))
-        controls = _controls_from_state(instance, theta, support, s_vals[1:])
+        controls = controls_from_state_reference(instance, theta, support, s_vals[1:])
         for w in range(sys.disturbance_size):
             pw = ps * float(sys.disturbance_probs[t, w])
             if pw == 0.0:
@@ -375,7 +479,7 @@ def belief_step_reference(instance, pi, theta):
                     p *= float(sys.noise_probs[j][t + 1, v[j]])
                 if p == 0.0:
                     continue
-                s_next, z = _trace_step(instance, k, t, s_vals, controls, w, v)
+                s_next, z = trace_step_reference(instance, k, t, s_vals, controls, w, v)
                 if z not in acc:
                     acc[z] = np.zeros(next_total)
                 acc[z][realization_index(next_sizes, s_next)] += p
@@ -638,6 +742,7 @@ def solve_agent_reference(instance, j, chain, caps):
     spaces = _head_spaces(instance, j, caps)
     scorers: dict = {}  # per stage, built on the first visit
     kernels: dict = {}  # per (stage, agent), built on the first step
+    read: dict = {}  # per (stage, agent), the (support index, joint control) codes stepped
     memo: dict = {}
     stages = [_ReferenceStage() for _ in range(T + 1)]
     examined = nodes = computed = shared = 0
@@ -659,7 +764,10 @@ def solve_agent_reference(instance, j, chain, caps):
         computed += 1
         kernel = kernels[(t, pi.agent)]
         row = np.full((1, len(pi.probs)), -1, dtype=np.int64)
-        row[0, np.flatnonzero(pi.probs > 0.0)] = controls
+        support = np.flatnonzero(pi.probs > 0.0)
+        row[0, support] = controls
+        codes = support * instance.system.joint_control_count + np.array(controls)
+        read.setdefault((t, pi.agent), set()).update(codes.tolist())
         done[controls] = kernel.branches(kernel.step(pi.probs[None], row), 0)
         return done[controls]
 
@@ -739,7 +847,7 @@ def solve_agent_reference(instance, j, chain, caps):
     chain.examined[j] = examined
     chain.steps[j] = computed
     chain.shared[j] = shared
-    chain.entries[j] = sum(len(kernel.entries) for kernel in kernels.values())
+    chain.entries[j] = sum(len(codes) for codes in read.values())
     chain.widths[j] = tuple(len(stage.keys) for stage in stages)
     chain.seconds[j] = time.perf_counter() - started
     return total

@@ -59,9 +59,41 @@ def test_validate_dangling_link(tmp_path, capsys):
         (("system", "initial_probs", 0), float("nan"), "initial_probs"),
         (("network", "links", 0, "delay"), 1.5, "link delay must be an integer"),
         (("network", "agents"), "two", "malformed instance document"),
+        (("system", "state_size"), 0, "state_size must be >= 1"),
+        (("system", "control_sizes"), [2, 0], "control_sizes must be >= 1, got [2, 0]"),
+        (("system", "observation_sizes"), [0, 2], "observation_sizes must be >= 1"),
+        (("system", "disturbance", "size"), -1, "disturbance size must be >= 1"),
+        (("system", "noises", 1, "size"), 0, "noise sizes must be >= 1"),
+        (("system", "state_size"), "2",
+         "malformed instance document: state_size must be numeric, got '2'"),
+        (("system", "initial_probs"), ["0.6", "0.4"],
+         "malformed instance document: initial_probs must be numeric, got '0.6'"),
+        (("system", "control_sizes"), [True, 2],
+         "malformed instance document: control_sizes must be numeric, got True"),
+        (("system", "horizon"), False,
+         "malformed instance document: horizon must be numeric, got False"),
+        (("system", "cost", 0, 1, 2), "1.0",
+         "malformed instance document: cost must be numeric, got '1.0'"),
+        (("system", "transition", 0, 0, 0, 1), True,
+         "malformed instance document: transition must be numeric, got True"),
+        (("system", "disturbance", "probs_per_t"), [0.7, "0.3"],
+         "malformed instance document: disturbance must be numeric, got '0.3'"),
+        (("system", "noises", 0, "probs_per_t"), [None],
+         "malformed instance document: noise[1] must be numeric, got None"),
+        (("network", "links", 0, "delay"), True,
+         "malformed instance document: link delay must be numeric, got True"),
+        (("system", "noises", 0, "probs_per_t"), [0.5, 0.5],
+         "noise[1] probs must have shape (2, 1), got (2, 2)"),
+        (("system", "disturbance", "probs_per_t"), [[0.7, 0.3], [0.7, 0.3]],
+         "disturbance probs must have shape (1, 2), got (2, 2)"),
     ],
     ids=["nan-cost", "inf-cost", "fractional-transition", "fractional-observation",
-         "float-state-size", "nan-probability", "fractional-delay", "non-numeric-agents"],
+         "float-state-size", "nan-probability", "fractional-delay", "non-numeric-agents",
+         "zero-state-size", "zero-control-size", "zero-observation-size",
+         "negative-disturbance-size", "zero-noise-size", "string-size", "string-probs",
+         "boolean-size", "boolean-horizon", "string-cost", "boolean-transition",
+         "string-disturbance", "null-noise", "boolean-delay", "noise-table-shape",
+         "disturbance-table-shape"],
 )
 def test_validate_rejects_malformed_numbers(tmp_path, capsys, path, value, message):
     doc = d2_dict()
@@ -72,6 +104,54 @@ def test_validate_rejects_malformed_numbers(tmp_path, capsys, path, value, messa
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run(["validate", str(bad)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def _horizon0_no_controls() -> dict:
+    """One agent, horizon 0, and a control size of 0: an empty cost row per state."""
+    return {
+        "network": {"agents": 1, "links": []},
+        "system": {
+            "horizon": 0,
+            "state_size": 2,
+            "control_sizes": [0],
+            "observation_sizes": [1],
+            "noises": [{"size": 1, "probs_per_t": [1.0]}],
+            "initial_probs": [0.5, 0.5],
+            "observation": [[[[0], [0]]]],
+            "cost": [[[], []]],
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate"],
+        ["solve", "--method", "brute"],
+        ["solve", "--method", "prescription", "--agent", "1"],
+        ["compare"],
+    ],
+    ids=["validate", "brute", "prescription", "compare"],
+)
+def test_zero_control_size_is_rejected_by_every_command(tmp_path, capsys, args):
+    path = tmp_path / "h0.json"
+    path.write_text(json.dumps(_horizon0_no_controls()))
+    assert run([args[0], str(path)] + args[1:]) == 3
+    assert "control_sizes must be >= 1, got [0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--time", "99", "time 99 is out of range 0..1"),
+        ("--time", "-1", "time -1 is out of range 0..1"),
+        ("--agent", "0", "agent 0 is out of range 1..2"),
+        ("--agent", "9", "agent 9 is out of range 1..2"),
+    ],
+)
+def test_schema_rejects_an_out_of_range_time_or_agent(d2_path, capsys, option, value, message):
+    assert run(["schema", d2_path, option, value]) == 3
     assert message in capsys.readouterr().err
 
 

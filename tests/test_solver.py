@@ -614,30 +614,13 @@ def test_dp_result_reads_the_search_records(which, monkeypatch):
 
 
 @pytest.mark.parametrize("which", list(_RECORD_CASES))
-def test_search_steps_through_kernels_tracing_each_transition_once(which, monkeypatch):
-    import womctl.belief as belief_mod
-
+def test_search_makes_no_filter_calls_and_matches_the_reference_dp(which, monkeypatch):
     inst = _RECORD_CASES[which]()
     calls = _count_filter_calls(monkeypatch)
-    traced = []
-    real = belief_mod._trace_step
-
-    def counted(instance, k, t, state_values, controls, w, v):
-        traced.append((k, t, tuple(state_values), tuple(controls), w, tuple(v)))
-        return real(instance, k, t, state_values, controls, w, v)
-
-    monkeypatch.setattr(belief_mod, "_trace_step", counted)
     chain = solver_mod._Chain()
     for j in range(inst.agent_count, 0, -1):
-        before = len(traced)
         solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
-        # one kernel entry per (agent, stage, support point, controls) first traced in this pass
-        assert chain.traced[j] == len({key[:4] for key in traced[before:]})
-        assert chain.traced[j] <= chain.entries[j]
-    # no transition is traced twice anywhere in the K..1 chain
-    assert len(set(traced)) == len(traced)
     assert calls == []
-    assert len(traced) > 0
     res = solver_mod._dp_result(inst, 1, chain)
     assert res.dp_value == dp_reference(inst, 1)["dp_value"]
 
@@ -827,7 +810,7 @@ def test_agent_passes_are_logged(d2, caplog):
     passes = [r for r in caplog.records if r.name == "womctl" and "pass" in r.getMessage()]
     assert [r.args[0] for r in passes] == [2, 1]
     for record in passes:
-        j, nodes, widths, examined, _, _, _, _, seconds = record.args
+        j, nodes, widths, examined, _, _, _, seconds = record.args
         assert nodes > 0 and seconds >= 0.0
         assert nodes == sum(widths) and len(widths) == d2.horizon + 1
         assert examined == res.extras["chain_examined"][j]
@@ -859,11 +842,10 @@ def test_agent_passes_log_their_step_counts(seed, caplog, monkeypatch):
         solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
         (record,) = [r for r in caplog.records if r.name == "womctl" and "pass" in r.getMessage()]
         caplog.clear()
-        agent, nodes, widths, examined, steps, shared, entries, traced, _ = record.args
+        agent, nodes, widths, examined, steps, shared, entries, _ = record.args
         assert (agent, examined) == (j, chain.examined[j])
         assert (nodes, tuple(widths)) == (sum(chain.widths[j]), chain.widths[j])
         assert (steps, shared, entries) == (chain.steps[j], chain.shared[j], chain.entries[j])
-        assert traced == chain.traced[j] <= entries
         # every (candidate, agent) step below the horizon is computed or shared
         assert steps == calls["steps"] and steps + shared == calls["candidate_steps"]
         assert entries > 0
