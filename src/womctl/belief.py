@@ -108,14 +108,12 @@ def trace_step(instance, k, t, state_values, theta, w, v_vector):
     `state_values` is (x, *support values) at stage t; w is the stage-t
     disturbance and v_vector the stage-t+1 noises. The new-information values
     are keyed to the agent's t+1 new-information schema. This is one point of
-    `StepKernel.advance`, through a kernel kept per instance, agent and stage.
+    `StepKernel.advance`, through the instance's `step_kernel`.
     """
     if t >= instance.system.horizon:
         raise SchemaMismatch("no stage follows the horizon")
     s, uj = _point(instance, k, t, state_values, theta)
-    if ("step_kernel", k, t) not in instance._cache:
-        instance._cache[("step_kernel", k, t)] = StepKernel(instance, k, t)
-    kernel = instance._cache[("step_kernel", k, t)]
+    kernel = step_kernel(instance, k, t)
     z, s_next = kernel.advance(s, uj, w, v_vector)
     return (
         index_realization(kernel.next_sizes, int(s_next)),
@@ -383,6 +381,14 @@ class StepKernel:
         }
 
 
+def step_kernel(instance, k, t) -> StepKernel:
+    """Agent k's stage-t `StepKernel`, built once per instance."""
+    key = ("step_kernel", k, t)
+    if key not in instance._cache:
+        instance._cache[key] = StepKernel(instance, k, t)
+    return instance._cache[key]
+
+
 def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> dict:
     """Joint one-step distribution: {new-info realization: (probability, next belief)}.
 
@@ -392,7 +398,7 @@ def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> 
     drives the state.
     """
     _check_theta(instance, pi.agent, pi.time, theta)
-    kernel = StepKernel(instance, pi.agent, pi.time)
+    kernel = step_kernel(instance, pi.agent, pi.time)
     score = CandidateScorer(instance, pi.agent, pi.time, [np.array([p.table]) for p in theta.parts])
     probs = pi.probs[None]
     support = np.nonzero(probs > 0.0)

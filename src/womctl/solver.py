@@ -24,12 +24,12 @@ import numpy as np
 
 from .belief import (
     CandidateScorer,
-    StepKernel,
     accessible_support,
     belief_tuple_key,
     check_domains,
     initial_information_state,
     initial_state_at,
+    step_kernel,
 )
 from .errors import CapExceeded, ShapeMismatch, WomError
 from .infostruct import KIND_CONTROL, KIND_OBSERVATION, VariableId
@@ -140,11 +140,13 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     added to the path's view in stage order. Every strategy thus gets one
     add per primitive and stage, primitive by primitive, stage by stage.
 
-    The running sum after the first primitives depends only on the digits
-    they read. A probe walks every branch of each primitive once per solve;
-    the head, the longest run of leading primitives whose axes span at most
-    `_INNER` points over all chunks, is walked per chunk into a tensor of
-    size 1 on every other axis, which is broadcast into the chunk's tensor.
+    A chunk's tensor and buffers start with size 1 on every axis, or whole
+    when the chunk is one inner block. The running sum so far does not
+    depend on a digit no primitive has read, so the first read of an axis
+    repeats the tensor, in place in one buffer per solve, and for an inner
+    axis every stage buffer, along it. The chunk's minimum is taken on the
+    grown tensor; an axis never read keeps index 0, the smallest encoding
+    among equal entries.
     """
     caps = resolve_caps(cap)
     start = time.perf_counter()
@@ -186,6 +188,7 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     while outer and inner_size * shape[outer - 1] <= _INNER:
         outer -= 1
         inner_size *= shape[outer]
+    first_shape = shape if outer == 0 else (1,) * len(shape)
 
     observe = [[VariableId(t, k, KIND_OBSERVATION) for k in range(1, K + 1)]
                for t in range(T + 1)]
@@ -195,17 +198,32 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     index = [slice(None)] * len(shape)
     digit = [0] * len(radix_of)
     vals = {}
-    reads = None  # while probing, the axes read so far
+    store = np.empty(chunk_size)  # a chunk's tensor, grown in place
+
+    def grow(axis):
+        # repeats `costs` along `axis` inside `store`, so that the old tensor
+        # needs no room of its own: its P blocks of Q points, one per index
+        # before the axis, move from the last down, each batch of blocks to
+        # where no block still to move lies
+        nonlocal costs
+        r, P = shape[axis], math.prod(costs.shape[:axis])
+        Q, hi = costs.size // P, P
+        while hi > 1:
+            lo = -(-hi // r)
+            batch = store[lo * Q:hi * Q].reshape(hi - lo, 1, Q)
+            store[lo * r * Q:hi * r * Q].reshape(hi - lo, r, Q)[...] = batch
+            hi = lo
+        store[Q:r * Q].reshape(r - 1, Q)[...] = store[:Q]  # block 0 stays put
+        costs = store[:r * costs.size].reshape(costs.shape[:axis] + (r,) + costs.shape[axis + 1:])
 
     def walk(t, k, x, uj, inner):
-        # adds the primitive `p, w_seq, v_seq` into `costs` through `bufs`;
-        # while probing it adds nothing and takes every branch of every digit
+        # adds the primitive `p, w_seq, v_seq` into `costs` through `bufs`
+        nonlocal bufs
         if k == K:
-            if reads is None:
-                if inner:
-                    bufs[t][tuple(index[outer:])] = p * cost[t][x][uj]
-                else:
-                    costs[tuple(index)] += p * cost[t][x][uj]
+            if inner:
+                bufs[t][tuple(index[outer:])] = p * cost[t][x][uj]
+            else:
+                costs[tuple(index)] += p * cost[t][x][uj]
             if t < T:
                 x = transition[t][x][uj][w_seq[t]]
                 for j, var in enumerate(observe[t + 1]):
@@ -215,16 +233,14 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
         schema, digit_of, stride, control = plan[t][k]
         g = digit_of[tuple(map(vals.__getitem__, schema))]
         axis = axis_of[g]
-        if reads is not None:
-            reads.add(axis)
-            for u in range(radix_of[g]):
-                vals[control] = u
-                walk(t, k + 1, x, uj + u * stride, inner)
-            return
         if axis < 0:
             vals[control] = digit[g]
             walk(t, k + 1, x, uj + digit[g] * stride, inner)
             return
+        if costs.shape[axis] == 1:  # the chunk's first read of this axis
+            grow(axis)
+            if axis >= outer:
+                bufs = [buf.repeat(shape[axis], axis - outer) for buf in bufs]
         first = not inner and axis >= outer  # the path's first inner read
         for u in range(radix_of[g]):
             index[axis] = u
@@ -236,43 +252,25 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
             for buf in bufs[t:]:
                 view += buf
 
-    p = w_seq = v_seq = None
-
-    def fold(prims):
-        nonlocal p, w_seq, v_seq
+    prims = list(joint_primitives(instance))
+    best_cost, best_lead, best_arg, largest = math.inf, None, 0, 0
+    for lead in itertools.product(*map(range, radix_of[:split])):
+        digit[:split] = lead
+        costs = store[:math.prod(first_shape)].reshape(first_shape)
+        costs[...] = 0.0
+        bufs = [np.empty(first_shape[outer:]) for _ in range(T + 1)]
         for p, x0, w_seq, v_seq in prims:
             for j, var in enumerate(observe[0]):
                 vals[var] = obs[j][0][x0][v_seq[j][0]]
             walk(0, 0, x0, 0, False)
-
-    # the head: the leading primitives whose reads, over every chunk, span at
-    # most `_INNER` points; each chunk broadcasts their running sums
-    prim = list(joint_primitives(instance))
-    head, head_axes = 0, set()
-    for primitive in prim:
-        reads = set(head_axes)
-        fold([primitive])
-        if math.prod(shape[a] for a in reads if a >= 0) > _INNER:
-            break
-        head, head_axes = head + 1, reads
-    reads = None
-    head_shape = tuple(n if a in head_axes else 1 for a, n in enumerate(shape))
-    head_bufs = [np.empty(head_shape[outer:]) for _ in range(T + 1)]
-    chunk_bufs = [np.empty(shape[outer:]) for _ in range(T + 1)]
-
-    best_cost, best_lead, best_arg = math.inf, None, 0
-    for lead in itertools.product(*map(range, radix_of[:split])):
-        digit[:split] = lead
-        costs, bufs = np.zeros(head_shape), head_bufs
-        fold(prim[:head])
-        costs, bufs = np.broadcast_to(costs, shape).copy(), chunk_bufs
-        fold(prim[head:])
         arg = int(costs.argmin())
         if costs.flat[arg] < best_cost:
-            best_cost, best_lead, best_arg = float(costs.flat[arg]), lead, arg
-    log.debug("brute force: %d strategies, %d chunks, %d primitives, head of %d primitives "
-              "over %d points, %.3f s", total, math.prod(radix_of[:split]), len(prim), head,
-              math.prod(head_shape), time.perf_counter() - start)
+            best_cost, best_lead = float(costs.flat[arg]), lead
+            best_arg = np.ravel_multi_index(np.unravel_index(arg, costs.shape), shape)
+        largest = max(largest, costs.size)
+    log.debug("brute force: %d strategies, %d chunks, %d primitives, largest tensor of %d "
+              "points, %.3f s", total, math.prod(radix_of[:split]), len(prims), largest,
+              time.perf_counter() - start)
 
     digit[:split] = best_lead
     for g, u in zip(axis_digits, np.unravel_index(best_arg, shape)):
@@ -303,8 +301,7 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
 
 class _Chain:
     """Each agent pass's decided stages and t=0 roots, filled from agent K
-    downward, and one `StepKernel` per (agent, stage) that every pass steps
-    through.
+    downward. Every pass steps through the instance's `step_kernel`s.
 
     Per agent pass it also counts the belief steps computed, the candidate
     steps served by an identical step of the same node and the distinct
@@ -313,7 +310,6 @@ class _Chain:
     """
 
     def __init__(self):
-        self.kernels: dict[tuple, StepKernel] = {}  # (agent, stage) -> kernel
         self.stages: dict[int, list] = {}  # agent -> its pass's `_Stage`s
         self.roots: dict[int, list] = {}  # agent -> [(mass, node, accessible map, beliefs)]
         self.values: dict[int, float] = {}
@@ -506,8 +502,8 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
 
     Each stage scores every node's joint head candidates in one
     `CandidateScorer` call. Below the horizon, every candidate steps the
-    belief of every agent j..K through one call per agent of the chain's
-    `StepKernel` for that (agent, stage), with the controls the scorer reads
+    belief of every agent j..K through one call per agent of the instance's
+    `step_kernel` for that (agent, stage), with the controls the scorer reads
     off that agent's support; candidates of a node that act alike on an
     agent's positive-mass support share its step. Nodes are keyed by the keys
     the steps made.
@@ -569,9 +565,7 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
         for i, rows, pairs in zip(range(j, K + 1), probs, support):
             controls = score.controls(i, pairs, tail_tables)
             step_of, step_probs, step_controls = _distinct_rows(rows, pairs, controls)
-            if (i, t) not in chain.kernels:
-                chain.kernels[(i, t)] = StepKernel(instance, i, t)
-            stage.batches.append(chain.kernels[(i, t)].step(step_probs, step_controls))
+            stage.batches.append(step_kernel(instance, i, t).step(step_probs, step_controls))
             row_of.append(step_of)
             computed += len(step_probs)
             shared += step_of.size - len(step_probs)

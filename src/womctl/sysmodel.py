@@ -480,6 +480,8 @@ def monte_carlo_cost(instance: Instance, strategy, samples: int, seed: int = 0) 
     """
     if samples < 1:
         raise ShapeMismatch("samples must be >= 1")
+    if seed < 0:
+        raise ShapeMismatch(f"seed must be >= 0, got {seed}")
     sys = instance.system
     T, K = sys.horizon, sys.agent_count
     rng = np.random.default_rng(seed)
@@ -616,8 +618,10 @@ def _numbers(raw, name: str) -> np.ndarray:
 
 
 def _as_int(value, name: str) -> int:
-    """An integer field of an instance document; fractional values are rejected."""
-    _numbers(value, name)
+    """An integer field of an instance document; fractional values are rejected.
+    A non-number raises `TypeError`, as in `_numbers`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be numeric, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ShapeMismatch(f"{name} must be an integer, got {value!r}")
     return int(value)

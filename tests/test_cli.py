@@ -1,5 +1,8 @@
+import copy
 import json
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from helpers import pomdp_dict
@@ -378,3 +381,131 @@ def test_simulate_prescription_builds_no_dense_tables(which, tmp_path, monkeypat
     assert got["expected_cost"] == dense.expected_cost
     assert got["stderr"] == dense.stderr
     assert tuple(got["per_stage_costs"]) == dense.per_stage_costs
+
+
+@pytest.fixture(scope="module")
+def d2_documents(tmp_path_factory):
+    """d2's instance file and the control and prescription documents solved from it."""
+    root = tmp_path_factory.mktemp("d2_documents")
+    instance = root / "d2.json"
+    instance.write_text(json.dumps(d2_dict()))
+    docs = {}
+    for kind, method in (("control", ["brute"]), ("prescription", ["prescription", "--agent", "1"])):
+        path = root / f"{kind}.json"
+        assert run(["solve", str(instance), "--method", *method, "--emit-strategy", str(path)]) == 0
+        docs[kind] = json.loads(path.read_text())
+    return str(instance), docs
+
+
+_DROP = object()
+
+
+def _mutated(doc, path, value):
+    """A deep copy of `doc` with the field at `path` set to `value`, or removed for `_DROP`."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+def _strategy_exits(instance, doc, path):
+    """The exit codes of `evaluate` and `simulate` on `doc` written to `path`."""
+    path.write_text(json.dumps(doc))
+    return (
+        run(["evaluate", instance, "--strategy", str(path)]),
+        run(["simulate", instance, "--strategy", str(path), "--samples", "20"]),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, message",
+    [
+        pytest.param("control", ("tables", 0, "entries", 0, 1), 7,
+                     "(t=0, agent=1) action must be in [0, 2), got 7", id="action-7"),
+        pytest.param("control", ("tables", 0, "entries", 0, 1), "1",
+                     "action must be numeric, got '1'", id="action-string"),
+        pytest.param("control", ("tables", 0, "entries", 0, 1), 0.5,
+                     "action must be an integer, got 0.5", id="action-fraction"),
+        pytest.param("control", ("tables", 0, "entries", 0, 1), True,
+                     "action must be numeric, got True", id="action-bool"),
+        pytest.param("control", ("tables", 0, "entries", 0, 1), 10**400,
+                     "action must be in [0, 2), got 1000", id="action-huge"),
+        pytest.param("control", ("tables", 0, "t"), _DROP, "control table has no 't'", id="no-t"),
+        pytest.param("control", ("tables", 0, "agent"), 3,
+                     "table agent must be in [1, 3), got 3", id="agent-3"),
+        pytest.param("control", ("tables", 0, "entries", 0, 0), [5],
+                     "realization must be in [0, 2), got 5", id="realization-5"),
+        pytest.param("control", ("tables", 0, "entries", 0, 0), [0, 0],
+                     "realization [0, 0] must have 1 values", id="realization-length"),
+        pytest.param("prescription", ("laws", 0, "entries", 0, 1, 0), 0.5,
+                     "(t=0, target=1) table must be an integer, got 0.5", id="table-fraction"),
+        pytest.param("prescription", ("laws", 0, "entries", 0, 1, 0), "1",
+                     "table must be numeric, got '1'", id="table-string"),
+        pytest.param("prescription", ("laws", 0, "entries", 0, 1, 0), 2,
+                     "prescription (1->1, t=0) action out of range", id="table-2"),
+        pytest.param("prescription", ("owner",), _DROP,
+                     "prescription strategy has no 'owner'", id="no-owner"),
+        pytest.param("prescription", ("owner",), 3, "owner must be in [1, 3), got 3",
+                     id="owner-3"),
+        pytest.param("prescription", ("laws", 0, "target"), 0,
+                     "law target must be in [1, 3), got 0", id="target-0"),
+        pytest.param("prescription", ("laws", 0, "entries", 0, 0), ["x"],
+                     "condition must be numeric, got 'x'", id="condition-string"),
+        pytest.param("prescription", ("laws", 0, "t"), 1.5, "law t must be an integer, got 1.5",
+                     id="t-fraction"),
+        pytest.param("prescription", ("laws", 3, "domain", 0, 2), "Y",
+                     "(t=1, target=2) domain [[0, 2, 'Y'], [1, 2, 'Y']] is not the instance's",
+                     id="domain"),
+    ],
+)
+def test_malformed_strategy_documents_exit_3(
+    d2_documents, tmp_path, capsys, kind, path, value, message
+):
+    instance, docs = d2_documents
+    assert _strategy_exits(instance, _mutated(docs[kind], path, value), tmp_path / "s.json") == (3, 3)
+    err = capsys.readouterr().err
+    assert err.count(message) == 2 and "Traceback" not in err
+
+
+def test_simulate_rejects_a_negative_seed(d2_documents, tmp_path, capsys):
+    instance, docs = d2_documents
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(docs["control"]))
+    assert run(["simulate", instance, "--strategy", str(path), "--seed", "-1"]) == 3
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def _fields(node, path=()):
+    """(path, value) of every dictionary entry and list item in a JSON document."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, path + (key,))
+
+
+@pytest.mark.parametrize("kind", ["control", "prescription"])
+def test_mutated_strategy_documents_exit_0_or_3(d2_documents, tmp_path_factory, kind):
+    instance, docs = d2_documents
+    doc = docs[kind]
+    fields = list(_fields(doc))
+    keys = [path for path, _ in fields if isinstance(path[-1], str)]
+    numbers = [path for path, v in fields if type(v) in (int, float)]
+    mutations = st.one_of(
+        st.tuples(st.sampled_from(keys), st.just(_DROP)),
+        st.tuples(st.sampled_from(numbers), st.sampled_from(["1", True, 0.5, 99, -1])),
+    )
+    target = tmp_path_factory.mktemp("mutated") / "s.json"
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @hypothesis.given(mutations)
+    def check(mutation):
+        codes = _strategy_exits(instance, _mutated(doc, *mutation), target)
+        assert set(codes) <= {0, 3}
+
+    check()

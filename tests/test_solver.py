@@ -89,6 +89,7 @@ def _assert_matches_reference(instance, reference=None):
 # (_INNER, _CHUNK): no inner block, small blocks, the default, the whole
 # chunk inner, and a small chunk split into inner blocks
 SPLITS = {
+    "inner-0": (0, solver_mod._CHUNK),
     "inner-1": (1, solver_mod._CHUNK),
     "inner-2": (2, solver_mod._CHUNK),
     "inner-16": (16, solver_mod._CHUNK),
@@ -125,31 +126,16 @@ def test_brute_force_matches_reference_across_inner_blocks(name, split, monkeypa
 def _brute_force_record(caplog):
     (record,) = [r for r in caplog.records if r.getMessage().startswith("brute force:")]
     caplog.clear()
-    return record.args  # strategies, chunks, primitives, head, head points, seconds
+    return record.args  # strategies, chunks, primitives, largest tensor, seconds
 
 
-# the head bound is `_INNER`: 0 admits no primitive, a whole chunk admits every one
-HEADS = {"head-none": 0, "head-default": solver_mod._INNER, "head-whole": solver_mod._CHUNK}
-
-
-@pytest.mark.parametrize("bound", list(HEADS))
-@pytest.mark.parametrize("name", list(SPLIT_CASES))
-def test_brute_force_matches_reference_across_head_bounds(name, bound, monkeypatch, caplog):
-    monkeypatch.setattr(solver_mod, "_INNER", HEADS[bound])
-    caplog.set_level(logging.DEBUG, logger="womctl")
-    _assert_matches_reference(*_split_case(name))
-    _, _, primitives, head, _, _ = _brute_force_record(caplog)
-    assert head == {"head-none": 0, "head-whole": primitives}.get(bound, head)
-
-
-def test_brute_force_d2_chunks_share_a_head_smaller_than_the_chunk(d2, caplog):
+def test_brute_force_d2_chunks_grow_tensors_smaller_than_the_chunk(d2, caplog):
     caplog.set_level(logging.DEBUG, logger="womctl")
     res = solve_brute_force(d2)
-    strategies, chunks, primitives, head, points, seconds = _brute_force_record(caplog)
+    strategies, chunks, primitives, largest, seconds = _brute_force_record(caplog)
     assert (strategies, chunks) == (res.search_size, 4)
     assert primitives == len(list(joint_primitives(d2)))
-    assert 0 < head < primitives and points <= solver_mod._INNER
-    assert points < strategies // chunks and seconds >= 0.0
+    assert largest < strategies // chunks == 2**18 and seconds >= 0.0
 
 
 @pytest.mark.parametrize("name", ["static3", "static3_reindexed", "d2"])
@@ -183,11 +169,17 @@ def _ternary_static_instance():
     return instance_from_dict(doc)
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7])
-def test_brute_force_matches_reference_across_ternary_chunks(chunk, monkeypatch):
+# (_CHUNK, _INNER): small chunks, and one chunk grown along its ternary axes
+@pytest.mark.parametrize(
+    "chunk, inner",
+    [(1, solver_mod._INNER), (2, solver_mod._INNER), (7, solver_mod._INNER), (3**6, 0), (3**6, 9)],
+    ids=["1", "2", "7", "whole-inner-0", "whole-inner-9"],
+)
+def test_brute_force_matches_reference_across_ternary_chunks(chunk, inner, monkeypatch):
     inst = _ternary_static_instance()
     assert solve_brute_force(inst).search_size == 3**6
     monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(solver_mod, "_INNER", inner)
     _assert_matches_reference(inst)
 
 
