@@ -138,12 +138,28 @@ def test_brute_force_d2_chunks_grow_tensors_smaller_than_the_chunk(d2, caplog):
     assert largest < strategies // chunks == 2**18 and seconds >= 0.0
 
 
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_brute_force_chunks_start_whole_only_as_one_inner_block(name, monkeypatch, caplog):
+    # a chunk that is one inner block starts whole; with no inner block every
+    # chunk starts at one point and grows no larger than the chunk
+    instance, reference = _split_case(name)
+    caplog.set_level(logging.DEBUG, logger="womctl")
+    monkeypatch.setattr(solver_mod, "_INNER", solver_mod._CHUNK)
+    _assert_matches_reference(instance, reference)
+    strategies, chunks, _, largest, _ = _brute_force_record(caplog)
+    assert largest == strategies // chunks
+    monkeypatch.setattr(solver_mod, "_INNER", 0)
+    _assert_matches_reference(instance, reference)
+    strategies, chunks, _, largest, _ = _brute_force_record(caplog)
+    assert 1 <= largest <= strategies // chunks
+
+
 @pytest.mark.parametrize("name", ["static3", "static3_reindexed", "d2"])
 def test_brute_force_matches_reference_on_bundled(name, request):
     _assert_matches_reference(request.getfixturevalue(name))
 
 
-@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("seed", range(50))
 def test_brute_force_matches_reference_on_fuzz(seed):
     _assert_matches_reference(fuzz_instance(seed))
 
