@@ -8,7 +8,6 @@ row-major with the system state as the slowest coordinate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,16 +88,16 @@ def _check_theta(instance, k, t, theta: CompletePrescription):
             f"complete prescription is for owner {theta.owner} at t={theta.time}, "
             f"expected owner {k} at t={t}"
         )
-    check_domains(instance, k, t, theta.parts)
+    check_domains(instance, k, t, [p.domain for p in theta.parts])
 
 
-def check_domains(instance, k, t, parts, first_target: int = 1):
-    """Raise unless each part has agent k's stage-t domain for its target.
+def check_domains(instance, k, t, domains, first_target: int = 1):
+    """Raise unless each domain is agent k's stage-t domain for its target.
 
-    `parts` are the prescriptions for targets first_target, first_target + 1, ...
+    `domains` are for the targets first_target, first_target + 1, ...
     """
-    for target, part in enumerate(parts, start=first_target):
-        if part.domain != instance.info.prescription_domain(t, k, target):
+    for target, domain in enumerate(domains, start=first_target):
+        if domain != instance.info.prescription_domain(t, k, target):
             raise SchemaMismatch(f"prescription domain for target {target} is wrong")
 
 

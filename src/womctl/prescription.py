@@ -160,12 +160,15 @@ def prescription_space_size(domain_sizes, control_size: int) -> int:
 
 
 def enumerate_prescription_tables(domain_sizes, control_size: int, cap: int = DEFAULT_TABLE_CAP):
-    """All tables over the domain in lexicographic order."""
+    """All tables over the domain as int64 rows in lexicographic order: row r
+    holds the base-`control_size` digits of r, the first entry slowest."""
     required = prescription_space_size(domain_sizes, control_size)
     if required > cap:
         raise CapExceeded(required, cap, "prescription enumeration")
-    entries = realization_count(domain_sizes)
-    return itertools.product(range(control_size), repeat=entries)
+    powers = control_size ** np.arange(realization_count(domain_sizes) - 1, -1, -1, dtype=np.int64)
+    tables = np.arange(required, dtype=np.int64)[:, None] // powers
+    tables %= control_size
+    return tables
 
 
 def enumerate_prescriptions(
@@ -175,8 +178,8 @@ def enumerate_prescriptions(
     domain = instance.info.prescription_domain(t, owner, target)
     sizes = instance.schema_sizes(domain)
     control_size = instance.system.control_sizes[target - 1]
-    for table in enumerate_prescription_tables(sizes, control_size, cap):
-        yield Prescription(owner, target, t, domain, sizes, control_size, table)
+    for table in enumerate_prescription_tables(sizes, control_size, cap).tolist():
+        yield Prescription(owner, target, t, domain, sizes, control_size, tuple(table))
 
 
 def count_strategies(instance: Instance, mode) -> int:

@@ -34,13 +34,11 @@ from .belief import (
 from .errors import CapExceeded, ShapeMismatch, WomError
 from .infostruct import KIND_CONTROL, KIND_OBSERVATION, VariableId
 from .prescription import (
-    CompletePrescription,
     Prescription,
     PrescriptionStrategy,
     count_strategies,
     enumerate_prescription_tables,
     joint_control_strategy,
-    make_prescription,
     prescription_space_size,
 )
 from .sysmodel import (
@@ -322,52 +320,49 @@ class _Chain:
 
 
 def _head_spaces(instance: Instance, j: int, caps: Caps):
-    """Per stage, the candidate tables for each of agent j's own components.
+    """Per stage, the candidate tables for each of agent j's own components
+    1..j: per target, an int array with a row per table.
 
     Every stage's table counts are checked against the cap before any table
     is built.
     """
     shapes = {}
     for t in range(instance.horizon + 1):
-        per_target = []
-        joint = 1
+        per_target, joint = [], 1
         for m in range(1, j + 1):
-            domain = instance.info.prescription_domain(t, j, m)
-            sizes = instance.schema_sizes(domain)
+            sizes = instance.schema_sizes(instance.info.prescription_domain(t, j, m))
             csize = instance.system.control_sizes[m - 1]
             count = prescription_space_size(sizes, csize)
             if count > caps.tables:
                 raise CapExceeded(count, caps.tables, "prescription enumeration")
             joint *= count
-            per_target.append((domain, sizes, csize))
+            per_target.append((sizes, csize))
         if joint > caps.tables:
             raise CapExceeded(joint, caps.tables, f"stage-{t} joint prescription search")
         shapes[t] = per_target
     return {
-        t: [
-            [
-                Prescription(j, m, t, domain, sizes, csize, table)
-                for table in enumerate_prescription_tables(sizes, csize, caps.tables)
-            ]
-            for m, (domain, sizes, csize) in enumerate(per_target, start=1)
-        ]
+        t: [enumerate_prescription_tables(sizes, csize, caps.tables) for sizes, csize in per_target]
         for t, per_target in shapes.items()
     }
 
 
-def _tail_parts(instance: Instance, chain: _Chain, j: int, t: int, key) -> tuple:
-    """Inherited prescriptions for targets above j at the belief tuple with key `key`."""
-    parts = []
-    for m in range(j + 1, instance.agent_count + 1):
-        stage = chain.stages[m][t]
-        n = stage.index.get(key[m - j :])
-        if n is None:
-            raise WomError(
-                f"missing inherited decision for agent {m} at t={t}; "
-                "the belief tuple was never reached in that agent's pass"
-            )
-        parts.append(dataclasses.replace(stage.thetas[n].parts[m - 1], owner=j))
-    return tuple(parts)
+def _tail_tables(instance: Instance, chain: _Chain, j: int, t: int, keys) -> list:
+    """Inherited tables for each target m above j at the belief tuples `keys`:
+    per target, agent m's stage-t decisions, a row per key."""
+    above = range(j + 1, instance.agent_count + 1)
+    nodes = [[] for _ in above]
+    for key in keys:
+        for m, at in zip(above, nodes):
+            n = chain.stages[m][t].index.get(key[m - j :])
+            if n is None:
+                raise WomError(
+                    f"missing inherited decision for agent {m} at t={t}; "
+                    "the belief tuple was never reached in that agent's pass"
+                )
+            at.append(n)
+    domains = [instance.info.prescription_domain(t, m, m) for m in above]
+    check_domains(instance, j, t, domains, first_target=j + 1)
+    return [chain.stages[m][t].tables[m - 1][at] for m, at in zip(above, nodes)]
 
 
 def _roots(instance: Instance, j: int):
@@ -387,16 +382,16 @@ class _Stage:
     """One stage of an agent pass, as the pass leaves it.
 
     Its nodes are belief tuples of agents j..K, in order of first discovery:
-    `keys[n]`, and `index` from key to node. Once decided, `thetas[n]` is node
-    n's complete prescription. Below the horizon the stage keeps its step
-    batches, one per agent j..K, and how its winners branch: `win[n]` is the
-    combination of step rows node n's winner uses, and per (combination,
-    branch) `kid` holds the next-stage node and `groups` each agent's group
-    in its batch, both padded with -1.
+    `keys[n]`, and `index` from key to node. Once decided, `tables[m - 1][n]`
+    is node n's table for target m, an int array per target 1..K. Below the
+    horizon the stage keeps its step batches, one per agent j..K, and how its
+    winners branch: `win[n]` is the combination of step rows node n's winner
+    uses, and per (combination, branch) `kid` holds the next-stage node and
+    `groups` each agent's group in its batch, both padded with -1.
     """
 
     def __init__(self):
-        self.keys, self.thetas, self.batches = [], [], []
+        self.keys, self.tables, self.batches = [], [], []
         self.index: dict = {}  # key -> node
         self.win = self.kid = self.groups = None
 
@@ -549,21 +544,17 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
     for t in range(T + 1):
         at[0] = t
         stages.append(stage)
-        tails = [_tail_parts(instance, chain, j, t, key) for key in stage.keys]
-        for parts in tails:
-            check_domains(instance, j, t, parts, first_target=j + 1)
-        tail_tables = [np.array([parts[m].table for parts in tails]) for m in range(K - j)]
-        head_tables = [np.array([p.table for p in space]) for space in spaces[t]]
-        score = CandidateScorer(instance, j, t, head_tables)
+        tails = _tail_tables(instance, chain, j, t, stage.keys)
+        score = CandidateScorer(instance, j, t, spaces[t])
         support = [np.nonzero(rows > 0.0) for rows in probs]
-        cost = score(probs[0], tail_tables, support[0])
+        cost = score(probs[0], tails, support[0])
         examined += cost.size
         work.append((cost, tails, None))
         if t == T:
             break
         row_of = []
         for i, rows, pairs in zip(range(j, K + 1), probs, support):
-            controls = score.controls(i, pairs, tail_tables)
+            controls = score.controls(i, pairs, tails)
             step_of, step_probs, step_controls = _distinct_rows(rows, pairs, controls)
             stage.batches.append(step_kernel(instance, i, t).step(step_probs, step_controls))
             row_of.append(step_of)
@@ -585,9 +576,7 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
         best = cost.argmin(axis=1)
         nodes = np.arange(len(best))
         heads_at = np.unravel_index(best, tuple(map(len, spaces[t])))
-        for n, tail in enumerate(tails):
-            heads = tuple(space[i[n]] for space, i in zip(spaces[t], heads_at))
-            stage.thetas.append(CompletePrescription(owner=j, time=t, parts=heads + tail))
+        stage.tables = [space[i] for space, i in zip(spaces[t], heads_at)] + tails
         if combo_of is not None:
             stage.win = combo_of[nodes, best]
         values = cost[nodes, best]
@@ -623,14 +612,15 @@ def _emit_strategy(instance: Instance, k: int, chain: _Chain):
     reaches; every other realization gets its (stage, target)'s default, the
     all-zero table.
     """
-    laws, defaults = {}, {}
+    laws, defaults, make = {}, {}, {}  # make: (t, m) -> table -> Prescription
     for t in range(instance.horizon + 1):
         for m in range(1, instance.agent_count + 1):
-            entries = realization_count(
-                instance.schema_sizes(instance.info.prescription_domain(t, k, m))
-            )
+            domain = instance.info.prescription_domain(t, k, m)
+            sizes = instance.schema_sizes(domain)
+            csize = instance.system.control_sizes[m - 1]
+            make[(t, m)] = functools.partial(Prescription, k, m, t, domain, sizes, csize)
             laws[(t, m)] = {}
-            defaults[(t, m)] = make_prescription(instance, t, k, m, (0,) * entries)
+            defaults[(t, m)] = make[(t, m)]((0,) * realization_count(sizes))
     belief_rows = []
     stages = chain.stages[k]
     labels = [
@@ -640,9 +630,9 @@ def _emit_strategy(instance: Instance, k: int, chain: _Chain):
 
     def record(t, n, amap, beliefs):
         stage = stages[t]
-        for m, part in enumerate(stage.thetas[n].parts, start=1):
+        for m, tables in enumerate(stage.tables, start=1):
             cond = instance.info.conditioning_schema(t, k, m)
-            laws[(t, m)][tuple(amap[v] for v in cond)] = part
+            laws[(t, m)][tuple(amap[v] for v in cond)] = make[(t, m)](tuple(tables[n].tolist()))
         belief_rows.append(
             {
                 "t": t,
@@ -676,9 +666,10 @@ def _dp_result(instance: Instance, k: int, chain: _Chain) -> SolveResult:
         {
             "t": t,
             "belief_key": [list(part) for part in stage.keys[n]],
-            "tables": {m: list(p.table) for m, p in enumerate(stage.thetas[n].parts[:k], start=1)},
+            "tables": {m: rows[n] for m, rows in enumerate(heads, start=1)},
         }
         for t, stage in enumerate(chain.stages[k])
+        for heads in [[tables.tolist() for tables in stage.tables[:k]]]
         for n in sorted(range(len(stage.keys)), key=stage.keys.__getitem__)
     ]
     passes = [j for j in chain.values if j >= k]
@@ -750,11 +741,12 @@ def _static_result(instance: Instance, res: SolveResult, caps: Caps) -> SolveRes
     """
     start = time.perf_counter()
     k = res.agent
-    tables = []
-    for m in range(1, instance.agent_count + 1):
-        sizes = instance.schema_sizes(instance.info.prescription_domain(0, k, m))
-        csize = instance.system.control_sizes[m - 1]
-        tables.append(np.array(list(enumerate_prescription_tables(sizes, csize, caps.tables))))
+    tables = [
+        enumerate_prescription_tables(
+            instance.schema_sizes(instance.info.prescription_domain(0, k, m)), csize, caps.tables
+        )
+        for m, csize in enumerate(instance.system.control_sizes, start=1)
+    ]
     beliefs = initial_information_state(instance, k)
     masses = accessible_support(instance, k)
     least = CandidateScorer(instance, k, 0, tables)(

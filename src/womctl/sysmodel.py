@@ -641,6 +641,11 @@ def instance_from_dict(data: dict) -> Instance:
         raw = data["system"]
         K = len(raw["control_sizes"])
         T = _as_int(raw["horizon"], "horizon")
+        if T < 0:
+            raise ShapeMismatch("horizon must be >= 0")
+        cost = _numbers(raw["cost"], "cost")
+        if cost.shape[:1] != (T + 1,):  # checked before any law is tiled over the horizon
+            raise ShapeMismatch(f"cost has shape {cost.shape}, horizon {T} needs {T + 1} stages")
         state_size = _as_int(raw["state_size"], "state_size")
         control_sizes = tuple(_as_int(v, "control_sizes") for v in raw["control_sizes"])
         observation_sizes = tuple(
@@ -673,7 +678,7 @@ def instance_from_dict(data: dict) -> Instance:
             observation=tuple(
                 _int_array(raw["observation"][k], f"observation[{k + 1}]") for k in range(K)
             ),
-            cost=_numbers(raw["cost"], "cost"),
+            cost=cost,
         )
         if "links" in net:
             network = netgraph.NetworkSpec(
@@ -694,7 +699,7 @@ def instance_from_dict(data: dict) -> Instance:
                 )
         else:
             raise ShapeMismatch("network must carry either links or delay_matrix")
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed instance document: {exc}") from exc
     return validate_instance(system, network)
 

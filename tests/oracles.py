@@ -691,11 +691,12 @@ def relaxed_reference(instance, k):
 
 class _ReferenceStage:
     """A stage of the reference pass: node keys in first-visit order, `index`
-    from key to node, and per node its complete prescription and its winner's
-    branches as (z, mass, child key, child beliefs of agents j..K)."""
+    from key to node, per node its tables for targets 1..K (`decided`, one
+    row each, stacked per target into `tables` once the pass ends) and its
+    winner's branches as (z, mass, child key, child beliefs of agents j..K)."""
 
     def __init__(self):
-        self.keys, self.thetas, self.branches = [], [], []
+        self.keys, self.decided, self.tables, self.branches = [], [], [], []
         self.index = {}
 
 
@@ -723,7 +724,7 @@ def solve_agent_reference(instance, j, chain, caps):
     This is the search `solver._solve_agent` ran before it went stage by
     stage, with its scorer and kernel calls made on one-row stacks. It fills
     the same `_Chain` counters and returns the same value. Its stages are
-    `_ReferenceStage`s, which `solver._tail_parts` reads as it reads the
+    `_ReferenceStage`s, which `solver._tail_tables` reads as it reads the
     pass's own, and its roots are (mass, node, accessible map, beliefs). A
     failure other than a cap names the agent and the stage of the visit it
     left open.
@@ -732,10 +733,9 @@ def solve_agent_reference(instance, j, chain, caps):
 
     import numpy as np
 
-    from womctl.belief import CandidateScorer, StepKernel, belief_tuple_key, check_domains
+    from womctl.belief import CandidateScorer, StepKernel, belief_tuple_key
     from womctl.errors import CapExceeded, WomError
-    from womctl.prescription import CompletePrescription
-    from womctl.solver import _head_spaces, _roots, _tail_parts
+    from womctl.solver import _head_spaces, _roots, _tail_tables
 
     started = time.perf_counter()
     T, K = instance.horizon, instance.agent_count
@@ -750,8 +750,7 @@ def solve_agent_reference(instance, j, chain, caps):
 
     def scorer(t):
         if t not in scorers:
-            tables = [np.array([p.table for p in heads]) for heads in spaces[t]]
-            scorers[t] = CandidateScorer(instance, j, t, tables)
+            scorers[t] = CandidateScorer(instance, j, t, spaces[t])
         return scorers[t]
 
     def step(t, pi, controls, done):
@@ -779,24 +778,21 @@ def solve_agent_reference(instance, j, chain, caps):
         stage = stages[t]
         n = stage.index[key[1]] = len(stage.keys)
         stage.keys.append(key[1])
-        stage.thetas.append(None)
+        stage.decided.append(None)
         stage.branches.append(None)
         nodes += 1
         open_stages.append(t)
         if nodes > caps.branches:
             raise CapExceeded(nodes, caps.branches, "reachable belief branches", exact=False)
-        tails = _tail_parts(instance, chain, j, t, key[1])
-        check_domains(instance, j, t, tails, first_target=j + 1)
-        tail_tables = [np.array([part.table]) for part in tails]
+        tail_tables = _tail_tables(instance, chain, j, t, [key[1]])
+        tails = [tables[0] for tables in tail_tables]
         score = scorer(t)
         stage_cost = score(pis[0].probs[None], tail_tables)[0]
         examined += len(stage_cost)
         if t == T:
             best = int(stage_cost.argmin())
             best_val = float(stage_cost[best])
-            index = np.unravel_index(best, score.shape)
-            heads = tuple(space[int(i)] for space, i in zip(spaces[t], index))
-            best_decision = (CompletePrescription(j, t, heads + tails), [])
+            best_decision = (best, [])
         else:
             controls = []
             for pi in pis:
@@ -805,8 +801,7 @@ def solve_agent_reference(instance, j, chain, caps):
                 controls.append(list(map(tuple, at.T.tolist())))
             done = [{} for _ in pis]  # per agent, the node's steps by control tuple
             best_val, best_decision = math.inf, None
-            candidates = itertools.product(*spaces[t])
-            for c, (val, heads) in enumerate(zip(stage_cost.tolist(), candidates)):
+            for c, val in enumerate(stage_cost.tolist()):
                 steps, *tail = [
                     step(t, pi, ctrl[c], seen) for pi, ctrl, seen in zip(pis, controls, done)
                 ]
@@ -823,10 +818,11 @@ def solve_agent_reference(instance, j, chain, caps):
                         (z, pz, belief_tuple_key(pis_child), [pi.probs for pi in pis_child])
                     )
                 if val < best_val:
-                    theta = CompletePrescription(owner=j, time=t, parts=heads + tails)
-                    best_val, best_decision = val, (theta, branches)
+                    best_val, best_decision = val, (c, branches)
         memo[key] = best_val
-        stage.thetas[n], stage.branches[n] = best_decision
+        best, stage.branches[n] = best_decision
+        index = np.unravel_index(best, score.shape)
+        stage.decided[n] = [space[i] for space, i in zip(spaces[t], index)] + tails
         open_stages.pop()
         return best_val
 
@@ -841,6 +837,8 @@ def solve_agent_reference(instance, j, chain, caps):
     except WomError as exc:
         exc.args = (f"agent {j}, stage {open_stages[-1] if open_stages else 0}: {exc}",)
         raise
+    for stage in stages:
+        stage.tables = [np.array(rows) for rows in zip(*stage.decided)]
     chain.stages[j] = stages
     chain.roots[j] = roots
     chain.values[j] = total

@@ -89,6 +89,13 @@ def test_validate_dangling_link(tmp_path, capsys):
          "noise[1] probs must have shape (2, 1), got (2, 2)"),
         (("system", "disturbance", "probs_per_t"), [[0.7, 0.3], [0.7, 0.3]],
          "disturbance probs must have shape (1, 2), got (2, 2)"),
+        (("system", "horizon"), -1, "horizon must be >= 0"),
+        (("system", "horizon"), 10**400,
+         f"cost has shape (2, 2, 4), horizon {10**400} needs {10**400 + 1} stages"),
+        (("system", "horizon"), 2**62,
+         f"cost has shape (2, 2, 4), horizon {2**62} needs {2**62 + 1} stages"),
+        (("system", "cost", 0, 0, 0), 10**400,
+         "malformed instance document: int too large to convert to float"),
     ],
     ids=["nan-cost", "inf-cost", "fractional-transition", "fractional-observation",
          "float-state-size", "nan-probability", "fractional-delay", "non-numeric-agents",
@@ -96,7 +103,8 @@ def test_validate_dangling_link(tmp_path, capsys):
          "negative-disturbance-size", "zero-noise-size", "string-size", "string-probs",
          "boolean-size", "boolean-horizon", "string-cost", "boolean-transition",
          "string-disturbance", "null-noise", "boolean-delay", "noise-table-shape",
-         "disturbance-table-shape"],
+         "disturbance-table-shape", "negative-horizon", "huge-horizon",
+         "horizon-past-cost-stages", "huge-cost"],
 )
 def test_validate_rejects_malformed_numbers(tmp_path, capsys, path, value, message):
     doc = d2_dict()

@@ -3,12 +3,12 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from helpers import random_control_strategy, random_prescription_strategy
 from womctl.errors import CapExceeded, DomainMismatch, OutOfRange
 from womctl.prescription import (
-    Prescription,
     apply_prescription,
     control_law_to_strategy,
     count_strategies,
@@ -53,6 +53,19 @@ def test_enumerate_prescription_counts(static3):
     assert len(list(enumerate_prescriptions(static3, 0, 3, 3))) == 2
     assert prescription_space_size((3, 2), 2) == 64
     assert len(list(enumerate_prescription_tables((3, 2), 2))) == 64
+
+
+@pytest.mark.parametrize(
+    "sizes, control_size",
+    [((3, 2), 2), ((), 3), ((3,), 3), ((2,) * 7, 1)],
+    ids=["3x2-binary", "empty-domain", "3-ternary", "128-rows-one-control"],
+)
+def test_enumerated_tables_are_product_rows(sizes, control_size):
+    tables = enumerate_prescription_tables(sizes, control_size)
+    expected = list(itertools.product(range(control_size), repeat=math.prod(sizes)))
+    assert tables.dtype == np.int64
+    assert tables.shape == (len(expected), math.prod(sizes))
+    assert [tuple(row) for row in tables.tolist()] == expected
 
 
 def test_enumerate_cap():

@@ -40,6 +40,7 @@ from womctl.sysmodel import (
     instance_from_dict,
     joint_primitives,
     permute_instance,
+    realization_count,
     validate_strategy,
 )
 
@@ -518,6 +519,18 @@ def test_dp_cap_fails_before_building_tables(d2, monkeypatch):
     with pytest.raises(CapExceeded, match="stage-1 joint prescription search needs 256"):
         solve_prescription_dp(d2, 2, cap=16)
     assert built == []
+
+
+def test_decided_stages_keep_a_table_row_per_node_and_target(d2):
+    chain = solver_mod._Chain()
+    for j in (2, 1):
+        solver_mod._solve_agent(d2, j, chain, solver_mod.resolve_caps())
+        for t, stage in enumerate(chain.stages[j]):
+            assert len(stage.tables) == d2.agent_count
+            for m, tables in enumerate(stage.tables, start=1):
+                rows = realization_count(d2.schema_sizes(d2.info.prescription_domain(t, j, m)))
+                assert tables.dtype == np.int64
+                assert tables.shape == (len(stage.keys), rows)
 
 
 def test_branch_cap_message_gives_a_lower_bound():

@@ -3,7 +3,7 @@
 `oracles.solve_agent_reference` visits one node at a time; `_solve_agent`
 expands each stage's nodes together. Both must leave every `_Chain` field
 equal: values, per stage the node keys in first-visit order, each node's
-prescription and its winner's branches (new information, probability, child
+decided tables and its winner's branches (new information, probability, child
 and every agent's posterior down to its array), the roots, candidates
 examined, steps computed and shared, kernel entries and nodes per stage. A
 pass that fails must fail alike in both.
@@ -101,7 +101,9 @@ def _assert_chains_equal(ours, theirs):
             mine = ours.stages[j][t]
             assert mine.keys == stage.keys  # first-visit order
             assert mine.index == stage.index
-            assert mine.thetas == stage.thetas
+            assert len(mine.tables) == len(stage.tables)  # targets 1..K
+            for our_tables, tables in zip(mine.tables, stage.tables):
+                assert np.array_equal(our_tables, tables)
             for n, branches in enumerate(stage.branches):
                 our_branches = _our_branches(ours.stages[j], t, n)
                 assert len(our_branches) == len(branches)  # new-information order
