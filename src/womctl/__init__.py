@@ -14,16 +14,7 @@ from .belief import (
     update_information_state,
 )
 from .errors import WomError
-from .infostruct import (
-    InfoStructure,
-    VariableId,
-    accessible_schema,
-    equivalent_state_schema,
-    inaccessible_schema,
-    index_agents,
-    memory_schema,
-    new_info_schema,
-)
+from .infostruct import InfoStructure, VariableId
 from .netgraph import (
     DelayMatrix,
     InfoPath,

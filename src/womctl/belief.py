@@ -91,12 +91,10 @@ def _check_theta(instance, k, t, theta: CompletePrescription):
     check_domains(instance, k, t, [p.domain for p in theta.parts])
 
 
-def check_domains(instance, k, t, domains, first_target: int = 1):
-    """Raise unless each domain is agent k's stage-t domain for its target.
-
-    `domains` are for the targets first_target, first_target + 1, ...
-    """
-    for target, domain in enumerate(domains, start=first_target):
+def check_domains(instance, k, t, domains):
+    """Raise unless each domain is agent k's stage-t domain for its target,
+    the targets 1, 2, ... in order."""
+    for target, domain in enumerate(domains, start=1):
         if domain != instance.info.prescription_domain(t, k, target):
             raise SchemaMismatch(f"prescription domain for target {target} is wrong")
 

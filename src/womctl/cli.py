@@ -2,7 +2,8 @@
 
 Every subcommand prints a human-readable table to stdout and can write a JSON
 report ({command, instance_digest, results, timings}) via --report. Exit codes:
-0 success, 1 unreadable input, 2 search cap exceeded, 3 validation failure.
+0 success, 1 unreadable input or unwritable output, 2 search cap exceeded,
+3 validation failure.
 """
 
 from __future__ import annotations
@@ -48,17 +49,17 @@ def _schema_str(schema) -> str:
     return "{" + ", ".join(v.label() for v in schema) + "}" if schema else "{}"
 
 
-def _cmd_validate(args, out):
+def _cmd_validate(args):
     inst = load_instance(args.instance)
-    out.line(f"instance ok: {inst.agent_count} agents, horizon {inst.horizon}")
+    print(f"instance ok: {inst.agent_count} agents, horizon {inst.horizon}")
     return {"valid": True, "agents": inst.agent_count, "horizon": inst.horizon}, inst
 
 
-def _cmd_delays(args, out):
+def _cmd_delays(args):
     inst = load_instance(args.instance)
-    out.line("minimal delays d[from][to]:")
+    print("minimal delays d[from][to]:")
     for row in inst.delays.rows:
-        out.line("  " + " ".join(f"{d:3d}" for d in row))
+        print("  " + " ".join(f"{d:3d}" for d in row))
     paths = None
     if inst.network is not None:
         paths = {}
@@ -69,7 +70,7 @@ def _cmd_delays(args, out):
     return {"delay_matrix": [list(r) for r in inst.delays.rows], "paths": paths}, inst
 
 
-def _cmd_schema(args, out):
+def _cmd_schema(args):
     inst = load_instance(args.instance)
     times = [args.time] if args.time is not None else list(range(inst.horizon + 1))
     agents = [args.agent] if args.agent is not None else list(range(1, inst.agent_count + 1))
@@ -77,13 +78,13 @@ def _cmd_schema(args, out):
     for t in times:
         for k in agents:
             tab = schema_tables(inst.info, t, k)
-            out.line(f"t={t} agent {k}")
-            out.line(f"  memory       {_schema_str(tab.memory)}")
-            out.line(f"  accessible   {_schema_str(tab.accessible)}")
-            out.line(f"  new info     {_schema_str(tab.new_info)}")
+            print(f"t={t} agent {k}")
+            print(f"  memory       {_schema_str(tab.memory)}")
+            print(f"  accessible   {_schema_str(tab.accessible)}")
+            print(f"  new info     {_schema_str(tab.new_info)}")
             for i, schema in tab.inaccessible.items():
-                out.line(f"  inaccessible[{k},{i}] {_schema_str(schema)}")
-            out.line(f"  state coords X@{t} + {_schema_str(tab.equivalent_state)}")
+                print(f"  inaccessible[{k},{i}] {_schema_str(schema)}")
+            print(f"  state coords X@{t} + {_schema_str(tab.equivalent_state)}")
             results.append(
                 {
                     "t": t,
@@ -106,12 +107,12 @@ def _counts(inst) -> dict:
     return {name: format_count(count_strategies(inst, mode)) for name, mode in modes.items()}
 
 
-def _cmd_counts(args, out):
+def _cmd_counts(args):
     inst = load_instance(args.instance)
     rows = _counts(inst)
-    out.line("strategy-space sizes:")
+    print("strategy-space sizes:")
     for name, n in rows.items():
-        out.line(f"  {name:10s} {n}")
+        print(f"  {name:10s} {n}")
     return {"counts": rows}, inst
 
 
@@ -128,7 +129,7 @@ def _result_row(res):
     return row
 
 
-def _cmd_solve(args, out):
+def _cmd_solve(args):
     inst = load_instance(args.instance)
     method = args.method
     if method == "brute":
@@ -144,7 +145,7 @@ def _cmd_solve(args, out):
             res = solve_prescription_dp(inst, args.agent, args.cap)
     else:
         raise WomError(f"unknown method {method}")
-    out.line(
+    print(
         f"{res.method}"
         + (f" (agent {res.agent})" if res.agent else "")
         + f": optimal cost {res.optimal_cost:.9f}, searched {res.search_size}"
@@ -157,12 +158,12 @@ def _cmd_solve(args, out):
         )
         with open(args.emit_strategy, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
-        out.line(f"strategy written to {args.emit_strategy}")
+        print(f"strategy written to {args.emit_strategy}")
     if args.emit_beliefs:
         tree = res.extras.get("belief_tree", [])
         with open(args.emit_beliefs, "w", encoding="utf-8") as fh:
             json.dump({"belief_tree": tree}, fh, indent=1, sort_keys=True)
-        out.line(f"beliefs written to {args.emit_beliefs}")
+        print(f"beliefs written to {args.emit_beliefs}")
     return {"solve": _result_row(res)}, inst
 
 
@@ -171,11 +172,11 @@ def _read_strategy(inst, path):
         return strategy_from_dict(inst, json.load(fh))
 
 
-def _cmd_evaluate(args, out):
+def _cmd_evaluate(args):
     inst = load_instance(args.instance)
     report = exact_strategy_cost(inst, _read_strategy(inst, args.strategy))
-    out.line(f"exact expected cost {report.expected_cost:.9f}")
-    out.line("per-stage " + " ".join(f"{c:.9f}" for c in report.per_stage_costs))
+    print(f"exact expected cost {report.expected_cost:.9f}")
+    print("per-stage " + " ".join(f"{c:.9f}" for c in report.per_stage_costs))
     return {
         "expected_cost": report.expected_cost,
         "per_stage_costs": list(report.per_stage_costs),
@@ -183,10 +184,10 @@ def _cmd_evaluate(args, out):
     }, inst
 
 
-def _cmd_simulate(args, out):
+def _cmd_simulate(args):
     inst = load_instance(args.instance)
     report = monte_carlo_cost(inst, _read_strategy(inst, args.strategy), args.samples, args.seed)
-    out.line(
+    print(
         f"monte carlo: {report.expected_cost:.9f} +/- {report.stderr:.9f} "
         f"({args.samples} samples, seed {args.seed})"
     )
@@ -199,28 +200,28 @@ def _cmd_simulate(args, out):
     }, inst
 
 
-def _print_rows(out, rows):
+def _print_rows(rows):
     """One line per `compare_agents` row: its cost and search size, or why it was skipped."""
     for row in rows:
         if row["status"] == "ok":
             agent = f" agent {row['agent']}" if row["agent"] else ""
-            out.line(
+            print(
                 f"  {row['method']:20s}{agent:9s} cost {row['cost']:.9f} "
                 f"searched {row['search_size']}"
             )
         else:
-            out.line(f"  {row['method']:20s} skipped: {row['reason']}")
+            print(f"  {row['method']:20s} skipped: {row['reason']}")
 
 
-def _cmd_compare(args, out):
+def _cmd_compare(args):
     inst = load_instance(args.instance)
     rep = compare_agents(inst, args.cap)
-    _print_rows(out, rep.rows)
-    out.line(f"max cost spread {rep.max_spread:.3e}")
+    _print_rows(rep.rows)
+    print(f"max cost spread {rep.max_spread:.3e}")
     return {"rows": rep.rows, "max_spread": rep.max_spread}, inst
 
 
-def _cmd_demo(args, out):
+def _cmd_demo(args):
     names = args.names or ["static3", "wom3"]
     outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
@@ -234,11 +235,11 @@ def _cmd_demo(args, out):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
         inst = instance_from_dict(doc)
-        out.line(f"{name}: written to {path}")
+        print(f"{name}: written to {path}")
         counts = _counts(inst)
-        out.line("  counts " + json.dumps(counts))
+        print("  counts " + json.dumps(counts))
         rep = compare_agents(inst, args.cap)
-        _print_rows(out, rep.rows)
+        _print_rows(rep.rows)
         results[name] = {
             "path": path,
             "counts": counts,
@@ -246,15 +247,6 @@ def _cmd_demo(args, out):
             "max_spread": rep.max_spread,
         }
     return {"demo": results}, inst
-
-
-class _Out:
-    def __init__(self):
-        self.lines = []
-
-    def line(self, text):
-        self.lines.append(text)
-        print(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,10 +312,19 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = _Out()
     started = time.perf_counter()
     try:
-        results, inst = _HANDLERS[args.command](args, out)
+        results, inst = _HANDLERS[args.command](args)
+        if args.report:
+            report = {
+                "command": args.command,
+                "instance_digest": instance_digest(inst) if inst is not None else None,
+                "results": results,
+                "timings": {"wall_time": time.perf_counter() - started},
+            }
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=1, sort_keys=True, default=str)
+            print(f"report written to {args.report}")
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -333,16 +334,6 @@ def main(argv=None) -> int:
     except WomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report = {
-        "command": args.command,
-        "instance_digest": instance_digest(inst) if inst is not None else None,
-        "results": results,
-        "timings": {"wall_time": time.perf_counter() - started},
-    }
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True, default=str)
-        print(f"report written to {args.report}")
     return EXIT_OK
 
 

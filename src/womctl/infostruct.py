@@ -8,7 +8,6 @@ only on the delay matrix and the horizon, never on realized values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import IndexOrder, OutOfRange
@@ -162,39 +161,6 @@ class InfoStructure:
             remaining.remove(pick)
             common &= set(self._memory[(T, pick)])
         return tuple(order)
-
-
-@lru_cache(maxsize=None)
-def _structure(delays: DelayMatrix, horizon: int) -> InfoStructure:
-    return InfoStructure(delays, horizon)
-
-
-def memory_schema(delays: DelayMatrix, horizon: int, t: int, k: int) -> InfoSchema:
-    return _structure(delays, horizon).memory(t, k)
-
-
-def accessible_schema(delays: DelayMatrix, horizon: int, t: int, k: int) -> InfoSchema:
-    return _structure(delays, horizon).accessible(t, k)
-
-
-def inaccessible_schema(
-    delays: DelayMatrix, horizon: int, t: int, k: int, i: int
-) -> InfoSchema:
-    return _structure(delays, horizon).inaccessible(t, k, i)
-
-
-def new_info_schema(delays: DelayMatrix, horizon: int, t: int, k: int) -> InfoSchema:
-    return _structure(delays, horizon).new_info(t, k)
-
-
-def equivalent_state_schema(
-    delays: DelayMatrix, horizon: int, t: int, k: int
-) -> InfoSchema:
-    return _structure(delays, horizon).equivalent_state(t, k)
-
-
-def index_agents(delays: DelayMatrix, horizon: int) -> tuple[int, ...]:
-    return _structure(delays, horizon).index_agents()
 
 
 @dataclass(frozen=True)

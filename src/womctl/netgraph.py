@@ -103,6 +103,8 @@ def validate_delay_matrix(rows) -> DelayMatrix:
     instances); the diagonal must be zero and the triangle inequality must hold.
     """
     k_count = len(rows)
+    if k_count < 1:
+        raise ShapeMismatch("delay matrix must have at least one agent")
     tup = tuple(tuple(int(v) for v in row) for row in rows)
     for row in tup:
         if len(row) != k_count:

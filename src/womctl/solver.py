@@ -18,7 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .belief import (
     CandidateScorer,
     accessible_support,
     belief_tuple_key,
-    check_domains,
     initial_information_state,
     initial_state_at,
     step_kernel,
@@ -297,26 +296,23 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
 # -- prescription dynamic programming ------------------------------------------
 
 
-class _Chain:
-    """Each agent pass's decided stages and t=0 roots, filled from agent K
-    downward. Every pass steps through the instance's `step_kernel`s.
+class _Pass(NamedTuple):
+    """One agent pass's record; a chain is a dict from agent to `_Pass`. It
+    keeps the decided `_Stage`s, the roots (mass, node, accessible map,
+    beliefs) per t=0 accessible realization, the value, the candidates
+    examined, the belief steps computed and served by an identical step of
+    the same node, the distinct kernel entries, (support index, joint
+    control) codes, read, the nodes per stage and the seconds."""
 
-    Per agent pass it also counts the belief steps computed, the candidate
-    steps served by an identical step of the same node and the distinct
-    kernel entries, (support index, joint control) codes, read, and keeps the
-    number of nodes at each stage.
-    """
-
-    def __init__(self):
-        self.stages: dict[int, list] = {}  # agent -> its pass's `_Stage`s
-        self.roots: dict[int, list] = {}  # agent -> [(mass, node, accessible map, beliefs)]
-        self.values: dict[int, float] = {}
-        self.examined: dict[int, int] = {}
-        self.steps: dict[int, int] = {}
-        self.shared: dict[int, int] = {}
-        self.entries: dict[int, int] = {}
-        self.widths: dict[int, tuple] = {}
-        self.seconds: dict[int, float] = {}
+    stages: list
+    roots: list
+    value: float
+    examined: int
+    steps: int
+    shared: int
+    entries: int
+    widths: tuple
+    seconds: float
 
 
 def _head_spaces(instance: Instance, j: int, caps: Caps):
@@ -346,23 +342,21 @@ def _head_spaces(instance: Instance, j: int, caps: Caps):
     }
 
 
-def _tail_tables(instance: Instance, chain: _Chain, j: int, t: int, keys) -> list:
+def _tail_tables(instance: Instance, chain: dict, j: int, t: int, keys) -> list:
     """Inherited tables for each target m above j at the belief tuples `keys`:
     per target, agent m's stage-t decisions, a row per key."""
     above = range(j + 1, instance.agent_count + 1)
     nodes = [[] for _ in above]
     for key in keys:
         for m, at in zip(above, nodes):
-            n = chain.stages[m][t].index.get(key[m - j :])
+            n = chain[m].stages[t].index.get(key[m - j :])
             if n is None:
                 raise WomError(
                     f"missing inherited decision for agent {m} at t={t}; "
                     "the belief tuple was never reached in that agent's pass"
                 )
             at.append(n)
-    domains = [instance.info.prescription_domain(t, m, m) for m in above]
-    check_domains(instance, j, t, domains, first_target=j + 1)
-    return [chain.stages[m][t].tables[m - 1][at] for m, at in zip(above, nodes)]
+    return [chain[m].stages[t].tables[m - 1][at] for m, at in zip(above, nodes)]
 
 
 def _roots(instance: Instance, j: int):
@@ -486,7 +480,7 @@ def _expand(instance, j, t, stage, amaps, row_of, caps, before):
     return child, amaps_child, probs, combo_of.reshape(nodes, candidates)
 
 
-def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float:
+def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
     """Backward induction over agent j's reachable accessible-history tree,
     one stage at a time.
 
@@ -508,62 +502,54 @@ def _solve_agent(instance: Instance, j: int, chain: _Chain, caps: Caps) -> float
     A node's value adds to a candidate's stage cost the probability times the
     value of each branch in new-information order, and the first minimizer in
     `itertools.product` order wins: the values and decisions of a depth-first
-    recursion. The pass's record is its list of decided `_Stage`s and its
-    roots, (mass, node, accessible map, beliefs) per t=0 accessible
-    realization, kept in the chain.
+    recursion. The pass returns its record, a `_Pass`.
 
     A failure other than a cap keeps its class, and its message is prefixed
     with the agent and the stage it occurred at.
     """
-    at = [0]  # the stage the pass is at
+    started = time.perf_counter()
+    T, K = instance.horizon, instance.agent_count
+    examined = computed = shared = entries = t = 0
+    stages, work = [], []  # per stage, its nodes and what its backward step reads
     try:
-        return _agent_pass(instance, j, chain, caps, at)
+        spaces = _head_spaces(instance, j, caps)
+        stage, roots, amaps, probs = _Stage(), [], [], []  # per node, its map and beliefs
+        for pa, amap, pis in _roots(instance, j):
+            beliefs = [pi.probs for pi in pis]
+            n, new = stage.node(belief_tuple_key(pis), caps, 0)
+            if new:
+                amaps.append(amap)
+                probs.append(beliefs)
+            roots.append((pa, n, amap, beliefs))
+        probs = [np.array(rows) for rows in zip(*probs)]  # per agent, a row per node
+        for t in range(T + 1):
+            stages.append(stage)
+            tails = _tail_tables(instance, chain, j, t, stage.keys)
+            score = CandidateScorer(instance, j, t, spaces[t])
+            support = [np.nonzero(rows > 0.0) for rows in probs]
+            cost = score(probs[0], tails, support[0])
+            examined += cost.size
+            work.append((cost, tails, None))
+            if t == T:
+                break
+            row_of = []
+            for i, rows, pairs in zip(range(j, K + 1), probs, support):
+                controls = score.controls(i, pairs, tails)
+                step_of, step_probs, step_controls = _distinct_rows(rows, pairs, controls)
+                stage.batches.append(step_kernel(instance, i, t).step(step_probs, step_controls))
+                row_of.append(step_of)
+                computed += len(step_probs)
+                shared += step_of.size - len(step_probs)
+                entries += stage.batches[-1].read
+            stage, amaps, probs, combo_of = _expand(
+                instance, j, t, stage, amaps, row_of, caps, sum(len(done.keys) for done in stages)
+            )
+            work[t] = (cost, tails, combo_of)
     except CapExceeded:
         raise
     except WomError as exc:
-        exc.args = (f"agent {j}, stage {at[0]}: {exc}",)
+        exc.args = (f"agent {j}, stage {t}: {exc}",)
         raise
-
-
-def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list) -> float:
-    """The body of `_solve_agent`, keeping the stage it is at in `at[0]`."""
-    started = time.perf_counter()
-    T, K = instance.horizon, instance.agent_count
-    spaces = _head_spaces(instance, j, caps)
-    examined = computed = shared = entries = 0
-    stage, roots, amaps, probs = _Stage(), [], [], []  # per node, its map and beliefs
-    for pa, amap, pis in _roots(instance, j):
-        beliefs = [pi.probs for pi in pis]
-        n, new = stage.node(belief_tuple_key(pis), caps, 0)
-        if new:
-            amaps.append(amap)
-            probs.append(beliefs)
-        roots.append((pa, n, amap, beliefs))
-    probs = [np.array(rows) for rows in zip(*probs)]  # per agent, a row per node
-    stages, work = [], []  # per stage, its nodes and what its backward step reads
-    for t in range(T + 1):
-        at[0] = t
-        stages.append(stage)
-        tails = _tail_tables(instance, chain, j, t, stage.keys)
-        score = CandidateScorer(instance, j, t, spaces[t])
-        support = [np.nonzero(rows > 0.0) for rows in probs]
-        cost = score(probs[0], tails, support[0])
-        examined += cost.size
-        work.append((cost, tails, None))
-        if t == T:
-            break
-        row_of = []
-        for i, rows, pairs in zip(range(j, K + 1), probs, support):
-            controls = score.controls(i, pairs, tails)
-            step_of, step_probs, step_controls = _distinct_rows(rows, pairs, controls)
-            stage.batches.append(step_kernel(instance, i, t).step(step_probs, step_controls))
-            row_of.append(step_of)
-            computed += len(step_probs)
-            shared += step_of.size - len(step_probs)
-            entries += stage.batches[-1].read
-        before = sum(len(done.keys) for done in stages)
-        stage, amaps, probs, combo_of = _expand(instance, j, t, stage, amaps, row_of, caps, before)
-        work[t] = (cost, tails, combo_of)
 
     for t in range(T, -1, -1):
         (cost, tails, combo_of), work[t] = work[t], None  # the scratch goes with its stage
@@ -584,25 +570,28 @@ def _agent_pass(instance: Instance, j: int, chain: _Chain, caps: Caps, at: list)
     total = 0.0
     for pa, n, _, _ in roots:
         total += pa * float(values[n])
-    chain.stages[j] = stages
-    chain.roots[j] = roots
-    chain.values[j] = total
-    chain.examined[j] = examined
-    chain.steps[j] = computed
-    chain.shared[j] = shared
-    chain.entries[j] = entries
-    chain.widths[j] = tuple(len(done.keys) for done in stages)
-    chain.seconds[j] = time.perf_counter() - started
+    widths = tuple(len(done.keys) for done in stages)
+    record = _Pass(stages, roots, total, examined, computed, shared, entries, widths,
+                   time.perf_counter() - started)
     log.debug(
         "agent %d pass: %d nodes %s per stage, %d candidates, %d steps (%d shared), "
         "%d kernel entries, %.3f s",
-        j, sum(chain.widths[j]), list(chain.widths[j]), examined, computed, shared,
-        entries, chain.seconds[j],
+        j, sum(widths), list(widths), examined, computed, shared, entries, record.seconds,
     )
-    return total
+    return record
 
 
-def _emit_strategy(instance: Instance, k: int, chain: _Chain):
+def _solve_chain(instance: Instance, k: int, caps: Caps, chain: dict | None = None) -> dict:
+    """The passes of agents K down to k, each kept in `chain` under its agent
+    before the next one inherits from it; a pass that raises leaves those
+    above it there."""
+    chain = {} if chain is None else chain
+    for j in range(instance.agent_count, k - 1, -1):
+        chain[j] = _solve_agent(instance, j, chain, caps)
+    return chain
+
+
+def _emit_strategy(instance: Instance, k: int, chain: dict):
     """Walk agent k's decided stages from the roots its pass recorded,
     filling laws and collecting reachable beliefs.
 
@@ -622,7 +611,7 @@ def _emit_strategy(instance: Instance, k: int, chain: _Chain):
             laws[(t, m)] = {}
             defaults[(t, m)] = make[(t, m)]((0,) * realization_count(sizes))
     belief_rows = []
-    stages = chain.stages[k]
+    stages = chain[k].stages
     labels = [
         [(v.label(), v) for v in instance.info.accessible(t, k)]
         for t in range(instance.horizon + 1)
@@ -652,12 +641,12 @@ def _emit_strategy(instance: Instance, k: int, chain: _Chain):
             child.update(zip(new_info, stage.batches[0].z[groups[0]]))
             record(t + 1, c, child, [b.probs[g] for b, g in zip(stage.batches, groups)])
 
-    for _, n, amap, beliefs in chain.roots[k]:
+    for _, n, amap, beliefs in chain[k].roots:
         record(0, n, amap, beliefs)
     return PrescriptionStrategy(owner=k, laws=laws, defaults=defaults), belief_rows
 
 
-def _dp_result(instance: Instance, k: int, chain: _Chain) -> SolveResult:
+def _dp_result(instance: Instance, k: int, chain: dict) -> SolveResult:
     """Agent k's emitted strategy, exactly re-evaluated, from a chain solved down to k."""
     start = time.perf_counter()
     psi, belief_rows = _emit_strategy(instance, k, chain)
@@ -668,23 +657,23 @@ def _dp_result(instance: Instance, k: int, chain: _Chain) -> SolveResult:
             "belief_key": [list(part) for part in stage.keys[n]],
             "tables": {m: rows[n] for m, rows in enumerate(heads, start=1)},
         }
-        for t, stage in enumerate(chain.stages[k])
+        for t, stage in enumerate(chain[k].stages)
         for heads in [[tables.tolist() for tables in stage.tables[:k]]]
         for n in sorted(range(len(stage.keys)), key=stage.keys.__getitem__)
     ]
-    passes = [j for j in chain.values if j >= k]
+    passes = [j for j in chain if j >= k]
     return SolveResult(
         method="prescription-dp",
         agent=k,
         optimal_cost=report.expected_cost,
         control=functools.partial(joint_control_strategy, instance, psi),
         prescription_strategy=psi,
-        search_size=chain.examined[k],
-        wall_time=sum(chain.seconds[j] for j in passes) + time.perf_counter() - start,
-        dp_value=chain.values[k],
+        search_size=chain[k].examined,
+        wall_time=sum(chain[j].seconds for j in passes) + time.perf_counter() - start,
+        dp_value=chain[k].value,
         extras={
-            "chain_examined": {j: chain.examined[j] for j in passes},
-            "chain_values": {j: chain.values[j] for j in passes},
+            "chain_examined": {j: chain[j].examined for j in passes},
+            "chain_values": {j: chain[j].value for j in passes},
             "belief_tree": belief_rows,
             "belief_policy": belief_policy,
         },
@@ -696,10 +685,7 @@ def solve_prescription_dp(instance: Instance, k: int, cap: int | None = None) ->
     caps = resolve_caps(cap)
     if not 1 <= k <= instance.agent_count:
         raise ShapeMismatch(f"agent {k} out of range")
-    chain = _Chain()
-    for j in range(instance.agent_count, k - 1, -1):
-        _solve_agent(instance, j, chain, caps)
-    return _dp_result(instance, k, chain)
+    return _dp_result(instance, k, _solve_chain(instance, k, caps))
 
 
 def solve_common_info_dp(instance: Instance, cap: int | None = None) -> SolveResult:
@@ -725,10 +711,7 @@ def solve_prescription_static(instance: Instance, k: int, cap: int | None = None
         raise ShapeMismatch("static decomposition requires horizon 0")
     if not 1 <= k <= instance.agent_count:
         raise ShapeMismatch(f"agent {k} out of range")
-    chain = _Chain()
-    for j in range(instance.agent_count, k - 1, -1):
-        _solve_agent(instance, j, chain, caps)
-    return _static_result(instance, _dp_result(instance, k, chain), caps)
+    return _static_result(instance, _dp_result(instance, k, _solve_chain(instance, k, caps)), caps)
 
 
 def _static_result(instance: Instance, res: SolveResult, caps: Caps) -> SolveResult:
@@ -809,17 +792,15 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
 
     attempt("brute", None, lambda: solve_brute_force(instance, cap))
 
-    chain = _Chain()
-    failure = None
+    chain, failure = {}, None
     try:
-        for j in range(K, 0, -1):
-            _solve_agent(instance, j, chain, caps)
+        _solve_chain(instance, 1, caps, chain)
     except CapExceeded as exc:
         failure = exc
     results: dict = {}
 
     def dp_row(k):
-        if k not in chain.values:
+        if k not in chain:
             raise failure
         if k not in results:
             results[k] = _dp_result(instance, k, chain)

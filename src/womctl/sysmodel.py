@@ -208,10 +208,13 @@ def _check_distribution(name: str, vec: np.ndarray):
         raise DistributionNotNormalized(name, total)
 
 
-def _per_t_probs(raw, steps: int, name: str) -> np.ndarray:
-    """Accept one vector (constant over time) or one vector per step;
-    `validate_instance` checks the shape and each step's distribution."""
+def _per_t_probs(raw, steps: int, size: int, name: str) -> np.ndarray:
+    """Accept one vector (constant over time) or one vector per step, the
+    empty list being no step; `validate_instance` checks the shape and each
+    step's distribution."""
     arr = _numbers(raw, name)
+    if arr.shape == (0,):
+        return arr.reshape(0, size)
     return np.tile(arr, (steps, 1)) if arr.ndim == 1 else arr
 
 
@@ -657,9 +660,9 @@ def instance_from_dict(data: dict) -> Instance:
         noise_sizes = tuple(_as_int(n["size"], "noise size") for n in noises)
         nu = realization_count(control_sizes)
         transition = raw.get("transition")
-        if transition is None:
-            if T != 0:
-                raise ShapeMismatch("transition table required when horizon > 0")
+        if transition is None and T != 0:
+            raise ShapeMismatch("transition table required when horizon > 0")
+        if transition is None or len(transition) == 0:  # no step at horizon 0
             transition = np.zeros((0, state_size, nu, w_size), dtype=int)
         system = SystemSpec(
             horizon=T,
@@ -667,10 +670,10 @@ def instance_from_dict(data: dict) -> Instance:
             control_sizes=control_sizes,
             observation_sizes=observation_sizes,
             disturbance_size=w_size,
-            disturbance_probs=_per_t_probs(dist["probs_per_t"], T, "disturbance"),
+            disturbance_probs=_per_t_probs(dist["probs_per_t"], T, w_size, "disturbance"),
             noise_sizes=noise_sizes,
             noise_probs=tuple(
-                _per_t_probs(noises[k]["probs_per_t"], T + 1, f"noise[{k + 1}]")
+                _per_t_probs(noises[k]["probs_per_t"], T + 1, noise_sizes[k], f"noise[{k + 1}]")
                 for k in range(K)
             ),
             initial_probs=_numbers(raw["initial_probs"], "initial_probs"),

@@ -722,12 +722,11 @@ def solve_agent_reference(instance, j, chain, caps):
     """Agent j's pass as a depth-first recursion, one node at a time.
 
     This is the search `solver._solve_agent` ran before it went stage by
-    stage, with its scorer and kernel calls made on one-row stacks. It fills
-    the same `_Chain` counters and returns the same value. Its stages are
-    `_ReferenceStage`s, which `solver._tail_tables` reads as it reads the
-    pass's own, and its roots are (mass, node, accessible map, beliefs). A
-    failure other than a cap names the agent and the stage of the visit it
-    left open.
+    stage, with its scorer and kernel calls made on one-row stacks, and it
+    returns the same `_Pass` record. Its stages are `_ReferenceStage`s, which
+    `solver._tail_tables` reads as it reads the pass's own, and its roots are
+    (mass, node, accessible map, beliefs). A failure other than a cap names
+    the agent and the stage of the visit it left open.
     """
     import time
 
@@ -735,7 +734,7 @@ def solve_agent_reference(instance, j, chain, caps):
 
     from womctl.belief import CandidateScorer, StepKernel, belief_tuple_key
     from womctl.errors import CapExceeded, WomError
-    from womctl.solver import _head_spaces, _roots, _tail_tables
+    from womctl.solver import _Pass, _head_spaces, _roots, _tail_tables
 
     started = time.perf_counter()
     T, K = instance.horizon, instance.agent_count
@@ -839,13 +838,9 @@ def solve_agent_reference(instance, j, chain, caps):
         raise
     for stage in stages:
         stage.tables = [np.array(rows) for rows in zip(*stage.decided)]
-    chain.stages[j] = stages
-    chain.roots[j] = roots
-    chain.values[j] = total
-    chain.examined[j] = examined
-    chain.steps[j] = computed
-    chain.shared[j] = shared
-    chain.entries[j] = sum(len(codes) for codes in read.values())
-    chain.widths[j] = tuple(len(stage.keys) for stage in stages)
-    chain.seconds[j] = time.perf_counter() - started
-    return total
+    return _Pass(
+        stages, roots, total, examined, computed, shared,
+        sum(len(codes) for codes in read.values()),
+        tuple(len(stage.keys) for stage in stages),
+        time.perf_counter() - started,
+    )

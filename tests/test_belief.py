@@ -725,10 +725,8 @@ def test_step_batch_keys_are_probs_keys_of_their_rows(name, monkeypatch):
         return batch
 
     monkeypatch.setattr(StepKernel, "step", step)
-    chain = solver_mod._Chain()
     try:
-        for j in range(instance.agent_count, 0, -1):
-            solver_mod._solve_agent(instance, j, chain, solver_mod.resolve_caps())
+        solver_mod._solve_chain(instance, 1, solver_mod.resolve_caps())
     except SchemaMismatch:
         assert known_defect == "SchemaMismatch"
     else:

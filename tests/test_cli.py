@@ -166,6 +166,43 @@ def test_schema_rejects_an_out_of_range_time_or_agent(d2_path, capsys, option, v
     assert message in capsys.readouterr().err
 
 
+def _no_agents():
+    """A horizon-0 document whose delay matrix and per-agent lists are empty."""
+    return {
+        "network": {"delay_matrix": []},
+        "system": {
+            "horizon": 0,
+            "state_size": 1,
+            "control_sizes": [],
+            "observation_sizes": [],
+            "noises": [],
+            "initial_probs": [1.0],
+            "observation": [],
+            "cost": [[[0.0]]],
+        },
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "compare"])
+def test_a_document_with_no_agents_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_no_agents()))
+    assert run([command, str(path)]) == 3
+    assert "delay matrix must have at least one agent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["validate", "--report"], ["solve", "--method", "brute", "--emit-strategy"]],
+    ids=["report", "emit-strategy"],
+)
+def test_an_unwritable_output_path_is_an_error(d2_path, tmp_path, capsys, args):
+    missing = tmp_path / "missing" / "out.json"
+    assert run([args[0], d2_path, *args[1:], str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

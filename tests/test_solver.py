@@ -522,10 +522,10 @@ def test_dp_cap_fails_before_building_tables(d2, monkeypatch):
 
 
 def test_decided_stages_keep_a_table_row_per_node_and_target(d2):
-    chain = solver_mod._Chain()
-    for j in (2, 1):
-        solver_mod._solve_agent(d2, j, chain, solver_mod.resolve_caps())
-        for t, stage in enumerate(chain.stages[j]):
+    chain = solver_mod._solve_chain(d2, 1, solver_mod.resolve_caps())
+    assert list(chain) == [2, 1]
+    for j, record in chain.items():
+        for t, stage in enumerate(record.stages):
             assert len(stage.tables) == d2.agent_count
             for m, tables in enumerate(stage.tables, start=1):
                 rows = realization_count(d2.schema_sizes(d2.info.prescription_domain(t, j, m)))
@@ -625,9 +625,7 @@ def _count_filter_calls(monkeypatch) -> list:
 @pytest.mark.parametrize("which", list(_RECORD_CASES))
 def test_dp_result_reads_the_search_records(which, monkeypatch):
     inst = _RECORD_CASES[which]()
-    chain = solver_mod._Chain()
-    for j in range(inst.agent_count, 0, -1):
-        solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
+    chain = solver_mod._solve_chain(inst, 1, solver_mod.resolve_caps())
     calls = _count_filter_calls(monkeypatch)
     for k in range(1, inst.agent_count + 1):
         solver_mod._dp_result(inst, k, chain)
@@ -638,9 +636,7 @@ def test_dp_result_reads_the_search_records(which, monkeypatch):
 def test_search_makes_no_filter_calls_and_matches_the_reference_dp(which, monkeypatch):
     inst = _RECORD_CASES[which]()
     calls = _count_filter_calls(monkeypatch)
-    chain = solver_mod._Chain()
-    for j in range(inst.agent_count, 0, -1):
-        solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
+    chain = solver_mod._solve_chain(inst, 1, solver_mod.resolve_caps())
     assert calls == []
     res = solver_mod._dp_result(inst, 1, chain)
     assert res.dp_value == dp_reference(inst, 1)["dp_value"]
@@ -682,9 +678,7 @@ def test_emission_and_evaluation_build_no_dense_tables(which, monkeypatch):
 
     inst = _RECORD_CASES[which]()
     K = inst.agent_count
-    chain = solver_mod._Chain()
-    for j in range(K, 0, -1):
-        solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
+    chain = solver_mod._solve_chain(inst, 1, solver_mod.resolve_caps())
     calls = []
     real = prescription_mod.induced_control_tables
 
@@ -858,20 +852,20 @@ def test_agent_passes_log_their_step_counts(seed, caplog, monkeypatch):
     monkeypatch.setattr(StepKernel, "step", step)
     monkeypatch.setattr(CandidateScorer, "controls", controls)
     caplog.set_level(logging.DEBUG, logger="womctl")
-    chain = solver_mod._Chain()
+    chain = {}
     for j in range(inst.agent_count, 0, -1):
-        solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
+        chain[j] = solver_mod._solve_agent(inst, j, chain, solver_mod.resolve_caps())
         (record,) = [r for r in caplog.records if r.name == "womctl" and "pass" in r.getMessage()]
         caplog.clear()
-        agent, nodes, widths, examined, steps, shared, entries, _ = record.args
-        assert (agent, examined) == (j, chain.examined[j])
-        assert (nodes, tuple(widths)) == (sum(chain.widths[j]), chain.widths[j])
-        assert (steps, shared, entries) == (chain.steps[j], chain.shared[j], chain.entries[j])
+        agent, nodes, widths, examined, steps, shared, entries, seconds = record.args
+        assert (agent, examined, seconds) == (j, chain[j].examined, chain[j].seconds)
+        assert (nodes, tuple(widths)) == (sum(chain[j].widths), chain[j].widths)
+        assert (steps, shared, entries) == (chain[j].steps, chain[j].shared, chain[j].entries)
         # every (candidate, agent) step below the horizon is computed or shared
         assert steps == calls["steps"] and steps + shared == calls["candidate_steps"]
         assert entries > 0
         calls.update(steps=0, candidate_steps=0)
-    assert sum(chain.shared.values()) > 0
+    assert sum(done.shared for done in chain.values()) > 0
 
 
 RELAY_FAILURE = "variable VariableId(time=0, agent=1, kind='Y') not derivable from the state"

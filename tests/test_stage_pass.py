@@ -1,17 +1,18 @@
 """The stage-by-stage agent pass against the depth-first recursion it replaced.
 
 `oracles.solve_agent_reference` visits one node at a time; `_solve_agent`
-expands each stage's nodes together. Both must leave every `_Chain` field
-equal: values, per stage the node keys in first-visit order, each node's
-decided tables and its winner's branches (new information, probability, child
-and every agent's posterior down to its array), the roots, candidates
-examined, steps computed and shared, kernel entries and nodes per stage. A
-pass that fails must fail alike in both.
+expands each stage's nodes together. Both must return `_Pass` records equal
+in every field but seconds: values, per stage the node keys in first-visit
+order, each node's decided tables and its winner's branches (new
+information, probability, child and every agent's posterior down to its
+array), the roots, candidates examined, steps computed and shared, kernel
+entries and nodes per stage. A pass that fails must fail alike in both.
 """
 
 import importlib.util
 import pathlib
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,11 +60,12 @@ CASES = _cases()
 
 
 def _run(instance, solve):
-    """The chain agents K..1 leave, and the exception that stopped it, if any."""
-    chain = solver_mod._Chain()
+    """The chain `_solve_chain` leaves for agents K..1 with `solve` as its
+    agent pass, and the exception that stopped it, if any."""
+    chain = {}
     try:
-        for j in range(instance.agent_count, 0, -1):
-            solve(instance, j, chain, solver_mod.resolve_caps())
+        with mock.patch.object(solver_mod, "_solve_agent", solve):
+            solver_mod._solve_chain(instance, 1, solver_mod.resolve_caps(), chain)
     except Exception as exc:  # compared by type and message
         return chain, (type(exc).__name__, str(exc))
     return chain, None
@@ -92,29 +94,31 @@ def _assert_beliefs_equal(ours, theirs):
 
 
 def _assert_chains_equal(ours, theirs):
-    for field in ("values", "examined", "steps", "shared", "entries", "widths"):
-        assert getattr(ours, field) == getattr(theirs, field), field
-    assert list(ours.stages) == list(theirs.stages) == list(ours.roots) == list(theirs.roots)
-    for j, stages in theirs.stages.items():
-        assert len(ours.stages[j]) == len(stages)
+    assert list(ours) == list(theirs)
+    for j, their_pass in theirs.items():
+        our_pass = ours[j]
+        for field in ("value", "examined", "steps", "shared", "entries", "widths"):
+            assert getattr(our_pass, field) == getattr(their_pass, field), (j, field)
+        stages = their_pass.stages
+        assert len(our_pass.stages) == len(stages)
         for t, stage in enumerate(stages):
-            mine = ours.stages[j][t]
+            mine = our_pass.stages[t]
             assert mine.keys == stage.keys  # first-visit order
             assert mine.index == stage.index
             assert len(mine.tables) == len(stage.tables)  # targets 1..K
             for our_tables, tables in zip(mine.tables, stage.tables):
                 assert np.array_equal(our_tables, tables)
             for n, branches in enumerate(stage.branches):
-                our_branches = _our_branches(ours.stages[j], t, n)
+                our_branches = _our_branches(our_pass.stages, t, n)
                 assert len(our_branches) == len(branches)  # new-information order
                 for (z, mass, key, beliefs), (our_z, our_mass, our_key, our_beliefs) in zip(
                     branches, our_branches
                 ):
                     assert (our_z, our_mass, our_key) == (z, mass, key)
                     _assert_beliefs_equal(our_beliefs, beliefs)
-        assert len(ours.roots[j]) == len(theirs.roots[j])
+        assert len(our_pass.roots) == len(their_pass.roots)
         for (mass, n, amap, beliefs), (our_mass, our_n, our_amap, our_beliefs) in zip(
-            theirs.roots[j], ours.roots[j]
+            their_pass.roots, our_pass.roots
         ):
             assert (our_mass, our_n, our_amap) == (mass, n, amap)
             _assert_beliefs_equal(our_beliefs, beliefs)

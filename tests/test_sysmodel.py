@@ -21,7 +21,14 @@ from womctl.errors import (
     ShapeMismatch,
 )
 from womctl.infostruct import VariableId
-from womctl.instances import d2_dict, load_d2, load_d2ext, load_static3, load_wom3
+from womctl.instances import (
+    d2_dict,
+    load_d2,
+    load_d2ext,
+    load_static3,
+    load_static3_reindexed,
+    load_wom3,
+)
 from womctl.solver import solve_brute_force
 from womctl.sysmodel import (
     STATE,
@@ -304,10 +311,15 @@ def test_strategy_domain_validation(d2):
         exact_strategy_cost(d2, ControlStrategy(tables=missing))
 
 
-def test_instance_round_trip_and_digest(d2):
-    doc = instance_to_dict(d2)
+@pytest.mark.parametrize(
+    "load", [load_static3, load_static3_reindexed, load_d2, load_d2ext, load_wom3],
+    ids=lambda load: load.__name__.removeprefix("load_"),
+)
+def test_instance_round_trip_and_digest(load):
+    instance = load()
+    doc = instance_to_dict(instance)
     again = instance_from_dict(doc)
-    assert instance_digest(again) == instance_digest(d2)
+    assert instance_digest(again) == instance_digest(instance)
     assert instance_to_dict(again) == doc
 
 
