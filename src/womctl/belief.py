@@ -88,14 +88,8 @@ def _check_theta(instance, k, t, theta: CompletePrescription):
             f"complete prescription is for owner {theta.owner} at t={theta.time}, "
             f"expected owner {k} at t={t}"
         )
-    check_domains(instance, k, t, [p.domain for p in theta.parts])
-
-
-def check_domains(instance, k, t, domains):
-    """Raise unless each domain is agent k's stage-t domain for its target,
-    the targets 1, 2, ... in order."""
-    for target, domain in enumerate(domains, start=1):
-        if domain != instance.info.prescription_domain(t, k, target):
+    for target, part in enumerate(theta.parts, start=1):
+        if part.domain != instance.info.prescription_domain(t, k, target):
             raise SchemaMismatch(f"prescription domain for target {target} is wrong")
 
 
@@ -252,12 +246,12 @@ def initial_state_at(instance, k, a_real) -> InformationState:
 class StepBatch(NamedTuple):
     """`StepKernel.step` of a stack: per row, per new-information realization
     of positive mass in sorted order, a group; row r's groups are
-    `start[r]:start[r + 1]`, each with its realization, probability,
-    posterior (a row of `probs`) and that posterior's `probs_key`. `read`
-    counts the distinct (support index, joint control) codes the step read."""
+    `start[r]:start[r + 1]`, each with its realization's digits (a row of `z`),
+    probability, posterior (a row of `probs`) and that posterior's `probs_key`.
+    `read` counts the distinct (support index, joint control) codes the step read."""
 
     start: list
-    z: list
+    z: np.ndarray
     mass: list
     probs: np.ndarray
     keys: list
@@ -354,11 +348,10 @@ class StepKernel:
         group, acc, mass = group[keep], acc[keep], mass[keep]
         row, z_index = np.divmod(group, new_count)
         posteriors = acc / mass[:, None]
-        strides = realization_strides(self.new_sizes)
-        digits = [(z_index // w % n).tolist() for w, n in zip(strides, self.new_sizes)]
+        strides = np.array(realization_strides(self.new_sizes), dtype=np.int64)
         return StepBatch(
             start=np.searchsorted(row, np.arange(len(probs) + 1)).tolist(),
-            z=list(zip(*digits)) if digits else [()] * len(group),
+            z=z_index[:, None] // strides % np.array(self.new_sizes, dtype=np.int64),
             mass=mass.tolist(),
             probs=posteriors,
             keys=probs_keys(posteriors),
@@ -370,7 +363,7 @@ class StepKernel:
         its own copy of its row. The prescription DP reads its batches by
         group instead."""
         return {
-            batch.z[g]: (
+            tuple(batch.z[g].tolist()): (
                 batch.mass[g],
                 InformationState(self.k, self.t + 1, self.next_support, batch.probs[g].copy()),
             )
@@ -452,7 +445,7 @@ class CandidateScorer:
         self.head_controls = []
         for m, (tables, weight) in enumerate(zip(head_tables, strides)):
             axis = tuple(n if a == m else 1 for a, n in enumerate(self.shape))
-            self.head_controls.append((tables.T * weight).reshape((-1,) + axis))
+            self.head_controls.append((tables.T.astype(np.int64) * weight).reshape((-1,) + axis))
         self.tail_strides = strides[len(head_tables) :]
 
     def __call__(self, probs, tails=(), support=None) -> np.ndarray:
@@ -498,7 +491,7 @@ class CandidateScorer:
         grid += np.reshape(base, (-1,) + grid.shape[1:])
         heads = len(self.shape)
         for tables, row, stride in zip(tails, domain_rows[heads:], self.tail_strides):
-            grid += (stride * tables[rows, row[s]]).reshape(grid.shape)
+            grid += (stride * tables[rows, row[s]].astype(np.int64)).reshape(grid.shape)
         for controls, row in zip(self.head_controls, domain_rows):
             grid = grid + controls[row[s]]
         return grid.reshape(len(s), -1)

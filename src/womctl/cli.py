@@ -160,9 +160,8 @@ def _cmd_solve(args):
             json.dump(doc, fh, indent=1, sort_keys=True)
         print(f"strategy written to {args.emit_strategy}")
     if args.emit_beliefs:
-        tree = res.extras.get("belief_tree", [])
         with open(args.emit_beliefs, "w", encoding="utf-8") as fh:
-            json.dump({"belief_tree": tree}, fh, indent=1, sort_keys=True)
+            json.dump({"belief_tree": res.belief_tree}, fh, indent=1, sort_keys=True)
         print(f"beliefs written to {args.emit_beliefs}")
     return {"solve": _result_row(res)}, inst
 

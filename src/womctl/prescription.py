@@ -160,14 +160,16 @@ def prescription_space_size(domain_sizes, control_size: int) -> int:
 
 
 def enumerate_prescription_tables(domain_sizes, control_size: int, cap: int = DEFAULT_TABLE_CAP):
-    """All tables over the domain as int64 rows in lexicographic order: row r
-    holds the base-`control_size` digits of r, the first entry slowest."""
+    """All tables over the domain as rows of the narrowest unsigned dtype, in
+    lexicographic order: row r holds the base-`control_size` digits of r, the
+    first entry slowest. Widen the entries before weighting them."""
     required = prescription_space_size(domain_sizes, control_size)
     if required > cap:
         raise CapExceeded(required, cap, "prescription enumeration")
-    powers = control_size ** np.arange(realization_count(domain_sizes) - 1, -1, -1, dtype=np.int64)
-    tables = np.arange(required, dtype=np.int64)[:, None] // powers
-    tables %= control_size
+    rows, digits = realization_count(domain_sizes), np.arange(control_size)[:, None]
+    tables = np.empty((required, rows), dtype=np.min_scalar_type(control_size - 1))
+    for k in range(rows):  # split row numbers into (higher digits, digit k, lower digits)
+        tables[:, k].reshape(control_size**k, control_size, -1)[...] = digits
     return tables
 
 

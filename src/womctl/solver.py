@@ -91,7 +91,8 @@ class SolveResult:
 
     `control` holds the dense control strategy, or for a prescription
     strategy's result a function that builds it; `control_strategy` builds
-    it on first read.
+    it on first read. So do a prescription DP's `belief_tree` and
+    `belief_policy` from `tree` and `policy`; other solvers have none.
     """
 
     method: str
@@ -103,12 +104,17 @@ class SolveResult:
     wall_time: float
     dp_value: float | None = None
     extras: dict = field(default_factory=dict)
+    tree: list | Callable[[], list] = field(default=list, repr=False)
+    policy: list | Callable[[], list] = field(default=list, repr=False)
 
-    @property
-    def control_strategy(self) -> ControlStrategy:
-        if callable(self.control):
-            self.control = self.control()
-        return self.control
+    def _built(self, name: str):
+        if callable(getattr(self, name)):
+            setattr(self, name, getattr(self, name)())
+        return getattr(self, name)
+
+    control_strategy = property(lambda self: self._built("control"))
+    belief_tree = property(lambda self: self._built("tree"))
+    belief_policy = property(lambda self: self._built("policy"))
 
 
 # -- brute force ---------------------------------------------------------------
@@ -389,18 +395,19 @@ class _Stage:
         self.index: dict = {}  # key -> node
         self.win = self.kid = self.groups = None
 
-    def node(self, key, caps: Caps, before: int) -> tuple[int, bool]:
-        """The node with this key, and whether it is new; `before` counts the
-        pass's nodes at earlier stages."""
-        if key in self.index:
-            return self.index[key], False
-        if before + len(self.keys) >= caps.branches:
-            raise CapExceeded(
-                caps.branches + 1, caps.branches, "reachable belief branches", exact=False
-            )
-        self.index[key] = len(self.keys)
-        self.keys.append(key)
-        return len(self.keys) - 1, True
+
+def _check_branches(count: int, caps: Caps):
+    """Raise unless a pass's `count` nodes so far are within the branch cap."""
+    if count > caps.branches:
+        raise CapExceeded(caps.branches + 1, caps.branches, "reachable belief branches",
+                          exact=False)
+
+
+def _map_columns(instance: Instance, j: int, t: int) -> dict:
+    """Each variable's column in agent j's stage-t accessible maps: those of
+    `accessible(0, j)`, then of each `new_info(s, j)`, s = 1..t; the last one wins."""
+    news = [instance.info.new_info(s, j) for s in range(1, t + 1)]
+    return {var: c for c, var in enumerate(sum(news, instance.info.accessible(0, j)))}
 
 
 def _unique_rows(a, **kwargs):
@@ -434,50 +441,60 @@ def _distinct_rows(probs, support, controls):
 
 def _expand(instance, j, t, stage, amaps, row_of, caps, before):
     """Stage t + 1 of agent j's pass from the step batches of `stage`, whose
-    nodes were first reached with the accessible maps `amaps`.
+    nodes were first reached with the accessible maps `amaps`, a row per node.
 
     `row_of[a]` gives each (node, candidate)'s step row in agent j + a's
     batch. Branches are followed per distinct combination of rows, in order
     of the first (node, candidate) with it, and then in new-information
-    order: new nodes come in depth-first first-visit order. Fills
-    `stage.kid` and `stage.groups`. Returns the new stage, its nodes'
-    accessible maps, per agent their beliefs a row per node, and each (node,
-    candidate)'s combination.
+    order; new nodes are numbered by their first branch, the depth-first
+    first-visit order, and the first failing branch names the failure. Fills
+    `stage.kid` and `stage.groups`. Returns the new stage, its nodes' maps,
+    per agent their beliefs, and each (node, candidate)'s combination.
     """
     nodes, candidates = row_of[0].shape
     combos, first, combo_of = _unique_rows(
         np.stack([rows.ravel() for rows in row_of], axis=1), return_index=True, return_inverse=True
     )
-    new_info = [instance.info.new_info(t + 1, i) for i in range(j, instance.agent_count + 1)]
-    batches, child, amaps_child, sources = stage.batches, _Stage(), [], []
-    owner = batches[0]
-    stage.kid = np.full((len(combos), max(np.diff(owner.start))), -1, dtype=np.int64)
+    batches, columns = stage.batches, _map_columns(instance, j, t + 1)
+    order = np.argsort(first, kind="stable")
+    width, heads = np.diff(batches[0].start), combos[order, 0]  # heads: agent j's step rows
+    lo, count = np.asarray(batches[0].start)[heads], width[heads]
+    combo = np.repeat(order, count)  # per branch, its combination and place in it
+    b = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    groups = [np.repeat(lo, count) + b]
+    child = np.hstack([amaps[first[combo] // candidates], batches[0].z[groups[0]]])
+    failed, failure = len(combo), None
+    for a, batch in enumerate(batches[1:], start=1):
+        new_info = instance.info.new_info(t + 1, j + a)
+        z, shape = child[:, [columns[var] for var in new_info]], (len(batch.start) - 1,)
+        shape += instance.schema_sizes(new_info)
+        rows = np.repeat(np.arange(shape[0]), np.diff(batch.start))
+        known = np.ravel_multi_index((rows, *batch.z.T), shape)  # sorted (row, z) codes
+        wanted = np.ravel_multi_index((combos[combo, a], *z.T), shape)
+        groups.append(np.minimum(np.searchsorted(known, wanted), len(known) - 1))
+        miss = np.flatnonzero(known[groups[a]] != wanted)[:1].tolist()
+        if miss and miss[0] < failed:
+            failed, z_a = miss[0], tuple(z[miss[0]].tolist())
+            failure = WomError(
+                f"agent {j + a} new information {z_a} impossible on a positive branch"
+            )
+    groups = np.stack(groups, axis=1)
+    keys = list(zip(*[  # per branch, its child's key
+        map(batch.keys.__getitem__, g) for batch, g in zip(batches, groups.T.tolist())
+    ]))
+    seen = dict(zip(keys[:failed][::-1], range(failed - 1, -1, -1)))  # key -> its first branch
+    _check_branches(before + len(seen), caps)
+    if failure is not None:
+        raise failure
+    new, made = _Stage(), sorted(seen.values())
+    new.keys = [keys[i] for i in made]
+    new.index = dict(zip(new.keys, range(len(made))))
+    stage.kid = np.full((len(combos), int(width.max())), -1, dtype=np.int64)
     stage.groups = np.full(stage.kid.shape + (len(batches),), -1, dtype=np.int64)
-    for u in np.argsort(first, kind="stable").tolist():
-        n, rows = int(first[u]) // candidates, combos[u].tolist()
-        tails = [
-            {batch.z[g]: g for g in range(batch.start[r], batch.start[r + 1])}
-            for batch, r in zip(batches[1:], rows[1:])
-        ]
-        for b, g in enumerate(range(owner.start[rows[0]], owner.start[rows[0] + 1])):
-            amap = dict(amaps[n])
-            amap.update(zip(new_info[0], owner.z[g]))
-            groups = [g]
-            for a, at in enumerate(tails, start=1):
-                z_a = tuple(amap[var] for var in new_info[a])
-                if z_a not in at:
-                    raise WomError(
-                        f"agent {j + a} new information {z_a} impossible on a positive branch"
-                    )
-                groups.append(at[z_a])
-            key = tuple(batch.keys[g] for batch, g in zip(batches, groups))
-            c, new = child.node(key, caps, before)
-            if new:
-                amaps_child.append(amap)
-                sources.append(groups)
-            stage.kid[u, b], stage.groups[u, b] = c, groups
-    probs = [batch.probs[list(groups)] for batch, groups in zip(batches, zip(*sources))]
-    return child, amaps_child, probs, combo_of.reshape(nodes, candidates)
+    stage.kid[combo, b] = np.fromiter(map(new.index.__getitem__, keys), np.int64, len(keys))
+    stage.groups[combo, b] = groups
+    probs = [batch.probs[g] for batch, g in zip(batches, groups[made].T)]
+    return new, child[made], probs, combo_of.reshape(nodes, candidates)
 
 
 def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
@@ -515,12 +532,15 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
         spaces = _head_spaces(instance, j, caps)
         stage, roots, amaps, probs = _Stage(), [], [], []  # per node, its map and beliefs
         for pa, amap, pis in _roots(instance, j):
-            beliefs = [pi.probs for pi in pis]
-            n, new = stage.node(belief_tuple_key(pis), caps, 0)
-            if new:
-                amaps.append(amap)
+            beliefs, key = [pi.probs for pi in pis], belief_tuple_key(pis)
+            n = stage.index.setdefault(key, len(stage.keys))
+            if n == len(stage.keys):
+                stage.keys.append(key)
+                amaps.append(list(amap.values()))
                 probs.append(beliefs)
             roots.append((pa, n, amap, beliefs))
+        _check_branches(len(stage.keys), caps)
+        amaps = np.array(amaps, dtype=np.int64)  # a row per node, also when rows are empty
         probs = [np.array(rows) for rows in zip(*probs)]  # per agent, a row per node
         for t in range(T + 1):
             stages.append(stage)
@@ -592,66 +612,68 @@ def _solve_chain(instance: Instance, k: int, caps: Caps, chain: dict | None = No
 
 
 def _emit_strategy(instance: Instance, k: int, chain: dict):
-    """Walk agent k's decided stages from the roots its pass recorded,
-    filling laws and collecting reachable beliefs.
+    """Walk agent k's decided stages stage by stage from the roots its pass
+    recorded, filling laws; return the strategy and per stage the walk's
+    paths as (accessible maps, parents, per agent k..K the beliefs).
 
-    A path descends through its node's winning branches with its own
-    accessible map and the posteriors its own steps made, read out of the
-    stage's step batches. Laws hold the conditioning realizations the walk
-    reaches; every other realization gets its (stage, target)'s default, the
-    all-zero table.
+    A path is a node and its accessible map, a row of an int array. Its
+    children are its node's winning branches, each with its map plus the
+    branch's new information, in row-major order: a depth-first walk's order
+    within the stage, so of paths with one conditioning realization the same
+    one writes last. Every realization the walk does not reach gets its
+    (stage, target)'s default, the all-zero table.
     """
-    laws, defaults, make = {}, {}, {}  # make: (t, m) -> table -> Prescription
-    for t in range(instance.horizon + 1):
-        for m in range(1, instance.agent_count + 1):
-            domain = instance.info.prescription_domain(t, k, m)
-            sizes = instance.schema_sizes(domain)
-            csize = instance.system.control_sizes[m - 1]
-            make[(t, m)] = functools.partial(Prescription, k, m, t, domain, sizes, csize)
-            laws[(t, m)] = {}
-            defaults[(t, m)] = make[(t, m)]((0,) * realization_count(sizes))
-    belief_rows = []
-    stages = chain[k].stages
-    labels = [
-        [(v.label(), v) for v in instance.info.accessible(t, k)]
-        for t in range(instance.horizon + 1)
-    ]
-
-    def record(t, n, amap, beliefs):
-        stage = stages[t]
+    laws, defaults, walk, roots = {}, {}, [], chain[k].roots
+    nodes, parent = np.array([n for _, n, _, _ in roots]), None
+    maps = np.array([list(amap.values()) for _, _, amap, _ in roots], dtype=np.int64)
+    probs = [np.array(rows) for rows in zip(*[beliefs for *_, beliefs in roots])]
+    for t, stage in enumerate(chain[k].stages):
+        walk.append((maps, parent, probs))
+        columns = _map_columns(instance, k, t)
         for m, tables in enumerate(stage.tables, start=1):
-            cond = instance.info.conditioning_schema(t, k, m)
-            laws[(t, m)][tuple(amap[v] for v in cond)] = make[(t, m)](tuple(tables[n].tolist()))
-        belief_rows.append(
+            domain = instance.info.prescription_domain(t, k, m)
+            sizes, csize = instance.schema_sizes(domain), instance.system.control_sizes[m - 1]
+            make = functools.partial(Prescription, k, m, t, domain, sizes, csize)
+            conds = maps[:, [columns[v] for v in instance.info.conditioning_schema(t, k, m)]]
+            rows = list(map(tuple, tables[nodes].tolist()))
+            made = {row: make(row) for row in set(rows)}  # one per distinct table
+            laws[(t, m)] = dict(zip(map(tuple, conds.tolist()), map(made.__getitem__, rows)))
+            defaults[(t, m)] = make((0,) * realization_count(sizes))
+        if stage.win is None:
+            break
+        wins = stage.win[nodes]
+        parent, branch = np.nonzero(stage.kid[wins] >= 0)
+        nodes, groups = stage.kid[wins[parent], branch], stage.groups[wins[parent], branch]
+        maps = np.hstack([maps[parent], stage.batches[0].z[groups[:, 0]]])
+        probs = [batch.probs[g] for batch, g in zip(stage.batches, groups.T)]
+    return PrescriptionStrategy(owner=k, laws=laws, defaults=defaults), walk
+
+
+def _belief_tree(instance: Instance, k: int, walk: list) -> list:
+    """Per path of agent k's emission `walk`, depth first: its stage, its accessible
+    realization by variable label and the beliefs of agents k..K its steps made."""
+    rows, places = [], []
+    for t, (maps, parent, probs) in enumerate(walk):
+        here = np.arange(len(maps))[:, None]  # per path, its ancestors' places and its own
+        place = here if t == 0 else np.hstack([place[parent], here])
+        places.append(np.pad(place, ((0, 0), (0, len(walk) - 1 - t)), constant_values=-1))
+        beliefs = zip(*[stack.tolist() for stack in probs])
+        schema, columns = instance.info.accessible(t, k), _map_columns(instance, k, t)
+        rows.extend([
             {
                 "t": t,
-                "accessible": {label: amap[v] for label, v in labels[t]},
-                "beliefs": {
-                    f"agent_{i}": probs.tolist() for i, probs in enumerate(beliefs, start=k)
-                },
+                "accessible": dict(zip(map(VariableId.label, schema), values)),
+                "beliefs": {f"agent_{i}": p for i, p in enumerate(belief, start=k)},
             }
-        )
-        if stage.win is None:
-            return
-        u, new_info = stage.win[n], instance.info.new_info(t + 1, k)
-        for c, groups in zip(stage.kid[u].tolist(), stage.groups[u].tolist()):
-            if c < 0:
-                break
-            child = dict(amap)
-            child.update(zip(new_info, stage.batches[0].z[groups[0]]))
-            record(t + 1, c, child, [b.probs[g] for b, g in zip(stage.batches, groups)])
-
-    for _, n, amap, beliefs in chain[k].roots:
-        record(0, n, amap, beliefs)
-    return PrescriptionStrategy(owner=k, laws=laws, defaults=defaults), belief_rows
+            for values, belief in zip(maps[:, [columns[v] for v in schema]].tolist(), beliefs)
+        ])
+    order = np.lexsort(np.vstack(places).T[::-1])  # a path before its descendants
+    return [rows[i] for i in order.tolist()]
 
 
-def _dp_result(instance: Instance, k: int, chain: dict) -> SolveResult:
-    """Agent k's emitted strategy, exactly re-evaluated, from a chain solved down to k."""
-    start = time.perf_counter()
-    psi, belief_rows = _emit_strategy(instance, k, chain)
-    report = exact_strategy_cost(instance, psi)
-    belief_policy = [
+def _belief_policy(chain: dict, k: int) -> list:
+    """Per node of agent k's pass, by stage and key: its key and its tables for targets 1..k."""
+    return [
         {
             "t": t,
             "belief_key": [list(part) for part in stage.keys[n]],
@@ -661,6 +683,16 @@ def _dp_result(instance: Instance, k: int, chain: dict) -> SolveResult:
         for heads in [[tables.tolist() for tables in stage.tables[:k]]]
         for n in sorted(range(len(stage.keys)), key=stage.keys.__getitem__)
     ]
+
+
+def _dp_result(instance: Instance, k: int, chain: dict) -> SolveResult:
+    """Agent k's emitted strategy, exactly re-evaluated, from a chain solved down to k."""
+    start = time.perf_counter()
+    psi, walk = _emit_strategy(instance, k, chain)
+    emitted = time.perf_counter()
+    report = exact_strategy_cost(instance, psi)
+    log.debug("agent %d result: emission %.3f s, exact evaluation %.3f s",
+              k, emitted - start, time.perf_counter() - emitted)
     passes = [j for j in chain if j >= k]
     return SolveResult(
         method="prescription-dp",
@@ -674,9 +706,9 @@ def _dp_result(instance: Instance, k: int, chain: dict) -> SolveResult:
         extras={
             "chain_examined": {j: chain[j].examined for j in passes},
             "chain_values": {j: chain[j].value for j in passes},
-            "belief_tree": belief_rows,
-            "belief_policy": belief_policy,
         },
+        tree=functools.partial(_belief_tree, instance, k, walk),
+        policy=functools.partial(_belief_policy, chain, k),
     )
 
 

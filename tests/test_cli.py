@@ -6,8 +6,9 @@ import hypothesis.strategies as st
 import pytest
 
 from helpers import pomdp_dict
+from oracles import dp_reference
 from womctl.cli import main
-from womctl.instances import d2_dict, static3_dict
+from womctl.instances import d2_dict, load_d2, static3_dict
 
 
 @pytest.fixture()
@@ -267,7 +268,8 @@ def test_solve_emit_evaluate_simulate(d2_path, tmp_path, capsys):
         )
         == 0
     )
-    assert json.loads(beliefs.read_text())["belief_tree"]
+    tree = dp_reference(load_d2(), 1)["belief_tree"]
+    assert json.loads(beliefs.read_text()) == {"belief_tree": tree}
     assert run(["evaluate", d2_path, "--strategy", str(strategy)]) == 0
     out = capsys.readouterr().out
     assert "3.300000000" in out

@@ -63,9 +63,17 @@ def test_enumerate_prescription_counts(static3):
 def test_enumerated_tables_are_product_rows(sizes, control_size):
     tables = enumerate_prescription_tables(sizes, control_size)
     expected = list(itertools.product(range(control_size), repeat=math.prod(sizes)))
-    assert tables.dtype == np.int64
+    assert tables.dtype == np.uint8
     assert tables.shape == (len(expected), math.prod(sizes))
     assert [tuple(row) for row in tables.tolist()] == expected
+
+
+def test_enumerated_tables_take_the_narrowest_unsigned_dtype():
+    # at the table cap: a byte per entry, 21 MB where int64 entries took 168 MB
+    assert enumerate_prescription_tables((20,), 2, 2**20).nbytes == 2**20 * 20
+    wide = enumerate_prescription_tables((), 300)
+    assert wide.dtype == np.uint16
+    assert wide[:, 0].tolist() == list(range(300))
 
 
 def test_enumerate_cap():

@@ -451,6 +451,34 @@ def test_compare_agents_records_a_cap_failure_once(monkeypatch):
         )
 
 
+def test_narrow_tables_are_weighted_in_int64():
+    """Tables hold uint8 entries, but agent 1's joint-control weight is 70:
+    the optimum, agent 1's control 4 (4 x 70 would wrap in uint8), must be
+    found by every solver."""
+    rng = random.Random(5)
+    cost = [[1.0 + rng.uniform(0.0, 1.0) for _ in range(350)] for _ in range(2)]
+    for x in range(2):
+        cost[x][4 * 70 + 7 + x] = 0.0
+    doc = {
+        "network": {"agents": 2, "links": [{"from": 1, "to": 2, "delay": 1},
+                                           {"from": 2, "to": 1, "delay": 1}]},
+        "system": {
+            "horizon": 0,
+            "state_size": 2,
+            "control_sizes": [5, 70],
+            "observation_sizes": [2, 2],
+            "noises": [{"size": 1, "probs_per_t": [1.0]}] * 2,
+            "initial_probs": [0.5, 0.5],
+            "observation": [[[[0], [1]]]] * 2,
+            "cost": [cost],
+        },
+    }
+    inst = instance_from_dict(doc)
+    assert solver_mod._head_spaces(inst, 2, solver_mod.resolve_caps())[0][0].dtype == np.uint8
+    rows = compare_agents(inst).rows
+    assert [row["cost"] for row in rows] == [0.0] * 4
+
+
 def test_compare_agents_static_rows_skip_with_the_chain_reason(static3):
     # agent 3's stage-0 joint search has 128 candidates; agents 1 and 2 inherit from it
     rows = compare_agents(static3, cap=64).rows
@@ -463,7 +491,7 @@ def test_compare_agents_static_rows_skip_with_the_chain_reason(static3):
 def test_structural_measurability_of_emitted_strategy(d2):
     """Conditioning realizations with equal tail beliefs select equal tables."""
     res = solve_prescription_dp(d2, 1)
-    tree = res.extras["belief_tree"]
+    tree = res.belief_tree
     psi = res.prescription_strategy
     by_key = {}
     for row in tree:
@@ -529,7 +557,7 @@ def test_decided_stages_keep_a_table_row_per_node_and_target(d2):
             assert len(stage.tables) == d2.agent_count
             for m, tables in enumerate(stage.tables, start=1):
                 rows = realization_count(d2.schema_sizes(d2.info.prescription_domain(t, j, m)))
-                assert tables.dtype == np.int64
+                assert tables.dtype == np.uint8  # two controls per agent
                 assert tables.shape == (len(stage.keys), rows)
 
 
@@ -704,7 +732,7 @@ def test_emitted_laws_hold_only_the_reached_realizations():
     res = solve_prescription_dp(inst, 1)
     psi = res.prescription_strategy
     reached = {}
-    for row in res.extras["belief_tree"]:
+    for row in res.belief_tree:
         cond = inst.info.conditioning_schema(row["t"], 1, 1)
         reached.setdefault(row["t"], set()).add(
             tuple(row["accessible"][v.label()] for v in cond)
@@ -784,8 +812,8 @@ def _assert_dp_matches_reference(instance):
         assert res.dp_value == ref["dp_value"]
         assert res.extras["chain_values"] == ref["chain_values"]
         assert res.extras["chain_examined"] == ref["chain_examined"]
-        assert res.extras["belief_policy"] == ref["belief_policy"]
-        assert res.extras["belief_tree"] == ref["belief_tree"]
+        assert res.belief_policy == ref["belief_policy"]
+        assert res.belief_tree == ref["belief_tree"]
         assert _completed_laws(instance, res.prescription_strategy) == ref["laws"]
         assert res.control_strategy.tables == ref["tables"]
 
@@ -803,13 +831,21 @@ def test_prescription_dp_matches_reference_on_fuzz(seed):
     _assert_dp_matches_reference(fuzz_instance(seed))
 
 
+@pytest.mark.parametrize("seed", [2, 4, 6, 10])
+def test_prescription_dp_matches_reference_on_random_topologies(seed):
+    # clean seeds at T=1 with two or three agents, so every pass but the
+    # last inherits tail tables; others take the oracle minutes
+    assert seed not in RELAY_DEFECT_SEEDS | PRESCRIPTION_CAP_SEEDS
+    _assert_dp_matches_reference(random_topology_instance(seed))
+
+
 def test_prescription_dp_ties_pick_the_first_candidate():
     doc = d2_dict()
     doc["system"]["cost"] = [[[0.0] * 4] * 2] * 2
     zero = instance_from_dict(doc)
     _assert_dp_matches_reference(zero)
     for k in (1, 2):
-        for row in solve_prescription_dp(zero, k).extras["belief_policy"]:
+        for row in solve_prescription_dp(zero, k).belief_policy:
             assert all(set(table) == {0} for table in row["tables"].values())
     # coarse costs: many candidates tie at every node without all of them tying
     rng = random.Random(11)
@@ -829,6 +865,38 @@ def test_agent_passes_are_logged(d2, caplog):
         assert nodes > 0 and seconds >= 0.0
         assert nodes == sum(widths) and len(widths) == d2.horizon + 1
         assert examined == res.extras["chain_examined"][j]
+
+
+def test_result_phases_are_logged_after_the_passes(d2, caplog):
+    caplog.set_level(logging.DEBUG, logger="womctl")
+    solve_prescription_dp(d2, 1)
+    lines = [r for r in caplog.records if r.name == "womctl"]
+    assert [r.getMessage().split(":")[0] for r in lines] == [
+        "agent 2 pass", "agent 1 pass", "agent 1 result"
+    ]
+    k, emission, evaluation = lines[-1].args
+    assert k == 1 and emission >= 0.0 and evaluation >= 0.0
+
+
+def test_belief_outputs_are_built_on_first_read(d2, monkeypatch):
+    built = []
+    for name in ("_belief_tree", "_belief_policy"):
+        real = getattr(solver_mod, name)
+        monkeypatch.setattr(
+            solver_mod, name, lambda *args, name=name, real=real: built.append(name) or real(*args)
+        )
+    compare_agents(d2)
+    results = [solve_prescription_dp(d2, k) for k in (1, 2)]
+    assert built == []
+    for k, res in enumerate(results, start=1):
+        tree, policy = res.belief_tree, res.belief_policy
+        assert built[-2:] == ["_belief_tree", "_belief_policy"]
+        assert res.belief_tree is tree and res.belief_policy is policy
+        ref = dp_reference(d2, k)
+        assert (tree, policy) == (ref["belief_tree"], ref["belief_policy"])
+    assert len(built) == 4
+    assert "belief_tree" not in results[0].extras and "belief_policy" not in results[0].extras
+    assert solve_brute_force(d2).belief_tree == []
 
 
 @pytest.mark.parametrize("seed", [5, 13])  # two-agent, T=2: candidates share steps

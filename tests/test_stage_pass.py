@@ -79,7 +79,7 @@ def _our_branches(stages, t, n):
         return []
     u, owner = stage.win[n], stage.batches[0]
     return [
-        (owner.z[groups[0]], owner.mass[groups[0]], stages[t + 1].keys[c],
+        (tuple(owner.z[groups[0]].tolist()), owner.mass[groups[0]], stages[t + 1].keys[c],
          [batch.probs[g] for batch, g in zip(stage.batches, groups)])
         for c, groups in zip(stage.kid[u].tolist(), stage.groups[u].tolist())
         if c >= 0
