@@ -39,9 +39,6 @@ class InformationState:
     support: InfoSchema  # variables after the implicit leading system-state coordinate
     probs: np.ndarray
 
-    def key(self) -> tuple:
-        return probs_key(self.probs)
-
 
 def probs_keys(probs: np.ndarray) -> list:
     """The key of each row of a 2-D array of belief probabilities, the one
@@ -51,9 +48,10 @@ def probs_keys(probs: np.ndarray) -> list:
     return list(map(tuple, (np.rint(probs * scale) / scale).tolist()))
 
 
-def probs_key(probs) -> tuple:
-    """`probs_keys` of one belief's probabilities."""
-    return probs_keys(np.asarray(probs, dtype=float)[None])[0]
+def probs_codes(probs: np.ndarray) -> np.ndarray:
+    """The rounding of `probs_keys` as integers, `rint(p * 10**12)`: two rows
+    have equal codes exactly when they have equal keys."""
+    return np.rint(probs * float(10**KEY_DECIMALS)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -247,14 +245,13 @@ class StepBatch(NamedTuple):
     """`StepKernel.step` of a stack: per row, per new-information realization
     of positive mass in sorted order, a group; row r's groups are
     `start[r]:start[r + 1]`, each with its realization's digits (a row of `z`),
-    probability, posterior (a row of `probs`) and that posterior's `probs_key`.
-    `read` counts the distinct (support index, joint control) codes the step read."""
+    probability and posterior (a row of `probs`). `read` counts the distinct
+    (support index, joint control) codes the step read."""
 
     start: list
     z: np.ndarray
     mass: list
     probs: np.ndarray
-    keys: list
     read: int
 
 
@@ -324,7 +321,6 @@ class StepKernel:
         in (support, w, v) order as the one-point-at-a-time filter does;
         terms that are exactly zero are skipped. Each posterior is divided by
         its row's sum, and realizations of mass at most `ZERO_TOL` dropped.
-        Each posterior's key is made here, once, by `probs_keys`.
         """
         rows, s = np.nonzero(controls >= 0)
         uj = controls[rows, s]
@@ -354,7 +350,6 @@ class StepKernel:
             z=z_index[:, None] // strides % np.array(self.new_sizes, dtype=np.int64),
             mass=mass.tolist(),
             probs=posteriors,
-            keys=probs_keys(posteriors),
             read=read,
         )
 
@@ -546,7 +541,3 @@ def factorization_check(instance, pi_k_by_extension: dict, pi_i, lam: Connection
         rhs = float(pk.probs[rows_k[s_idx]]) * float(lam.probs[rows_ext[s_idx]])
         worst = max(worst, abs(lhs - rhs))
     return worst
-
-
-def belief_tuple_key(pis) -> tuple:
-    return tuple(pi.key() for pi in pis)

@@ -25,9 +25,9 @@ import numpy as np
 from .belief import (
     CandidateScorer,
     accessible_support,
-    belief_tuple_key,
     initial_information_state,
-    initial_state_at,
+    probs_codes,
+    probs_keys,
     step_kernel,
 )
 from .errors import CapExceeded, ShapeMismatch, WomError
@@ -51,6 +51,7 @@ from .sysmodel import (
     realization_count,
     realization_strides,
     restrict_realization,
+    schema_rows,
 )
 
 COST_TOL = 1e-9
@@ -304,11 +305,12 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
 
 class _Pass(NamedTuple):
     """One agent pass's record; a chain is a dict from agent to `_Pass`. It
-    keeps the decided `_Stage`s, the roots (mass, node, accessible map,
-    beliefs) per t=0 accessible realization, the value, the candidates
-    examined, the belief steps computed and served by an identical step of
-    the same node, the distinct kernel entries, (support index, joint
-    control) codes, read, the nodes per stage and the seconds."""
+    keeps the decided `_Stage`s, the roots (mass, node, accessible map, the
+    agent's belief) per t=0 accessible realization, the value, the
+    candidates examined, the steps of the agent's own belief computed and
+    served by an identical step of the same node, the distinct entries,
+    (support index, joint control) codes, those steps read from the agent's
+    kernels, the nodes per stage and the seconds."""
 
     stages: list
     roots: list
@@ -348,52 +350,37 @@ def _head_spaces(instance: Instance, j: int, caps: Caps):
     }
 
 
-def _tail_tables(instance: Instance, chain: dict, j: int, t: int, keys) -> list:
-    """Inherited tables for each target m above j at the belief tuples `keys`:
-    per target, agent m's stage-t decisions, a row per key."""
-    above = range(j + 1, instance.agent_count + 1)
-    nodes = [[] for _ in above]
-    for key in keys:
-        for m, at in zip(above, nodes):
-            n = chain[m].stages[t].index.get(key[m - j :])
-            if n is None:
-                raise WomError(
-                    f"missing inherited decision for agent {m} at t={t}; "
-                    "the belief tuple was never reached in that agent's pass"
-                )
-            at.append(n)
-    return [chain[m].stages[t].tables[m - 1][at] for m, at in zip(above, nodes)]
-
-
-def _roots(instance: Instance, j: int):
-    """Agent j's t=0 nodes: (mass, accessible map, belief tuple of agents j..K)."""
-    acc0 = instance.info.accessible(0, j)
-    for a_real, pa in accessible_support(instance, j).items():
-        pis = tuple(
-            initial_state_at(
-                instance, i, restrict_realization(acc0, a_real, instance.info.accessible(0, i))
-            )
-            for i in range(j, instance.agent_count + 1)
-        )
-        yield pa, dict(zip(acc0, a_real)), pis
+def _roots(instance: Instance, j: int, above: _Pass | None):
+    """Agent j's t=0 roots, one per accessible realization: their masses,
+    accessible maps and stacked beliefs, and the root nodes of agent j + 1's
+    pass `above` at the same realizations (-1 for agent K)."""
+    acc0, support = instance.info.accessible(0, j), accessible_support(instance, j)
+    states, tail = initial_information_state(instance, j), np.full(len(support), -1)
+    if above is not None:
+        tail_of = {tuple(amap.values()): n for _, n, amap, _ in above.roots}
+        acc1 = instance.info.accessible(0, j + 1)
+        tail[:] = [tail_of[restrict_realization(acc0, a_real, acc1)] for a_real in support]
+    maps = [dict(zip(acc0, a_real)) for a_real in support]
+    return list(support.values()), maps, np.array([states[a].probs for a in support]), tail
 
 
 class _Stage:
-    """One stage of an agent pass, as the pass leaves it.
+    """One stage of agent j's pass, as the pass leaves it.
 
-    Its nodes are belief tuples of agents j..K, in order of first discovery:
-    `keys[n]`, and `index` from key to node. Once decided, `tables[m - 1][n]`
-    is node n's table for target m, an int array per target 1..K. Below the
-    horizon the stage keeps its step batches, one per agent j..K, and how its
-    winners branch: `win[n]` is the combination of step rows node n's winner
-    uses, and per (combination, branch) `kid` holds the next-stage node and
-    `groups` each agent's group in its batch, both padded with -1.
+    Node n is agent j's belief `probs[n]`, as its first branch made it, and
+    `tail[n]`, the node of agent j + 1's stage t that holds agents j+1..K
+    (-1 for agent K). Once decided, `tables[m - 1][n]` is node n's table for
+    target m, an int array per target 1..K. Below the horizon it keeps agent
+    j's step `batch`; `combo_of[n, c]` is the combination of node n's
+    candidate c (its step row and, below agent K, its lift's combination in
+    agent j + 1's stage), `win[n]` that of the winner, and per (combination,
+    branch) `kid` holds the next-stage node and `groups` the group in the
+    batch, both padded with -1.
     """
 
-    def __init__(self):
-        self.keys, self.tables, self.batches = [], [], []
-        self.index: dict = {}  # key -> node
-        self.win = self.kid = self.groups = None
+    def __init__(self, probs, tail):
+        self.probs, self.tail, self.tables = probs, tail, []
+        self.batch = self.combo_of = self.win = self.kid = self.groups = None
 
 
 def _check_branches(count: int, caps: Caps):
@@ -418,6 +405,16 @@ def _unique_rows(a, **kwargs):
     return (found.view(a.dtype).reshape(-1, a.shape[1]), *extras)
 
 
+def _merge(probs, tail):
+    """Nodes from a stack of agent j's beliefs and their tail nodes: per row
+    its node, numbered by first row, and each node's first row. Rows merge
+    on the integer codes of their beliefs and on their tail node."""
+    rows = np.hstack([probs_codes(probs), tail[:, None]])
+    _, first, inverse = _unique_rows(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], first[order]
+
+
 def _distinct_rows(probs, support, controls):
     """Per (node, candidate), the index of its distinct control vector on the
     node's positive-mass `support`, where `controls` holds every candidate's
@@ -439,82 +436,94 @@ def _distinct_rows(probs, support, controls):
     return row_of.reshape(nodes, candidates), probs[node], step_controls
 
 
-def _expand(instance, j, t, stage, amaps, row_of, caps, before):
-    """Stage t + 1 of agent j's pass from the step batches of `stage`, whose
-    nodes were first reached with the accessible maps `amaps`, a row per node.
+def _lifted(instance: Instance, j: int, t: int, heads: list, inherited):
+    """Per (node, candidate) of agent j's stage t, the candidate of agent
+    j + 1's stage t that moves agents j+1..K alike: the head tables lifted
+    onto agent j + 1's domains, which contain agent j's, and the node's
+    `inherited` table for target j + 1. A table's number is a sum of entry
+    times place value over its rows, so a lifted one's adds, per row of the
+    smaller domain, the place values of the larger rows restricting to it."""
+    info, numbers, stride = instance.info, [], 1
+    for m, tables in reversed(list(enumerate(heads + [inherited], start=1))):
+        mine, csize = info.prescription_domain(t, j, m), instance.system.control_sizes[m - 1]
+        (row,) = schema_rows(instance, info.prescription_domain(t, j + 1, m), [mine])
+        weight = np.zeros(realization_count(instance.schema_sizes(mine)), dtype=np.int64)
+        np.add.at(weight, row, stride * csize ** np.arange(len(row) - 1, -1, -1, dtype=np.int64))
+        numbers.insert(0, tables.astype(np.int64) @ weight)
+        stride *= csize ** len(row)
+    return numbers[-1][:, None] + sum(np.ix_(*numbers[:-1])).ravel()
 
-    `row_of[a]` gives each (node, candidate)'s step row in agent j + a's
-    batch. Branches are followed per distinct combination of rows, in order
-    of the first (node, candidate) with it, and then in new-information
-    order; new nodes are numbered by their first branch, the depth-first
-    first-visit order, and the first failing branch names the failure. Fills
-    `stage.kid` and `stage.groups`. Returns the new stage, its nodes' maps,
-    per agent their beliefs, and each (node, candidate)'s combination.
+
+def _expand(instance, j, t, stage, amaps, row_of, above, caps, before):
+    """Stage t + 1 of agent j's pass from `stage`, whose nodes were first
+    reached with the accessible maps `amaps`, a row per node.
+
+    `row_of[0]` gives each (node, candidate)'s row in the stage's step batch
+    and, below agent K, `row_of[1]` the combination its lift takes in agent
+    j + 1's stage `above`. Branches are followed per distinct combination,
+    in order of the first (node, candidate) with it, and then in
+    new-information order. A branch's tail node is the kid of its tail
+    combination at agent j + 1's branch with the new information the
+    branch's map gives agent j + 1. New nodes are numbered by their first
+    branch, the depth-first first-visit order, and the first failing branch
+    names the failure. Fills `stage.combo_of`, `stage.kid` and
+    `stage.groups`. Returns the new stage and its nodes' maps.
     """
     nodes, candidates = row_of[0].shape
     combos, first, combo_of = _unique_rows(
         np.stack([rows.ravel() for rows in row_of], axis=1), return_index=True, return_inverse=True
     )
-    batches, columns = stage.batches, _map_columns(instance, j, t + 1)
+    batch = stage.batch
     order = np.argsort(first, kind="stable")
-    width, heads = np.diff(batches[0].start), combos[order, 0]  # heads: agent j's step rows
-    lo, count = np.asarray(batches[0].start)[heads], width[heads]
+    width, heads = np.diff(batch.start), combos[order, 0]  # heads: agent j's step rows
+    lo, count = np.asarray(batch.start)[heads], width[heads]
     combo = np.repeat(order, count)  # per branch, its combination and place in it
     b = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    groups = [np.repeat(lo, count) + b]
-    child = np.hstack([amaps[first[combo] // candidates], batches[0].z[groups[0]]])
-    failed, failure = len(combo), None
-    for a, batch in enumerate(batches[1:], start=1):
-        new_info = instance.info.new_info(t + 1, j + a)
-        z, shape = child[:, [columns[var] for var in new_info]], (len(batch.start) - 1,)
-        shape += instance.schema_sizes(new_info)
-        rows = np.repeat(np.arange(shape[0]), np.diff(batch.start))
-        known = np.ravel_multi_index((rows, *batch.z.T), shape)  # sorted (row, z) codes
-        wanted = np.ravel_multi_index((combos[combo, a], *z.T), shape)
-        groups.append(np.minimum(np.searchsorted(known, wanted), len(known) - 1))
-        miss = np.flatnonzero(known[groups[a]] != wanted)[:1].tolist()
-        if miss and miss[0] < failed:
-            failed, z_a = miss[0], tuple(z[miss[0]].tolist())
-            failure = WomError(
-                f"agent {j + a} new information {z_a} impossible on a positive branch"
-            )
-    groups = np.stack(groups, axis=1)
-    keys = list(zip(*[  # per branch, its child's key
-        map(batch.keys.__getitem__, g) for batch, g in zip(batches, groups.T.tolist())
-    ]))
-    seen = dict(zip(keys[:failed][::-1], range(failed - 1, -1, -1)))  # key -> its first branch
-    _check_branches(before + len(seen), caps)
-    if failure is not None:
-        raise failure
-    new, made = _Stage(), sorted(seen.values())
-    new.keys = [keys[i] for i in made]
-    new.index = dict(zip(new.keys, range(len(made))))
+    groups = np.repeat(lo, count) + b
+    child = np.hstack([amaps[first[combo] // candidates], batch.z[groups]])
+    tail, failed = np.full(len(combo), -1), len(combo)
+    if above is not None:
+        new_info = instance.info.new_info(t + 1, j + 1)
+        z = child[:, [_map_columns(instance, j, t + 1)[var] for var in new_info]]
+        shape = (len(above.batch.start) - 1, *instance.schema_sizes(new_info))
+        rows = np.repeat(np.arange(shape[0]), np.diff(above.batch.start))  # per group, its row
+        known = np.ravel_multi_index((rows, *above.batch.z.T), shape)  # sorted (row, z) codes
+        head = above.groups[combos[combo, 1], 0]  # each tail combination's first group
+        wanted = np.ravel_multi_index((rows[head], *z.T), shape)
+        found = np.minimum(np.searchsorted(known, wanted), len(known) - 1)
+        hit = known[found] == wanted
+        tail = above.kid[combos[combo, 1], np.where(hit, found - head, 0)]
+        failed = np.append(np.flatnonzero(~hit), failed)[0]
+    node_of, made = _merge(batch.probs[groups[:failed]], tail[:failed])
+    _check_branches(before + len(made), caps)
+    if failed < len(combo):
+        raise WomError(f"agent {j + 1} new information {tuple(z[failed].tolist())} "
+                       "impossible on a positive branch")
+    stage.combo_of = combo_of.reshape(nodes, candidates)
     stage.kid = np.full((len(combos), int(width.max())), -1, dtype=np.int64)
-    stage.groups = np.full(stage.kid.shape + (len(batches),), -1, dtype=np.int64)
-    stage.kid[combo, b] = np.fromiter(map(new.index.__getitem__, keys), np.int64, len(keys))
-    stage.groups[combo, b] = groups
-    probs = [batch.probs[g] for batch, g in zip(batches, groups[made].T)]
-    return new, child[made], probs, combo_of.reshape(nodes, candidates)
+    stage.groups = np.full_like(stage.kid, -1)
+    stage.kid[combo, b], stage.groups[combo, b] = node_of, groups
+    return _Stage(batch.probs[groups[made]], tail[made]), child[made]
 
 
 def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
     """Backward induction over agent j's reachable accessible-history tree,
     one stage at a time.
 
-    Components for targets above j are fixed functions of the targets' belief
-    tuples, inherited from their own passes; components up to j are chosen per
-    reachable belief tuple. A forward sweep registers each stage's nodes, and
-    a backward sweep from stage T then values and decides them.
+    A node is agent j's belief together with a node of agent j + 1's pass,
+    which stands for the beliefs of agents j+1..K. Components for targets
+    above j are that node's decided tables; components up to j are chosen
+    per node. A forward sweep registers each stage's nodes, and a backward
+    sweep from stage T then values and decides them.
 
     Each stage scores every node's joint head candidates in one
-    `CandidateScorer` call. Below the horizon, every candidate steps the
-    belief of every agent j..K through one call per agent of the instance's
-    `step_kernel` for that (agent, stage), with the controls the scorer reads
-    off that agent's support; candidates of a node that act alike on an
-    agent's positive-mass support share its step. Nodes are keyed by the keys
-    the steps made.
-    Every candidate's branches are followed, so that lower agents can inherit
-    decisions at any tuple their own candidate profiles reach.
+    `CandidateScorer` call. Below the horizon, every candidate steps agent
+    j's belief alone, through one call of the instance's `step_kernel` for
+    (j, t), with the controls the scorer reads off agent j's support;
+    candidates of a node that act alike there share a step. A candidate
+    moves agents j+1..K as its lift does in agent j + 1's pass, whose kids
+    give the branches' tail nodes. Every candidate's branches are followed,
+    so that lower agents can inherit decisions at any node they reach.
 
     A node's value adds to a candidate's stage cost the probability times the
     value of each branch in new-information order, and the first minimizer in
@@ -525,46 +534,41 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
     with the agent and the stage it occurred at.
     """
     started = time.perf_counter()
-    T, K = instance.horizon, instance.agent_count
+    T, above = instance.horizon, chain.get(j + 1)
     examined = computed = shared = entries = t = 0
     stages, work = [], []  # per stage, its nodes and what its backward step reads
     try:
         spaces = _head_spaces(instance, j, caps)
-        stage, roots, amaps, probs = _Stage(), [], [], []  # per node, its map and beliefs
-        for pa, amap, pis in _roots(instance, j):
-            beliefs, key = [pi.probs for pi in pis], belief_tuple_key(pis)
-            n = stage.index.setdefault(key, len(stage.keys))
-            if n == len(stage.keys):
-                stage.keys.append(key)
-                amaps.append(list(amap.values()))
-                probs.append(beliefs)
-            roots.append((pa, n, amap, beliefs))
-        _check_branches(len(stage.keys), caps)
-        amaps = np.array(amaps, dtype=np.int64)  # a row per node, also when rows are empty
-        probs = [np.array(rows) for rows in zip(*probs)]  # per agent, a row per node
+        masses, maps, probs, tail = _roots(instance, j, above)
+        node_of, made = _merge(probs, tail)
+        _check_branches(len(made), caps)
+        stage = _Stage(probs[made], tail[made])
+        amaps = np.array([list(amap.values()) for amap in maps], dtype=np.int64)[made]
+        roots = list(zip(masses, node_of.tolist(), maps, probs))
         for t in range(T + 1):
             stages.append(stage)
-            tails = _tail_tables(instance, chain, j, t, stage.keys)
+            tails = [] if above is None else [
+                tables[stage.tail] for tables in above.stages[t].tables[j:]
+            ]
             score = CandidateScorer(instance, j, t, spaces[t])
-            support = [np.nonzero(rows > 0.0) for rows in probs]
-            cost = score(probs[0], tails, support[0])
+            support = np.nonzero(stage.probs > 0.0)
+            cost = score(stage.probs, tails, support)
             examined += cost.size
-            work.append((cost, tails, None))
+            work.append((cost, tails))
             if t == T:
                 break
-            row_of = []
-            for i, rows, pairs in zip(range(j, K + 1), probs, support):
-                controls = score.controls(i, pairs, tails)
-                step_of, step_probs, step_controls = _distinct_rows(rows, pairs, controls)
-                stage.batches.append(step_kernel(instance, i, t).step(step_probs, step_controls))
-                row_of.append(step_of)
-                computed += len(step_probs)
-                shared += step_of.size - len(step_probs)
-                entries += stage.batches[-1].read
-            stage, amaps, probs, combo_of = _expand(
-                instance, j, t, stage, amaps, row_of, caps, sum(len(done.keys) for done in stages)
-            )
-            work[t] = (cost, tails, combo_of)
+            controls = score.controls(j, support, tails)
+            step_of, step_probs, step_controls = _distinct_rows(stage.probs, support, controls)
+            stage.batch = step_kernel(instance, j, t).step(step_probs, step_controls)
+            computed += len(step_probs)
+            shared += step_of.size - len(step_probs)
+            entries += stage.batch.read
+            row_of, tail_stage = [step_of], None if above is None else above.stages[t]
+            if above is not None:
+                lift = _lifted(instance, j, t, spaces[t], tails[0])
+                row_of.append(tail_stage.combo_of[stage.tail[:, None], lift])
+            stage, amaps = _expand(instance, j, t, stage, amaps, row_of, tail_stage, caps,
+                                   sum(len(done.probs) for done in stages))
     except CapExceeded:
         raise
     except WomError as exc:
@@ -572,25 +576,23 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
         raise
 
     for t in range(T, -1, -1):
-        (cost, tails, combo_of), work[t] = work[t], None  # the scratch goes with its stage
+        (cost, tails), work[t] = work[t], None  # the scratch goes with its stage
         stage = stages[t]
-        if combo_of is not None:  # padded groups and kids read the trailing zeros
-            pz = np.append(stage.batches[0].mass, 0.0)[stage.groups[:, :, 0]]
+        if stage.kid is not None:  # padded groups and kids read the trailing zeros
+            pz = np.append(stage.batch.mass, 0.0)[stage.groups]
             later = np.append(values, 0.0)
             for b in range(pz.shape[1]):
-                cost += (pz[:, b] * later[stage.kid[:, b]])[combo_of]
+                cost += (pz[:, b] * later[stage.kid[:, b]])[stage.combo_of]
         best = cost.argmin(axis=1)
         nodes = np.arange(len(best))
         heads_at = np.unravel_index(best, tuple(map(len, spaces[t])))
         stage.tables = [space[i] for space, i in zip(spaces[t], heads_at)] + tails
-        if combo_of is not None:
-            stage.win = combo_of[nodes, best]
+        if stage.kid is not None:
+            stage.win = stage.combo_of[nodes, best]
         values = cost[nodes, best]
 
-    total = 0.0
-    for pa, n, _, _ in roots:
-        total += pa * float(values[n])
-    widths = tuple(len(done.keys) for done in stages)
+    total = sum(pa * float(values[n]) for pa, n, _, _ in roots)
+    widths = tuple(len(done.probs) for done in stages)
     record = _Pass(stages, roots, total, examined, computed, shared, entries, widths,
                    time.perf_counter() - started)
     log.debug(
@@ -614,7 +616,7 @@ def _solve_chain(instance: Instance, k: int, caps: Caps, chain: dict | None = No
 def _emit_strategy(instance: Instance, k: int, chain: dict):
     """Walk agent k's decided stages stage by stage from the roots its pass
     recorded, filling laws; return the strategy and per stage the walk's
-    paths as (accessible maps, parents, per agent k..K the beliefs).
+    paths as (accessible maps, parents, nodes, agent k's beliefs).
 
     A path is a node and its accessible map, a row of an int array. Its
     children are its node's winning branches, each with its map plus the
@@ -626,9 +628,9 @@ def _emit_strategy(instance: Instance, k: int, chain: dict):
     laws, defaults, walk, roots = {}, {}, [], chain[k].roots
     nodes, parent = np.array([n for _, n, _, _ in roots]), None
     maps = np.array([list(amap.values()) for _, _, amap, _ in roots], dtype=np.int64)
-    probs = [np.array(rows) for rows in zip(*[beliefs for *_, beliefs in roots])]
+    probs = np.array([pi for *_, pi in roots])
     for t, stage in enumerate(chain[k].stages):
-        walk.append((maps, parent, probs))
+        walk.append((maps, parent, nodes, probs))
         columns = _map_columns(instance, k, t)
         for m, tables in enumerate(stage.tables, start=1):
             domain = instance.info.prescription_domain(t, k, m)
@@ -644,20 +646,25 @@ def _emit_strategy(instance: Instance, k: int, chain: dict):
         wins = stage.win[nodes]
         parent, branch = np.nonzero(stage.kid[wins] >= 0)
         nodes, groups = stage.kid[wins[parent], branch], stage.groups[wins[parent], branch]
-        maps = np.hstack([maps[parent], stage.batches[0].z[groups[:, 0]]])
-        probs = [batch.probs[g] for batch, g in zip(stage.batches, groups.T)]
+        maps = np.hstack([maps[parent], stage.batch.z[groups]])
+        probs = stage.batch.probs[groups]
     return PrescriptionStrategy(owner=k, laws=laws, defaults=defaults), walk
 
 
-def _belief_tree(instance: Instance, k: int, walk: list) -> list:
-    """Per path of agent k's emission `walk`, depth first: its stage, its accessible
-    realization by variable label and the beliefs of agents k..K its steps made."""
+def _belief_tree(instance: Instance, k: int, chain: dict, walk: list) -> list:
+    """Per path of agent k's emission `walk`, depth first: its stage, its
+    accessible realization by variable label and the beliefs of agents k..K,
+    agent k's as its steps made it and each higher agent's its tail node's."""
     rows, places = [], []
-    for t, (maps, parent, probs) in enumerate(walk):
+    for t, (maps, parent, nodes, probs) in enumerate(walk):
         here = np.arange(len(maps))[:, None]  # per path, its ancestors' places and its own
         place = here if t == 0 else np.hstack([place[parent], here])
         places.append(np.pad(place, ((0, 0), (0, len(walk) - 1 - t)), constant_values=-1))
-        beliefs = zip(*[stack.tolist() for stack in probs])
+        stacks = [probs]
+        for i in range(k + 1, instance.agent_count + 1):
+            nodes = chain[i - 1].stages[t].tail[nodes]
+            stacks.append(chain[i].stages[t].probs[nodes])
+        beliefs = zip(*[stack.tolist() for stack in stacks])
         schema, columns = instance.info.accessible(t, k), _map_columns(instance, k, t)
         rows.extend([
             {
@@ -671,17 +678,24 @@ def _belief_tree(instance: Instance, k: int, walk: list) -> list:
     return [rows[i] for i in order.tolist()]
 
 
+def _node_keys(chain: dict, j: int, t: int) -> list:
+    """Per node of agent j's stage t, its belief tuple key: the `probs_keys`
+    of its own belief, then its tail node's key (agent K's tail -1 reads ())."""
+    stage, tails = chain[j].stages[t], _node_keys(chain, j + 1, t) if j + 1 in chain else [()]
+    return [(key,) + tails[u] for key, u in zip(probs_keys(stage.probs), stage.tail.tolist())]
+
+
 def _belief_policy(chain: dict, k: int) -> list:
     """Per node of agent k's pass, by stage and key: its key and its tables for targets 1..k."""
     return [
         {
             "t": t,
-            "belief_key": [list(part) for part in stage.keys[n]],
+            "belief_key": [list(part) for part in keys[n]],
             "tables": {m: rows[n] for m, rows in enumerate(heads, start=1)},
         }
         for t, stage in enumerate(chain[k].stages)
-        for heads in [[tables.tolist() for tables in stage.tables[:k]]]
-        for n in sorted(range(len(stage.keys)), key=stage.keys.__getitem__)
+        for keys, heads in [(_node_keys(chain, k, t), [tables.tolist() for tables in stage.tables[:k]])]
+        for n in sorted(range(len(keys)), key=keys.__getitem__)
     ]
 
 
@@ -707,7 +721,7 @@ def _dp_result(instance: Instance, k: int, chain: dict) -> SolveResult:
             "chain_examined": {j: chain[j].examined for j in passes},
             "chain_values": {j: chain[j].value for j in passes},
         },
-        tree=functools.partial(_belief_tree, instance, k, walk),
+        tree=functools.partial(_belief_tree, instance, k, chain, walk),
         policy=functools.partial(_belief_policy, chain, k),
     )
 
@@ -762,12 +776,9 @@ def _static_result(instance: Instance, res: SolveResult, caps: Caps) -> SolveRes
         )
         for m, csize in enumerate(instance.system.control_sizes, start=1)
     ]
-    beliefs = initial_information_state(instance, k)
-    masses = accessible_support(instance, k)
-    least = CandidateScorer(instance, k, 0, tables)(
-        np.array([beliefs[a_real].probs for a_real in masses])
-    ).min(axis=1)
-    relaxed_value = math.fsum(mass * m for mass, m in zip(masses.values(), least.tolist()))
+    masses, _, probs, _ = _roots(instance, k, None)
+    least = CandidateScorer(instance, k, 0, tables)(probs).min(axis=1)
+    relaxed_value = math.fsum(mass * m for mass, m in zip(masses, least.tolist()))
     extras = dict(res.extras)
     extras["relaxed_value"] = relaxed_value
     extras["relaxed_gap"] = abs(relaxed_value - res.optimal_cost)

@@ -571,10 +571,6 @@ def feasible_schema_realizations(instance: Instance, schema: InfoSchema):
     return result
 
 
-def feasible_memory_realizations(instance: Instance, t: int, k: int):
-    return feasible_schema_realizations(instance, instance.info.memory(t, k))
-
-
 # -- instance JSON ------------------------------------------------------------
 
 

@@ -356,6 +356,27 @@ def relay_dict() -> dict:
     }
 
 
+def relay_ring_dict() -> dict:
+    """The system of `relay_dict` at T=2, every stage with its stage-0
+    transition, observations and cost, on the ring 1->3 (delay 2), 3->2
+    (delay 1) and 2->1 (delay 2).
+
+    Agents 3 and 2 solve. Y1@0 re-enters agent 1's equivalent state at t=2,
+    which agent 1's stage-1 filter cannot read off its stage-1 state, so
+    agent 1's pass fails at stage 1 with `SchemaMismatch`. Brute force gives
+    3.248. The same links at T=1 solve.
+    """
+    doc = relay_dict()
+    system = doc["system"]
+    system["horizon"] = 2
+    system["transition"] = system["transition"][:1] * 2
+    system["observation"] = [laws[:1] * 3 for laws in system["observation"]]
+    system["cost"] = system["cost"][:1] * 3
+    links = [(1, 3, 2), (3, 2, 1), (2, 1, 2)]
+    doc["network"]["links"] = [{"from": f, "to": t, "delay": d} for f, t, d in links]
+    return doc
+
+
 def random_topology_instance(seed: int) -> Instance:
     """A random word-of-mouth network within the brute-force cap.
 

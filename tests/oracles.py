@@ -510,12 +510,7 @@ def dp_reference(instance, k):
     """
     import dataclasses
 
-    from womctl.belief import (
-        accessible_support,
-        belief_tuple_key,
-        expected_stage_cost,
-        initial_state_at,
-    )
+    from womctl.belief import expected_stage_cost
     from womctl.prescription import (
         CompletePrescription,
         PrescriptionStrategy,
@@ -524,7 +519,7 @@ def dp_reference(instance, k):
         joint_control_strategy,
         make_prescription,
     )
-    from womctl.sysmodel import enumerate_realizations, realization_count, restrict_realization
+    from womctl.sysmodel import enumerate_realizations, realization_count
 
     K, T = instance.agent_count, instance.horizon
     info = instance.info
@@ -533,22 +528,11 @@ def dp_reference(instance, k):
     def theta_at(j, t, pis, heads):
         tails = [
             dataclasses.replace(
-                decisions[m][(t, belief_tuple_key(pis[m - j:]))][m - 1], owner=j
+                decisions[m][(t, _tuple_key(pis[m - j:]))][m - 1], owner=j
             )
             for m in range(j + 1, K + 1)
         ]
         return CompletePrescription(owner=j, time=t, parts=heads + tuple(tails))
-
-    def roots(j):
-        acc0 = info.accessible(0, j)
-        for a_real, pa in accessible_support(instance, j).items():
-            pis = tuple(
-                initial_state_at(
-                    instance, i, restrict_realization(acc0, a_real, info.accessible(0, i))
-                )
-                for i in range(j, K + 1)
-            )
-            yield pa, dict(zip(acc0, a_real)), pis
 
     def children(j, t, amap, pis, theta):
         tail_steps = {
@@ -573,7 +557,7 @@ def dp_reference(instance, k):
 
         def visit(t, amap, pis):
             nonlocal count
-            key = (t, belief_tuple_key(pis))
+            key = (t, _tuple_key(pis))
             if key in memo:
                 return memo[key]
             best_val, best_heads = math.inf, None
@@ -591,7 +575,7 @@ def dp_reference(instance, k):
             return best_val
 
         total = 0.0
-        for pa, amap, pis in roots(j):
+        for pa, amap, pis in _reference_roots(instance, j):
             total += pa * visit(0, amap, pis)
         decisions[j], values[j], examined[j] = chosen, total, count
 
@@ -608,7 +592,7 @@ def dp_reference(instance, k):
     tree = []
 
     def replay(t, amap, pis):
-        theta = theta_at(k, t, pis, decisions[k][(t, belief_tuple_key(pis))])
+        theta = theta_at(k, t, pis, decisions[k][(t, _tuple_key(pis))])
         for m, part in enumerate(theta.parts, start=1):
             laws[(t, m)][tuple(amap[v] for v in info.conditioning_schema(t, k, m))] = part
         tree.append(
@@ -622,7 +606,7 @@ def dp_reference(instance, k):
             for _, child, pis_child in children(k, t, amap, pis, theta):
                 replay(t + 1, child, pis_child)
 
-    for _, amap, pis in roots(k):
+    for _, amap, pis in _reference_roots(instance, k):
         replay(0, amap, pis)
     return {
         "dp_value": values[k],
@@ -691,13 +675,58 @@ def relaxed_reference(instance, k):
 
 class _ReferenceStage:
     """A stage of the reference pass: node keys in first-visit order, `index`
-    from key to node, per node its tables for targets 1..K (`decided`, one
-    row each, stacked per target into `tables` once the pass ends) and its
-    winner's branches as (z, mass, child key, child beliefs of agents j..K)."""
+    from key to node, per node agent j's belief (`probs`), its node in agent
+    j + 1's stage found by key (`tail`, -1 for agent K), its tables for
+    targets 1..K (`decided`, one row each, stacked per target into `tables`
+    once the pass ends) and its winner's branches as (z, mass, child key,
+    child beliefs of agents j..K)."""
 
     def __init__(self):
-        self.keys, self.decided, self.tables, self.branches = [], [], [], []
+        self.keys, self.probs, self.tail, self.decided, self.tables, self.branches = (
+            [], [], [], [], [], []
+        )
         self.index = {}
+
+
+def _tuple_key(pis):
+    """The key of a tuple of beliefs: each element rounded as
+    `rint(p * 1e12) / 1e12`, ties to even."""
+    import numpy as np
+
+    return tuple(tuple((np.rint(pi.probs * 1e12) / 1e12).tolist()) for pi in pis)
+
+
+def _reference_roots(instance, j):
+    """Agent j's t=0 roots: (mass, accessible map, beliefs of agents j..K)."""
+    from womctl.belief import accessible_support, initial_state_at
+    from womctl.sysmodel import restrict_realization
+
+    acc0 = instance.info.accessible(0, j)
+    for a_real, pa in accessible_support(instance, j).items():
+        pis = tuple(
+            initial_state_at(
+                instance, i, restrict_realization(acc0, a_real, instance.info.accessible(0, i))
+            )
+            for i in range(j, instance.agent_count + 1)
+        )
+        yield pa, dict(zip(acc0, a_real)), pis
+
+
+def _inherited_nodes(instance, chain, j, t, key):
+    """Per agent m above j, its node at stage t in its reference pass: the
+    one whose key is the tail of the belief tuple `key` from agent m on."""
+    from womctl.errors import WomError
+
+    nodes = []
+    for m in range(j + 1, instance.agent_count + 1):
+        n = chain[m].stages[t].index.get(key[m - j:])
+        if n is None:
+            raise WomError(
+                f"missing inherited decision for agent {m} at t={t}; "
+                "the belief tuple was never reached in that agent's pass"
+            )
+        nodes.append(n)
+    return nodes
 
 
 def _advance_branch(instance, j, t, amap, z, pi_next, tail_steps):
@@ -723,25 +752,30 @@ def solve_agent_reference(instance, j, chain, caps):
 
     This is the search `solver._solve_agent` ran before it went stage by
     stage, with its scorer and kernel calls made on one-row stacks, and it
-    returns the same `_Pass` record. Its stages are `_ReferenceStage`s, which
-    `solver._tail_tables` reads as it reads the pass's own, and its roots are
-    (mass, node, accessible map, beliefs). A failure other than a cap names
-    the agent and the stage of the visit it left open.
+    returns the same `_Pass` record. Every candidate steps the beliefs of
+    every agent j..K, and a node's inherited tables are found by looking its
+    belief tuple's 12-decimal keys up in the higher agents' reference
+    stages, so the chain must be one of reference passes. Its stages are
+    `_ReferenceStage`s, its roots (mass, node, accessible map, agent j's
+    belief), and a branch's tail beliefs are those of the tail passes' nodes
+    its key finds. Steps, shared steps and kernel entries count agent j's
+    own kernel only. A failure other than a cap names the agent and the
+    stage of the visit it left open.
     """
     import time
 
     import numpy as np
 
-    from womctl.belief import CandidateScorer, StepKernel, belief_tuple_key
+    from womctl.belief import CandidateScorer, StepKernel
     from womctl.errors import CapExceeded, WomError
-    from womctl.solver import _Pass, _head_spaces, _roots, _tail_tables
+    from womctl.solver import _Pass, _head_spaces
 
     started = time.perf_counter()
     T, K = instance.horizon, instance.agent_count
     spaces = _head_spaces(instance, j, caps)
     scorers: dict = {}  # per stage, built on the first visit
     kernels: dict = {}  # per (stage, agent), built on the first step
-    read: dict = {}  # per (stage, agent), the (support index, joint control) codes stepped
+    read: set = set()  # the (stage, support index and joint control code) pairs agent j stepped
     memo: dict = {}
     stages = [_ReferenceStage() for _ in range(T + 1)]
     examined = nodes = computed = shared = 0
@@ -754,36 +788,43 @@ def solve_agent_reference(instance, j, chain, caps):
 
     def step(t, pi, controls, done):
         nonlocal computed, shared
+        own = pi.agent == j
         if controls in done:
-            shared += 1
+            shared += own
             return done[controls]
         if (t, pi.agent) not in kernels:
             kernels[(t, pi.agent)] = StepKernel(instance, pi.agent, t)
-        computed += 1
+        computed += own
         kernel = kernels[(t, pi.agent)]
         row = np.full((1, len(pi.probs)), -1, dtype=np.int64)
         support = np.flatnonzero(pi.probs > 0.0)
         row[0, support] = controls
-        codes = support * instance.system.joint_control_count + np.array(controls)
-        read.setdefault((t, pi.agent), set()).update(codes.tolist())
+        if own:
+            codes = support * instance.system.joint_control_count + np.array(controls)
+            read.update((t, code) for code in codes.tolist())
         done[controls] = kernel.branches(kernel.step(pi.probs[None], row), 0)
         return done[controls]
 
     def visit(t, amap, pis):
         nonlocal examined, nodes
-        key = (t, belief_tuple_key(pis))
+        key = (t, _tuple_key(pis))
         if key in memo:
             return memo[key]
         stage = stages[t]
         n = stage.index[key[1]] = len(stage.keys)
         stage.keys.append(key[1])
+        stage.probs.append(pis[0].probs)
         stage.decided.append(None)
         stage.branches.append(None)
         nodes += 1
         open_stages.append(t)
         if nodes > caps.branches:
             raise CapExceeded(nodes, caps.branches, "reachable belief branches", exact=False)
-        tail_tables = _tail_tables(instance, chain, j, t, [key[1]])
+        above = _inherited_nodes(instance, chain, j, t, key[1])
+        stage.tail.append(above[0] if above else -1)
+        tail_tables = [
+            chain[m].stages[t].tables[m - 1][[u]] for m, u in enumerate(above, start=j + 1)
+        ]
         tails = [tables[0] for tables in tail_tables]
         score = scorer(t)
         stage_cost = score(pis[0].probs[None], tail_tables)[0]
@@ -813,9 +854,14 @@ def solve_agent_reference(instance, j, chain, caps):
                         instance, j, t, amap, z, pi_next, tail_steps
                     )
                     val += pz * visit(t + 1, amap_child, pis_child)
-                    branches.append(
-                        (z, pz, belief_tuple_key(pis_child), [pi.probs for pi in pis_child])
-                    )
+                    child_key = _tuple_key(pis_child)
+                    beliefs = [pi_next.probs] + [
+                        chain[m].stages[t + 1].probs[u]
+                        for m, u in enumerate(
+                            _inherited_nodes(instance, chain, j, t + 1, child_key), start=j + 1
+                        )
+                    ]
+                    branches.append((z, pz, child_key, beliefs))
                 if val < best_val:
                     best_val, best_decision = val, (c, branches)
         memo[key] = best_val
@@ -827,10 +873,10 @@ def solve_agent_reference(instance, j, chain, caps):
 
     total, roots = 0.0, []
     try:
-        for pa, amap, pis in _roots(instance, j):
+        for pa, amap, pis in _reference_roots(instance, j):
             total += pa * visit(0, amap, pis)
-            n = stages[0].index[belief_tuple_key(pis)]
-            roots.append((pa, n, amap, [pi.probs for pi in pis]))
+            n = stages[0].index[_tuple_key(pis)]
+            roots.append((pa, n, amap, pis[0].probs))
     except CapExceeded:
         raise
     except WomError as exc:
@@ -838,9 +884,9 @@ def solve_agent_reference(instance, j, chain, caps):
         raise
     for stage in stages:
         stage.tables = [np.array(rows) for rows in zip(*stage.decided)]
+        stage.tail = np.array(stage.tail)
     return _Pass(
-        stages, roots, total, examined, computed, shared,
-        sum(len(codes) for codes in read.values()),
+        stages, roots, total, examined, computed, shared, len(read),
         tuple(len(stage.keys) for stage in stages),
         time.perf_counter() - started,
     )

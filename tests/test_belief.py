@@ -18,7 +18,7 @@ from womctl.belief import (
     hat_observation,
     initial_information_state,
     make_information_state,
-    probs_key,
+    probs_codes,
     probs_keys,
     update_information_state,
     _support_sizes,
@@ -543,7 +543,7 @@ def test_markov_property_of_belief_transitions(d2):
         assert set(law) == set(direct)
         for z in law:
             assert abs(law[z] - direct[z]) <= 1e-9
-        groups.setdefault((pi.key(), theta_key), []).append(law)
+        groups.setdefault((tuple(probs_keys(pi.probs[None])[0]), theta_key), []).append(law)
     for laws in groups.values():
         first = laws[0]
         for law in laws[1:]:
@@ -659,7 +659,10 @@ def _assert_keys_match(rows):
     want = [[float(np.rint(p * 1e12) / 1e12) for p in row] for row in stack.tolist()]
     assert [[p.hex() for p in key] for key in got] == [[p.hex() for p in key] for key in want]
     assert probs_keys(stack[::-1])[::-1] == got
-    assert [probs_key(row) for row in stack.tolist()] == got
+    assert [probs_keys(stack[[r]])[0] for r in range(len(stack))] == got
+    codes = probs_codes(stack)
+    assert codes.dtype == np.int64
+    assert (codes / 1e12).tolist() == [list(key) for key in got]  # -0.0 == 0.0
 
 
 def test_stacked_keys_match_probs_key_on_random_rows():
@@ -700,7 +703,8 @@ def _step_batch_cases():
     from test_stage_pass import _bench_workloads
 
     workloads = _bench_workloads()
-    cases = {f"fuzz-{s}": lambda s=s: (fuzz_instance(s), None) for s in range(10)}
+    cases = {"d2": lambda: (instance_from_dict(d2_dict()), None)}
+    cases.update({f"fuzz-{s}": lambda s=s: (fuzz_instance(s), None) for s in range(10)})
     for name in ("oracle_brute", "fuzz_compare", "pomdp_horizon"):
         for op in workloads.GENERATORS[name](7):
             cases[f"{name}-{op.label}"] = lambda op=op: (instance_from_dict(op.doc), op.known_defect)
@@ -711,24 +715,31 @@ _STEP_BATCH_CASES = _step_batch_cases()
 
 
 @pytest.mark.parametrize("name", list(_STEP_BATCH_CASES))
-def test_step_batch_keys_are_probs_keys_of_their_rows(name, monkeypatch):
+def test_agent_passes_step_only_their_own_belief(name, monkeypatch):
+    """Every `StepKernel.step` call during agent j's pass uses agent j's own
+    kernel: a pass moves the higher agents through their own passes' nodes."""
     from womctl.belief import StepKernel
 
     instance, known_defect = _STEP_BATCH_CASES[name]()
-    real_step = StepKernel.step
-    checked = [0]
+    real_step, real_pass = StepKernel.step, solver_mod._solve_agent
+    running, kernels = [], []
 
     def step(self, probs, controls):
-        batch = real_step(self, probs, controls)
-        assert batch.keys == [probs_key(row) for row in batch.probs.tolist()]
-        checked[0] += len(batch.keys)
-        return batch
+        kernels.append((running[-1], self.k))
+        return real_step(self, probs, controls)
+
+    def solve_agent(instance, j, chain, caps):
+        running.append(j)
+        return real_pass(instance, j, chain, caps)
 
     monkeypatch.setattr(StepKernel, "step", step)
+    monkeypatch.setattr(solver_mod, "_solve_agent", solve_agent)
     try:
         solver_mod._solve_chain(instance, 1, solver_mod.resolve_caps())
     except SchemaMismatch:
         assert known_defect == "SchemaMismatch"
     else:
         assert known_defect is None
-    assert checked[0] > 0 or instance.horizon == 0
+    assert all(j == k for j, k in kernels)
+    if instance.horizon > 0 and known_defect is None:
+        assert {j for j, _ in kernels} == set(range(1, instance.agent_count + 1))

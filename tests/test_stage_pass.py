@@ -1,12 +1,15 @@
 """The stage-by-stage agent pass against the depth-first recursion it replaced.
 
-`oracles.solve_agent_reference` visits one node at a time; `_solve_agent`
-expands each stage's nodes together. Both must return `_Pass` records equal
-in every field but seconds: values, per stage the node keys in first-visit
-order, each node's decided tables and its winner's branches (new
-information, probability, child and every agent's posterior down to its
-array), the roots, candidates examined, steps computed and shared, kernel
-entries and nodes per stage. A pass that fails must fail alike in both.
+`oracles.solve_agent_reference` visits one node at a time, steps every
+agent j..K and inherits by 12-decimal keys; `_solve_agent` expands each
+stage's nodes together, steps agent j alone and inherits by tail node.
+Both must return `_Pass` records equal in every field but seconds: values,
+per stage the node keys in first-visit order, each node's belief, tail node
+and decided tables and its winner's branches (new information,
+probability, child and every agent's belief down to its array, the higher
+agents' as their tail nodes hold them), the roots, candidates examined,
+agent j's steps computed and shared, kernel entries and nodes per stage. A
+pass that fails must fail alike in both.
 """
 
 import importlib.util
@@ -17,13 +20,21 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import fuzz_instance, pomdp_dict, random_topology_instance, relay_dict
+from helpers import (
+    fuzz_instance,
+    pomdp_dict,
+    random_topology_instance,
+    relay_dict,
+    relay_ring_dict,
+)
 from oracles import solve_agent_reference
+import womctl.belief as belief_mod
 import womctl.solver as solver_mod
-from womctl.belief import StepKernel, accessible_support
+from womctl.belief import StepKernel
 from womctl.instances import load_d2, load_d2ext, load_static3, load_wom3
 from womctl.prescription import count_strategies
-from womctl.solver import compare_agents, solve_prescription_dp
+from womctl.serialize import prescription_strategy_to_dict
+from womctl.solver import compare_agents, solve_brute_force, solve_prescription_dp
 from womctl.sysmodel import instance_from_dict
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -71,17 +82,26 @@ def _run(instance, solve):
     return chain, None
 
 
-def _our_branches(stages, t, n):
+def _tail_beliefs(chain, j, t, nodes):
+    """The beliefs of agents j+1..K at the tail nodes of agent j's stage-t `nodes`."""
+    beliefs = []
+    for m in range(j + 1, max(chain) + 1):
+        nodes = chain[m - 1].stages[t].tail[nodes]
+        beliefs.append(chain[m].stages[t].probs[nodes])
+    return beliefs
+
+
+def _our_branches(chain, j, t, n):
     """Node n's winning branches in the pass's own stages, as the reference
     records them: (z, mass, child key, child beliefs of agents j..K)."""
-    stage = stages[t]
+    stage = chain[j].stages[t]
     if stage.win is None:
         return []
-    u, owner = stage.win[n], stage.batches[0]
+    u, owner, keys = stage.win[n], stage.batch, solver_mod._node_keys(chain, j, t + 1)
     return [
-        (tuple(owner.z[groups[0]].tolist()), owner.mass[groups[0]], stages[t + 1].keys[c],
-         [batch.probs[g] for batch, g in zip(stage.batches, groups)])
-        for c, groups in zip(stage.kid[u].tolist(), stage.groups[u].tolist())
+        (tuple(owner.z[g].tolist()), owner.mass[g], keys[c],
+         [owner.probs[g]] + _tail_beliefs(chain, j, t + 1, c))
+        for c, g in zip(stage.kid[u].tolist(), stage.groups[u].tolist())
         if c >= 0
     ]
 
@@ -103,13 +123,14 @@ def _assert_chains_equal(ours, theirs):
         assert len(our_pass.stages) == len(stages)
         for t, stage in enumerate(stages):
             mine = our_pass.stages[t]
-            assert mine.keys == stage.keys  # first-visit order
-            assert mine.index == stage.index
+            assert solver_mod._node_keys(ours, j, t) == stage.keys  # first-visit order
+            _assert_beliefs_equal(list(mine.probs), stage.probs)
+            assert np.array_equal(mine.tail, stage.tail)
             assert len(mine.tables) == len(stage.tables)  # targets 1..K
             for our_tables, tables in zip(mine.tables, stage.tables):
                 assert np.array_equal(our_tables, tables)
             for n, branches in enumerate(stage.branches):
-                our_branches = _our_branches(our_pass.stages, t, n)
+                our_branches = _our_branches(ours, j, t, n)
                 assert len(our_branches) == len(branches)  # new-information order
                 for (z, mass, key, beliefs), (our_z, our_mass, our_key, our_beliefs) in zip(
                     branches, our_branches
@@ -117,11 +138,11 @@ def _assert_chains_equal(ours, theirs):
                     assert (our_z, our_mass, our_key) == (z, mass, key)
                     _assert_beliefs_equal(our_beliefs, beliefs)
         assert len(our_pass.roots) == len(their_pass.roots)
-        for (mass, n, amap, beliefs), (our_mass, our_n, our_amap, our_beliefs) in zip(
+        for (mass, n, amap, belief), (our_mass, our_n, our_amap, our_belief) in zip(
             their_pass.roots, our_pass.roots
         ):
             assert (our_mass, our_n, our_amap) == (mass, n, amap)
-            _assert_beliefs_equal(our_beliefs, beliefs)
+            _assert_beliefs_equal([our_belief], [belief])
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -135,8 +156,12 @@ def test_stage_pass_matches_the_depth_first_reference(name):
 
 @pytest.mark.parametrize(
     "load, error",
-    [(load_wom3, "CapExceeded"), (lambda: instance_from_dict(relay_dict()), "SchemaMismatch")],
-    ids=["wom3", "relay"],
+    [
+        (load_wom3, "CapExceeded"),
+        (lambda: instance_from_dict(relay_dict()), "SchemaMismatch"),
+        (lambda: instance_from_dict(relay_ring_dict()), "SchemaMismatch"),
+    ],
+    ids=["wom3", "relay", "relay-ring"],
 )
 def test_failing_passes_fail_alike(load, error):
     instance = load()
@@ -156,36 +181,113 @@ def test_random_topologies_match_the_reference(seed):
     _assert_chains_equal(ours, theirs)
 
 
+def _bench_op(workload, label):
+    """The instance of one operation of a bench workload at seed 7."""
+    ops = _bench_workloads().GENERATORS[workload](7)
+    return instance_from_dict(next(op.doc for op in ops if op.label == label))
+
+
+def _linked3():
+    return _bench_op("fuzz_compare", "linked3-two-0")
+
+
+def _observer():
+    return _bench_op("fuzz_compare", "observer-T2-0")
+
+
 def test_emission_reads_the_pass_record_by_node_index(monkeypatch):
-    """No search or emission expands a step into `InformationState`s, and
-    only the t=0 roots are keyed, once per accessible realization per pass."""
+    """No search or emission expands a step into `InformationState`s, and no
+    solve or compare makes a belief key: only the first read of
+    `belief_policy` keys the nodes, once per stage of each agent k..K."""
     branches, keyed = [], []
-    real_branches, real_key = StepKernel.branches, solver_mod.belief_tuple_key
+    real_branches, real_keys = StepKernel.branches, belief_mod.probs_keys
 
     def counted_branches(kernel, batch, r):
         branches.append((kernel.k, kernel.t))
         return real_branches(kernel, batch, r)
 
-    def counted_key(pis):
-        keyed.append({pi.time for pi in pis})
-        return real_key(pis)
+    def counted_keys(probs):
+        keyed.append(len(probs))
+        return real_keys(probs)
 
     monkeypatch.setattr(StepKernel, "branches", counted_branches)
-    monkeypatch.setattr(solver_mod, "belief_tuple_key", counted_key)
-    linked3 = next(
-        op.doc for op in _bench_workloads().GENERATORS["fuzz_compare"](7)
-        if op.label.startswith("linked3-two")
-    )
-    for instance in (load_d2(), instance_from_dict(linked3), instance_from_dict(pomdp_dict(4))):
-        K = instance.agent_count
-        roots = {j: len(accessible_support(instance, j)) for j in range(1, K + 1)}
-        solves = [(k, lambda k=k: solve_prescription_dp(instance, k)) for k in range(1, K + 1)]
-        for lowest, solve in solves + [(1, lambda: compare_agents(instance))]:
-            branches.clear()
+    monkeypatch.setattr(belief_mod, "probs_keys", counted_keys)
+    monkeypatch.setattr(solver_mod, "probs_keys", counted_keys)
+    for instance in (load_d2(), _linked3(), instance_from_dict(pomdp_dict(4))):
+        K, T = instance.agent_count, instance.horizon
+        compare_agents(instance)
+        assert branches == keyed == []
+        for k in range(1, K + 1):
+            res = solve_prescription_dp(instance, k)
+            res.belief_tree
+            assert branches == keyed == []
+            policy = res.belief_policy
+            assert len(keyed) == (T + 1) * (K - k + 1)
+            assert sum(keyed) >= len(policy)
             keyed.clear()
-            solve()
-            assert branches == []
-            assert keyed == [{0}] * sum(roots[j] for j in range(lowest, K + 1))
+            assert res.belief_policy is policy and keyed == []
+
+
+def test_relay_ring_fails_in_agent_1s_stage_1():
+    """The relay defect past t=0: agents 3 and 2 solve, agent 1's stage-1
+    step cannot source Y1@0, and brute force alone solves."""
+    instance = instance_from_dict(relay_ring_dict())
+    chain, failure = _run(instance, solver_mod._solve_agent)
+    assert list(chain) == [3, 2]
+    assert failure == (
+        "SchemaMismatch",
+        "agent 1, stage 1: variable VariableId(time=0, agent=1, kind='Y') "
+        "not derivable from the state",
+    )
+    assert abs(solve_brute_force(instance).optimal_cost - 3.248) <= 1e-9
+    doc = relay_ring_dict()
+    system = doc["system"]
+    system["horizon"] = 1
+    system["transition"] = system["transition"][:1]
+    system["observation"] = [laws[:2] for laws in system["observation"]]
+    system["cost"] = system["cost"][:2]
+    rows = compare_agents(instance_from_dict(doc)).rows
+    assert [row["status"] for row in rows] == ["ok"] * 5
+
+
+@pytest.mark.parametrize("load", [_observer, _linked3], ids=["observer", "linked3"])
+def test_inheritance_ignores_later_steps_of_a_higher_agent(load, monkeypatch):
+    """Every step of agent m's kernel made after agent m's own pass returns
+    posteriors moved by 5e-13, which moves some 12-decimal key; the chain's
+    values, tables and emitted strategies stay as they were."""
+    caps = solver_mod.resolve_caps()
+    plain_instance = load()
+    plain = solver_mod._solve_chain(plain_instance, 1, caps)
+    done, moved = set(), []
+    real_step, real_pass = StepKernel.step, solver_mod._solve_agent
+
+    def step(kernel, probs, controls):
+        batch = real_step(kernel, probs, controls)
+        shifted = batch.probs + 5e-13
+        moved.append(belief_mod.probs_keys(shifted) != belief_mod.probs_keys(batch.probs))
+        return batch._replace(probs=shifted) if kernel.k in done else batch
+
+    def solve_agent(instance, j, chain, caps):
+        record = real_pass(instance, j, chain, caps)
+        done.add(j)
+        return record
+
+    monkeypatch.setattr(StepKernel, "step", step)
+    monkeypatch.setattr(solver_mod, "_solve_agent", solve_agent)
+    instance = load()
+    chain = solver_mod._solve_chain(instance, 1, caps)
+    assert any(moved)
+    assert list(chain) == list(plain)
+    for j in plain:
+        assert chain[j].value == plain[j].value
+        for stage, plain_stage in zip(chain[j].stages, plain[j].stages):
+            for tables, plain_tables in zip(stage.tables, plain_stage.tables):
+                assert np.array_equal(tables, plain_tables)
+        emitted = solver_mod._emit_strategy(instance, j, chain)[0]
+        plain_emitted = solver_mod._emit_strategy(plain_instance, j, plain)[0]
+        assert prescription_strategy_to_dict(instance, emitted) == prescription_strategy_to_dict(
+            plain_instance, plain_emitted
+        )
 
 
 def test_random_topologies_are_strongly_connected_and_within_the_brute_cap():

@@ -35,7 +35,6 @@ from womctl.sysmodel import (
     SWEEP_CAP,
     enumerate_realizations,
     exact_strategy_cost,
-    feasible_memory_realizations,
     feasible_schema_realizations,
     instance_digest,
     instance_from_dict,
@@ -162,9 +161,9 @@ def test_exact_cost_and_feasibility_beyond_primitive_enumeration():
     for a, b in zip(got.per_stage_costs, want.per_stage_costs):
         assert math.isclose(a, b, abs_tol=1e-12)
     for t in range(5):
-        assert feasible_memory_realizations(split, t, 1) == feasible_memory_realizations(
-            base, t, 1
-        )
+        assert feasible_schema_realizations(
+            split, split.info.memory(t, 1)
+        ) == feasible_schema_realizations(base, base.info.memory(t, 1))
 
 
 def test_reachable_pairs_cap_fails_fast(monkeypatch):
@@ -176,7 +175,7 @@ def test_reachable_pairs_cap_fails_fast(monkeypatch):
     assert err.value.cap == 8 < err.value.required
     assert "reachable (state, history) pairs" in str(err.value)
     with pytest.raises(CapExceeded):
-        feasible_memory_realizations(inst, 4, 1)
+        feasible_schema_realizations(inst, inst.info.memory(4, 1))
 
 
 def test_feasibility_sweep_stops_once_the_schema_is_complete(monkeypatch):
