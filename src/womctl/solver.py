@@ -15,6 +15,7 @@ import functools
 import itertools
 import logging
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from .belief import (
     step_kernel,
 )
 from .errors import CapExceeded, ShapeMismatch, WomError
-from .infostruct import KIND_CONTROL, KIND_OBSERVATION, VariableId
+from .infostruct import KIND_CONTROL, VariableId
 from .prescription import (
     Prescription,
     PrescriptionStrategy,
@@ -121,6 +122,57 @@ class SolveResult:
 # -- brute force ---------------------------------------------------------------
 
 
+class _DigitGrid:
+    """Costs over a mixed-radix digit grid, one axis per digit in encoding order.
+
+    The tensor starts with size 1 on every axis, or whole when every axis is
+    inner (from `outer` on). Sums do not depend on a digit nothing has read,
+    so `grow` repeats the tensor along an axis on its first read, inside one
+    buffer of `points` points. One more axis, of size 1, keeps every index a view.
+    """
+
+    def __init__(self, shape: tuple, outer: int, points: int):
+        self.shape, self.outer = shape, outer
+        self.store = np.empty(points)
+        self.sizes = [1] * len(shape)
+        self.growths = 0
+
+    def start(self):  # zero costs on the starting shape
+        self.sizes[:] = self.shape if self.outer == 0 else [1] * len(self.shape)
+        self.costs = self.store[:math.prod(self.sizes)].reshape(*self.sizes, 1)
+        self.costs[...] = 0.0
+
+    def grow(self, axis: int):
+        # the P blocks of Q points, one per index before the axis, each become
+        # r copies, which `take` writes: from a copy at the buffer's end when
+        # both fit, else in place, the blocks moving from the last down, each
+        # batch to where no block still to move lies
+        store, size, r = self.store, self.costs.size, self.shape[axis]
+        P = math.prod(self.sizes[:axis])
+        Q, zeros = size // P, np.zeros(r, np.intp)  # `take` repeats each block
+        if P > 1 and size * (r + 1) <= store.size:
+            old = store[store.size - size:]
+            old[...] = store[:size]
+            old.reshape(P, 1, Q).take(zeros, 1, store[:r * size].reshape(P, r, Q), "clip")
+        else:
+            hi = P
+            while hi > 1:
+                lo = -(-hi // r)
+                batch = store[lo * Q:hi * Q].reshape(hi - lo, 1, Q)
+                batch.take(zeros, 1, store[lo * r * Q:hi * r * Q].reshape(hi - lo, r, Q), "clip")
+                hi = lo
+            store[Q:r * Q].reshape(r - 1, Q)[...] = store[:Q]  # block 0 stays put
+        self.sizes[axis] = r
+        self.costs = store[:r * size].reshape(*self.sizes, 1)
+        self.growths += 1
+
+    def argmin(self, best: float):
+        """The least cost, if below `best`, and its first point per axis."""
+        arg = int(self.costs.argmin())
+        least = float(self.costs.flat[arg])
+        return (least, np.unravel_index(arg, self.sizes)) if least < best else None
+
+
 def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult:
     """Enumerate every control strategy over feasible memory realizations.
 
@@ -129,28 +181,14 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     smallest encoding. Memory realizations never reachable under any strategy
     keep a fixed default action.
 
-    Encodings are scored a chunk at a time. A chunk fixes the leading digits;
-    its trailing digits, whose radix product is at most `_CHUNK`, span a cost
-    tensor with one axis per digit of radix above 1. Its last axes, of at
-    most `_INNER` points together, form a contiguous inner block. Each
-    primitive sequence is walked as a decision tree over stages and agents:
-    the memory realization on a path names a digit that the chunk either
-    fixes or that branches along its axis. While a path has read only outer
-    digits, each stage adds its weighted cost to the view of the tensor the
-    path selects, which spans whole inner blocks. Digits are read in order,
-    so below the first inner read every read is inner: there each stage's
-    leaves assign their costs into a buffer shaped like the inner block,
-    which they cover exactly, and on leaving that subtree the buffers are
-    added to the path's view in stage order. Every strategy thus gets one
-    add per primitive and stage, primitive by primitive, stage by stage.
-
-    A chunk's tensor and buffers start with size 1 on every axis, or whole
-    when the chunk is one inner block. The running sum so far does not
-    depend on a digit no primitive has read, so the first read of an axis
-    repeats the tensor, in place in one buffer per solve, and for an inner
-    axis every stage buffer, along it. The chunk's minimum is taken on the
-    grown tensor; an axis never read keeps index 0, the smallest encoding
-    among equal entries.
+    A chunk fixes the leading digits; its trailing digits, of at most
+    `_CHUNK` points, span a `_DigitGrid` whose last axes, of at most `_INNER`
+    points, form an inner block. A primitive sequence's walk reads each
+    memory realization from integer slots; its digit is fixed by the chunk or
+    branches along an axis. Until a path reads an inner digit, each stage adds
+    its weighted cost into the path's view; below, stage buffers shaped like
+    the inner block are added in stage order on leaving the subtree. So each
+    strategy sums one add per primitive and stage, in that order (README).
     """
     caps = resolve_caps(cap)
     start = time.perf_counter()
@@ -168,15 +206,20 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
                 last = (t, k) == (T, K)
                 raise CapExceeded(total, caps.brute, "brute-force enumeration", exact=last)
 
+    def slot(var):  # Y(t, 1..K) then U(t, 1..K), stage by stage
+        return (2 * var.time + (var.kind == KIND_CONTROL)) * K + var.agent - 1
+
     control_stride = realization_strides(sys.control_sizes)
     radix_of = []  # per digit
-    plan = [[] for _ in range(T + 1)]  # per stage and agent, how to find its digit
+    plan = [[] for _ in range(T + 1)]  # per stage, how to find each agent's digit
     for t, k, feas, radix in cells:
-        digit_of = {real: len(radix_of) + i for i, real in enumerate(feas)}
-        plan[t].append(
-            (instance.info.memory(t, k), digit_of, control_stride[k - 1],
-             VariableId(t, k, KIND_CONTROL))
-        )
+        schema = instance.info.memory(t, k)
+        read = operator.itemgetter(*map(slot, schema))  # one slot's value comes bare
+        bare = operator.itemgetter(*range(len(schema)))
+        digit_of = {bare(real): len(radix_of) + i for i, real in enumerate(feas)}
+        if radix > 1:  # an agent with one control always plays 0
+            plan[t].append((read, digit_of, control_stride[k - 1],
+                            slot(VariableId(t, k, KIND_CONTROL))))
         radix_of.extend([radix] * len(feas))
 
     split, chunk_size = len(radix_of), 1  # digits from `split` on are trailing
@@ -192,100 +235,87 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     while outer and inner_size * shape[outer - 1] <= _INNER:
         outer -= 1
         inner_size *= shape[outer]
-    first_shape = shape if outer == 0 else (1,) * len(shape)
 
-    observe = [[VariableId(t, k, KIND_OBSERVATION) for k in range(1, K + 1)]
-               for t in range(T + 1)]
     obs = [h.tolist() for h in sys.observation]
     transition = sys.transition.tolist()
     cost = sys.cost.tolist()
     index = [slice(None)] * len(shape)
     digit = [0] * len(radix_of)
-    vals = {}
-    store = np.empty(chunk_size)  # a chunk's tensor, grown in place
+    vals = [0] * (2 * (T + 1) * K)  # by `slot`
+    grid = _DigitGrid(shape, outer, chunk_size)
+    adds = 0
 
-    def grow(axis):
-        # repeats `costs` along `axis` inside `store`, so that the old tensor
-        # needs no room of its own: its P blocks of Q points, one per index
-        # before the axis, move from the last down, each batch of blocks to
-        # where no block still to move lies
-        nonlocal costs
-        r, P = shape[axis], math.prod(costs.shape[:axis])
-        Q, hi = costs.size // P, P
-        while hi > 1:
-            lo = -(-hi // r)
-            batch = store[lo * Q:hi * Q].reshape(hi - lo, 1, Q)
-            store[lo * r * Q:hi * r * Q].reshape(hi - lo, r, Q)[...] = batch
-            hi = lo
-        store[Q:r * Q].reshape(r - 1, Q)[...] = store[:Q]  # block 0 stays put
-        costs = store[:r * costs.size].reshape(costs.shape[:axis] + (r,) + costs.shape[axis + 1:])
-
-    def walk(t, k, x, uj, inner):
-        # adds the primitive `p, w_seq, v_seq` into `costs` through `bufs`
-        nonlocal bufs
-        if k == K:
-            if inner:
-                bufs[t][tuple(index[outer:])] = p * cost[t][x][uj]
-            else:
-                costs[tuple(index)] += p * cost[t][x][uj]
-            if t < T:
+    def walk(t, k, x, uj, n):
+        # adds primitive `p, w_seq, seen` through `bufs`; the path read axes below `n`
+        nonlocal adds, bufs
+        while True:
+            if k == len(plan[t]):
+                if n > outer:
+                    bufs[(t, *index[outer:n])] = p * cost[t][x][uj]
+                else:
+                    view = grid.costs[(*index[:n],)]
+                    view += p * cost[t][x][uj]
+                    adds += 1
+                if t == T:
+                    return
                 x = transition[t][x][uj][w_seq[t]]
-                for j, var in enumerate(observe[t + 1]):
-                    vals[var] = obs[j][t + 1][x][v_seq[j][t + 1]]
-                walk(t + 1, 0, x, 0, inner)
-            return
-        schema, digit_of, stride, control = plan[t][k]
-        g = digit_of[tuple(map(vals.__getitem__, schema))]
-        axis = axis_of[g]
-        if axis < 0:
+                t, k, uj = t + 1, 0, 0
+                vals[observed[t]] = seen[t][x]
+                continue
+            read, digit_of, stride, control = plan[t][k]
+            g = digit_of[read(vals)]
+            axis = axis_of[g]
+            if axis >= 0:
+                break
             vals[control] = digit[g]
-            walk(t, k + 1, x, uj + digit[g] * stride, inner)
-            return
-        if costs.shape[axis] == 1:  # the chunk's first read of this axis
-            grow(axis)
+            uj += digit[g] * stride
+            k += 1
+        if grid.sizes[axis] == 1:  # the chunk's first read of this axis
+            grid.grow(axis)
             if axis >= outer:
-                bufs = [buf.repeat(shape[axis], axis - outer) for buf in bufs]
-        first = not inner and axis >= outer  # the path's first inner read
+                bufs = bufs.repeat(shape[axis], axis - outer + 1)
         for u in range(radix_of[g]):
             index[axis] = u
             vals[control] = u
-            walk(t, k + 1, x, uj + u * stride, inner or first)
+            walk(t, k + 1, x, uj + u * stride, axis + 1)
         index[axis] = slice(None)
-        if first:  # leaving its subtree
-            view = costs[tuple(index)]
+        if n <= outer <= axis:  # leaving the subtree of the path's first inner read
+            view = grid.costs[(*index[:n],)]
             for buf in bufs[t:]:
                 view += buf
+            adds += T + 1 - t
 
-    prims = list(joint_primitives(instance))
-    best_cost, best_lead, best_arg, largest = math.inf, None, 0, 0
+    observed = [slice(2 * t * K, (2 * t + 1) * K) for t in range(T + 1)]  # Y(t, .) slots
+    prims = [  # seen[t][x]: the observations Y(t, .) in state x
+        (p, x0, w_seq, [[[obs[j][t][x][v[j][t]] for j in range(K)]
+                         for x in range(sys.state_size)] for t in range(T + 1)])
+        for p, x0, w_seq, v in joint_primitives(instance)
+    ]
+    best_cost, best_lead, best_axes, largest = math.inf, None, (), 0
     for lead in itertools.product(*map(range, radix_of[:split])):
         digit[:split] = lead
-        costs = store[:math.prod(first_shape)].reshape(first_shape)
-        costs[...] = 0.0
-        bufs = [np.empty(first_shape[outer:]) for _ in range(T + 1)]
-        for p, x0, w_seq, v_seq in prims:
-            for j, var in enumerate(observe[0]):
-                vals[var] = obs[j][0][x0][v_seq[j][0]]
-            walk(0, 0, x0, 0, False)
-        arg = int(costs.argmin())
-        if costs.flat[arg] < best_cost:
-            best_cost, best_lead = float(costs.flat[arg]), lead
-            best_arg = np.ravel_multi_index(np.unravel_index(arg, costs.shape), shape)
-        largest = max(largest, costs.size)
+        grid.start()
+        bufs = np.empty([T + 1, *grid.sizes[outer:], 1])  # per stage, an inner block
+        for p, x0, w_seq, seen in prims:
+            vals[observed[0]] = seen[0][x0]
+            walk(0, 0, x0, 0, 0)
+        found = grid.argmin(best_cost)
+        if found:
+            (best_cost, best_axes), best_lead = found, lead
+        largest = max(largest, grid.costs.size)
     log.debug("brute force: %d strategies, %d chunks, %d primitives, largest tensor of %d "
-              "points, %.3f s", total, math.prod(radix_of[:split]), len(prims), largest,
-              time.perf_counter() - start)
+              "points, %.3f s, %d growths, %d view adds", total, math.prod(radix_of[:split]),
+              len(prims), largest, time.perf_counter() - start, grid.growths, adds)
 
     digit[:split] = best_lead
-    for g, u in zip(axis_digits, np.unravel_index(best_arg, shape)):
+    for g, u in zip(axis_digits, best_axes):
         digit[g] = int(u)
-    tables = {}
-    for t, k, _, _ in cells:
-        schema, digit_of, _, _ = plan[t][k - 1]
+    tables, g = {}, 0
+    for t, k, feas, _ in cells:
+        schema = instance.info.memory(t, k)
         table = {real: 0 for real in enumerate_realizations(instance.schema_sizes(schema))}
-        for real, g in digit_of.items():
-            table[real] = digit[g]
-        tables[(t, k)] = table
+        table.update(zip(feas, digit[g:g + len(feas)]))
+        tables[(t, k)], g = table, g + len(feas)
     strategy = ControlStrategy(tables=tables)
     report = exact_strategy_cost(instance, strategy)
     return SolveResult(

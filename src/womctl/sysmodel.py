@@ -406,7 +406,7 @@ def _forward_pass(instance: Instance, keep, decide):
     the history keeps only the variables in `keep[t]`, and for t < T the state
     branches over the positive-probability disturbances. Equal keys merge at
     every step, and more than SWEEP_CAP reachable pairs raises CapExceeded as
-    soon as a stage passes it.
+    soon as a stage passes it. Laws are built once, in `instance._cache`.
 
     Yields (t, layout, acted) per stage: `layout` names the variables of h and
     `acted` lists (x, h, controls, joint control index, mass).
@@ -417,7 +417,7 @@ def _forward_pass(instance: Instance, keep, decide):
     kept: InfoSchema = ()
     for t in range(T + 1):
         layout = kept + _stage_variables(t, K, KIND_OBSERVATION)
-        observation_laws: dict = {}
+        observation_laws = instance._cache.setdefault(("observation laws", t), {})
         observed: dict = {}
         for (x, h), mass in states.items():
             law = observation_laws.get(x)
@@ -439,7 +439,7 @@ def _forward_pass(instance: Instance, keep, decide):
         full = layout + _stage_variables(t, K, KIND_CONTROL)
         cut = [i for i, var in enumerate(full) if var in keep[t]]
         kept = tuple(full[i] for i in cut)
-        successor_laws: dict = {}
+        successor_laws = instance._cache.setdefault(("successor laws", t), {})
         states = {}
         for x, h, controls, uj, mass in acted:
             full_h = h + controls

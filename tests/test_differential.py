@@ -12,21 +12,37 @@ counts at most `BRUTE_LIMIT` strategies.
 The relay defect (a step kernel that finds no source for a variable of the
 next equivalent state) is asserted by class and message wherever it shows,
 with brute force solving the instance alone.
+
+A second gate holds brute force to `oracles.brute_force_reference`, bit for
+bit, on the documents of at most `REFERENCE_LIMIT` strategies and
+`PRIMITIVE_LIMIT` primitive sequences (the reference's work grows with
+both), with chunks and inner blocks from one point up to the defaults.
 """
 
+import itertools
 import math
 import re
+from unittest import mock
 
 import hypothesis
 import hypothesis.strategies as st
 
+from oracles import brute_force_reference
+import womctl.solver as solver_mod
 from womctl.errors import CapExceeded, SchemaMismatch, WomError
 from womctl.prescription import count_strategies
 from womctl.solver import compare_agents, solve_brute_force, solve_prescription_dp
-from womctl.sysmodel import instance_digest, instance_from_dict, instance_to_dict
+from womctl.sysmodel import (
+    instance_digest,
+    instance_from_dict,
+    instance_to_dict,
+    joint_primitives,
+)
 
 TOL = 1e-9
 BRUTE_LIMIT = 2**14
+REFERENCE_LIMIT = 2**12
+PRIMITIVE_LIMIT = 2**8
 RELAY_FAILURE = re.compile(
     r"agent \d, stage \d: variable VariableId\(time=\d, agent=\d, kind='[YU]'\) "
     r"not derivable from the state"
@@ -93,11 +109,11 @@ def instance_documents(draw):
     return {"network": {"agents": agents, "links": links}, "system": system}
 
 
-def _kept(doc):
-    """The instance of a document the gate keeps, else None."""
+def _kept(doc, limit=BRUTE_LIMIT):
+    """The instance of a document with at most `limit` brute-force strategies, else None."""
     try:
         instance = instance_from_dict(doc)
-        return instance if count_strategies(instance, "brute") <= BRUTE_LIMIT else None
+        return instance if count_strategies(instance, "brute") <= limit else None
     except WomError:  # rejected, or past the feasibility sweep's cap
         return None
 
@@ -142,3 +158,27 @@ def test_solvers_agree_with_brute_force_on_generated_instances(doc):
             continue
         assert abs(res.dp_value - res.optimal_cost) <= TOL
         assert abs(res.optimal_cost - brute) <= TOL
+
+
+@hypothesis.settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[hypothesis.HealthCheck.too_slow, hypothesis.HealthCheck.filter_too_much],
+)
+@hypothesis.given(
+    instance_documents(),
+    st.sampled_from([1, 2, 4, 16, solver_mod._CHUNK]),
+    st.sampled_from([0, 1, 16, solver_mod._INNER]),
+)
+def test_brute_force_matches_reference_on_generated_instances(doc, chunk, inner):
+    instance = _kept(doc, REFERENCE_LIMIT)
+    hypothesis.assume(instance is not None)
+    primitives = itertools.islice(joint_primitives(instance), PRIMITIVE_LIMIT + 1)
+    hypothesis.assume(sum(1 for _ in primitives) <= PRIMITIVE_LIMIT)
+    best, tables = brute_force_reference(instance)
+    with mock.patch.object(solver_mod, "_CHUNK", chunk), mock.patch.object(solver_mod, "_INNER", inner):
+        res = solve_brute_force(instance)
+    assert res.extras["vectorized_cost"] == best
+    assert res.control_strategy.tables == tables

@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,16 +128,38 @@ def test_brute_force_matches_reference_across_inner_blocks(name, split, monkeypa
 def _brute_force_record(caplog):
     (record,) = [r for r in caplog.records if r.getMessage().startswith("brute force:")]
     caplog.clear()
-    return record.args  # strategies, chunks, primitives, largest tensor, seconds
+    return record.args  # strategies, chunks, primitives, largest tensor, seconds, growths, adds
 
 
 def test_brute_force_d2_chunks_grow_tensors_smaller_than_the_chunk(d2, caplog):
     caplog.set_level(logging.DEBUG, logger="womctl")
     res = solve_brute_force(d2)
-    strategies, chunks, primitives, largest, seconds = _brute_force_record(caplog)
+    strategies, chunks, primitives, largest, seconds, growths, adds = _brute_force_record(caplog)
     assert (strategies, chunks) == (res.search_size, 4)
     assert primitives == len(list(joint_primitives(d2)))
     assert largest < strategies // chunks == 2**18 and seconds >= 0.0
+    # each chunk grows each of its 18 binary axes at most once
+    assert growths <= chunks * 18 and adds > 0
+
+
+def test_brute_force_peak_memory_is_one_chunk_buffer():
+    # one chunk that grows to the full 2^18 points; the feasible memory
+    # realizations are warm, so the peak is the solve's own
+    from test_stage_pass import _bench_workloads
+
+    (op,) = [op for op in _bench_workloads().fuzz_compare(7) if op.label == "observer-T2-0"]
+    instance = instance_from_dict(op.doc)
+    for t in range(instance.horizon + 1):
+        for k in range(1, instance.agent_count + 1):
+            feasible_schema_realizations(instance, instance.info.memory(t, k))
+    tracemalloc.start()
+    try:
+        res = solve_brute_force(instance)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.search_size == solver_mod._CHUNK
+    assert peak <= 1.25 * 8 * solver_mod._CHUNK
 
 
 @pytest.mark.parametrize("name", list(SPLIT_CASES))
@@ -147,11 +170,11 @@ def test_brute_force_chunks_start_whole_only_as_one_inner_block(name, monkeypatc
     caplog.set_level(logging.DEBUG, logger="womctl")
     monkeypatch.setattr(solver_mod, "_INNER", solver_mod._CHUNK)
     _assert_matches_reference(instance, reference)
-    strategies, chunks, _, largest, _ = _brute_force_record(caplog)
+    strategies, chunks, _, largest, *_ = _brute_force_record(caplog)
     assert largest == strategies // chunks
     monkeypatch.setattr(solver_mod, "_INNER", 0)
     _assert_matches_reference(instance, reference)
-    strategies, chunks, _, largest, _ = _brute_force_record(caplog)
+    strategies, chunks, _, largest, *_ = _brute_force_record(caplog)
     assert 1 <= largest <= strategies // chunks
 
 
