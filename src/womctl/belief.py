@@ -215,8 +215,7 @@ def _initial_pass(instance, k) -> tuple[dict, dict]:
     source = _fresh_sources(sys, 0)  # at t=0 every source is fresh
     s = _encode(_plan((STATE,) + support, source), operands)
     a = _encode(_plan(acc, source), operands) + np.zeros_like(x)
-    group = np.unique(a)
-    g = np.searchsorted(group, a)
+    group, g = np.unique(a, return_inverse=True)
     masses = np.bincount(g * total + s, weights=p, minlength=len(group) * total)
     keys = [index_realization(instance.schema_sizes(acc), code) for code in group.tolist()]
     states = {
@@ -332,8 +331,7 @@ class StepKernel:
         live = p != 0.0
         new_count = realization_count(self.new_sizes)
         key = (rows[:, None] * new_count + z_index)[live]
-        group = np.unique(key)
-        g = np.searchsorted(group, key)
+        group, g = np.unique(key, return_inverse=True)
         acc = np.bincount(
             g * self.next_total + s_next[live],
             weights=p[live],

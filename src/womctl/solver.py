@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import logging
 import math
 import operator
@@ -56,7 +55,7 @@ from .sysmodel import (
 )
 
 COST_TOL = 1e-9
-_CHUNK = 1 << 18
+_CHUNK = 1 << 17
 _INNER = 1 << 10
 
 log = logging.getLogger("womctl")
@@ -136,6 +135,7 @@ class _DigitGrid:
         self.store = np.empty(points)
         self.sizes = [1] * len(shape)
         self.growths = 0
+        self.zeros = {r: np.zeros(r, np.intp) for r in set(shape)}  # `take` repeats each block
 
     def start(self):  # zero costs on the starting shape
         self.sizes[:] = self.shape if self.outer == 0 else [1] * len(self.shape)
@@ -149,7 +149,7 @@ class _DigitGrid:
         # batch to where no block still to move lies
         store, size, r = self.store, self.costs.size, self.shape[axis]
         P = math.prod(self.sizes[:axis])
-        Q, zeros = size // P, np.zeros(r, np.intp)  # `take` repeats each block
+        Q, zeros = size // P, self.zeros[r]
         if P > 1 and size * (r + 1) <= store.size:
             old = store[store.size - size:]
             old[...] = store[:size]
@@ -189,6 +189,8 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     its weighted cost into the path's view; below, stage buffers shaped like
     the inner block are added in stage order on leaving the subtree. So each
     strategy sums one add per primitive and stage, in that order (README).
+    Chunks step like an odometer over the lead digits a walk read, so leads
+    that no walk tells apart are walked once, in encoding order.
     """
     caps = resolve_caps(cap)
     start = time.perf_counter()
@@ -267,6 +269,7 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
             axis = axis_of[g]
             if axis >= 0:
                 break
+            lead_read[g] = True
             vals[control] = digit[g]
             uj += digit[g] * stride
             k += 1
@@ -291,9 +294,9 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
                          for x in range(sys.state_size)] for t in range(T + 1)])
         for p, x0, w_seq, v in joint_primitives(instance)
     ]
-    best_cost, best_lead, best_axes, largest = math.inf, None, (), 0
-    for lead in itertools.product(*map(range, radix_of[:split])):
-        digit[:split] = lead
+    best_cost, best_lead, best_axes, largest, walked = math.inf, None, (), 0, 0
+    while True:  # an odometer over the lead digits that some walk read
+        lead_read = [False] * split
         grid.start()
         bufs = np.empty([T + 1, *grid.sizes[outer:], 1])  # per stage, an inner block
         for p, x0, w_seq, seen in prims:
@@ -301,11 +304,17 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
             walk(0, 0, x0, 0, 0)
         found = grid.argmin(best_cost)
         if found:
-            (best_cost, best_axes), best_lead = found, lead
-        largest = max(largest, grid.costs.size)
-    log.debug("brute force: %d strategies, %d chunks, %d primitives, largest tensor of %d "
-              "points, %.3f s, %d growths, %d view adds", total, math.prod(radix_of[:split]),
-              len(prims), largest, time.perf_counter() - start, grid.growths, adds)
+            (best_cost, best_axes), best_lead = found, digit[:split]
+        largest, walked = max(largest, grid.costs.size), walked + 1
+        g = split - 1  # leads that agree on every read digit cost the same, and lose ties
+        while g >= 0 and not (lead_read[g] and digit[g] < radix_of[g] - 1):
+            g -= 1
+        if g < 0:
+            break
+        digit[g:split] = [digit[g] + 1] + [0] * (split - g - 1)
+    log.debug("brute force: %d strategies, %d chunks, %d walked, %d primitives, largest tensor "
+              "of %d points, %.3f s, %d growths, %d view adds", total, math.prod(radix_of[:split]),
+              walked, len(prims), largest, time.perf_counter() - start, grid.growths, adds)
 
     digit[:split] = best_lead
     for g, u in zip(axis_digits, best_axes):

@@ -10,7 +10,10 @@ attribute, or when the bench tracer's `TRACED` table names it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -107,3 +110,20 @@ def test_every_definition_is_read():
         for name in unread_definitions(path.read_text(encoding="utf-8"), read)
     ]
     assert unread == []
+
+
+def test_a_comparison_leaves_numpy_ma_unloaded():
+    # a plain `np.unique` calls `np.ma.is_masked`, and its first call imports numpy.ma
+    code = (
+        "import sys\n"
+        "from womctl.instances import load_d2\n"
+        "from womctl.solver import compare_agents\n"
+        "compare_agents(load_d2())\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.stdout.split() == ["False"]

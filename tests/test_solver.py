@@ -20,7 +20,7 @@ from helpers import (
 from oracles import brute_force_reference, dp_reference, relaxed_reference
 import womctl.solver as solver_mod
 from womctl.errors import CapExceeded, SchemaMismatch, WomError
-from womctl.instances import d2_dict, load_d2, load_static3
+from womctl.instances import d2_dict, load_d2, load_d2ext, load_static3
 from womctl.prescription import (
     control_law_to_strategy,
     count_strategies,
@@ -111,8 +111,8 @@ SPLIT_CASES = {
 
 
 @functools.cache
-def _split_case(name):
-    instance = SPLIT_CASES[name]()
+def _split_case(name):  # also d2ext, whose reference takes seconds
+    instance = {**SPLIT_CASES, "d2ext": load_d2ext}[name]()
     return instance, brute_force_reference(instance)
 
 
@@ -128,23 +128,26 @@ def test_brute_force_matches_reference_across_inner_blocks(name, split, monkeypa
 def _brute_force_record(caplog):
     (record,) = [r for r in caplog.records if r.getMessage().startswith("brute force:")]
     caplog.clear()
-    return record.args  # strategies, chunks, primitives, largest tensor, seconds, growths, adds
+    # strategies, chunks, walked chunks, primitives, largest tensor, seconds, growths, adds
+    return record.args
 
 
 def test_brute_force_d2_chunks_grow_tensors_smaller_than_the_chunk(d2, caplog):
     caplog.set_level(logging.DEBUG, logger="womctl")
     res = solve_brute_force(d2)
-    strategies, chunks, primitives, largest, seconds, growths, adds = _brute_force_record(caplog)
-    assert (strategies, chunks) == (res.search_size, 4)
-    assert primitives == len(list(joint_primitives(d2)))
-    assert largest < strategies // chunks == 2**18 and seconds >= 0.0
-    # each chunk grows each of its 18 binary axes at most once
-    assert growths <= chunks * 18 and adds > 0
+    strategies, chunks, walked, primitives, largest, seconds, growths, adds = _brute_force_record(caplog)
+    # 20 binary digits, so every chunk spans exactly `_CHUNK` points
+    assert (strategies, chunks) == (res.search_size, 2**20 // solver_mod._CHUNK)
+    assert 1 <= walked <= chunks and primitives == len(list(joint_primitives(d2)))
+    assert largest < strategies // chunks == solver_mod._CHUNK and seconds >= 0.0
+    # each walked chunk grows each of its binary axes at most once
+    assert growths <= walked * math.log2(solver_mod._CHUNK) and adds > 0
 
 
-def test_brute_force_peak_memory_is_one_chunk_buffer():
-    # one chunk that grows to the full 2^18 points; the feasible memory
-    # realizations are warm, so the peak is the solve's own
+@pytest.mark.parametrize("chunk", [solver_mod._CHUNK, 2**18], ids=["default-chunk", "one-chunk"])
+def test_brute_force_peak_memory_is_one_chunk_buffer(chunk, monkeypatch, caplog):
+    # 2^18 strategies; as one chunk they grow to the full `_CHUNK` points. The
+    # feasible memory realizations are warm, so the peak is the solve's own
     from test_stage_pass import _bench_workloads
 
     (op,) = [op for op in _bench_workloads().fuzz_compare(7) if op.label == "observer-T2-0"]
@@ -152,14 +155,37 @@ def test_brute_force_peak_memory_is_one_chunk_buffer():
     for t in range(instance.horizon + 1):
         for k in range(1, instance.agent_count + 1):
             feasible_schema_realizations(instance, instance.info.memory(t, k))
+    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    caplog.set_level(logging.DEBUG, logger="womctl")
     tracemalloc.start()
     try:
         res = solve_brute_force(instance)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.search_size == solver_mod._CHUNK
+    strategies, chunks, _, _, largest, *_ = _brute_force_record(caplog)
+    assert res.search_size == strategies == 2**18 == chunks * solver_mod._CHUNK
+    assert largest == solver_mod._CHUNK if chunks == 1 else largest <= solver_mod._CHUNK
     assert peak <= 1.25 * 8 * solver_mod._CHUNK
+
+
+# (instance, _CHUNK, chunks, walked): a lead digit that no walk of a chunk
+# reads is not stepped, so the leads it tells apart are walked once
+ODOMETER_CASES = {
+    "d2ext-chunk-2^17": ("d2ext", 1 << 17, 32, 12),
+    "d2ext-chunk-2^18": ("d2ext", 1 << 18, 16, 8),
+    "d2-chunk-4": ("d2", 4, 262_144, 2_560),
+}
+
+
+@pytest.mark.parametrize("case", list(ODOMETER_CASES))
+def test_brute_force_walks_chunks_only_at_read_lead_digits(case, monkeypatch, caplog):
+    name, chunk, want_chunks, want_walked = ODOMETER_CASES[case]
+    caplog.set_level(logging.DEBUG, logger="womctl")
+    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    _assert_matches_reference(*_split_case(name))
+    _, chunks, walked, *_ = _brute_force_record(caplog)
+    assert (chunks, walked) == (want_chunks, want_walked)
 
 
 @pytest.mark.parametrize("name", list(SPLIT_CASES))
@@ -170,11 +196,11 @@ def test_brute_force_chunks_start_whole_only_as_one_inner_block(name, monkeypatc
     caplog.set_level(logging.DEBUG, logger="womctl")
     monkeypatch.setattr(solver_mod, "_INNER", solver_mod._CHUNK)
     _assert_matches_reference(instance, reference)
-    strategies, chunks, _, largest, *_ = _brute_force_record(caplog)
+    strategies, chunks, _, _, largest, *_ = _brute_force_record(caplog)
     assert largest == strategies // chunks
     monkeypatch.setattr(solver_mod, "_INNER", 0)
     _assert_matches_reference(instance, reference)
-    strategies, chunks, _, largest, *_ = _brute_force_record(caplog)
+    strategies, chunks, _, _, largest, *_ = _brute_force_record(caplog)
     assert 1 <= largest <= strategies // chunks
 
 
