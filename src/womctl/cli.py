@@ -15,8 +15,7 @@ import sys
 import time
 
 from . import instances as bundled
-from .errors import CapExceeded, WomError, format_count
-from .infostruct import schema_tables
+from .errors import CapExceeded, OutOfRange, WomError, format_count
 from .netgraph import information_path
 from .prescription import count_strategies
 from .serialize import (
@@ -45,8 +44,8 @@ EXIT_CAP = 2
 EXIT_INVALID = 3
 
 
-def _schema_str(schema) -> str:
-    return "{" + ", ".join(v.label() for v in schema) + "}" if schema else "{}"
+def _braced(labels) -> str:
+    return "{" + ", ".join(labels) + "}"
 
 
 def _cmd_validate(args):
@@ -72,32 +71,33 @@ def _cmd_delays(args):
 
 def _cmd_schema(args):
     inst = load_instance(args.instance)
-    times = [args.time] if args.time is not None else list(range(inst.horizon + 1))
-    agents = [args.agent] if args.agent is not None else list(range(1, inst.agent_count + 1))
+    info, T, K = inst.info, inst.horizon, inst.agent_count
+    if args.time is not None and not 0 <= args.time <= T:
+        raise OutOfRange(f"time {args.time} is out of range 0..{T}")
+    if args.agent is not None and not 1 <= args.agent <= K:
+        raise OutOfRange(f"agent {args.agent} is out of range 1..{K}")
     results = []
-    for t in times:
-        for k in agents:
-            tab = schema_tables(inst.info, t, k)
+    for t in [args.time] if args.time is not None else range(T + 1):
+        for k in [args.agent] if args.agent is not None else range(1, K + 1):
+            row = {
+                "t": t,
+                "agent": k,
+                "memory": [v.label() for v in info.memory(t, k)],
+                "accessible": [v.label() for v in info.accessible(t, k)],
+                "new_info": [v.label() for v in info.new_info(t, k)],
+                "inaccessible": {
+                    str(i): [v.label() for v in info.inaccessible(t, k, i)] for i in range(k, K + 1)
+                },
+                "equivalent_state": [v.label() for v in info.equivalent_state(t, k)],
+            }
             print(f"t={t} agent {k}")
-            print(f"  memory       {_schema_str(tab.memory)}")
-            print(f"  accessible   {_schema_str(tab.accessible)}")
-            print(f"  new info     {_schema_str(tab.new_info)}")
-            for i, schema in tab.inaccessible.items():
-                print(f"  inaccessible[{k},{i}] {_schema_str(schema)}")
-            print(f"  state coords X@{t} + {_schema_str(tab.equivalent_state)}")
-            results.append(
-                {
-                    "t": t,
-                    "agent": k,
-                    "memory": [v.label() for v in tab.memory],
-                    "accessible": [v.label() for v in tab.accessible],
-                    "new_info": [v.label() for v in tab.new_info],
-                    "inaccessible": {
-                        str(i): [v.label() for v in s] for i, s in tab.inaccessible.items()
-                    },
-                    "equivalent_state": [v.label() for v in tab.equivalent_state],
-                }
-            )
+            print(f"  memory       {_braced(row['memory'])}")
+            print(f"  accessible   {_braced(row['accessible'])}")
+            print(f"  new info     {_braced(row['new_info'])}")
+            for i, labels in row["inaccessible"].items():
+                print(f"  inaccessible[{k},{i}] {_braced(labels)}")
+            print(f"  state coords X@{t} + {_braced(row['equivalent_state'])}")
+            results.append(row)
     return {"schemas": results}, inst
 
 

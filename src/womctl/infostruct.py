@@ -7,10 +7,9 @@ only on the delay matrix and the horizon, never on realized values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import IndexOrder, OutOfRange
+from .errors import IndexOrder
 from .netgraph import DelayMatrix
 
 KIND_OBSERVATION = "Y"
@@ -161,35 +160,3 @@ class InfoStructure:
             remaining.remove(pick)
             common &= set(self._memory[(T, pick)])
         return tuple(order)
-
-
-@dataclass(frozen=True)
-class SchemaTables:
-    """Printable schema summary for one (t, k)."""
-
-    time: int
-    agent: int
-    memory: InfoSchema
-    accessible: InfoSchema
-    new_info: InfoSchema
-    inaccessible: dict
-    equivalent_state: InfoSchema
-
-
-def schema_tables(info: InfoStructure, t: int, k: int) -> SchemaTables:
-    if not 0 <= t <= info.horizon:
-        raise OutOfRange(f"time {t} is out of range 0..{info.horizon}")
-    if not 1 <= k <= info.agent_count:
-        raise OutOfRange(f"agent {k} is out of range 1..{info.agent_count}")
-    inacc = {
-        i: info.inaccessible(t, k, i) for i in range(k, info.agent_count + 1)
-    }
-    return SchemaTables(
-        time=t,
-        agent=k,
-        memory=info.memory(t, k),
-        accessible=info.accessible(t, k),
-        new_info=info.new_info(t, k),
-        inaccessible=inacc,
-        equivalent_state=info.equivalent_state(t, k),
-    )

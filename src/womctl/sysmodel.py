@@ -326,7 +326,9 @@ def validate_strategy(instance: Instance, strategy: ControlStrategy):
 
 
 def joint_primitives(instance: Instance):
-    """Yield (prob, x0, w_seq, v_seq) over the support of the primitive variables."""
+    """Yield (prob, x0, w_seq, v_seq) over the support of the primitive variables,
+    v_seq[k][t] being agent k+1's noise at stage t; prob multiplies the laws
+    left to right in the order x0, w_seq, v_seq."""
     sys = instance.system
     T, K = sys.horizon, sys.agent_count
     total = sys.state_size * sys.disturbance_size**T
@@ -334,29 +336,14 @@ def joint_primitives(instance: Instance):
         total *= sys.noise_sizes[k] ** (T + 1)
     if total > SWEEP_CAP:
         raise CapExceeded(total, SWEEP_CAP, "joint primitive enumeration")
-    w_space = list(itertools.product(range(sys.disturbance_size), repeat=T))
-    v_spaces = [
-        list(itertools.product(range(sys.noise_sizes[k]), repeat=T + 1))
-        for k in range(K)
-    ]
-    for x0 in range(sys.state_size):
-        p0 = float(sys.initial_probs[x0])
-        if p0 == 0.0:
-            continue
-        for w_seq in w_space:
-            pw = p0
-            for t, w in enumerate(w_seq):
-                pw *= float(sys.disturbance_probs[t, w])
-            if pw == 0.0:
-                continue
-            for v_combo in itertools.product(*v_spaces):
-                p = pw
-                for k in range(K):
-                    for t in range(T + 1):
-                        p *= float(sys.noise_probs[k][t, v_combo[k][t]])
-                if p == 0.0:
-                    continue
-                yield p, x0, w_seq, v_combo
+    laws = [sys.initial_probs, *sys.disturbance_probs, *itertools.chain(*sys.noise_probs)]
+    supports = [[(value, float(q)) for value, q in enumerate(law) if q] for law in laws]
+    for combo in itertools.product(*supports):
+        p = math.prod(q for _, q in combo)
+        if p:
+            values = [value for value, _ in combo]
+            v_seq = tuple(tuple(values[i : i + T + 1]) for i in range(T + 1, len(values), T + 1))
+            yield p, values[0], tuple(values[1 : T + 1]), v_seq
 
 
 # -- forward propagation over reachable histories -------------------------------

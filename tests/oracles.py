@@ -139,6 +139,45 @@ def hand_rolled_cost(instance, strategy_tables):
     return total
 
 
+def joint_primitives_reference(instance):
+    """(prob, x0, w_seq, v_seq) by nested loops over x0, then w_seq, then
+    every agent's noise sequence, with the probability built as prefix
+    products; `sysmodel.joint_primitives` must yield exactly these."""
+    from womctl.errors import CapExceeded
+    from womctl.sysmodel import SWEEP_CAP
+
+    sys = instance.system
+    T, K = sys.horizon, sys.agent_count
+    total = sys.state_size * sys.disturbance_size**T
+    for k in range(K):
+        total *= sys.noise_sizes[k] ** (T + 1)
+    if total > SWEEP_CAP:
+        raise CapExceeded(total, SWEEP_CAP, "joint primitive enumeration")
+    w_space = list(itertools.product(range(sys.disturbance_size), repeat=T))
+    v_spaces = [
+        list(itertools.product(range(sys.noise_sizes[k]), repeat=T + 1))
+        for k in range(K)
+    ]
+    for x0 in range(sys.state_size):
+        p0 = float(sys.initial_probs[x0])
+        if p0 == 0.0:
+            continue
+        for w_seq in w_space:
+            pw = p0
+            for t, w in enumerate(w_seq):
+                pw *= float(sys.disturbance_probs[t, w])
+            if pw == 0.0:
+                continue
+            for v_combo in itertools.product(*v_spaces):
+                p = pw
+                for k in range(K):
+                    for t in range(T + 1):
+                        p *= float(sys.noise_probs[k][t, v_combo[k][t]])
+                if p == 0.0:
+                    continue
+                yield p, x0, w_seq, v_combo
+
+
 def feasible_realizations(instance, schemas):
     """{schema: sorted realizations} over every primitive sequence rolled out
     under every control sequence (controls are free, so this is the union of

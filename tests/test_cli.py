@@ -8,7 +8,9 @@ import pytest
 from helpers import pomdp_dict
 from oracles import dp_reference
 from womctl.cli import main
-from womctl.instances import d2_dict, load_d2, static3_dict
+from womctl.instances import BUNDLED, d2_dict, load_d2, static3_dict
+from womctl.solver import compare_agents
+from womctl.sysmodel import instance_from_dict
 
 
 @pytest.fixture()
@@ -35,6 +37,23 @@ def static3_path(tmp_path):
 
 def run(args):
     return main(args)
+
+
+_DROP = object()
+
+
+def _mutated(doc, path, value):
+    """A deep copy of `doc` with the field at `path` set to `value`, or removed for `_DROP`."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
 
 
 def test_validate_ok(d2_path, capsys):
@@ -117,6 +136,44 @@ def test_validate_rejects_malformed_numbers(tmp_path, capsys, path, value, messa
     bad.write_text(json.dumps(doc))
     assert run(["validate", str(bad)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base, path, value, message",
+    [
+        pytest.param("d2", ("network", "agents"), 0, "agent_count must be positive",
+                     id="zero-agents"),
+        pytest.param("d2", ("network", "links", 0, "to"), 9,
+                     "link (1,9) references an unknown agent", id="link-to-agent-9"),
+        pytest.param("static3", ("network", "delay_matrix", 1), [0, 0],
+                     "delay matrix must be square", id="ragged-delay-matrix"),
+        pytest.param("d2", ("system", "observation_sizes"), [2, 2, 2],
+                     "per-agent size lists must all have length K", id="three-observation-sizes"),
+        pytest.param("d2", ("system", "initial_probs"), [1.0],
+                     "initial_probs length must equal state_size", id="short-initial-probs"),
+        pytest.param("d2", ("system", "transition", 0), [[[0, 1]] * 4],
+                     "transition shape (1, 1, 4, 2) != (1,2,4,2)", id="one-state-transition"),
+        pytest.param("d2", ("system", "transition", 0, 1, 2, 0), 2,
+                     "transition entries out of state range", id="transition-to-state-2"),
+        pytest.param("d2", ("system", "cost"), [[[3.0, 4.0, 4.0, 5.0]]] * 2,
+                     "cost shape (2, 1, 4) != (2,2,4)", id="one-state-cost"),
+        pytest.param("d2", ("system", "observation", 1), [[[0], [1]]],
+                     "observation[2] shape (1, 2, 1) is wrong", id="one-stage-observation"),
+        pytest.param("d2", ("system", "observation", 0, 1, 0, 0), 2,
+                     "observation[1] entries out of range", id="observation-2"),
+        pytest.param("d2", ("system", "transition"), _DROP,
+                     "transition table required when horizon > 0", id="no-transition"),
+        pytest.param("static3", ("network", "agents"), 2,
+                     "network.agents is 2 but the delay matrix has 3 rows", id="agents-2-of-3"),
+        pytest.param("d2", ("network", "links"), _DROP,
+                     "network must carry either links or delay_matrix", id="no-links"),
+    ],
+)
+def test_validate_rejects_a_broken_field(tmp_path, capsys, base, path, value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_mutated(BUNDLED[base](), path, value)))
+    assert run(["validate", str(bad)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _horizon0_no_controls() -> dict:
@@ -287,6 +344,34 @@ def test_solve_brute_emits_control_strategy(d2_path, tmp_path):
     assert run(["evaluate", d2_path, "--strategy", str(strategy)]) == 0
 
 
+@pytest.mark.parametrize(
+    "name, args, method, agent",
+    [
+        ("static3", ["--method", "common-info"], "common-info", None),
+        ("d2", ["--method", "common-info"], "common-info", None),
+        ("static3", ["--method", "prescription", "--agent", "1"], "prescription-static", 1),
+        ("static3", ["--method", "prescription", "--agent", "3"], "prescription-static", 3),
+        ("d2", ["--method", "prescription", "--agent", "2"], "prescription-dp", 2),
+    ],
+)
+def test_solve_costs_equal_the_compare_rows(tmp_path, capsys, name, args, method, agent):
+    doc = BUNDLED[name]()
+    path, report = tmp_path / f"{name}.json", tmp_path / "solve.json"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", str(path), *args, "--report", str(report)]) == 0
+    solved = json.loads(report.read_text())["results"]["solve"]
+    assert solved["method"] == method  # common-info reports agent K; its compare row has none
+    rows = compare_agents(instance_from_dict(doc)).rows
+    [row] = [r for r in rows if (r["method"], r["agent"]) == (method, agent)]
+    assert solved["optimal_cost"] == row["cost"]
+    assert f"optimal cost {row['cost']:.9f}" in capsys.readouterr().out
+
+
+def test_solve_prescription_needs_an_agent(d2_path, capsys):
+    assert run(["solve", d2_path, "--method", "prescription"]) == 3
+    assert capsys.readouterr().err == "error: --agent is required for the prescription method\n"
+
+
 def test_solve_cap_exit_code(d2_path):
     assert run(["solve", d2_path, "--method", "brute", "--cap", "10"]) == 2
 
@@ -444,23 +529,6 @@ def d2_documents(tmp_path_factory):
     return str(instance), docs
 
 
-_DROP = object()
-
-
-def _mutated(doc, path, value):
-    """A deep copy of `doc` with the field at `path` set to `value`, or removed for `_DROP`."""
-    doc = copy.deepcopy(doc)
-    *parents, last = path
-    node = doc
-    for key in parents:
-        node = node[key]
-    if value is _DROP:
-        del node[last]
-    else:
-        node[last] = value
-    return doc
-
-
 def _strategy_exits(instance, doc, path):
     """The exit codes of `evaluate` and `simulate` on `doc` written to `path`."""
     path.write_text(json.dumps(doc))
@@ -506,6 +574,11 @@ def _strategy_exits(instance, doc, path):
                      "condition must be numeric, got 'x'", id="condition-string"),
         pytest.param("prescription", ("laws", 0, "t"), 1.5, "law t must be an integer, got 1.5",
                      id="t-fraction"),
+        pytest.param("control", ("tables",), {}, "tables must be a list, got {}",
+                     id="tables-not-a-list"),
+        pytest.param("control", ("tables", 0, "entries", 0), [[0]],
+                     "each of table (t=0, agent=1) entries must be a [key, value] pair, got [[0]]",
+                     id="entry-not-a-pair"),
         pytest.param("prescription", ("laws", 3, "domain", 0, 2), "Y",
                      "(t=1, target=2) domain [[0, 2, 'Y'], [1, 2, 'Y']] is not the instance's",
                      id="domain"),

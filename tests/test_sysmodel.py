@@ -9,8 +9,9 @@ from helpers import (
     fuzz_instance,
     pomdp_dict,
     random_control_strategy,
+    random_topology_instance,
 )
-from oracles import feasible_realizations, hand_rolled_cost
+from oracles import feasible_realizations, hand_rolled_cost, joint_primitives_reference
 from womctl import sysmodel
 from womctl.errors import (
     AgentCountMismatch,
@@ -22,6 +23,7 @@ from womctl.errors import (
 )
 from womctl.infostruct import VariableId
 from womctl.instances import (
+    BUNDLED,
     d2_dict,
     load_d2,
     load_d2ext,
@@ -39,6 +41,7 @@ from womctl.sysmodel import (
     instance_digest,
     instance_from_dict,
     instance_to_dict,
+    joint_primitives,
     monte_carlo_cost,
     permute_instance,
     realization_index,
@@ -164,6 +167,43 @@ def test_exact_cost_and_feasibility_beyond_primitive_enumeration():
         assert feasible_schema_realizations(
             split, split.info.memory(t, 1)
         ) == feasible_schema_realizations(base, base.info.memory(t, 1))
+
+
+def test_primitive_enumeration_stops_at_the_sweep_cap():
+    split = instance_from_dict(_split_disturbance(pomdp_dict(4), 6))
+    with pytest.raises(CapExceeded) as err:
+        next(joint_primitives(split))
+    assert err.value.required == 1_327_104 and err.value.cap == SWEEP_CAP
+    assert "joint primitive enumeration" in str(err.value)
+
+
+_PRIMITIVE_FAMILIES = {
+    "bundled": lambda name: instance_from_dict(BUNDLED[name]()),
+    "fuzz": fuzz_instance,
+    "topology": random_topology_instance,
+    "split-pomdp4": lambda copies: instance_from_dict(_split_disturbance(pomdp_dict(4), copies)),
+}
+
+
+@pytest.mark.parametrize(
+    "family, key",
+    [("bundled", name) for name in BUNDLED]
+    + [("fuzz", seed) for seed in range(50)]
+    + [("topology", seed) for seed in range(60)]
+    + [("split-pomdp4", 6)],
+)
+def test_joint_primitives_equal_the_nested_loop_reference(family, key):
+    """Same tuples in the same order, probabilities compared with ==; over the
+    sweep cap both raise the same CapExceeded."""
+    inst = _PRIMITIVE_FAMILIES[family](key)
+    try:
+        want = list(joint_primitives_reference(inst))
+    except CapExceeded as exc:
+        with pytest.raises(CapExceeded) as err:
+            list(joint_primitives(inst))
+        assert str(err.value) == str(exc)
+        return
+    assert list(joint_primitives(inst)) == want
 
 
 def test_reachable_pairs_cap_fails_fast(monkeypatch):
