@@ -9,6 +9,7 @@ table for every realization of the owner's conditioning information.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .sysmodel import (
     realization_strides,
     restrict_realization,
     schema_rows,
+    tuple_getter,
 )
 
 DEFAULT_TABLE_CAP = 2**20
@@ -102,7 +104,7 @@ class PrescriptionStrategy:
         return law, default
 
     def rule(self, instance: Instance, t: int, layout):
-        """Per-history joint control at stage t, as `ControlStrategy.rule`.
+        """Stage t's rule, as `ControlStrategy.rule`.
 
         Each target's control is read from the prescription its law gives the
         history's conditioning realization, at the row of the history's
@@ -112,18 +114,20 @@ class PrescriptionStrategy:
         lookups = []
         for target in range(1, instance.agent_count + 1):
             law, default = self._checked_law(instance, t, target)
-            cond = info.conditioning_schema(t, self.owner, target)
+            cond = tuple_getter(layout, info.conditioning_schema(t, self.owner, target))
             domain = info.prescription_domain(t, self.owner, target)
             strides = realization_strides(instance.schema_sizes(domain))
-            row = [(layout.index(var), stride) for var, stride in zip(domain, strides)]
-            lookups.append((law, default, [layout.index(v) for v in cond], row))
+            size = instance.system.control_sizes[target - 1]
+            lookups.append((law, default, cond, tuple_getter(layout, domain), strides, size))
 
         def rule(h):
-            controls = []
-            for law, default, cond_pos, row in lookups:
-                presc = law.get(tuple([h[i] for i in cond_pos]), default)
-                controls.append(presc.table[sum([h[i] * s for i, s in row])])
-            return (tuple(controls),)
+            controls, uj = [], 0
+            for law, default, cond, domain, rows, size in lookups:
+                row = sum(map(operator.mul, domain(h), rows)) if rows else 0
+                u = law.get(cond(h), default).table[row]
+                controls.append(u)
+                uj = uj * size + u
+            return ((tuple(controls), uj),)
 
         return rule
 

@@ -774,9 +774,9 @@ def solve_prescription_dp(instance: Instance, k: int, cap: int | None = None) ->
 
 
 def solve_common_info_dp(instance: Instance, cap: int | None = None) -> SolveResult:
-    """Coordinator recursion for the highest-indexed agent (the common-information case)."""
+    """Agent K's recursion as the common-information coordinator; it names no agent."""
     result = solve_prescription_dp(instance, instance.agent_count, cap)
-    result.method = "common-info"
+    result.method, result.agent = "common-info", None
     return result
 
 

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +125,14 @@ def index_realization(sizes, index: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def tuple_getter(layout, schema):
+    """h -> the values of `schema`'s variables in a history h laid out as `layout`."""
+    pos = [layout.index(v) for v in schema]
+    if len(pos) > 1:
+        return operator.itemgetter(*pos)
+    return (lambda h, i=pos[0]: (h[i],)) if pos else (lambda h: ())
+
+
 def restrict_realization(schema: InfoSchema, values, sub: InfoSchema) -> tuple[int, ...]:
     """Project values of `schema` onto the subset schema `sub`."""
     pos = {v: i for i, v in enumerate(schema)}
@@ -164,28 +173,28 @@ class ControlStrategy:
     tables: dict  # (t, k) -> {realization tuple: action}
 
     def rule(self, instance: Instance, t: int, layout):
-        """Per-history joint control at stage t, one table lookup per agent.
-
-        `layout` names the variables of the histories the rule is applied to.
-        """
+        """Stage t's rule: a history laid out as `layout` -> its one option,
+        (joint controls, joint control index), one table lookup per agent."""
         lookups = []
         for k in range(1, instance.agent_count + 1):
             table = self.tables.get((t, k))
             if table is None:
                 raise DomainMismatch(f"strategy has no table for (t={t}, agent={k})")
-            lookups.append((k, table, [layout.index(v) for v in instance.info.memory(t, k)]))
+            lookups.append((k, table, tuple_getter(layout, instance.info.memory(t, k))))
+        sizes = instance.system.control_sizes
 
         def rule(h):
-            controls = []
-            for k, table, pos in lookups:
-                real = tuple(h[i] for i in pos)
+            controls, uj = [], 0
+            for k, table, get in lookups:
                 try:
-                    controls.append(table[real])
+                    u = table[get(h)]
                 except KeyError:
                     raise DomainMismatch(
-                        f"strategy table (t={t}, agent={k}) missing realization {real}"
+                        f"strategy table (t={t}, agent={k}) missing realization {get(h)}"
                     ) from None
-            return (tuple(controls),)
+                controls.append(u)
+                uj = uj * sizes[k - 1] + u
+            return ((tuple(controls), uj),)
 
         return rule
 
@@ -387,57 +396,69 @@ def _successor_law(sys: SystemSpec, t: int, x: int, uj: int) -> dict:
 def _forward_pass(instance: Instance, keep, decide):
     """Propagate the joint law of (X_t, (y, u) history) over its reachable support.
 
-    At stage t every (x, h) branches over the positive-probability joint
+    Pairs carry the id of their history, interned per stage in first-seen
+    order. At stage t every (x, h) branches over the positive-probability joint
     observations, which append Y(t, 1..K) to h; `decide(t, layout)` returns a
-    function mapping such an h to the joint controls it takes. After acting,
-    the history keeps only the variables in `keep[t]`, and for t < T the state
-    branches over the positive-probability disturbances. Equal keys merge at
-    every step, and more than SWEEP_CAP reachable pairs raises CapExceeded as
-    soon as a stage passes it. Laws are built once, in `instance._cache`.
+    function, run once per distinct h, listing its options as (joint controls,
+    joint control index) pairs. After acting, the history keeps only the
+    variables in `keep[t]`, and for t < T the state branches over the
+    positive-probability disturbances. Equal keys merge at every step, and
+    more than SWEEP_CAP reachable pairs raises CapExceeded as soon as a stage
+    passes it. Laws are built once, in `instance._cache`.
 
-    Yields (t, layout, acted) per stage: `layout` names the variables of h and
-    `acted` lists (x, h, controls, joint control index, mass).
+    Yields (t, layout, histories, options, pairs) per stage: `layout` names the
+    variables of the distinct histories, `histories` and `options` are indexed
+    by history id, and `pairs` lists (x, history id, mass).
     """
     sys = instance.system
     T, K = sys.horizon, sys.agent_count
-    states = {(x, ()): float(p) for x, p in enumerate(sys.initial_probs) if p > 0.0}
-    kept: InfoSchema = ()
+    states = {(x, 0): float(p) for x, p in enumerate(sys.initial_probs) if p > 0.0}
+    kept, kept_histories = (), [()]
     for t in range(T + 1):
         layout = kept + _stage_variables(t, K, KIND_OBSERVATION)
         observation_laws = instance._cache.setdefault(("observation laws", t), {})
-        observed: dict = {}
-        for (x, h), mass in states.items():
+        children, histories, observed = {}, [], []
+        for (x, hid), mass in states.items():
             law = observation_laws.get(x)
             if law is None:
                 law = observation_laws[x] = _observation_law(sys, t, x)
-            for y, p in law.items():
-                key = (x, h + y)
-                observed[key] = observed.get(key, 0.0) + mass * p
+            for y, p in law.items():  # each (x, h + y) is new: no merge here
+                cid = children.setdefault((hid, y), len(histories))
+                if cid == len(histories):
+                    histories.append(kept_histories[hid] + y)
+                observed.append((x, cid, mass * p))
             _check_reach(len(observed))
         rule = decide(t, layout)
-        acted = []
-        for (x, h), mass in observed.items():
-            for controls in rule(h):
-                acted.append((x, h, controls, instance.joint_control_index(controls), mass))
-            _check_reach(len(acted))
-        yield t, layout, acted
+        options, count = [], 0
+        for x, cid, mass in observed:
+            if cid == len(options):  # ids first show up in increasing order
+                options.append(rule(histories[cid]))
+            count += len(options[cid])
+            _check_reach(count)
+        yield t, layout, histories, options, observed
         if t == T:
             return
         full = layout + _stage_variables(t, K, KIND_CONTROL)
-        cut = [i for i, var in enumerate(full) if var in keep[t]]
-        kept = tuple(full[i] for i in cut)
+        kept = tuple(var for var in full if var in keep[t])
+        acted = [h + controls for h, opts in zip(histories, options) for controls, _ in opts]
+        if kept == full:  # nothing is cut: each acted history is kept as it is
+            ids, kept_histories = iter(range(len(acted))), acted
+        else:
+            cut, interned = tuple_getter(full, kept), {}
+            ids = iter([interned.setdefault(cut(h), len(interned)) for h in acted])
+            kept_histories = list(interned)
+        moves = [[(uj, next(ids)) for _, uj in opts] for opts in options]
         successor_laws = instance._cache.setdefault(("successor laws", t), {})
         states = {}
-        for x, h, controls, uj, mass in acted:
-            full_h = h + controls
-            cut_h = tuple(full_h[i] for i in cut)
-            law = successor_laws.get((x, uj))
-            if law is None:
-                law = successor_laws[(x, uj)] = _successor_law(sys, t, x, uj)
-            for nxt, p in law.items():
-                key = (nxt, cut_h)
-                states[key] = states.get(key, 0.0) + mass * p
-            _check_reach(len(states))
+        for x, cid, mass in observed:
+            for uj, kid in moves[cid]:
+                law = successor_laws.get((x, uj))
+                if law is None:
+                    law = successor_laws[(x, uj)] = _successor_law(sys, t, x, uj)
+                for nxt, p in law.items():
+                    key = (nxt, kid)
+                    states[key] = states.get(key, 0.0) + mass * p
+                _check_reach(len(states))
 
 
 def exact_strategy_cost(instance: Instance, strategy) -> CostReport:
@@ -451,16 +472,12 @@ def exact_strategy_cost(instance: Instance, strategy) -> CostReport:
     keep = [set() for _ in range(T + 1)]
     for t in range(T - 1, -1, -1):
         keep[t] = keep[t + 1].union(*[info.memory(t + 1, k) for k in range(1, K + 1)])
-    stage_terms: list[list[float]] = []
-    for t, _, acted in _forward_pass(
-        instance, keep, lambda t, layout: strategy.rule(instance, t, layout)
-    ):
-        cost = instance.system.cost[t].tolist()
-        stage_terms.append([mass * cost[x][uj] for x, _, _, uj, mass in acted])
-    per_stage = tuple(math.fsum(terms) for terms in stage_terms)
-    return CostReport(
-        expected_cost=math.fsum(per_stage), per_stage_costs=per_stage, method="exact"
+    cost, decide = instance.system.cost.tolist(), functools.partial(strategy.rule, instance)
+    per_stage = tuple(
+        math.fsum([mass * cost[t][x][uj] for x, cid, mass in pairs for _, uj in options[cid]])
+        for t, _, _, options, pairs in _forward_pass(instance, keep, decide)
     )
+    return CostReport(math.fsum(per_stage), per_stage, "exact")
 
 
 def monte_carlo_cost(instance: Instance, strategy, samples: int, seed: int = 0) -> CostReport:
@@ -475,24 +492,10 @@ def monte_carlo_cost(instance: Instance, strategy, samples: int, seed: int = 0) 
     sys = instance.system
     T, K = sys.horizon, sys.agent_count
     rng = np.random.default_rng(seed)
-    x0s = rng.choice(sys.state_size, size=samples, p=sys.initial_probs)
-    ws = np.stack(
-        [
-            rng.choice(sys.disturbance_size, size=samples, p=sys.disturbance_probs[t])
-            for t in range(T)
-        ],
-        axis=1,
-    ) if T else np.zeros((samples, 0), dtype=int)
-    vs = [
-        np.stack(
-            [
-                rng.choice(sys.noise_sizes[k], size=samples, p=sys.noise_probs[k][t])
-                for t in range(T + 1)
-            ],
-            axis=1,
-        )
-        for k in range(K)
-    ]
+    x0s = rng.choice(sys.state_size, samples, p=sys.initial_probs)
+    ws = [rng.choice(sys.disturbance_size, samples, p=p) for p in sys.disturbance_probs]
+    noises = zip(sys.noise_sizes, sys.noise_probs)
+    vs = [[rng.choice(n, samples, p=p) for p in probs] for n, probs in noises]
     rules, layout = [], ()
     for t in range(T + 1):
         layout += _stage_variables(t, K, KIND_OBSERVATION)
@@ -503,23 +506,17 @@ def monte_carlo_cost(instance: Instance, strategy, samples: int, seed: int = 0) 
     for n in range(samples):
         x, h, costs = int(x0s[n]), (), []
         for t in range(T + 1):
-            h += tuple(int(sys.observation[k][t, x, vs[k][n, t]]) for k in range(K))
-            (controls,) = rules[t](h)
+            h += tuple(int(sys.observation[k][t, x, vs[k][t][n]]) for k in range(K))
+            ((controls, uj),) = rules[t](h)
             h += controls
-            uj = instance.joint_control_index(controls)
             costs.append(float(sys.cost[t, x, uj]))
             if t < T:
-                x = int(sys.transition[t, x, uj, ws[n, t]])
+                x = int(sys.transition[t, x, uj, ws[t][n]])
         totals[n] = sum(costs)
         stage_sums += costs
     stderr = float(totals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return CostReport(
-        expected_cost=float(totals.mean()),
-        per_stage_costs=tuple(stage_sums / samples),
-        method="monte_carlo",
-        stderr=stderr,
-        sample_count=samples,
-        seed=seed,
+        float(totals.mean()), tuple(stage_sums / samples), "monte_carlo", stderr, samples, seed
     )
 
 
@@ -540,21 +537,19 @@ def feasible_schema_realizations(instance: Instance, schema: InfoSchema):
     if key in instance._cache:
         return instance._cache[key]
     T = instance.horizon
-    every = list(enumerate_realizations(instance.system.control_sizes))
+    every = [(u, uj) for uj, u in enumerate(enumerate_realizations(instance.system.control_sizes))]
 
     def decide(t, layout):
         # stage-T controls enter no history, so one of them reaches every state
         options = every if t < T else every[:1]
         return lambda h: options
 
-    found = set()
-    for t, layout, acted in _forward_pass(instance, [set(schema)] * (T + 1), decide):
+    found = ()
+    for t, layout, histories, *_ in _forward_pass(instance, [set(schema)] * (T + 1), decide):
         if set(schema) <= set(layout):
-            pos = [layout.index(v) for v in schema]
-            found = {tuple(h[i] for i in pos) for _, h, _, _, _ in acted}
+            found = map(tuple_getter(layout, schema), histories)
             break
-    result = tuple(sorted(found))
-    instance._cache[key] = result
+    instance._cache[key] = result = tuple(sorted(set(found)))
     return result
 
 

@@ -9,6 +9,7 @@ posteriors from direct conditioning of the joint distribution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -205,6 +206,155 @@ def feasible_realizations(instance, schemas):
             for schema in schemas:
                 found[schema].add(schema_values(schema, y, u))
     return {schema: tuple(sorted(vals)) for schema, vals in found.items()}
+
+
+def rule_reference(instance, strategy, t, layout):
+    """Per-history joint controls of a control or prescription strategy at
+    stage t, as a function h -> (controls,): one tuple-keyed lookup per agent
+    or target, in the order and with the errors of the package's rules."""
+    from womctl.errors import DomainMismatch
+    from womctl.sysmodel import ControlStrategy, realization_strides
+
+    info = instance.info
+    lookups = []
+    if isinstance(strategy, ControlStrategy):
+        for k in range(1, instance.agent_count + 1):
+            table = strategy.tables.get((t, k))
+            if table is None:
+                raise DomainMismatch(f"strategy has no table for (t={t}, agent={k})")
+            lookups.append((k, table, [layout.index(v) for v in info.memory(t, k)]))
+
+        def rule(h):
+            controls = []
+            for k, table, pos in lookups:
+                real = tuple(h[i] for i in pos)
+                try:
+                    controls.append(table[real])
+                except KeyError:
+                    raise DomainMismatch(
+                        f"strategy table (t={t}, agent={k}) missing realization {real}"
+                    ) from None
+            return (tuple(controls),)
+
+        return rule
+    for target in range(1, instance.agent_count + 1):
+        law, default = strategy._checked_law(instance, t, target)
+        cond = info.conditioning_schema(t, strategy.owner, target)
+        domain = info.prescription_domain(t, strategy.owner, target)
+        strides = realization_strides(instance.schema_sizes(domain))
+        row = [(layout.index(var), stride) for var, stride in zip(domain, strides)]
+        lookups.append((law, default, [layout.index(v) for v in cond], row))
+
+    def rule(h):
+        controls = []
+        for law, default, cond_pos, row in lookups:
+            presc = law.get(tuple([h[i] for i in cond_pos]), default)
+            controls.append(presc.table[sum([h[i] * s for i, s in row])])
+        return (tuple(controls),)
+
+    return rule
+
+
+def forward_pass_reference(instance, keep, decide):
+    """The forward pass keyed by (x, history tuple): every (x, h) branches over
+    the joint observations, `decide(t, layout)(h)` lists its joint controls and
+    is called once per pair, the acted history is cut to `keep[t]` and the
+    state branches over the disturbances, by laws built here per pair. Equal
+    keys merge; the pair counts are checked against `SWEEP_CAP` at the
+    package's points. Yields (t, layout, acted), `acted` listing (x, h,
+    controls, joint index, mass)."""
+    from womctl.errors import CapExceeded
+    from womctl.infostruct import KIND_CONTROL, KIND_OBSERVATION
+    from womctl.sysmodel import SWEEP_CAP, _stage_variables
+
+    def check(count):
+        if count > SWEEP_CAP:
+            raise CapExceeded(count, SWEEP_CAP, "reachable (state, history) pairs")
+
+    def observation_law(t, x):  # joint observation -> probability, noise products in agent order
+        law = {}
+        for v in itertools.product(*[range(s) for s in sys.noise_sizes]):
+            p = 1.0
+            for k, vk in enumerate(v):
+                p *= float(sys.noise_probs[k][t, vk])
+            if p == 0.0:
+                continue
+            y = tuple(int(sys.observation[k][t, x, vk]) for k, vk in enumerate(v))
+            law[y] = law.get(y, 0.0) + p
+        return law
+
+    def successor_law(t, x, uj):  # next state -> probability
+        law = {}
+        for w in range(sys.disturbance_size):
+            p = float(sys.disturbance_probs[t, w])
+            if p:
+                nxt = int(sys.transition[t, x, uj, w])
+                law[nxt] = law.get(nxt, 0.0) + p
+        return law
+
+    sys = instance.system
+    T, K = sys.horizon, sys.agent_count
+    states = {(x, ()): float(p) for x, p in enumerate(sys.initial_probs) if p > 0.0}
+    kept = ()
+    for t in range(T + 1):
+        layout = kept + _stage_variables(t, K, KIND_OBSERVATION)
+        observed = {}
+        for (x, h), mass in states.items():
+            for y, p in observation_law(t, x).items():
+                key = (x, h + y)
+                observed[key] = observed.get(key, 0.0) + mass * p
+            check(len(observed))
+        rule = decide(t, layout)
+        acted = []
+        for (x, h), mass in observed.items():
+            for controls in rule(h):
+                acted.append((x, h, controls, instance.joint_control_index(controls), mass))
+            check(len(acted))
+        yield t, layout, acted
+        if t == T:
+            return
+        full = layout + _stage_variables(t, K, KIND_CONTROL)
+        cut = [i for i, var in enumerate(full) if var in keep[t]]
+        kept = tuple(full[i] for i in cut)
+        states = {}
+        for x, h, controls, uj, mass in acted:
+            full_h = h + controls
+            cut_h = tuple(full_h[i] for i in cut)
+            for nxt, p in successor_law(t, x, uj).items():
+                key = (nxt, cut_h)
+                states[key] = states.get(key, 0.0) + mass * p
+            check(len(states))
+
+
+def exact_cost_reference(instance, strategy):
+    """(expected cost, per-stage costs) by `forward_pass_reference`, each
+    stage's terms summed by `math.fsum`."""
+    info, T, K = instance.info, instance.horizon, instance.agent_count
+    keep = [set() for _ in range(T + 1)]
+    for t in range(T - 1, -1, -1):
+        keep[t] = keep[t + 1].union(*[info.memory(t + 1, k) for k in range(1, K + 1)])
+    decide = functools.partial(rule_reference, instance, strategy)
+    per_stage = tuple(
+        math.fsum([mass * float(instance.system.cost[t, x, uj]) for x, _, _, uj, mass in acted])
+        for t, _, acted in forward_pass_reference(instance, keep, decide)
+    )
+    return math.fsum(per_stage), per_stage
+
+
+def feasible_sweep_reference(instance, schema):
+    """Sorted realizations of `schema` by `forward_pass_reference` under free
+    controls (only the first stage-T control), read at the first stage whose
+    layout holds the whole schema."""
+    from womctl.sysmodel import enumerate_realizations
+
+    T = instance.horizon
+    every = list(enumerate_realizations(instance.system.control_sizes))
+    decide = lambda t, layout: lambda h: every if t < T else every[:1]  # noqa: E731
+    for t, layout, acted in forward_pass_reference(instance, [set(schema)] * (T + 1), decide):
+        if set(schema) <= set(layout):
+            pos = [layout.index(v) for v in schema]
+            return tuple(sorted({tuple(h[i] for i in pos) for _, h, _, _, _ in acted}))
+    return ()
 
 
 def joint_trajectories(instance, control_strategy):

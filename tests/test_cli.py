@@ -360,7 +360,7 @@ def test_solve_costs_equal_the_compare_rows(tmp_path, capsys, name, args, method
     path.write_text(json.dumps(doc))
     assert run(["solve", str(path), *args, "--report", str(report)]) == 0
     solved = json.loads(report.read_text())["results"]["solve"]
-    assert solved["method"] == method  # common-info reports agent K; its compare row has none
+    assert (solved["method"], solved["agent"]) == (method, agent)
     rows = compare_agents(instance_from_dict(doc)).rows
     [row] = [r for r in rows if (r["method"], r["agent"]) == (method, agent)]
     assert solved["optimal_cost"] == row["cost"]

@@ -1,0 +1,98 @@
+"""The interned forward pass against the tuple-keyed reference pass of
+`oracles.forward_pass_reference`: exact costs equal by `float.hex`, feasible
+sets by `==`, and the same `CapExceeded` and `DomainMismatch` errors, on the
+bundled instances, the fuzzed and random-topology ones and the POMDP ladder."""
+
+import random
+
+import pytest
+
+from helpers import (
+    fuzz_instance,
+    pomdp_dict,
+    random_control_strategy,
+    random_prescription_strategy,
+    random_topology_instance,
+)
+from oracles import exact_cost_reference, feasible_sweep_reference
+from womctl import sysmodel
+from womctl.errors import CapExceeded, DomainMismatch
+from womctl.instances import BUNDLED
+from womctl.sysmodel import (
+    ControlStrategy,
+    exact_strategy_cost,
+    feasible_schema_realizations,
+    instance_from_dict,
+)
+
+_FAMILIES = {
+    "bundled": lambda name: instance_from_dict(BUNDLED[name]()),
+    "fuzz": fuzz_instance,
+    "topology": random_topology_instance,
+    "pomdp": lambda horizon: instance_from_dict(pomdp_dict(horizon)),
+}
+
+
+def _exact(instance, strategy):
+    report = exact_strategy_cost(instance, strategy)
+    return report.expected_cost.hex(), [c.hex() for c in report.per_stage_costs]
+
+
+def _exact_reference(instance, strategy):
+    total, per_stage = exact_cost_reference(instance, strategy)
+    return total.hex(), [c.hex() for c in per_stage]
+
+
+def _outcome(fn, *args):
+    """fn's value, or the class, message and required count of its error."""
+    try:
+        return fn(*args)
+    except (CapExceeded, DomainMismatch) as exc:
+        return type(exc), str(exc), getattr(exc, "required", None)
+
+
+@pytest.mark.parametrize(
+    "family, key",
+    [("bundled", name) for name in BUNDLED]
+    + [("fuzz", seed) for seed in range(50)]
+    + [("topology", seed) for seed in range(60)]
+    + [("pomdp", horizon) for horizon in range(1, 8)],
+)
+def test_forward_pass_equals_the_tuple_keyed_reference(monkeypatch, family, key):
+    make = _FAMILIES[family]
+    inst = make(key)
+    info, T, K = inst.info, inst.horizon, inst.agent_count
+    rng = random.Random(f"{family}/{key}")
+    strategies = [random_control_strategy(inst, rng)]
+    strategies += [random_prescription_strategy(inst, k, rng) for k in range(1, K + 1)]
+    for strategy in strategies:
+        assert _exact(inst, strategy) == _exact_reference(inst, strategy)
+    schemas = sorted({
+        schema(t, k)
+        for schema in (info.memory, info.accessible)
+        for t in range(T + 1)
+        for k in range(1, K + 1)
+    })
+    for schema in schemas:
+        assert feasible_schema_realizations(inst, schema) == feasible_sweep_reference(inst, schema)
+
+    # one entry deleted from a table the pass reaches
+    raised = 0
+    for cell, table in strategies[0].tables.items():
+        tables = {**strategies[0].tables, cell: dict(list(table.items())[1:])}
+        broken = ControlStrategy(tables=tables)
+        got = _outcome(_exact, inst, broken)
+        assert got == _outcome(_exact_reference, inst, broken)
+        raised += got[0] is DomainMismatch
+    assert raised
+
+    for cap in (4, 16, 64):
+        fresh = make(key)
+        monkeypatch.setattr(sysmodel, "SWEEP_CAP", cap)
+        for strategy in strategies:
+            assert _outcome(_exact, fresh, strategy) == _outcome(_exact_reference, fresh, strategy)
+        for schema in schemas:
+            fresh._cache.clear()  # feasible sets are cached per instance
+            got = _outcome(feasible_schema_realizations, fresh, schema)
+            assert got == _outcome(feasible_sweep_reference, fresh, schema)
+        monkeypatch.undo()

@@ -35,6 +35,7 @@ from womctl.solver import solve_brute_force
 from womctl.sysmodel import (
     STATE,
     SWEEP_CAP,
+    ControlStrategy,
     enumerate_realizations,
     exact_strategy_cost,
     feasible_schema_realizations,
@@ -233,12 +234,42 @@ def test_feasibility_sweep_stops_once_the_schema_is_complete(monkeypatch):
     found = feasible_schema_realizations(inst, schema)
     assert stages == [0]
     # the sweep run on to the horizon carries the same realizations
-    every = list(enumerate_realizations(inst.system.control_sizes))
+    every = [(u, uj) for uj, u in enumerate(enumerate_realizations(inst.system.control_sizes))]
     keep = [set(schema)] * (inst.horizon + 1)
-    *_, (t, layout, acted) = real_pass(inst, keep, lambda t, layout: lambda h: every)
+    *_, (t, layout, histories, *_) = real_pass(inst, keep, lambda t, layout: lambda h: every)
     pos = [layout.index(v) for v in schema]
-    assert t == 7 and found == tuple(sorted({tuple(h[i] for i in pos) for _, h, *_ in acted}))
+    assert t == 7 and found == tuple(sorted({tuple(h[i] for i in pos) for h in histories}))
     assert len(found) > 1
+
+
+def test_exact_pass_runs_the_rule_once_per_distinct_history(monkeypatch):
+    """On the T=4 POMDP under copy-your-observation each stage reaches twice as
+    many (state, history) pairs as distinct histories; the rule runs per history."""
+    inst = instance_from_dict(pomdp_dict(4))
+    strat = copy_observation_strategy(inst)
+    calls, pairs = [], []
+    real_rule, real_pass = ControlStrategy.rule, sysmodel._forward_pass
+
+    def rule(self, instance, t, layout):
+        compiled = real_rule(self, instance, t, layout)
+        calls.append(0)
+
+        def counted(h):
+            calls[-1] += 1
+            return compiled(h)
+
+        return counted
+
+    def forward_pass(*args):
+        for stage in real_pass(*args):
+            pairs.append(len(stage[4]))
+            yield stage
+
+    monkeypatch.setattr(ControlStrategy, "rule", rule)
+    monkeypatch.setattr(sysmodel, "_forward_pass", forward_pass)
+    exact_strategy_cost(inst, strat)
+    assert calls == [2, 4, 8, 16, 32]
+    assert pairs == [4, 8, 16, 32, 64]
 
 
 def test_feasible_realizations_match_sweep_oracle(static3, d2, d2ext, wom3):
@@ -325,6 +356,16 @@ def test_monte_carlo_deterministic_reports(d2):
     assert a == b
 
 
+def test_monte_carlo_report_is_pinned(d2):
+    """The copy-your-observation report on d2 (5,000 samples, seed 42) by
+    `float.hex`, so that a change to how a rollout acts cannot move it."""
+    mc = monte_carlo_cost(d2, copy_observation_strategy(d2), samples=5000, seed=42)
+    assert mc.expected_cost.hex() == "0x1.bed288ce703b0p+1"
+    assert [c.hex() for c in mc.per_stage_costs] == ["0x1.d4538ef34d6a1p+0", "0x1.a95182a9930bep+0"]
+    assert mc.stderr.hex() == "0x1.1e7868862d79ep-5"
+    assert (mc.method, mc.sample_count, mc.seed) == ("monte_carlo", 5000, 42)
+
+
 def test_exact_vs_monte_carlo_on_random_strategy(d2):
     rng = random.Random(21)
     strat = random_control_strategy(d2, rng)
@@ -338,8 +379,6 @@ def test_strategy_domain_validation(d2):
     validate_strategy(d2, strat)
     broken = {k: dict(v) for k, v in strat.tables.items()}
     broken[(1, 1)].popitem()
-    from womctl.sysmodel import ControlStrategy
-
     with pytest.raises(DomainMismatch):
         validate_strategy(d2, ControlStrategy(tables=broken))
     free = ControlStrategy(tables={(0, 1): {}, (0, 2): {}, (1, 1): {}, (1, 2): {}})
