@@ -8,8 +8,6 @@ table for every realization of the owner's conditioning information.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +21,9 @@ from .sysmodel import (
     feasible_schema_realizations,
     realization_count,
     realization_index,
-    realization_strides,
     restrict_realization,
     schema_rows,
-    tuple_getter,
+    stage_rule,
 )
 
 DEFAULT_TABLE_CAP = 2**20
@@ -81,55 +78,37 @@ class PrescriptionStrategy:
             raise DomainMismatch(f"strategy has no law for (t={t}, target={target})") from None
         return law, self.defaults.get((t, target))
 
-    def _checked_law(self, instance: Instance, t: int, target: int):
-        """(law, default) of one (stage, target), checked over the law's own entries.
-
-        Every prescription must have the domain sizes of the target's
-        prescription domain, and a law without a default must cover every
-        conditioning realization.
-        """
+    def part(self, instance: Instance, t: int, target: int):
+        """The target's checked stage-t part of `sysmodel.stage_rule`:
+        (conditioning schema, law, default, prescription domain). Each
+        distinct prescription must have the domain's sizes and actions below
+        the control size, and a law without a default must cover every
+        conditioning realization."""
         law, default = self._law(t, target)
-        info = instance.info
-        dom_sizes = instance.schema_sizes(info.prescription_domain(t, self.owner, target))
-        for cond_real, presc in itertools.chain(law.items(), [("default", default)]):
-            if presc is not None and presc.domain_sizes != dom_sizes:
-                raise OutOfRange(
-                    f"law (t={t}, target={target}) prescription at {cond_real} has domain "
-                    f"sizes {presc.domain_sizes}, expected {dom_sizes}"
-                )
+        cond = instance.info.conditioning_schema(t, self.owner, target)
+        domain = instance.info.prescription_domain(t, self.owner, target)
+        dom_sizes, size = instance.schema_sizes(domain), instance.system.control_sizes[target - 1]
+        for presc in {id(p): p for p in (*law.values(), default)}.values():  # distinct ones
+            if presc is None or presc.domain_sizes == dom_sizes and (
+                0 <= min(presc.table) <= max(presc.table) < size
+            ):
+                continue
+            at = next((cond_real for cond_real, p in law.items() if p is presc), "default")
+            where = f"law (t={t}, target={target}) prescription at {at}"
+            if presc.domain_sizes != dom_sizes:
+                got = presc.domain_sizes
+                raise OutOfRange(f"{where} has domain sizes {got}, expected {dom_sizes}")
+            row, u = next((row, u) for row, u in enumerate(presc.table) if not 0 <= u < size)
+            raise OutOfRange(f"{where} maps row {row} to invalid action {u}")
         if default is None:
-            cond_sizes = instance.schema_sizes(info.conditioning_schema(t, self.owner, target))
-            for cond_real in enumerate_realizations(cond_sizes):
+            for cond_real in enumerate_realizations(instance.schema_sizes(cond)):
                 self.lookup(t, target, cond_real)  # raises at the first one missing
-        return law, default
+        return cond, law, default, domain
 
     def rule(self, instance: Instance, t: int, layout):
-        """Stage t's rule, as `ControlStrategy.rule`.
-
-        Each target's control is read from the prescription its law gives the
-        history's conditioning realization, at the row of the history's
-        prescription-domain realization.
-        """
-        info = instance.info
-        lookups = []
-        for target in range(1, instance.agent_count + 1):
-            law, default = self._checked_law(instance, t, target)
-            cond = tuple_getter(layout, info.conditioning_schema(t, self.owner, target))
-            domain = info.prescription_domain(t, self.owner, target)
-            strides = realization_strides(instance.schema_sizes(domain))
-            size = instance.system.control_sizes[target - 1]
-            lookups.append((law, default, cond, tuple_getter(layout, domain), strides, size))
-
-        def rule(h):
-            controls, uj = [], 0
-            for law, default, cond, domain, rows, size in lookups:
-                row = sum(map(operator.mul, domain(h), rows)) if rows else 0
-                u = law.get(cond(h), default).table[row]
-                controls.append(u)
-                uj = uj * size + u
-            return ((tuple(controls), uj),)
-
-        return rule
+        """Stage t's rule, one prescription lookup per target (`sysmodel.stage_rule`)."""
+        parts = [self.part(instance, t, m) for m in range(1, instance.agent_count + 1)]
+        return stage_rule(instance, t, layout, parts)
 
 
 def make_prescription(
@@ -233,14 +212,13 @@ def induced_control_tables(instance: Instance, psi: PrescriptionStrategy, agent:
     info = instance.info
     tables = {}
     for t in range(instance.horizon + 1):
-        law, default = psi._checked_law(instance, t, agent)
+        cond, law, default, domain = psi.part(instance, t, agent)
         mem = info.memory(t, agent)
-        cond = info.conditioning_schema(t, psi.owner, agent)
         rows = [
             law.get(cond_real, default).table
             for cond_real in enumerate_realizations(instance.schema_sizes(cond))
         ]
-        row, col = schema_rows(instance, mem, [cond, info.prescription_domain(t, psi.owner, agent)])
+        row, col = schema_rows(instance, mem, [cond, domain])
         actions = np.array(rows, dtype=np.int64)[row, col]
         tables[t] = dict(zip(enumerate_realizations(instance.schema_sizes(mem)), actions.tolist()))
     return tables
@@ -286,9 +264,7 @@ def control_law_to_strategy(
                     f"conditioning and domain do not partition memory "
                     f"(t={t}, owner={k}, target={target})"
                 )
-            g_table = strategy.tables.get((t, target))
-            if g_table is None:
-                raise DomainMismatch(f"control strategy missing (t={t}, agent={target})")
+            _, g_table, _, _ = strategy.part(instance, t, target)
             try:
                 actions = [g_table[r] for r in enumerate_realizations(instance.schema_sizes(mem))]
             except KeyError as exc:

@@ -47,6 +47,7 @@ from .sysmodel import (
     enumerate_realizations,
     exact_strategy_cost,
     feasible_schema_realizations,
+    instance_digest,
     joint_primitives,
     realization_count,
     realization_strides,
@@ -371,17 +372,17 @@ def _head_spaces(instance: Instance, j: int, caps: Caps):
     """
     shapes = {}
     for t in range(instance.horizon + 1):
-        per_target, joint = [], 1
+        per_target, joint, where = [], 1, f"agent {j}, stage {t}: "
         for m in range(1, j + 1):
             sizes = instance.schema_sizes(instance.info.prescription_domain(t, j, m))
             csize = instance.system.control_sizes[m - 1]
             count = prescription_space_size(sizes, csize)
             if count > caps.tables:
-                raise CapExceeded(count, caps.tables, "prescription enumeration")
+                raise CapExceeded(count, caps.tables, where + "prescription enumeration")
             joint *= count
             per_target.append((sizes, csize))
         if joint > caps.tables:
-            raise CapExceeded(joint, caps.tables, f"stage-{t} joint prescription search")
+            raise CapExceeded(joint, caps.tables, where + "joint prescription search")
         shapes[t] = per_target
     return {
         t: [enumerate_prescription_tables(sizes, csize, caps.tables) for sizes, csize in per_target]
@@ -422,11 +423,12 @@ class _Stage:
         self.batch = self.combo_of = self.win = self.kid = self.groups = None
 
 
-def _check_branches(count: int, caps: Caps):
-    """Raise unless a pass's `count` nodes so far are within the branch cap."""
+def _check_branches(count: int, caps: Caps, j: int, t: int):
+    """Raise unless the `count` nodes agent j's pass has made up to stage t
+    are within the branch cap."""
     if count > caps.branches:
-        raise CapExceeded(caps.branches + 1, caps.branches, "reachable belief branches",
-                          exact=False)
+        raise CapExceeded(caps.branches + 1, caps.branches,
+                          f"agent {j}, stage {t}: reachable belief branches", exact=False)
 
 
 def _map_columns(instance: Instance, j: int, t: int) -> dict:
@@ -534,7 +536,7 @@ def _expand(instance, j, t, stage, amaps, row_of, above, caps, before):
         tail = above.kid[combos[combo, 1], np.where(hit, found - head, 0)]
         failed = np.append(np.flatnonzero(~hit), failed)[0]
     node_of, made = _merge(batch.probs[groups[:failed]], tail[:failed])
-    _check_branches(before + len(made), caps)
+    _check_branches(before + len(made), caps, j, t + 1)
     if failed < len(combo):
         raise WomError(f"agent {j + 1} new information {tuple(z[failed].tolist())} "
                        "impossible on a positive branch")
@@ -580,7 +582,7 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
         spaces = _head_spaces(instance, j, caps)
         masses, maps, probs, tail = _roots(instance, j, above)
         node_of, made = _merge(probs, tail)
-        _check_branches(len(made), caps)
+        _check_branches(len(made), caps, j, 0)
         stage = _Stage(probs[made], tail[made])
         amaps = np.array([list(amap.values()) for amap in maps], dtype=np.int64)[made]
         roots = list(zip(masses, node_of.tolist(), maps, probs))
@@ -855,7 +857,8 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
     solved from agent K down, one pass per agent; at horizon 0 the per-agent
     rows are the static decomposition's. When a pass exceeds a cap, the agents
     below it cannot inherit its decisions, so their rows are skipped with the
-    same reason.
+    same reason. Optima further apart than `COST_TOL` raise `WomError`,
+    naming the instance by its `instance_digest`.
     """
     caps = resolve_caps(cap)
     rows = []
@@ -899,5 +902,7 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
     costs = [r["cost"] for r in rows if r["status"] == "ok"]
     spread = max(costs) - min(costs) if costs else 0.0
     if spread > COST_TOL:
-        raise WomError(f"solver optima disagree by {spread}: {rows}")
+        raise WomError(
+            f"solver optima disagree by {spread} on instance {instance_digest(instance)}: {rows}"
+        )
     return CompareReport(rows=rows, max_spread=spread)

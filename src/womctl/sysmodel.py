@@ -172,31 +172,55 @@ class ControlStrategy:
 
     tables: dict  # (t, k) -> {realization tuple: action}
 
+    def part(self, instance: Instance, t: int, k: int):
+        """Agent k's checked stage-t part of `stage_rule`: (memory schema,
+        table, no default, no domain). The table must exist and map to
+        actions below agent k's control size; it may omit realizations."""
+        table = self.tables.get((t, k))
+        if table is None:
+            raise DomainMismatch(f"strategy has no table for (t={t}, agent={k})")
+        size = instance.system.control_sizes[k - 1]
+        if table and not 0 <= min(table.values()) <= max(table.values()) < size:
+            real, act = next((real, a) for real, a in table.items() if not 0 <= a < size)
+            raise DomainMismatch(f"table (t={t}, agent={k}) maps {real} to invalid action {act}")
+        return instance.info.memory(t, k), table, None, None
+
     def rule(self, instance: Instance, t: int, layout):
-        """Stage t's rule: a history laid out as `layout` -> its one option,
-        (joint controls, joint control index), one table lookup per agent."""
-        lookups = []
-        for k in range(1, instance.agent_count + 1):
-            table = self.tables.get((t, k))
-            if table is None:
-                raise DomainMismatch(f"strategy has no table for (t={t}, agent={k})")
-            lookups.append((k, table, tuple_getter(layout, instance.info.memory(t, k))))
-        sizes = instance.system.control_sizes
+        """Stage t's rule, one table lookup per agent (`stage_rule`)."""
+        parts = [self.part(instance, t, k) for k in range(1, instance.agent_count + 1)]
+        return stage_rule(instance, t, layout, parts)
 
-        def rule(h):
-            controls, uj = [], 0
-            for k, table, get in lookups:
-                try:
-                    u = table[get(h)]
-                except KeyError:
-                    raise DomainMismatch(
-                        f"strategy table (t={t}, agent={k}) missing realization {get(h)}"
-                    ) from None
-                controls.append(u)
-                uj = uj * sizes[k - 1] + u
-            return ((tuple(controls), uj),)
 
-        return rule
+def stage_rule(instance: Instance, t: int, layout, parts):
+    """Stage t's rule: a history laid out as `layout` -> its one option,
+    (joint controls, joint control index). Per agent, `parts` gives a checked
+    (key schema, table, default, domain): the history's key realization looks
+    up the table's entry, else the default, and a missing entry raises
+    `DomainMismatch`. Without a domain the entry is the control; with one it
+    is a prescription, read at the row of the history's domain realization.
+    """
+    lookups = []
+    for k, (schema, table, default, domain) in enumerate(parts, start=1):
+        rows = None if domain is None else realization_strides(instance.schema_sizes(domain))
+        domain = None if domain is None else tuple_getter(layout, domain)
+        size = instance.system.control_sizes[k - 1]
+        lookups.append((k, size, table, default, tuple_getter(layout, schema), domain, rows))
+
+    def rule(h):
+        controls, uj = [], 0
+        for k, size, table, default, key, domain, rows in lookups:
+            entry = table.get(key(h), default)
+            if entry is None:
+                raise DomainMismatch(
+                    f"strategy table (t={t}, agent={k}) missing realization {key(h)}"
+                )
+            if domain is not None:  # the entry is a prescription
+                entry = entry.table[sum(map(operator.mul, domain(h), rows)) if rows else 0]
+            controls.append(entry)
+            uj = uj * size + entry
+        return ((tuple(controls), uj),)
+
+    return rule
 
 
 @dataclass(frozen=True)
@@ -307,29 +331,23 @@ def validate_instance(system: SystemSpec, network) -> Instance:
 
 
 def validate_strategy(instance: Instance, strategy: ControlStrategy):
-    """Check that every table exactly enumerates the memory schema domain."""
-    sys = instance.system
+    """The checks of the strategy's stage rules (`ControlStrategy.part`), and
+    that every table exactly enumerates the memory schema domain."""
     for t in range(instance.horizon + 1):
-        for k in range(1, sys.agent_count + 1):
-            table = strategy.tables.get((t, k))
-            if table is None:
-                raise DomainMismatch(f"missing table for (t={t}, agent={k})")
-            sizes = instance.schema_sizes(instance.info.memory(t, k))
+        for k in range(1, instance.agent_count + 1):
+            memory, table, _, _ = strategy.part(instance, t, k)
+            sizes = instance.schema_sizes(memory)
             if len(table) != realization_count(sizes):
                 raise DomainMismatch(
                     f"table (t={t}, agent={k}) has {len(table)} entries, "
                     f"expected {realization_count(sizes)}"
                 )
-            for real, act in table.items():
+            for real in table:
                 if tuple(int(v) for v in real) != real or any(
                     not (0 <= v < s) for v, s in zip(real, sizes)
                 ):
                     raise DomainMismatch(
                         f"table (t={t}, agent={k}) has out-of-range key {real}"
-                    )
-                if not (0 <= act < sys.control_sizes[k - 1]):
-                    raise DomainMismatch(
-                        f"table (t={t}, agent={k}) maps {real} to invalid action {act}"
                     )
     return strategy
 

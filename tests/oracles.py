@@ -211,17 +211,29 @@ def feasible_realizations(instance, schemas):
 def rule_reference(instance, strategy, t, layout):
     """Per-history joint controls of a control or prescription strategy at
     stage t, as a function h -> (controls,): one tuple-keyed lookup per agent
-    or target, in the order and with the errors of the package's rules."""
-    from womctl.errors import DomainMismatch
-    from womctl.sysmodel import ControlStrategy, realization_strides
+    or target, in the order and with the errors of the package's rules.
 
-    info = instance.info
+    Before any lookup every agent's or target's part is checked in agent
+    order. A control table must exist and map every realization to an action
+    below the agent's control size. A law must exist; each of its
+    prescriptions, in law order and then the default, must have the domain
+    sizes of the prescription domain and every entry below the control size;
+    a law without a default must hold every conditioning realization."""
+    from womctl.errors import DomainMismatch, OutOfRange
+    from womctl.sysmodel import ControlStrategy, enumerate_realizations, realization_strides
+
+    info, sizes = instance.info, instance.system.control_sizes
     lookups = []
     if isinstance(strategy, ControlStrategy):
         for k in range(1, instance.agent_count + 1):
-            table = strategy.tables.get((t, k))
-            if table is None:
+            if (t, k) not in strategy.tables:
                 raise DomainMismatch(f"strategy has no table for (t={t}, agent={k})")
+            table = strategy.tables[(t, k)]
+            for real, act in table.items():
+                if act < 0 or act >= sizes[k - 1]:
+                    raise DomainMismatch(
+                        f"table (t={t}, agent={k}) maps {real} to invalid action {act}"
+                    )
             lookups.append((k, table, [layout.index(v) for v in info.memory(t, k)]))
 
         def rule(h):
@@ -238,10 +250,33 @@ def rule_reference(instance, strategy, t, layout):
 
         return rule
     for target in range(1, instance.agent_count + 1):
-        law, default = strategy._checked_law(instance, t, target)
+        if (t, target) not in strategy.laws:
+            raise DomainMismatch(f"strategy has no law for (t={t}, target={target})")
+        law, default = strategy.laws[(t, target)], strategy.defaults.get((t, target))
         cond = info.conditioning_schema(t, strategy.owner, target)
         domain = info.prescription_domain(t, strategy.owner, target)
-        strides = realization_strides(instance.schema_sizes(domain))
+        dom_sizes = instance.schema_sizes(domain)
+        entries = list(law.items()) + ([("default", default)] if default is not None else [])
+        for at, presc in entries:
+            if presc.domain_sizes != dom_sizes:
+                raise OutOfRange(
+                    f"law (t={t}, target={target}) prescription at {at} has domain "
+                    f"sizes {presc.domain_sizes}, expected {dom_sizes}"
+                )
+            for row, u in enumerate(presc.table):
+                if u < 0 or u >= sizes[target - 1]:
+                    raise OutOfRange(
+                        f"law (t={t}, target={target}) prescription at {at} maps row {row} "
+                        f"to invalid action {u}"
+                    )
+        if default is None:
+            for cond_real in enumerate_realizations(instance.schema_sizes(cond)):
+                if cond_real not in law:
+                    raise DomainMismatch(
+                        f"law (t={t}, target={target}) missing conditioning realization "
+                        f"{cond_real}"
+                    )
+        strides = realization_strides(dom_sizes)
         row = [(layout.index(var), stride) for var, stride in zip(domain, strides)]
         lookups.append((law, default, [layout.index(v) for v in cond], row))
 

@@ -1,8 +1,10 @@
 """The interned forward pass against the tuple-keyed reference pass of
 `oracles.forward_pass_reference`: exact costs equal by `float.hex`, feasible
-sets by `==`, and the same `CapExceeded` and `DomainMismatch` errors, on the
-bundled instances, the fuzzed and random-topology ones and the POMDP ladder."""
+sets by `==`, and the same `CapExceeded`, `DomainMismatch` and `OutOfRange`
+errors, on the bundled instances, the fuzzed and random-topology ones and the
+POMDP ladder."""
 
+import dataclasses
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from helpers import (
 )
 from oracles import exact_cost_reference, feasible_sweep_reference
 from womctl import sysmodel
-from womctl.errors import CapExceeded, DomainMismatch
+from womctl.errors import CapExceeded, DomainMismatch, OutOfRange
 from womctl.instances import BUNDLED
 from womctl.sysmodel import (
     ControlStrategy,
@@ -47,7 +49,7 @@ def _outcome(fn, *args):
     """fn's value, or the class, message and required count of its error."""
     try:
         return fn(*args)
-    except (CapExceeded, DomainMismatch) as exc:
+    except (CapExceeded, DomainMismatch, OutOfRange) as exc:
         return type(exc), str(exc), getattr(exc, "required", None)
 
 
@@ -85,6 +87,24 @@ def test_forward_pass_equals_the_tuple_keyed_reference(monkeypatch, family, key)
         assert got == _outcome(_exact_reference, inst, broken)
         raised += got[0] is DomainMismatch
     assert raised
+
+    # one action past its agent's control size, in a table or a prescription
+    for cell, table in strategies[0].tables.items():
+        (real, _), size = next(iter(table.items())), inst.system.control_sizes[cell[1] - 1]
+        broken = ControlStrategy(tables={**strategies[0].tables, cell: {**table, real: size}})
+        got = _outcome(_exact, inst, broken)
+        assert got == _outcome(_exact_reference, inst, broken)
+        message = f"table (t={cell[0]}, agent={cell[1]}) maps {real} to invalid action {size}"
+        assert got == (DomainMismatch, message, None)
+    for psi in strategies[1:]:
+        for (t, m), law in psi.laws.items():
+            (cond, presc), size = next(iter(law.items())), inst.system.control_sizes[m - 1]
+            wide = dataclasses.replace(presc, table=(size,) + presc.table[1:])
+            broken = dataclasses.replace(psi, laws={**psi.laws, (t, m): {**law, cond: wide}})
+            got = _outcome(_exact, inst, broken)
+            assert got == _outcome(_exact_reference, inst, broken)
+            at = f"law (t={t}, target={m}) prescription at {cond}"
+            assert got == (OutOfRange, f"{at} maps row 0 to invalid action {size}", None)
 
     for cap in (4, 16, 64):
         fresh = make(key)

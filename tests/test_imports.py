@@ -1,12 +1,14 @@
 """Every module of the package and of the tests reads each name it imports,
-and every top-level function and class of the package is read somewhere.
+and every top-level function and class of the package, and every method of
+its classes other than a dunder method, is read somewhere.
 
 A name counts as imported-and-read when the module loads it anywhere, at any
 scope, as a bare name or as the base of an attribute chain. `from __future__`
 imports and the package's re-exports in `womctl/__init__.py` are not checked.
 A definition counts as read when any module of the package, the tests or the
 bench other than `womctl/__init__.py` loads its name, bare or as an
-attribute, or when the bench tracer's `TRACED` table names it.
+attribute, or when the bench tracer's `TRACED` table names it; a method
+counts by its own name, whatever object it is read from.
 """
 
 import ast
@@ -78,12 +80,21 @@ def traced_names(source: str) -> set[str]:
 
 
 def unread_definitions(source: str, read: set[str]) -> list[str]:
-    """The top-level functions and classes of `source` not in `read`, in order."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [
-        node.name for node in ast.parse(source).body
-        if isinstance(node, kinds) and node.name not in read
-    ]
+    """The top-level functions and classes of `source` and the methods of its
+    classes, dunder methods aside, not in `read`, in order; a method is named
+    `Class.method`."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unread = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (*functions, ast.ClassDef)) and node.name not in read:
+            unread.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            unread += [
+                f"{node.name}.{method.name}" for method in node.body
+                if isinstance(method, functions) and method.name not in read
+                and not (method.name.startswith("__") and method.name.endswith("__"))
+            ]
+    return unread
 
 
 def test_unread_definitions_are_found():
@@ -94,11 +105,21 @@ def test_unread_definitions_are_found():
         "    def method(self): pass\n"
         "class Unread: pass\n"
         "def stored(): pass\n"
+        "class Kept:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def _dead(self): pass\n"
+        "    def assigned(self): pass\n"
     )
-    reader = "import m\ncalled()\nm.as_attribute\nstored = 1\nm.stored = 2\n"
+    reader = (
+        "import m\ncalled()\nm.as_attribute\nstored = 1\nm.stored = 2\n"
+        "k = m.Kept()\nk.used()\nk.assigned = 3\n"
+    )
     spans = 'TRACED = {"layer": ("m", "Traced.method")}\nOTHER = {"x": ("m", "Unread")}\n'
     read = read_names(reader) | traced_names(spans)
-    assert unread_definitions(module, read) == ["Unread", "stored"]
+    assert unread_definitions(module, read) == [
+        "Unread", "stored", "Kept._dead", "Kept.assigned",
+    ]
 
 
 def test_every_definition_is_read():

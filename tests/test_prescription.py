@@ -196,6 +196,21 @@ def test_control_law_missing_a_realization_is_a_domain_mismatch(d2):
             control_law_to_strategy(d2, ControlStrategy(tables=tables), k)
 
 
+def test_control_law_reads_tables_through_the_checked_parts(d2):
+    """A missing table and an action past the control size raise the stage
+    rule's `DomainMismatch`, for every owner."""
+    tables = dict(solve_brute_force(d2).control_strategy.tables)
+    missing = {cell: table for cell, table in tables.items() if cell != (1, 2)}
+    wide = {**tables, (1, 2): dict.fromkeys(tables[(1, 2)], 2)}
+    for k in (1, 2):
+        with pytest.raises(DomainMismatch) as err:
+            control_law_to_strategy(d2, ControlStrategy(tables=missing), k)
+        assert str(err.value) == "strategy has no table for (t=1, agent=2)"
+        with pytest.raises(DomainMismatch) as err:
+            control_law_to_strategy(d2, ControlStrategy(tables=wide), k)
+        assert str(err.value) == "table (t=1, agent=2) maps (0, 0, 0, 0) to invalid action 2"
+
+
 def test_control_law_round_trip_costs(d2):
     rng = random.Random(8)
     for _ in range(20):

@@ -38,6 +38,7 @@ from womctl.sysmodel import (
     enumerate_realizations,
     exact_strategy_cost,
     feasible_schema_realizations,
+    instance_digest,
     instance_from_dict,
     joint_primitives,
     permute_instance,
@@ -449,7 +450,7 @@ def test_compare_agents_reports_skips(wom3):
     assert all(r["status"] == "skipped" for r in rep.rows)
     dp_reasons = {r["reason"] for r in rep.rows if r["method"] != "brute"}
     assert dp_reasons == {
-        "stage-1 joint prescription search needs 4294967296 candidates, cap is 1048576"
+        "agent 3, stage 1: joint prescription search needs 4294967296 candidates, cap is 1048576"
     }
 
 
@@ -533,7 +534,7 @@ def test_compare_agents_static_rows_skip_with_the_chain_reason(static3):
     rows = compare_agents(static3, cap=64).rows
     assert all(r["status"] == "skipped" for r in rows)
     assert {r["reason"] for r in rows if r["method"] != "brute"} == {
-        "stage-0 joint prescription search needs 128 candidates, cap is 64"
+        "agent 3, stage 0: joint prescription search needs 128 candidates, cap is 64"
     }
 
 
@@ -593,7 +594,7 @@ def test_dp_cap_fails_before_building_tables(d2, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(solver_mod, "enumerate_prescription_tables", counted)
-    with pytest.raises(CapExceeded, match="stage-1 joint prescription search needs 256"):
+    with pytest.raises(CapExceeded, match="agent 2, stage 1: joint prescription search needs 256"):
         solve_prescription_dp(d2, 2, cap=16)
     assert built == []
 
@@ -615,7 +616,9 @@ def test_branch_cap_message_gives_a_lower_bound():
     with pytest.raises(CapExceeded) as err:
         solve_prescription_dp(instance_from_dict(pomdp_dict(7)), 1, cap=20)
     assert err.value.required == 21
-    assert str(err.value) == "reachable belief branches needs more than 20 candidates, cap is 20"
+    assert str(err.value) == (
+        "agent 1, stage 2: reachable belief branches needs more than 20 candidates, cap is 20"
+    )
 
 
 def _count_sweeps(monkeypatch):
@@ -1006,7 +1009,7 @@ def test_compare_agents_matches_brute_on_random_topologies(seed):
         if seed in PRESCRIPTION_CAP_SEEDS:
             assert row["status"] == "skipped"
             assert re.fullmatch(
-                r"(prescription enumeration|stage-\d joint prescription search) "
+                r"agent \d, stage \d: (prescription enumeration|joint prescription search) "
                 rf"needs \d+ candidates, cap is {solver_mod.Caps().tables}",
                 row["reason"],
             )
@@ -1023,8 +1026,8 @@ def test_compare_agents_names_the_agent_and_stage_of_a_failure():
 
 
 def test_compare_agents_detects_disagreement(d2, monkeypatch):
-    import womctl.solver as solver_mod
-
+    costs = [row["cost"] for row in compare_agents(d2).rows]
+    costs[0] += 0.5  # the brute-force row comes first
     real = solver_mod.solve_brute_force
 
     def skewed(instance, cap=None):
@@ -1033,8 +1036,13 @@ def test_compare_agents_detects_disagreement(d2, monkeypatch):
         return res
 
     monkeypatch.setattr(solver_mod, "solve_brute_force", skewed)
-    with pytest.raises(WomError):
+    with pytest.raises(WomError) as failure:
         compare_agents(d2)
+    assert type(failure.value) is WomError
+    spread, digest = max(costs) - min(costs), instance_digest(d2)
+    assert str(failure.value).startswith(
+        f"solver optima disagree by {spread} on instance {digest}: [{{'method': 'brute', "
+    )
 
 
 def test_single_agent_static_all_solvers():

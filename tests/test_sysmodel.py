@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import random
 
@@ -9,6 +10,7 @@ from helpers import (
     fuzz_instance,
     pomdp_dict,
     random_control_strategy,
+    random_prescription_strategy,
     random_topology_instance,
 )
 from oracles import feasible_realizations, hand_rolled_cost, joint_primitives_reference
@@ -18,6 +20,7 @@ from womctl.errors import (
     CapExceeded,
     DistributionNotNormalized,
     DomainMismatch,
+    OutOfRange,
     SchemaMismatch,
     ShapeMismatch,
 )
@@ -31,6 +34,7 @@ from womctl.instances import (
     load_static3_reindexed,
     load_wom3,
 )
+from womctl.prescription import PrescriptionStrategy, joint_control_strategy
 from womctl.solver import solve_brute_force
 from womctl.sysmodel import (
     STATE,
@@ -387,6 +391,62 @@ def test_strategy_domain_validation(d2):
     missing = {k: v for k, v in strat.tables.items() if k != (1, 2)}
     with pytest.raises(DomainMismatch, match="no table"):
         exact_strategy_cost(d2, ControlStrategy(tables=missing))
+    # at t=1 agent 1 plays 0 and agent 2 plays 2, past its control size:
+    # unchecked, the joint index reads it as joint control (1, 0)
+    wide = ControlStrategy(tables={
+        **strat.tables,
+        (1, 1): dict.fromkeys(strat.tables[(1, 1)], 0),
+        (1, 2): dict.fromkeys(strat.tables[(1, 2)], 2),
+    })
+    want = "table (t=1, agent=2) maps (0, 0, 0, 0) to invalid action 2"
+    for evaluate in (exact_strategy_cost, _monte_carlo, validate_strategy):
+        with pytest.raises(DomainMismatch) as err:
+            evaluate(d2, wide)
+        assert str(err.value) == want
+
+
+def _monte_carlo(instance, strategy):
+    return monte_carlo_cost(instance, strategy, samples=100, seed=0)
+
+
+def test_prescription_actions_out_of_range_raise(d2):
+    psi = random_prescription_strategy(d2, 1, random.Random(3))
+    law = {
+        cond: dataclasses.replace(presc, table=(2,) * len(presc.table))
+        for cond, presc in psi.laws[(1, 2)].items()
+    }
+    wide = PrescriptionStrategy(owner=1, laws={**psi.laws, (1, 2): law})
+    want = f"law (t=1, target=2) prescription at {next(iter(law))} maps row 0 to invalid action 2"
+    for evaluate in (exact_strategy_cost, _monte_carlo, joint_control_strategy):
+        with pytest.raises(OutOfRange) as err:
+            evaluate(d2, wide)
+        assert str(err.value) == want
+    # a default is checked as the law's entries are
+    gappy = PrescriptionStrategy(
+        owner=1, laws={**psi.laws, (1, 2): {}}, defaults={(1, 2): next(iter(law.values()))}
+    )
+    with pytest.raises(OutOfRange, match="prescription at default maps row 0 to invalid action 2"):
+        exact_strategy_cost(d2, gappy)
+
+
+def test_copy_observation_actions_are_checked_by_every_evaluator():
+    """Copying an observation past the control size raises the same
+    `DomainMismatch` from either evaluator as from `validate_strategy`."""
+    raised = 0
+    for seed in range(50):
+        inst = fuzz_instance(seed)
+        strategy = copy_observation_strategy(inst)
+        outcomes = []
+        for evaluate in (validate_strategy, exact_strategy_cost, _monte_carlo):
+            try:
+                evaluate(inst, strategy)
+            except DomainMismatch as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(None)
+        assert outcomes == outcomes[:1] * 3, seed
+        raised += outcomes[0] is not None
+    assert raised == 24
 
 
 @pytest.mark.parametrize(
