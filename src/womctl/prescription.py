@@ -81,15 +81,16 @@ class PrescriptionStrategy:
     def part(self, instance: Instance, t: int, target: int):
         """The target's checked stage-t part of `sysmodel.stage_rule`:
         (conditioning schema, law, default, prescription domain). Each
-        distinct prescription must have the domain's sizes and actions below
-        the control size, and a law without a default must cover every
-        conditioning realization."""
+        distinct prescription must have the domain's sizes, one entry per
+        domain realization and actions below the control size, and a law
+        without a default must cover every conditioning realization."""
         law, default = self._law(t, target)
         cond = instance.info.conditioning_schema(t, self.owner, target)
         domain = instance.info.prescription_domain(t, self.owner, target)
         dom_sizes, size = instance.schema_sizes(domain), instance.system.control_sizes[target - 1]
+        rows = realization_count(dom_sizes)
         for presc in {id(p): p for p in (*law.values(), default)}.values():  # distinct ones
-            if presc is None or presc.domain_sizes == dom_sizes and (
+            if presc is None or presc.domain_sizes == dom_sizes and len(presc.table) == rows and (
                 0 <= min(presc.table) <= max(presc.table) < size
             ):
                 continue
@@ -98,6 +99,8 @@ class PrescriptionStrategy:
             if presc.domain_sizes != dom_sizes:
                 got = presc.domain_sizes
                 raise OutOfRange(f"{where} has domain sizes {got}, expected {dom_sizes}")
+            if len(presc.table) != rows:
+                raise OutOfRange(f"{where} has {len(presc.table)} entries, expected {rows}")
             row, u = next((row, u) for row, u in enumerate(presc.table) if not 0 <= u < size)
             raise OutOfRange(f"{where} maps row {row} to invalid action {u}")
         if default is None:

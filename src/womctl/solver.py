@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import logging
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from .belief import (
     step_kernel,
 )
 from .errors import CapExceeded, ShapeMismatch, WomError
-from .infostruct import KIND_CONTROL, VariableId
+from .infostruct import KIND_CONTROL, KIND_OBSERVATION, VariableId
 from .prescription import (
     Prescription,
     PrescriptionStrategy,
@@ -44,20 +43,19 @@ from .sysmodel import (
     ControlStrategy,
     CostReport,
     Instance,
+    _forward_pass,
     enumerate_realizations,
     exact_strategy_cost,
-    feasible_schema_realizations,
     instance_digest,
-    joint_primitives,
     realization_count,
     realization_strides,
     restrict_realization,
     schema_rows,
+    tuple_getter,
 )
 
 COST_TOL = 1e-9
 _CHUNK = 1 << 17
-_INNER = 1 << 10
 
 log = logging.getLogger("womctl")
 
@@ -125,22 +123,22 @@ class SolveResult:
 class _DigitGrid:
     """Costs over a mixed-radix digit grid, one axis per digit in encoding order.
 
-    The tensor starts with size 1 on every axis, or whole when every axis is
-    inner (from `outer` on). Sums do not depend on a digit nothing has read,
-    so `grow` repeats the tensor along an axis on its first read, inside one
-    buffer of `points` points. One more axis, of size 1, keeps every index a view.
+    The tensor starts with size 1 on every axis. Sums do not depend on a digit
+    nothing has read, so `grow` repeats the tensor along an axis on its first
+    read, inside one buffer of `points` points. One more axis, of size 1, keeps
+    every index a view.
     """
 
-    def __init__(self, shape: tuple, outer: int, points: int):
-        self.shape, self.outer = shape, outer
+    def __init__(self, shape: tuple, points: int):
+        self.shape = shape
         self.store = np.empty(points)
         self.sizes = [1] * len(shape)
         self.growths = 0
         self.zeros = {r: np.zeros(r, np.intp) for r in set(shape)}  # `take` repeats each block
 
-    def start(self):  # zero costs on the starting shape
-        self.sizes[:] = self.shape if self.outer == 0 else [1] * len(self.shape)
-        self.costs = self.store[:math.prod(self.sizes)].reshape(*self.sizes, 1)
+    def start(self):  # zero costs at size 1 on every axis
+        self.sizes[:] = [1] * len(self.shape)
+        self.costs = self.store[:1].reshape(*self.sizes, 1)
         self.costs[...] = 0.0
 
     def grow(self, axis: int):
@@ -182,48 +180,61 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     smallest encoding. Memory realizations never reachable under any strategy
     keep a fixed default action.
 
+    One forward pass takes every joint control and cuts nothing, so its
+    histories form a tree: a (history, joint control) node has the next
+    stage's histories that extend it as children. A cell's feasible
+    realizations are its stage's histories projected onto its memory schema,
+    and the cap is checked cell by cell before the pass builds the next stage.
     A chunk fixes the leading digits; its trailing digits, of at most
-    `_CHUNK` points, span a `_DigitGrid` whose last axes, of at most `_INNER`
-    points, form an inner block. A primitive sequence's walk reads each
-    memory realization from integer slots; its digit is fixed by the chunk or
-    branches along an axis. Until a path reads an inner digit, each stage adds
-    its weighted cost into the path's view; below, stage buffers shaped like
-    the inner block are added in stage order on leaving the subtree. So each
-    strategy sums one add per primitive and stage, in that order (README).
-    Chunks step like an odometer over the lead digits a walk read, so leads
-    that no walk tells apart are walked once, in encoding order.
+    `_CHUNK` points, span a `_DigitGrid`. Each chunk walks the tree depth
+    first: a history's digit per agent is fixed by the chunk or branches
+    along an axis, and each node reached adds its stage cost into the view
+    that its path fixes. So each strategy sums its nodes' costs in depth-first
+    preorder (README). Chunks step like an odometer over the lead digits a
+    walk read, so leads that no walk tells apart are walked once, in encoding
+    order.
     """
     caps = resolve_caps(cap)
     start = time.perf_counter()
     sys = instance.system
-    T, K = instance.horizon, sys.agent_count
+    T, K, nu = instance.horizon, sys.agent_count, sys.joint_control_count
+    every = [(u, uj) for uj, u in enumerate(enumerate_realizations(sys.control_sizes))]
+    uncut = {VariableId(t, k, kind) for t in range(T + 1) for k in range(1, K + 1)
+             for kind in (KIND_OBSERVATION, KIND_CONTROL)}
+    control_stride = realization_strides(sys.control_sizes)
 
-    cells = []  # (t, k, realizations, radix)
-    total = 1
-    for t in range(T + 1):
+    cells, radix_of = [], []  # (t, k, realizations, radix) per cell, the radix per digit
+    reads, strides, terms, kids = [], [], [], []  # per stage
+    total, cost = 1, sys.cost.tolist()
+    for t, layout, histories, _, pairs, children in _forward_pass(
+        instance, [uncut] * (T + 1), lambda t, layout: lambda h: every
+    ):
+        digits = []  # per agent with more than one control, its digit per history
+        strides.append([])
         for k in range(1, K + 1):
-            feas = feasible_schema_realizations(instance, instance.info.memory(t, k))
-            cells.append((t, k, feas, sys.control_sizes[k - 1]))
-            total *= sys.control_sizes[k - 1] ** len(feas)
+            reals = list(map(tuple_getter(layout, instance.info.memory(t, k)), histories))
+            feas, radix = sorted(set(reals)), sys.control_sizes[k - 1]
+            cells.append((t, k, feas, radix))
+            total *= radix ** len(feas)
             if total > caps.brute:  # later cells only multiply the count
                 last = (t, k) == (T, K)
                 raise CapExceeded(total, caps.brute, "brute-force enumeration", exact=last)
-
-    def slot(var):  # Y(t, 1..K) then U(t, 1..K), stage by stage
-        return (2 * var.time + (var.kind == KIND_CONTROL)) * K + var.agent - 1
-
-    control_stride = realization_strides(sys.control_sizes)
-    radix_of = []  # per digit
-    plan = [[] for _ in range(T + 1)]  # per stage, how to find each agent's digit
-    for t, k, feas, radix in cells:
-        schema = instance.info.memory(t, k)
-        read = operator.itemgetter(*map(slot, schema))  # one slot's value comes bare
-        bare = operator.itemgetter(*range(len(schema)))
-        digit_of = {bare(real): len(radix_of) + i for i, real in enumerate(feas)}
-        if radix > 1:  # an agent with one control always plays 0
-            plan[t].append((read, digit_of, control_stride[k - 1],
-                            slot(VariableId(t, k, KIND_CONTROL))))
-        radix_of.extend([radix] * len(feas))
+            if radix > 1:  # an agent with one control always plays 0
+                digit_of = {real: len(radix_of) + i for i, real in enumerate(feas)}
+                digits.append([digit_of[real] for real in reals])
+                strides[t].append(control_stride[k - 1])
+            radix_of.extend([radix] * len(feas))
+        reads.append(list(zip(*digits)) or [()] * len(histories))
+        term = [0.0] * (len(histories) * nu)  # per node: history id * nu + joint control
+        for x, hid, mass in pairs:  # each a left fold over the pairs, in order
+            base, row = hid * nu, cost[t][x]
+            for uj in range(nu):
+                term[base + uj] += mass * row[uj]
+        terms.append(term)
+        kids.append([[] for _ in term])
+        if t:  # nothing is cut, so a history's parent id is its parent node
+            for hid, (node, _) in enumerate(children):
+                kids[t - 1][node].append(hid)
 
     split, chunk_size = len(radix_of), 1  # digits from `split` on are trailing
     while split and chunk_size * radix_of[split - 1] <= _CHUNK:
@@ -233,76 +244,45 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
     axis_of = [-1] * len(radix_of)
     for axis, g in enumerate(axis_digits):
         axis_of[g] = axis
-    shape = tuple(radix_of[g] for g in axis_digits)
-    outer, inner_size = len(shape), 1  # axes from `outer` on form the inner block
-    while outer and inner_size * shape[outer - 1] <= _INNER:
-        outer -= 1
-        inner_size *= shape[outer]
-
-    obs = [h.tolist() for h in sys.observation]
-    transition = sys.transition.tolist()
-    cost = sys.cost.tolist()
-    index = [slice(None)] * len(shape)
+    index = [slice(None)] * len(axis_digits)
     digit = [0] * len(radix_of)
-    vals = [0] * (2 * (T + 1) * K)  # by `slot`
-    grid = _DigitGrid(shape, outer, chunk_size)
+    grid = _DigitGrid(tuple(radix_of[g] for g in axis_digits), chunk_size)
     adds = 0
 
-    def walk(t, k, x, uj, n):
-        # adds primitive `p, w_seq, seen` through `bufs`; the path read axes below `n`
-        nonlocal adds, bufs
-        while True:
-            if k == len(plan[t]):
-                if n > outer:
-                    bufs[(t, *index[outer:n])] = p * cost[t][x][uj]
-                else:
-                    view = grid.costs[(*index[:n],)]
-                    view += p * cost[t][x][uj]
-                    adds += 1
-                if t == T:
-                    return
-                x = transition[t][x][uj][w_seq[t]]
-                t, k, uj = t + 1, 0, 0
-                vals[observed[t]] = seen[t][x]
-                continue
-            read, digit_of, stride, control = plan[t][k]
-            g = digit_of[read(vals)]
+    def walk(t, hid, k, uj, n):
+        # history `hid` of stage t, its first k branching agents decided; the
+        # path read axes below `n`
+        nonlocal adds
+        gs, stride = reads[t][hid], strides[t]
+        while k < len(gs):
+            g = gs[k]
             axis = axis_of[g]
             if axis >= 0:
                 break
             lead_read[g] = True
-            vals[control] = digit[g]
-            uj += digit[g] * stride
+            uj += digit[g] * stride[k]
             k += 1
+        else:
+            node = hid * nu + uj
+            view = grid.costs[(*index[:n],)]
+            view += terms[t][node]
+            adds += 1
+            for child in kids[t][node]:
+                walk(t + 1, child, 0, 0, n)
+            return
         if grid.sizes[axis] == 1:  # the chunk's first read of this axis
             grid.grow(axis)
-            if axis >= outer:
-                bufs = bufs.repeat(shape[axis], axis - outer + 1)
         for u in range(radix_of[g]):
             index[axis] = u
-            vals[control] = u
-            walk(t, k + 1, x, uj + u * stride, axis + 1)
+            walk(t, hid, k + 1, uj + u * stride[k], axis + 1)
         index[axis] = slice(None)
-        if n <= outer <= axis:  # leaving the subtree of the path's first inner read
-            view = grid.costs[(*index[:n],)]
-            for buf in bufs[t:]:
-                view += buf
-            adds += T + 1 - t
 
-    observed = [slice(2 * t * K, (2 * t + 1) * K) for t in range(T + 1)]  # Y(t, .) slots
-    prims = [  # seen[t][x]: the observations Y(t, .) in state x
-        (p, x0, w_seq, [[[obs[j][t][x][v[j][t]] for j in range(K)]
-                         for x in range(sys.state_size)] for t in range(T + 1)])
-        for p, x0, w_seq, v in joint_primitives(instance)
-    ]
     best_cost, best_lead, best_axes, largest, walked = math.inf, None, (), 0, 0
     while True:  # an odometer over the lead digits that some walk read
         lead_read = [False] * split
         grid.start()
-        bufs = np.empty([T + 1, *grid.sizes[outer:], 1])  # per stage, an inner block
-        for p, x0, w_seq, seen in prims:
-            vals[observed[0]] = seen[0][x0]
-            walk(0, 0, x0, 0, 0)
+        for hid in range(len(reads[0])):
+            walk(0, hid, 0, 0, 0)
         found = grid.argmin(best_cost)
         if found:
             (best_cost, best_axes), best_lead = found, digit[:split]
@@ -313,9 +293,10 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
         if g < 0:
             break
         digit[g:split] = [digit[g] + 1] + [0] * (split - g - 1)
-    log.debug("brute force: %d strategies, %d chunks, %d walked, %d primitives, largest tensor "
+    log.debug("brute force: %d strategies, %d chunks, %d walked, %d histories, largest tensor "
               "of %d points, %.3f s, %d growths, %d view adds", total, math.prod(radix_of[:split]),
-              walked, len(prims), largest, time.perf_counter() - start, grid.growths, adds)
+              walked, sum(map(len, reads)), largest, time.perf_counter() - start, grid.growths,
+              adds)
 
     digit[:split] = best_lead
     for g, u in zip(axis_digits, best_axes):

@@ -424,9 +424,12 @@ def _forward_pass(instance: Instance, keep, decide):
     more than SWEEP_CAP reachable pairs raises CapExceeded as soon as a stage
     passes it. Laws are built once, in `instance._cache`.
 
-    Yields (t, layout, histories, options, pairs) per stage: `layout` names the
-    variables of the distinct histories, `histories` and `options` are indexed
-    by history id, and `pairs` lists (x, history id, mass).
+    Yields (t, layout, histories, options, pairs, children) per stage: `layout`
+    names the variables of the distinct histories, `histories` and `options`
+    are indexed by history id, `pairs` lists (x, history id, mass), and
+    `children` lists each history's (parent id, joint observation) in id
+    order. A parent id names a kept history of the previous stage; when
+    nothing is cut, it indexes that stage's (history, option) pairs in order.
     """
     sys = instance.system
     T, K = sys.horizon, sys.agent_count
@@ -453,7 +456,7 @@ def _forward_pass(instance: Instance, keep, decide):
                 options.append(rule(histories[cid]))
             count += len(options[cid])
             _check_reach(count)
-        yield t, layout, histories, options, observed
+        yield t, layout, histories, options, observed, children
         if t == T:
             return
         full = layout + _stage_variables(t, K, KIND_CONTROL)
@@ -493,7 +496,7 @@ def exact_strategy_cost(instance: Instance, strategy) -> CostReport:
     cost, decide = instance.system.cost.tolist(), functools.partial(strategy.rule, instance)
     per_stage = tuple(
         math.fsum([mass * cost[t][x][uj] for x, cid, mass in pairs for _, uj in options[cid]])
-        for t, _, _, options, pairs in _forward_pass(instance, keep, decide)
+        for t, _, _, options, pairs, _ in _forward_pass(instance, keep, decide)
     )
     return CostReport(math.fsum(per_stage), per_stage, "exact")
 

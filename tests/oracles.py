@@ -464,36 +464,18 @@ def predictive_new_info(instance, control_strategy, k, t):
     return out
 
 
-def brute_force_reference(instance, chunk=1 << 18):
-    """(best cost, tables) of exhaustive search by per-id digit decoding.
-
-    Every strategy id in a chunk of `chunk` consecutive ids is rolled out over
-    every primitive sequence at once, its digits decoded with integer gathers.
-    Encoding, float addition order and tie-breaking are those of
-    `solve_brute_force`, so its `vectorized_cost` and tables must equal these
-    exactly.
-    """
-    import numpy as np
-
-    from womctl.sysmodel import (
-        enumerate_realizations,
-        feasible_schema_realizations,
-        joint_primitives,
-        realization_count,
-        realization_index,
-    )
+def _strategy_encoding(instance):
+    """The brute-force encoding: per (t, k) cell its feasible memory
+    realizations and radix, each cell's first digit, and each digit's weight
+    (`suffix[g + 1]`), stage then agent then realization from the slowest."""
+    from womctl.sysmodel import feasible_schema_realizations
 
     sys = instance.system
-    T, K = instance.horizon, sys.agent_count
     cells = []  # (t, k, realizations, radix)
-    for t in range(T + 1):
-        for k in range(1, K + 1):
+    for t in range(instance.horizon + 1):
+        for k in range(1, sys.agent_count + 1):
             feas = feasible_schema_realizations(instance, instance.info.memory(t, k))
             cells.append((t, k, feas, sys.control_sizes[k - 1]))
-    total = 1
-    for _, _, feas, radix in cells:
-        total *= radix ** len(feas)
-
     flat_radix, flat_cell_of = [], {}
     for t, k, feas, radix in cells:
         flat_cell_of[(t, k)] = len(flat_radix)
@@ -501,6 +483,42 @@ def brute_force_reference(instance, chunk=1 << 18):
     suffix = [1] * (len(flat_radix) + 1)
     for c in range(len(flat_radix) - 1, -1, -1):
         suffix[c] = suffix[c + 1] * flat_radix[c]
+    return cells, flat_cell_of, flat_radix, suffix
+
+
+def _decoded_tables(instance, cells, flat_cell_of, suffix, best_id):
+    """The dense tables of strategy `best_id`, 0 on infeasible realizations."""
+    from womctl.sysmodel import enumerate_realizations
+
+    tables = {}
+    for t, k, feas, radix in cells:
+        sizes = instance.schema_sizes(instance.info.memory(t, k))
+        table = {real: 0 for real in enumerate_realizations(sizes)}
+        base = flat_cell_of[(t, k)]
+        for local, real in enumerate(feas):
+            table[real] = (best_id // suffix[base + local + 1]) % radix
+        tables[(t, k)] = table
+    return tables
+
+
+def brute_force_reference(instance, chunk=1 << 18):
+    """(best cost, tables) of exhaustive search by per-id digit decoding.
+
+    Every strategy id in a chunk of `chunk` consecutive ids is rolled out over
+    every primitive sequence at once, its digits decoded with integer gathers,
+    and sums its costs primitive by primitive, then stage by stage. The ids
+    are those of `solve_brute_force`, and ties go to the smallest, so its
+    tables must equal these unless two strategies' costs tie to rounding; its
+    `vectorized_cost` sums in another order (`brute_force_tree_reference`).
+    """
+    import numpy as np
+
+    from womctl.sysmodel import joint_primitives, realization_count, realization_index
+
+    sys = instance.system
+    T, K = instance.horizon, sys.agent_count
+    cells, flat_cell_of, flat_radix, suffix = _strategy_encoding(instance)
+    total = suffix[0]
     suffix_np = np.asarray(suffix[1:], dtype=np.int64)  # weight of each digit
     radix_np = np.asarray(flat_radix, dtype=np.int64)
 
@@ -544,16 +562,93 @@ def brute_force_reference(instance, chunk=1 << 18):
         arg = int(np.argmin(costs))
         if costs[arg] < best_cost:
             best_cost, best_id = float(costs[arg]), lo + arg
+    return best_cost, _decoded_tables(instance, cells, flat_cell_of, suffix, best_id)
 
-    tables = {}
-    for t, k, feas, radix in cells:
-        sizes = instance.schema_sizes(instance.info.memory(t, k))
-        table = {real: 0 for real in enumerate_realizations(sizes)}
-        base = flat_cell_of[(t, k)]
-        for local, real in enumerate(feas):
-            table[real] = (best_id // suffix[base + local + 1]) % radix
-        tables[(t, k)] = table
-    return best_cost, tables
+
+def history_tree_reference(instance):
+    """Per stage, (layout, acted) of `forward_pass_reference` with every joint
+    control taken at every stage and nothing cut: the history tree brute
+    force walks."""
+    from womctl.infostruct import KIND_CONTROL, KIND_OBSERVATION, VariableId
+    from womctl.sysmodel import enumerate_realizations
+
+    T, K = instance.horizon, instance.agent_count
+    every = list(enumerate_realizations(instance.system.control_sizes))
+    uncut = {VariableId(t, k, kind) for t in range(T + 1) for k in range(1, K + 1)
+             for kind in (KIND_OBSERVATION, KIND_CONTROL)}
+    decide = lambda t, layout: lambda h: every  # noqa: E731
+    return [(layout, acted) for _, layout, acted in
+            forward_pass_reference(instance, [uncut] * (T + 1), decide)]
+
+
+def brute_force_tree_reference(instance, chunk=1 << 18):
+    """(best cost, tables) of exhaustive search over `history_tree_reference`.
+
+    A (history, joint control) node costs the left fold from 0.0 of mass times
+    stage cost over the history's (state, history) pairs in pass order. Every
+    strategy id in a chunk of `chunk` consecutive ids, its digits decoded
+    against `feasible_schema_realizations`, sums the costs of the nodes it
+    reaches in depth-first preorder: the stage-0 histories in first-seen
+    order, and after each node the histories that extend it, in first-seen
+    order. Encoding, float addition order and tie-breaking are those of
+    `solve_brute_force`, so its `vectorized_cost` and tables must equal these
+    exactly.
+    """
+    import numpy as np
+
+    sys = instance.system
+    K, nu = sys.agent_count, sys.joint_control_count
+    cells, flat_cell_of, flat_radix, suffix = _strategy_encoding(instance)
+    total = suffix[0]
+    digit_of = {(t, k): {real: flat_cell_of[(t, k)] + i for i, real in enumerate(feas)}
+                for t, k, feas, _ in cells}
+    control_stride = [math.prod(sys.control_sizes[k + 1:]) for k in range(K)]
+
+    stages = []  # per stage: {history: (node costs by joint control, digit per agent)}
+    kids = {}  # (stage, parent history, joint control) -> child histories in first-seen order
+    for t, (layout, acted) in enumerate(history_tree_reference(instance)):
+        costs = {}
+        for x, h, _, uj, mass in acted:
+            costs.setdefault(h, [0.0] * nu)[uj] += mass * float(sys.cost[t, x, uj])
+        stages.append({})
+        for h, row in costs.items():
+            digits = [
+                digit_of[(t, k)][tuple(h[layout.index(v)] for v in instance.info.memory(t, k))]
+                for k in range(1, K + 1)
+            ]
+            stages[t][h] = np.asarray(row), digits
+            if t:
+                parent, uj = h[:-2 * K], instance.joint_control_index(h[-2 * K:-K])
+                kids.setdefault((t - 1, parent, uj), []).append(h)
+
+    best_cost, best_id = math.inf, -1
+    for lo in range(0, total, chunk):
+        hi = min(total, lo + chunk)
+        ids = np.arange(lo, hi, dtype=np.int64)
+        totals = np.zeros(hi - lo)
+
+        @functools.cache
+        def value(g):  # digit g of every id
+            return (ids // suffix[g + 1]) % flat_radix[g]
+
+        def visit(t, h, reach):
+            node_costs, digits = stages[t][h]
+            uj = np.zeros(hi - lo, dtype=np.int64)
+            for k, g in enumerate(digits):
+                uj += value(g) * control_stride[k]
+            np.add(totals, node_costs[uj], out=totals, where=reach)
+            for u in range(nu):
+                children = kids.get((t, h, u), ())
+                if children and (below := reach & (uj == u)).any():
+                    for child in children:
+                        visit(t + 1, child, below)
+
+        for h in stages[0]:
+            visit(0, h, np.ones(hi - lo, dtype=bool))
+        arg = int(np.argmin(totals))
+        if totals[arg] < best_cost:
+            best_cost, best_id = float(totals[arg]), lo + arg
+    return best_cost, _decoded_tables(instance, cells, flat_cell_of, suffix, best_id)
 
 
 def trace_step_reference(instance, k, t, state_values, controls, w, v_vector):

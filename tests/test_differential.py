@@ -13,10 +13,12 @@ The relay defect (a step kernel that finds no source for a variable of the
 next equivalent state) is asserted by class and message wherever it shows,
 with brute force solving the instance alone.
 
-A second gate holds brute force to `oracles.brute_force_reference`, bit for
-bit, on the documents of at most `REFERENCE_LIMIT` strategies and
-`PRIMITIVE_LIMIT` primitive sequences (the reference's work grows with
-both), with chunks and inner blocks from one point up to the defaults.
+A second gate holds brute force to `oracles.brute_force_tree_reference`, bit
+for bit, on the documents of at most `REFERENCE_LIMIT` strategies and
+`PRIMITIVE_LIMIT` primitive sequences (the reference's work grows with the
+strategies and with the histories, which under any one control sequence are
+no more than the primitive sequences), with chunks from one point up to the
+default.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from unittest import mock
 import hypothesis
 import hypothesis.strategies as st
 
-from oracles import brute_force_reference
+from oracles import brute_force_tree_reference
 import womctl.solver as solver_mod
 from womctl.errors import CapExceeded, SchemaMismatch, WomError
 from womctl.prescription import count_strategies
@@ -170,15 +172,14 @@ def test_solvers_agree_with_brute_force_on_generated_instances(doc):
 @hypothesis.given(
     instance_documents(),
     st.sampled_from([1, 2, 4, 16, solver_mod._CHUNK]),
-    st.sampled_from([0, 1, 16, solver_mod._INNER]),
 )
-def test_brute_force_matches_reference_on_generated_instances(doc, chunk, inner):
+def test_brute_force_matches_reference_on_generated_instances(doc, chunk):
     instance = _kept(doc, REFERENCE_LIMIT)
     hypothesis.assume(instance is not None)
     primitives = itertools.islice(joint_primitives(instance), PRIMITIVE_LIMIT + 1)
     hypothesis.assume(sum(1 for _ in primitives) <= PRIMITIVE_LIMIT)
-    best, tables = brute_force_reference(instance)
-    with mock.patch.object(solver_mod, "_CHUNK", chunk), mock.patch.object(solver_mod, "_INNER", inner):
+    best, tables = brute_force_tree_reference(instance)
+    with mock.patch.object(solver_mod, "_CHUNK", chunk):
         res = solve_brute_force(instance)
     assert res.extras["vectorized_cost"] == best
     assert res.control_strategy.tables == tables

@@ -2,7 +2,8 @@
 `oracles.forward_pass_reference`: exact costs equal by `float.hex`, feasible
 sets by `==`, and the same `CapExceeded`, `DomainMismatch` and `OutOfRange`
 errors, on the bundled instances, the fuzzed and random-topology ones and the
-POMDP ladder."""
+POMDP ladder. Brute force's own uncut pass and the strategy count's cut
+sweeps find the same feasible sets on those and on the bench's ops."""
 
 import dataclasses
 import random
@@ -17,9 +18,12 @@ from helpers import (
     random_topology_instance,
 )
 from oracles import exact_cost_reference, feasible_sweep_reference
+from test_stage_pass import _bench_workloads
 from womctl import sysmodel
 from womctl.errors import CapExceeded, DomainMismatch, OutOfRange
-from womctl.instances import BUNDLED
+from womctl.instances import BUNDLED, load_static3_reindexed
+from womctl.prescription import count_strategies
+from womctl.solver import solve_brute_force
 from womctl.sysmodel import (
     ControlStrategy,
     exact_strategy_cost,
@@ -116,3 +120,40 @@ def test_forward_pass_equals_the_tuple_keyed_reference(monkeypatch, family, key)
             got = _outcome(feasible_schema_realizations, fresh, schema)
             assert got == _outcome(feasible_sweep_reference, fresh, schema)
         monkeypatch.undo()
+
+
+
+def _bench_op(label):  # "seed/workload/op label" -> the op's instance
+    seed, name, op_label = label.split("/")
+    (op,) = [op for op in _bench_workloads().GENERATORS[name](int(seed)) if op.label == op_label]
+    return instance_from_dict(op.doc)
+
+
+_COUNTED = {
+    **_FAMILIES,
+    "static3_reindexed": lambda _: load_static3_reindexed(),
+    "bench": _bench_op,
+}
+
+
+@pytest.mark.parametrize(
+    "family, key",
+    [("bundled", name) for name in BUNDLED]
+    + [("static3_reindexed", None)]
+    + [("fuzz", seed) for seed in range(50)]
+    + [("topology", seed) for seed in range(60)]
+    + [("pomdp", horizon) for horizon in range(1, 8)]
+    + [
+        ("bench", f"{seed}/{name}/{op.label}")
+        for seed in (7, 8)
+        for name, generate in _bench_workloads().GENERATORS.items()
+        for op in generate(seed)
+    ],
+)
+def test_brute_force_and_the_count_find_the_same_feasible_sets(family, key):
+    make = _COUNTED[family]
+    try:
+        res = solve_brute_force(make(key))
+    except CapExceeded:
+        return  # past the brute-force cap: nothing to compare
+    assert count_strategies(make(key), "brute") == res.search_size

@@ -1,6 +1,6 @@
 """Every module of the package and of the tests reads each name it imports,
-and every top-level function and class of the package, and every method of
-its classes other than a dunder method, is read somewhere.
+and every top-level function, class and assigned name of the package, and
+every method of its classes, dunder names aside, is read somewhere.
 
 A name counts as imported-and-read when the module loads it anywhere, at any
 scope, as a bare name or as the base of an attribute chain. `from __future__`
@@ -79,26 +79,40 @@ def traced_names(source: str) -> set[str]:
     return set()
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unread_definitions(source: str, read: set[str]) -> list[str]:
-    """The top-level functions and classes of `source` and the methods of its
-    classes, dunder methods aside, not in `read`, in order; a method is named
-    `Class.method`."""
+    """The top-level functions, classes and names bound by assignment of
+    `source` and the methods of its classes, dunder names aside, not in
+    `read`, in order; a method is named `Class.method`."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     unread = []
     for node in ast.parse(source).body:
         if isinstance(node, (*functions, ast.ClassDef)) and node.name not in read:
             unread.append(node.name)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            unread += [
+                name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name) and name.id not in read and not _dunder(name.id)
+            ]
         if isinstance(node, ast.ClassDef):
             unread += [
                 f"{node.name}.{method.name}" for method in node.body
                 if isinstance(method, functions) and method.name not in read
-                and not (method.name.startswith("__") and method.name.endswith("__"))
+                and not _dunder(method.name)
             ]
     return unread
 
 
 def test_unread_definitions_are_found():
     module = (
+        "__all__ = []\n"
+        "LIMIT = 3\n"
+        "_SPARE, (READ_TOO, _LEFT) = 1, (2, 3)\n"
+        "table: dict = {}\n"
         "def called(): pass\n"
         "def as_attribute(): pass\n"
         "class Traced:\n"
@@ -112,13 +126,13 @@ def test_unread_definitions_are_found():
         "    def assigned(self): pass\n"
     )
     reader = (
-        "import m\ncalled()\nm.as_attribute\nstored = 1\nm.stored = 2\n"
+        "import m\ncalled()\nm.as_attribute\nstored = 1\nm.stored = 2\nm.LIMIT\nREAD_TOO\n"
         "k = m.Kept()\nk.used()\nk.assigned = 3\n"
     )
     spans = 'TRACED = {"layer": ("m", "Traced.method")}\nOTHER = {"x": ("m", "Unread")}\n'
     read = read_names(reader) | traced_names(spans)
     assert unread_definitions(module, read) == [
-        "Unread", "stored", "Kept._dead", "Kept.assigned",
+        "_SPARE", "_LEFT", "table", "Unread", "stored", "Kept._dead", "Kept.assigned",
     ]
 
 

@@ -17,10 +17,16 @@ from helpers import (
     random_topology_instance,
     relay_dict,
 )
-from oracles import brute_force_reference, dp_reference, relaxed_reference
+from oracles import (
+    brute_force_reference,
+    brute_force_tree_reference,
+    dp_reference,
+    history_tree_reference,
+    relaxed_reference,
+)
 import womctl.solver as solver_mod
 from womctl.errors import CapExceeded, SchemaMismatch, WomError
-from womctl.instances import d2_dict, load_d2, load_d2ext, load_static3
+from womctl.instances import d2_dict, load_d2, load_d2ext, load_static3, load_static3_reindexed
 from womctl.prescription import (
     control_law_to_strategy,
     count_strategies,
@@ -35,6 +41,7 @@ from womctl.solver import (
     solve_prescription_static,
 )
 from womctl.sysmodel import (
+    ControlStrategy,
     enumerate_realizations,
     exact_strategy_cost,
     feasible_schema_realizations,
@@ -84,21 +91,21 @@ def test_brute_force_cap(d2):
 
 def _assert_matches_reference(instance, reference=None):
     res = solve_brute_force(instance)
-    ref_cost, ref_tables = reference or brute_force_reference(instance)
+    ref_cost, ref_tables = reference or brute_force_tree_reference(instance)
     assert res.extras["vectorized_cost"] == ref_cost
     assert res.control_strategy.tables == ref_tables
 
 
-# (_INNER, _CHUNK): no inner block, small blocks, the default, the whole
-# chunk inner, and a small chunk split into inner blocks
+# the `_CHUNK` of each case; the keys, kept as test ids, name the inner-block
+# sizes the cases also set before the walk ran over the history tree
 SPLITS = {
-    "inner-0": (0, solver_mod._CHUNK),
-    "inner-1": (1, solver_mod._CHUNK),
-    "inner-2": (2, solver_mod._CHUNK),
-    "inner-16": (16, solver_mod._CHUNK),
-    "inner-default": (solver_mod._INNER, solver_mod._CHUNK),
-    "inner-whole": (solver_mod._CHUNK, solver_mod._CHUNK),
-    "inner-16-chunk-64": (16, 64),
+    "inner-0": solver_mod._CHUNK,
+    "inner-1": solver_mod._CHUNK,
+    "inner-2": solver_mod._CHUNK,
+    "inner-16": solver_mod._CHUNK,
+    "inner-default": solver_mod._CHUNK,
+    "inner-whole": solver_mod._CHUNK,
+    "inner-16-chunk-64": 64,
 }
 SPLIT_CASES = {
     "static3": load_static3,
@@ -113,33 +120,48 @@ SPLIT_CASES = {
 
 @functools.cache
 def _split_case(name):  # also d2ext, whose reference takes seconds
-    instance = {**SPLIT_CASES, "d2ext": load_d2ext}[name]()
-    return instance, brute_force_reference(instance)
+    extra = {"d2ext": load_d2ext, "static3_reindexed": load_static3_reindexed}
+    instance = {**SPLIT_CASES, **extra}[name]()
+    return instance, brute_force_tree_reference(instance)
 
 
 @pytest.mark.parametrize("split", list(SPLITS))
 @pytest.mark.parametrize("name", list(SPLIT_CASES))
 def test_brute_force_matches_reference_across_inner_blocks(name, split, monkeypatch):
-    inner, chunk = SPLITS[split]
-    monkeypatch.setattr(solver_mod, "_INNER", inner)
-    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(solver_mod, "_CHUNK", SPLITS[split])
     _assert_matches_reference(*_split_case(name))
+
+
+@pytest.mark.parametrize("name", ["static3_reindexed", "d2ext", *SPLIT_CASES])
+def test_tree_reference_agrees_with_the_primitive_reference(name):
+    # the two references sum in different orders: their optima agree to
+    # rounding, and their tables are equal unless both tables' costs tie
+    instance, (tree_cost, tree_tables) = _split_case(name)
+    cost, tables = brute_force_reference(instance)
+    assert math.isclose(tree_cost, cost, rel_tol=1e-12)
+    if tables != tree_tables:
+        exact = [
+            exact_strategy_cost(instance, ControlStrategy(tables=t)).expected_cost
+            for t in (tables, tree_tables)
+        ]
+        assert math.isclose(*exact, rel_tol=1e-12)
 
 
 def _brute_force_record(caplog):
     (record,) = [r for r in caplog.records if r.getMessage().startswith("brute force:")]
     caplog.clear()
-    # strategies, chunks, walked chunks, primitives, largest tensor, seconds, growths, adds
+    # strategies, chunks, walked chunks, histories, largest tensor, seconds, growths, adds
     return record.args
 
 
 def test_brute_force_d2_chunks_grow_tensors_smaller_than_the_chunk(d2, caplog):
     caplog.set_level(logging.DEBUG, logger="womctl")
     res = solve_brute_force(d2)
-    strategies, chunks, walked, primitives, largest, seconds, growths, adds = _brute_force_record(caplog)
+    strategies, chunks, walked, histories, largest, seconds, growths, adds = _brute_force_record(caplog)
     # 20 binary digits, so every chunk spans exactly `_CHUNK` points
     assert (strategies, chunks) == (res.search_size, 2**20 // solver_mod._CHUNK)
-    assert 1 <= walked <= chunks and primitives == len(list(joint_primitives(d2)))
+    distinct = sum(len({h for _, h, *_ in acted}) for _, acted in history_tree_reference(d2))
+    assert 1 <= walked <= chunks and histories == distinct
     assert largest < strategies // chunks == solver_mod._CHUNK and seconds >= 0.0
     # each walked chunk grows each of its binary axes at most once
     assert growths <= walked * math.log2(solver_mod._CHUNK) and adds > 0
@@ -148,7 +170,8 @@ def test_brute_force_d2_chunks_grow_tensors_smaller_than_the_chunk(d2, caplog):
 @pytest.mark.parametrize("chunk", [solver_mod._CHUNK, 2**18], ids=["default-chunk", "one-chunk"])
 def test_brute_force_peak_memory_is_one_chunk_buffer(chunk, monkeypatch, caplog):
     # 2^18 strategies; as one chunk they grow to the full `_CHUNK` points. The
-    # feasible memory realizations are warm, so the peak is the solve's own
+    # instance's observation and successor laws are warm, so the peak is the
+    # solve's own
     from test_stage_pass import _bench_workloads
 
     (op,) = [op for op in _bench_workloads().fuzz_compare(7) if op.label == "observer-T2-0"]
@@ -190,16 +213,11 @@ def test_brute_force_walks_chunks_only_at_read_lead_digits(case, monkeypatch, ca
 
 
 @pytest.mark.parametrize("name", list(SPLIT_CASES))
-def test_brute_force_chunks_start_whole_only_as_one_inner_block(name, monkeypatch, caplog):
-    # a chunk that is one inner block starts whole; with no inner block every
-    # chunk starts at one point and grows no larger than the chunk
+def test_brute_force_chunks_start_whole_only_as_one_inner_block(name, caplog):
+    # inner blocks are gone, so no chunk starts whole: every chunk starts at
+    # one point and grows no larger than the chunk
     instance, reference = _split_case(name)
     caplog.set_level(logging.DEBUG, logger="womctl")
-    monkeypatch.setattr(solver_mod, "_INNER", solver_mod._CHUNK)
-    _assert_matches_reference(instance, reference)
-    strategies, chunks, _, _, largest, *_ = _brute_force_record(caplog)
-    assert largest == strategies // chunks
-    monkeypatch.setattr(solver_mod, "_INNER", 0)
     _assert_matches_reference(instance, reference)
     strategies, chunks, _, _, largest, *_ = _brute_force_record(caplog)
     assert 1 <= largest <= strategies // chunks
@@ -236,18 +254,31 @@ def _ternary_static_instance():
     return instance_from_dict(doc)
 
 
-# (_CHUNK, _INNER): small chunks, and one chunk grown along its ternary axes
+# small chunks, and one chunk grown along its ternary axes; the last two ids
+# name the inner-block sizes they also set before the walk ran over the tree
 @pytest.mark.parametrize(
-    "chunk, inner",
-    [(1, solver_mod._INNER), (2, solver_mod._INNER), (7, solver_mod._INNER), (3**6, 0), (3**6, 9)],
-    ids=["1", "2", "7", "whole-inner-0", "whole-inner-9"],
+    "chunk", [1, 2, 7, 3**6, 3**6], ids=["1", "2", "7", "whole-inner-0", "whole-inner-9"]
 )
-def test_brute_force_matches_reference_across_ternary_chunks(chunk, inner, monkeypatch):
+def test_brute_force_matches_reference_across_ternary_chunks(chunk, monkeypatch):
     inst = _ternary_static_instance()
     assert solve_brute_force(inst).search_size == 3**6
     monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
-    monkeypatch.setattr(solver_mod, "_INNER", inner)
     _assert_matches_reference(inst)
+
+
+def test_brute_force_solves_past_the_primitive_enumeration_cap():
+    # the walk runs over merged histories, so more primitive sequences than
+    # SWEEP_CAP is no bar: this T=1 POMDP's disturbances, each split into
+    # 62,600 copies, give 1,001,600 primitives but only 10 histories
+    from test_sysmodel import _split_disturbance
+
+    base = instance_from_dict(pomdp_dict(1))
+    split = instance_from_dict(_split_disturbance(pomdp_dict(1), 62_600))
+    with pytest.raises(CapExceeded, match="joint primitive enumeration needs 1001600"):
+        next(joint_primitives(split))
+    res, want = solve_brute_force(split), solve_brute_force(base)
+    assert res.control_strategy.tables == want.control_strategy.tables
+    assert math.isclose(res.optimal_cost, want.optimal_cost, rel_tol=1e-12)
 
 
 def test_brute_force_radix_one_digits_take_no_tensor_axis():
@@ -621,31 +652,34 @@ def test_branch_cap_message_gives_a_lower_bound():
     )
 
 
-def _count_sweeps(monkeypatch):
-    calls = []
-    real = solver_mod.feasible_schema_realizations
+def _count_stages(monkeypatch):
+    """The stages brute force's forward pass yields, recorded as it yields them."""
+    stages = []
+    real = solver_mod._forward_pass
 
-    def counted(instance, schema):
-        calls.append(schema)
-        return real(instance, schema)
+    def counted(*args):
+        for stage in real(*args):
+            stages.append(stage[0])
+            yield stage
 
-    monkeypatch.setattr(solver_mod, "feasible_schema_realizations", counted)
-    return calls
+    monkeypatch.setattr(solver_mod, "_forward_pass", counted)
+    return stages
 
 
 def test_brute_cap_stops_at_the_first_cell_past_it(d2, monkeypatch):
-    # d2's cells (t, k) contribute 2^2, 2^2, 2^8 and 2^8 strategies in turn
-    calls = _count_sweeps(monkeypatch)
+    # d2's cells (t, k) contribute 2^2, 2^2, 2^8 and 2^8 strategies in turn;
+    # the pass builds no stage past the one whose cell exceeds the cap
+    stages = _count_stages(monkeypatch)
     with pytest.raises(CapExceeded) as err:
         solve_brute_force(d2, cap=10)
-    assert len(calls) == 2
+    assert stages == [0]
     assert err.value.required == 16
     assert str(err.value) == "brute-force enumeration needs more than 10 candidates, cap is 10"
     # past the cap only at the last cell: the count is exact, in the old words
-    calls.clear()
+    stages.clear()
     with pytest.raises(CapExceeded) as err:
         solve_brute_force(d2, cap=2**19)
-    assert len(calls) == 4
+    assert stages == [0, 1]
     assert str(err.value) == (
         "brute-force enumeration needs 1048576 candidates, cap is 524288"
     )
@@ -653,10 +687,10 @@ def test_brute_cap_stops_at_the_first_cell_past_it(d2, monkeypatch):
 
 def test_brute_cap_fails_fast_on_a_long_horizon(monkeypatch):
     inst = instance_from_dict(pomdp_dict(7))
-    calls = _count_sweeps(monkeypatch)
+    stages = _count_stages(monkeypatch)
     with pytest.raises(CapExceeded, match="needs more than 16777216 candidates"):
         solve_brute_force(inst)
-    assert 0 < len(calls) < inst.horizon + 1
+    assert stages == [0, 1, 2]
 
 
 def test_huge_counts_are_written_as_a_power_of_ten():

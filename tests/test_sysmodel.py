@@ -427,6 +427,17 @@ def test_prescription_actions_out_of_range_raise(d2):
     )
     with pytest.raises(OutOfRange, match="prescription at default maps row 0 to invalid action 2"):
         exact_strategy_cost(d2, gappy)
+    # a table shorter than the domain raises too, not a bare IndexError
+    law = {
+        cond: dataclasses.replace(presc, table=presc.table[:1])
+        for cond, presc in psi.laws[(1, 2)].items()
+    }
+    short = PrescriptionStrategy(owner=1, laws={**psi.laws, (1, 2): law})
+    want = f"law (t=1, target=2) prescription at {next(iter(law))} has 1 entries, expected 4"
+    for evaluate in (exact_strategy_cost, _monte_carlo, joint_control_strategy):
+        with pytest.raises(OutOfRange) as err:
+            evaluate(d2, short)
+        assert str(err.value) == want
 
 
 def test_copy_observation_actions_are_checked_by_every_evaluator():
