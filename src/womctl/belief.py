@@ -29,7 +29,7 @@ from .sysmodel import (
 NORM_TOL = 1e-9
 ZERO_TOL = 1e-12
 KEY_DECIMALS = 12
-SCORE_BLOCK = 1 << 16  # (pair, candidate) costs a scorer holds at once
+SCORE_BLOCK = 1 << 16  # (pair, point) costs a scorer holds at once, give or take one pair's
 
 
 @dataclass(frozen=True)
@@ -382,12 +382,9 @@ def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> 
     """
     _check_theta(instance, pi.agent, pi.time, theta)
     kernel = step_kernel(instance, pi.agent, pi.time)
-    score = CandidateScorer(instance, pi.agent, pi.time, [np.array([p.table]) for p in theta.parts])
-    probs = pi.probs[None]
-    support = np.nonzero(probs > 0.0)
-    controls = np.full(probs.shape, -1, dtype=np.int64)
-    controls[support] = score.controls(pi.agent, support)[:, 0]
-    return kernel.branches(kernel.step(probs, controls), 0)
+    tables = [np.array([p.table]) for p in theta.parts]
+    controls = CandidateScorer(instance, pi.agent, pi.time, 0, pi.probs[None], tables).controls
+    return kernel.branches(kernel.step(pi.probs[None], controls), 0)
 
 
 def update_information_state(instance, pi, theta, z) -> InformationState:
@@ -405,89 +402,99 @@ def expected_stage_cost(instance, pi: InformationState, theta) -> float:
     """Belief-weighted stage cost."""
     _check_theta(instance, pi.agent, pi.time, theta)
     tables = [np.array([part.table]) for part in theta.parts]
-    return float(CandidateScorer(instance, pi.agent, pi.time, tables)(pi.probs[None])[0, 0])
+    return float(CandidateScorer(instance, pi.agent, pi.time, 0, pi.probs[None], tables).cost[0])
+
+
+class DigitGrids:
+    """A mixed-radix grid per row of a stack, over the digits that row reads.
+
+    Digit d has radix `radix[d]`. Row n's grid has one axis per digit it
+    reads (`read[n, d]`), the first slowest, and holds 0 on every other
+    digit, as `solver._DigitGrid` leaves an axis nothing read at size 1. The
+    points of all rows are numbered row by row, each row's in grid order
+    from `start[n]`; `node` and `local` give each point's row and its place
+    in that row's grid.
+    """
+
+    def __init__(self, read, radix):
+        sizes = np.where(read, radix, 1)
+        after = np.cumprod(sizes[:, ::-1], axis=1)[:, ::-1] // sizes  # each axis's place value
+        self.read, self.radix, self.size = read, radix, sizes.prod(axis=1)
+        self.stride = np.where(read, after, self.size[:, None])  # a digit not read reads 0
+        self.start = np.cumsum(self.size) - self.size
+        self.node = np.repeat(np.arange(len(read)), self.size)
+        self.local = np.arange(len(self.node)) - self.start[self.node]
+
+    def digits(self, points=slice(None)):
+        """The digit values of `points`, a row per point."""
+        return self.local[points][:, None] // self.stride[self.node[points]] % self.radix
+
+    def points(self, rows, digits):
+        """Per row of `rows`, the point of its grid whose read digits take the
+        values of that row of `digits`."""
+        place = np.where(self.read[rows], self.stride[rows], 0)
+        return self.start[rows] + (digits * place).sum(axis=1)
 
 
 class CandidateScorer:
-    """Belief-weighted stage costs of many of agent k's stage-t complete
-    prescriptions at once, under a stack of beliefs.
+    """Belief-weighted stage costs of agent k's stage-t complete prescriptions
+    under a stack of agent k's beliefs, each belief over its own candidates.
 
     A candidate takes one table per head target 1..h and, per belief, the
-    same tail prescriptions for targets h+1..K. `head_tables[m - 1]` stacks
-    target m's candidate tables as an int array of shape (tables, domain
-    rows); the candidates are the product of the stacks, first target
-    slowest, the order of `itertools.product`. A tail argument stacks, per
-    tail target, one table per belief as an int array of shape (beliefs,
-    domain rows).
+    tables `tails` holds for targets h+1..K, one int array of shape (beliefs,
+    domain rows) per tail target. Digit (m, r), numbered target by target, is
+    entry r of head target m's table, of radix m's control size. A belief's
+    candidates are the points of its grid in `grids`, over the digits its
+    positive-mass support indices read: `itertools.product` order over
+    `enumerate_prescription_tables`' stacks, cut to the candidates the belief
+    tells apart, each the first of those that act alike on its support.
 
     Beliefs are read at their positive-mass (row, support index) pairs, as
-    `np.nonzero` lists them. Each belief's candidate costs add `p * cost`
-    over its support indices in ascending order, so each sum has the float
-    operations of a one-candidate scan of that belief alone.
+    `np.nonzero` lists them. Each point's `cost` adds `p * cost` over its
+    belief's support indices in ascending order from 0.0, the float
+    operations of a one-candidate scan of that belief alone. Below the
+    horizon, `controls` holds each point's joint-control index at each
+    support index of its belief and -1 off the support, the rows
+    `StepKernel.step` reads.
     """
 
-    def __init__(self, instance, k, t, head_tables):
-        self.instance, self.k, self.t = instance, k, t
-        strides = realization_strides(instance.system.control_sizes)  # in the joint index
-        self.cost = instance.system.cost[t]
-        self.x = _support_rows(instance, k, k, t)[0]
-        self.shape = tuple(len(tables) for tables in head_tables)
-        self.candidates = realization_count(self.shape)
-        # per head target, row r holds every table's weighted control at r,
-        # laid out along that target's axis of the candidate grid
-        self.head_controls = []
-        for m, (tables, weight) in enumerate(zip(head_tables, strides)):
-            axis = tuple(n if a == m else 1 for a, n in enumerate(self.shape))
-            self.head_controls.append((tables.T.astype(np.int64) * weight).reshape((-1,) + axis))
-        self.tail_strides = strides[len(head_tables) :]
-
-    def __call__(self, probs, tails=(), support=None) -> np.ndarray:
-        """Stage cost of every candidate under each belief of the stack `probs`,
-        one row per belief. `support` is the stack's positive-mass pairs.
-
-        Pairs are scored in blocks of at most `SCORE_BLOCK` (pair, candidate)
-        costs, which bounds the memory a call takes whatever the stack's size.
-        """
-        if support is None:
-            support = np.nonzero(probs > 0.0)
-        rows, s = support
-        total = np.zeros((len(probs), self.candidates))
-        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place in its row's support
-        block = max(1, SCORE_BLOCK // self.candidates)
-        for lo in range(0, len(rows), block):
-            pairs = rows[lo : lo + block], s[lo : lo + block]
-            # flat indices into the (state, joint control) cost table
-            flat = self._controls(self.k, pairs, tails, self.x[pairs[1]] * self.cost.shape[1])
-            terms = probs[pairs][:, None] * np.take(self.cost, flat)
-            ranks = rank[lo : lo + block]
-            for r in range(ranks.min(), ranks.max() + 1):  # each row's terms in support order
-                at = ranks == r
-                total[pairs[0][at]] += terms[at]
-        return total
-
-    def controls(self, agent, support, tails=()) -> np.ndarray:
-        """Every candidate's joint-control index at each positive-mass pair of a
-        stack of agent `agent`'s stage-t beliefs, one row per pair, candidates
-        in candidate order.
-
-        The agent may be any i >= k: agent i's state holds every coordinate of
-        agent k's prescription domains, so each candidate acts on it as its
-        projection onto agent i's domains would.
-        """
-        return self._controls(agent, support, tails)
-
-    def _controls(self, agent, support, tails, base=0):
-        """`controls`, each plus `base`, one entry per pair or a scalar."""
-        domain_rows = _support_rows(self.instance, agent, self.k, self.t)[1]
-        rows, s = support
-        grid = np.zeros((len(s),) + (1,) * len(self.shape), dtype=np.int64)
-        grid += np.reshape(base, (-1,) + grid.shape[1:])
-        heads = len(self.shape)
-        for tables, row, stride in zip(tails, domain_rows[heads:], self.tail_strides):
-            grid += (stride * tables[rows, row[s]].astype(np.int64)).reshape(grid.shape)
-        for controls, row in zip(self.head_controls, domain_rows):
-            grid = grid + controls[row[s]]
-        return grid.reshape(len(s), -1)
+    def __init__(self, instance, k, t, h, probs, tails=()):
+        sys = instance.system
+        x, domain_rows = _support_rows(instance, k, k, t)
+        counts = [
+            realization_count(instance.schema_sizes(instance.info.prescription_domain(t, k, m)))
+            for m in range(1, h + 1)
+        ]
+        self.edges = np.cumsum([0] + counts)  # each head target's first digit, and the end
+        rows, s = np.nonzero(probs > 0.0)
+        digit = [edge + row[s] for edge, row in zip(self.edges, domain_rows[:h])]  # per pair
+        read = np.zeros((len(probs), self.edges[-1]), dtype=bool)
+        for d in digit:
+            read[rows, d] = True
+        radix = np.repeat(np.array(sys.control_sizes[:h], dtype=np.int64), counts)
+        self.grids = grids = DigitGrids(read, radix)
+        strides = realization_strides(sys.control_sizes)  # in the joint index
+        base = np.zeros(len(s), dtype=np.int64)
+        for tables, row, stride in zip(tails, domain_rows[h:], strides[h:]):
+            base += stride * tables[rows, row[s]].astype(np.int64)
+        digits = grids.digits()
+        flat, p = x[s] * sys.joint_control_count, probs[rows, s]  # into the (state, control) costs
+        stage_costs = sys.cost[t].ravel()
+        self.cost = np.zeros(len(grids.node))
+        self.controls = np.full((len(grids.node), probs.shape[1]), -1) if t < sys.horizon else None
+        size = grids.size[rows]  # per pair, its belief's points
+        before = np.cumsum(size) - size
+        cuts = [0, *(np.flatnonzero(np.diff(before // SCORE_BLOCK)) + 1).tolist(), len(rows)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            pair = np.repeat(np.arange(lo, hi), size[lo:hi])  # one per point of the pair's belief
+            local = np.arange(len(pair)) - np.repeat(before[lo:hi] - before[lo], size[lo:hi])
+            points = grids.start[rows[pair]] + local
+            uj = base[pair]
+            for weight, d in zip(strides, digit):  # each head target's digit at the pair's row
+                uj = uj + weight * digits[points, d[pair]]
+            np.add.at(self.cost, points, p[pair] * stage_costs[flat[pair] + uj])  # in pair order
+            if self.controls is not None:
+                self.controls[points, s[pair]] = uj
 
 
 def _support_rows(instance, i, k, t):

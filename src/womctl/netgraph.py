@@ -6,6 +6,7 @@ with the given delay; every agent implicitly reaches herself with delay 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import (
@@ -58,6 +59,7 @@ def validate_network(spec: NetworkSpec) -> NetworkSpec:
             raise ShapeMismatch(f"link ({frm},{to}) references an unknown agent")
         if frm == to:
             raise ExplicitSelfLoop(f"self-loop ({frm},{to}) must stay implicit")
+        _integer(delay, f"link ({frm},{to}) delay")
         if delay < 1:
             raise NonPositiveDelay(f"link ({frm},{to}) has delay {delay}, expected >= 1")
         if (frm, to) in seen:
@@ -105,7 +107,10 @@ def validate_delay_matrix(rows) -> DelayMatrix:
     k_count = len(rows)
     if k_count < 1:
         raise ShapeMismatch("delay matrix must have at least one agent")
-    tup = tuple(tuple(int(v) for v in row) for row in rows)
+    tup = tuple(
+        tuple(_integer(v, f"delay matrix entry ({j + 1},{k + 1})") for k, v in enumerate(row))
+        for j, row in enumerate(rows)
+    )
     for row in tup:
         if len(row) != k_count:
             raise ShapeMismatch("delay matrix must be square")
@@ -123,6 +128,13 @@ def validate_delay_matrix(rows) -> DelayMatrix:
                         f"triangle inequality violated at ({j + 1},{m + 1},{k + 1})"
                     )
     return DelayMatrix(tup)
+
+
+def _integer(value, name: str) -> int:
+    """A delay as an int: Python and numpy integers pass, bools and anything else raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ShapeMismatch(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _all_best_paths(spec: NetworkSpec):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .belief import (
     CandidateScorer,
+    DigitGrids,
     accessible_support,
     initial_information_state,
     probs_codes,
@@ -35,7 +36,6 @@ from .prescription import (
     Prescription,
     PrescriptionStrategy,
     count_strategies,
-    enumerate_prescription_tables,
     joint_control_strategy,
     prescription_space_size,
 )
@@ -344,31 +344,25 @@ class _Pass(NamedTuple):
     seconds: float
 
 
-def _head_spaces(instance: Instance, j: int, caps: Caps):
-    """Per stage, the candidate tables for each of agent j's own components
-    1..j: per target, an int array with a row per table.
+def _head_spaces(instance: Instance, j: int, caps: Caps) -> list:
+    """Per stage, the count of agent j's joint candidates over its own
+    components 1..j, the product of each target's table count.
 
-    Every stage's table counts are checked against the cap before any table
-    is built.
+    Every stage's counts are checked against the cap before any is searched.
     """
-    shapes = {}
+    joints = []
     for t in range(instance.horizon + 1):
-        per_target, joint, where = [], 1, f"agent {j}, stage {t}: "
+        joint, where = 1, f"agent {j}, stage {t}: "
         for m in range(1, j + 1):
             sizes = instance.schema_sizes(instance.info.prescription_domain(t, j, m))
-            csize = instance.system.control_sizes[m - 1]
-            count = prescription_space_size(sizes, csize)
+            count = prescription_space_size(sizes, instance.system.control_sizes[m - 1])
             if count > caps.tables:
                 raise CapExceeded(count, caps.tables, where + "prescription enumeration")
             joint *= count
-            per_target.append((sizes, csize))
         if joint > caps.tables:
             raise CapExceeded(joint, caps.tables, where + "joint prescription search")
-        shapes[t] = per_target
-    return {
-        t: [enumerate_prescription_tables(sizes, csize, caps.tables) for sizes, csize in per_target]
-        for t, per_target in shapes.items()
-    }
+        joints.append(joint)
+    return joints
 
 
 def _roots(instance: Instance, j: int, above: _Pass | None):
@@ -390,18 +384,20 @@ class _Stage:
 
     Node n is agent j's belief `probs[n]`, as its first branch made it, and
     `tail[n]`, the node of agent j + 1's stage t that holds agents j+1..K
-    (-1 for agent K). Once decided, `tables[m - 1][n]` is node n's table for
-    target m, an int array per target 1..K. Below the horizon it keeps agent
-    j's step `batch`; `combo_of[n, c]` is the combination of node n's
-    candidate c (its step row and, below agent K, its lift's combination in
-    agent j + 1's stage), `win[n]` that of the winner, and per (combination,
-    branch) `kid` holds the next-stage node and `groups` the group in the
-    batch, both padded with -1.
+    (-1 for agent K). Its candidates are the points of its grid in `grids`,
+    over the (target m <= j, domain row) digits that its support reads and,
+    below the horizon, that its tail node's grid reads. Once decided,
+    `tables[m - 1][n]` is node n's table for target m, an int array per
+    target 1..K. Below the horizon it keeps agent j's step `batch`;
+    `combo_of[p]` is the combination of point p (its step row and, below
+    agent K, its lift's combination in agent j + 1's stage), `win[n]` that
+    of the winner, and per (combination, branch) `kid` holds the next-stage
+    node and `groups` the group in the batch, both padded with -1.
     """
 
     def __init__(self, probs, tail):
         self.probs, self.tail, self.tables = probs, tail, []
-        self.batch = self.combo_of = self.win = self.kid = self.groups = None
+        self.grids = self.batch = self.combo_of = self.win = self.kid = self.groups = None
 
 
 def _check_branches(count: int, caps: Caps, j: int, t: int):
@@ -437,53 +433,26 @@ def _merge(probs, tail):
     return np.argsort(order)[inverse], first[order]
 
 
-def _distinct_rows(probs, support, controls):
-    """Per (node, candidate), the index of its distinct control vector on the
-    node's positive-mass `support`, where `controls` holds every candidate's
-    joint-control index at each pair; and those rows as `StepKernel.step`
-    reads them."""
-    rows, s = support
-    nodes, candidates = len(probs), controls.shape[1]
-    first = np.searchsorted(rows, np.arange(nodes))
-    rank = np.arange(len(rows)) - first[rows]
-    grid = np.full((nodes, candidates, int(rank.max()) + 1), -1, dtype=np.int64)
-    grid[rows, :, rank] = controls
-    node_of = np.repeat(np.arange(nodes), candidates)[:, None]
-    keyed = np.hstack([node_of, grid.reshape(len(node_of), -1)])
-    distinct, row_of = _unique_rows(keyed, return_inverse=True)
-    node = distinct[:, 0]
-    step_controls = np.full((len(distinct), probs.shape[1]), -1, dtype=np.int64)
-    r, k = np.nonzero(distinct[:, 1:] >= 0)
-    step_controls[r, s[first[node[r]] + k]] = distinct[r, 1 + k]
-    return row_of.reshape(nodes, candidates), probs[node], step_controls
-
-
-def _lifted(instance: Instance, j: int, t: int, heads: list, inherited):
-    """Per (node, candidate) of agent j's stage t, the candidate of agent
-    j + 1's stage t that moves agents j+1..K alike: the head tables lifted
-    onto agent j + 1's domains, which contain agent j's, and the node's
-    `inherited` table for target j + 1. A table's number is a sum of entry
-    times place value over its rows, so a lifted one's adds, per row of the
-    smaller domain, the place values of the larger rows restricting to it."""
-    info, numbers, stride = instance.info, [], 1
-    for m, tables in reversed(list(enumerate(heads + [inherited], start=1))):
-        mine, csize = info.prescription_domain(t, j, m), instance.system.control_sizes[m - 1]
-        (row,) = schema_rows(instance, info.prescription_domain(t, j + 1, m), [mine])
-        weight = np.zeros(realization_count(instance.schema_sizes(mine)), dtype=np.int64)
-        np.add.at(weight, row, stride * csize ** np.arange(len(row) - 1, -1, -1, dtype=np.int64))
-        numbers.insert(0, tables.astype(np.int64) @ weight)
-        stride *= csize ** len(row)
-    return numbers[-1][:, None] + sum(np.ix_(*numbers[:-1])).ravel()
+def _restriction(instance: Instance, j: int, t: int, edges) -> np.ndarray:
+    """Per digit of agent j + 1's stage-t targets 1..j, the digit of agent j's
+    it restricts to: agent j + 1's domains contain agent j's, and agent j's
+    target m numbers its digits from `edges[m - 1]`."""
+    info = instance.info
+    return np.concatenate([
+        edge + schema_rows(instance, info.prescription_domain(t, j + 1, m),
+                           [info.prescription_domain(t, j, m)])[0]
+        for m, edge in enumerate(edges[:-1], start=1)
+    ])
 
 
 def _expand(instance, j, t, stage, amaps, row_of, above, caps, before):
     """Stage t + 1 of agent j's pass from `stage`, whose nodes were first
     reached with the accessible maps `amaps`, a row per node.
 
-    `row_of[0]` gives each (node, candidate)'s row in the stage's step batch
-    and, below agent K, `row_of[1]` the combination its lift takes in agent
-    j + 1's stage `above`. Branches are followed per distinct combination,
-    in order of the first (node, candidate) with it, and then in
+    `row_of[0]` gives each point of the stage's grids its row in the
+    stage's step batch and, below agent K, `row_of[1]` the combination its
+    lift takes in agent j + 1's stage `above`. Branches are followed per
+    distinct combination, in order of the first point with it, and then in
     new-information order. A branch's tail node is the kid of its tail
     combination at agent j + 1's branch with the new information the
     branch's map gives agent j + 1. New nodes are numbered by their first
@@ -491,9 +460,8 @@ def _expand(instance, j, t, stage, amaps, row_of, above, caps, before):
     names the failure. Fills `stage.combo_of`, `stage.kid` and
     `stage.groups`. Returns the new stage and its nodes' maps.
     """
-    nodes, candidates = row_of[0].shape
     combos, first, combo_of = _unique_rows(
-        np.stack([rows.ravel() for rows in row_of], axis=1), return_index=True, return_inverse=True
+        np.stack(row_of, axis=1), return_index=True, return_inverse=True
     )
     batch = stage.batch
     order = np.argsort(first, kind="stable")
@@ -502,7 +470,7 @@ def _expand(instance, j, t, stage, amaps, row_of, above, caps, before):
     combo = np.repeat(order, count)  # per branch, its combination and place in it
     b = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     groups = np.repeat(lo, count) + b
-    child = np.hstack([amaps[first[combo] // candidates], batch.z[groups]])
+    child = np.hstack([amaps[stage.grids.node[first[combo]]], batch.z[groups]])
     tail, failed = np.full(len(combo), -1), len(combo)
     if above is not None:
         new_info = instance.info.new_info(t + 1, j + 1)
@@ -521,7 +489,7 @@ def _expand(instance, j, t, stage, amaps, row_of, above, caps, before):
     if failed < len(combo):
         raise WomError(f"agent {j + 1} new information {tuple(z[failed].tolist())} "
                        "impossible on a positive branch")
-    stage.combo_of = combo_of.reshape(nodes, candidates)
+    stage.combo_of = combo_of
     stage.kid = np.full((len(combos), int(width.max())), -1, dtype=np.int64)
     stage.groups = np.full_like(stage.kid, -1)
     stage.kid[combo, b], stage.groups[combo, b] = node_of, groups
@@ -538,19 +506,25 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
     per node. A forward sweep registers each stage's nodes, and a backward
     sweep from stage T then values and decides them.
 
-    Each stage scores every node's joint head candidates in one
-    `CandidateScorer` call. Below the horizon, every candidate steps agent
-    j's belief alone, through one call of the instance's `step_kernel` for
-    (j, t), with the controls the scorer reads off agent j's support;
-    candidates of a node that act alike there share a step. A candidate
-    moves agents j+1..K as its lift does in agent j + 1's pass, whose kids
-    give the branches' tail nodes. Every candidate's branches are followed,
-    so that lower agents can inherit decisions at any node they reach.
+    A node's candidates are the points of its own digit grid (`_Stage`):
+    two candidates that agree on every digit it reads have the same stage
+    cost, steps and tail, so they stand for each other. One
+    `CandidateScorer` call scores each stage's nodes over the grids their
+    supports read. Below the horizon, each of those points steps agent j's
+    belief alone, through one call of the instance's `step_kernel` for (j,
+    t); a point of a node's grid steps as the scorer's point that agrees
+    with it on the support's digits. A point moves agents j+1..K as the
+    point of its tail node's grid with the same digits and, for target j +
+    1, the tail node's decided table, whose kids give the branches' tail
+    nodes. Every point's branches are followed, so that lower agents can
+    inherit decisions at any node they reach.
 
-    A node's value adds to a candidate's stage cost the probability times the
-    value of each branch in new-information order, and the first minimizer in
-    `itertools.product` order wins: the values and decisions of a depth-first
-    recursion. The pass returns its record, a `_Pass`.
+    A node's value adds to a candidate's stage cost the probability times
+    the value of each branch in new-information order, and the first
+    minimizer in grid order wins, with 0 on every digit the node does not
+    read: the values and decisions of a depth-first recursion over the full
+    product in `itertools.product` order. The candidates examined count
+    that full product. The pass returns its record, a `_Pass`.
 
     A failure other than a cap keeps its class, and its message is prefixed
     with the agent and the stage it occurred at.
@@ -560,7 +534,7 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
     examined = computed = shared = entries = t = 0
     stages, work = [], []  # per stage, its nodes and what its backward step reads
     try:
-        spaces = _head_spaces(instance, j, caps)
+        joints = _head_spaces(instance, j, caps)
         masses, maps, probs, tail = _roots(instance, j, above)
         node_of, made = _merge(probs, tail)
         _check_branches(len(made), caps, j, 0)
@@ -572,23 +546,31 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
             tails = [] if above is None else [
                 tables[stage.tail] for tables in above.stages[t].tables[j:]
             ]
-            score = CandidateScorer(instance, j, t, spaces[t])
-            support = np.nonzero(stage.probs > 0.0)
-            cost = score(stage.probs, tails, support)
-            examined += cost.size
-            work.append((cost, tails))
+            score = CandidateScorer(instance, j, t, j, stage.probs, tails)
+            examined += len(stage.probs) * joints[t]
+            stage.grids = grids = score.grids
             if t == T:
+                work.append((score.cost, tails, score.edges))
                 break
-            controls = score.controls(j, support, tails)
-            step_of, step_probs, step_controls = _distinct_rows(stage.probs, support, controls)
-            stage.batch = step_kernel(instance, j, t).step(step_probs, step_controls)
-            computed += len(step_probs)
-            shared += step_of.size - len(step_probs)
+            tail_stage = None if above is None else above.stages[t]
+            if above is not None:  # the digits the tail nodes' grids read
+                lift = _restriction(instance, j, t, score.edges)
+                read = tail_stage.grids.read[stage.tail, :len(lift)]
+                read = read @ (lift[:, None] == np.arange(score.edges[-1]))
+                stage.grids = grids = DigitGrids(score.grids.read | read, score.grids.radix)
+            digits = grids.digits()
+            row_of = [score.grids.points(grids.node, digits)]  # each point's step row
+            stage.batch = step_kernel(instance, j, t).step(stage.probs[score.grids.node],
+                                                           score.controls)
+            computed += len(score.grids.node)
+            shared += len(stage.probs) * joints[t] - len(score.grids.node)
             entries += stage.batch.read
-            row_of, tail_stage = [step_of], None if above is None else above.stages[t]
             if above is not None:
-                lift = _lifted(instance, j, t, spaces[t], tails[0])
-                row_of.append(tail_stage.combo_of[stage.tail[:, None], lift])
+                lifted = np.hstack([digits[:, lift], tails[0][grids.node]])
+                row_of.append(tail_stage.combo_of[
+                    tail_stage.grids.points(stage.tail[grids.node], lifted)
+                ])
+            work.append((score.cost[row_of[0]], tails, score.edges))
             stage, amaps = _expand(instance, j, t, stage, amaps, row_of, tail_stage, caps,
                                    sum(len(done.probs) for done in stages))
     except CapExceeded:
@@ -598,20 +580,24 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
         raise
 
     for t in range(T, -1, -1):
-        (cost, tails), work[t] = work[t], None  # the scratch goes with its stage
+        (cost, tails, edges), work[t] = work[t], None  # the scratch goes with its stage
         stage = stages[t]
+        grids = stage.grids
         if stage.kid is not None:  # padded groups and kids read the trailing zeros
             pz = np.append(stage.batch.mass, 0.0)[stage.groups]
             later = np.append(values, 0.0)
             for b in range(pz.shape[1]):
                 cost += (pz[:, b] * later[stage.kid[:, b]])[stage.combo_of]
-        best = cost.argmin(axis=1)
-        nodes = np.arange(len(best))
-        heads_at = np.unravel_index(best, tuple(map(len, spaces[t])))
-        stage.tables = [space[i] for space, i in zip(spaces[t], heads_at)] + tails
+        least = np.flatnonzero(cost == np.minimum.reduceat(cost, grids.start)[grids.node])
+        best = least[np.searchsorted(grids.node[least], np.arange(len(stage.probs)))]  # firsts
+        digits = grids.digits(best)
+        stage.tables = [  # in the dtype `enumerate_prescription_tables` gives
+            digits[:, lo:hi].astype(np.min_scalar_type(size - 1))
+            for lo, hi, size in zip(edges, edges[1:], instance.system.control_sizes)
+        ] + tails
         if stage.kid is not None:
-            stage.win = stage.combo_of[nodes, best]
-        values = cost[nodes, best]
+            stage.win = stage.combo_of[best]
+        values = cost[best]
 
     total = sum(pa * float(values[n]) for pa, n, _, _ in roots)
     widths = tuple(len(done.probs) for done in stages)
@@ -779,27 +765,23 @@ def solve_prescription_static(instance: Instance, k: int, cap: int | None = None
         raise ShapeMismatch("static decomposition requires horizon 0")
     if not 1 <= k <= instance.agent_count:
         raise ShapeMismatch(f"agent {k} out of range")
-    return _static_result(instance, _dp_result(instance, k, _solve_chain(instance, k, caps)), caps)
+    return _static_result(instance, _dp_result(instance, k, _solve_chain(instance, k, caps)))
 
 
-def _static_result(instance: Instance, res: SolveResult, caps: Caps) -> SolveResult:
+def _static_result(instance: Instance, res: SolveResult) -> SolveResult:
     """A horizon-0 chain result for agent k as the static decomposition's row.
 
     The relaxed value sums, over agent k's t=0 accessible realizations, the
     mass times the least stage cost over every joint table tuple for all K
-    targets on agent k's domains. Its candidates number at most agent K's
-    stage-0 joint count, which the chain has checked against the cap.
+    targets on agent k's domains, on the grid each realization's belief
+    reads. Those tuples number at most agent K's stage-0 joint count, which
+    the chain has checked against the cap.
     """
     start = time.perf_counter()
     k = res.agent
-    tables = [
-        enumerate_prescription_tables(
-            instance.schema_sizes(instance.info.prescription_domain(0, k, m)), csize, caps.tables
-        )
-        for m, csize in enumerate(instance.system.control_sizes, start=1)
-    ]
     masses, _, probs, _ = _roots(instance, k, None)
-    least = CandidateScorer(instance, k, 0, tables)(probs).min(axis=1)
+    score = CandidateScorer(instance, k, 0, instance.agent_count, probs)
+    least = np.minimum.reduceat(score.cost, score.grids.start)
     relaxed_value = math.fsum(mass * m for mass, m in zip(masses, least.tolist()))
     extras = dict(res.extras)
     extras["relaxed_value"] = relaxed_value
@@ -875,9 +857,7 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
     attempt("common-info", None, lambda: dp_row(K))
     for k in range(1, K + 1):
         if instance.horizon == 0:
-            attempt(
-                "prescription-static", k, lambda k=k: _static_result(instance, dp_row(k), caps)
-            )
+            attempt("prescription-static", k, lambda k=k: _static_result(instance, dp_row(k)))
         else:
             attempt("prescription-dp", k, lambda k=k: dp_row(k))
     costs = [r["cost"] for r in rows if r["status"] == "ok"]

@@ -1066,11 +1066,66 @@ def _advance_branch(instance, j, t, amap, z, pi_next, tail_steps):
     return amap_child, tuple(pis_child)
 
 
+def _reference_spaces(instance, j, caps):
+    """Per stage, the tables of each of agent j's targets 1..j, from
+    `enumerate_prescription_tables`. Every stage's counts are checked
+    against the cap, with the solver's messages, before any table is built."""
+    from womctl.errors import CapExceeded
+    from womctl.prescription import enumerate_prescription_tables
+
+    shapes = []
+    for t in range(instance.horizon + 1):
+        joint, where, per_target = 1, f"agent {j}, stage {t}: ", []
+        for m in range(1, j + 1):
+            sizes = instance.schema_sizes(instance.info.prescription_domain(t, j, m))
+            csize = instance.system.control_sizes[m - 1]
+            count = csize ** math.prod(sizes)
+            if count > caps.tables:
+                raise CapExceeded(count, caps.tables, where + "prescription enumeration")
+            joint *= count
+            per_target.append((sizes, csize))
+        if joint > caps.tables:
+            raise CapExceeded(joint, caps.tables, where + "joint prescription search")
+        shapes.append(per_target)
+    return [
+        [enumerate_prescription_tables(sizes, csize, caps.tables) for sizes, csize in per_target]
+        for per_target in shapes
+    ]
+
+
+def _reference_controls(instance, j, t, tables, tails, pi):
+    """Every candidate's joint control at each positive-mass support index of
+    agent `pi.agent`'s stage-t belief `pi`, a row per index, candidates in
+    `itertools.product` order over agent j's target stacks `tables` with the
+    tables `tails` for targets j+1..K; and those indices' states."""
+    import numpy as np
+
+    from womctl.sysmodel import STATE, realization_strides, schema_rows
+
+    domains = [
+        instance.info.prescription_domain(t, j, m) for m in range(1, instance.agent_count + 1)
+    ]
+    support_schema = instance.info.equivalent_state(t, pi.agent)
+    x, *rows = schema_rows(instance, support_schema, [(STATE,)] + domains, state=True)
+    support = np.flatnonzero(pi.probs > 0.0)
+    index = np.indices([len(stack) for stack in tables]).reshape(len(tables), -1)
+    controls = np.zeros((len(support), index.shape[1]), dtype=np.int64)
+    strides = realization_strides(instance.system.control_sizes)
+    for m, (row, stride) in enumerate(zip(rows, strides)):
+        at = row[support]
+        if m < j:
+            controls += stride * tables[m][index[m][None, :], at[:, None]].astype(np.int64)
+        else:
+            controls += stride * np.asarray(tails[m - j])[at].astype(np.int64)[:, None]
+    return controls, x[support], support
+
+
 def solve_agent_reference(instance, j, chain, caps):
     """Agent j's pass as a depth-first recursion, one node at a time.
 
     This is the search `solver._solve_agent` ran before it went stage by
-    stage, with its scorer and kernel calls made on one-row stacks, and it
+    stage, over the full product of `enumerate_prescription_tables`' stacks
+    with its own scoring and its kernel calls made on one-row stacks, and it
     returns the same `_Pass` record. Every candidate steps the beliefs of
     every agent j..K, and a node's inherited tables are found by looking its
     belief tuple's 12-decimal keys up in the higher agents' reference
@@ -1085,25 +1140,19 @@ def solve_agent_reference(instance, j, chain, caps):
 
     import numpy as np
 
-    from womctl.belief import CandidateScorer, StepKernel
+    from womctl.belief import StepKernel
     from womctl.errors import CapExceeded, WomError
-    from womctl.solver import _Pass, _head_spaces
+    from womctl.solver import _Pass
 
     started = time.perf_counter()
     T, K = instance.horizon, instance.agent_count
-    spaces = _head_spaces(instance, j, caps)
-    scorers: dict = {}  # per stage, built on the first visit
+    spaces = _reference_spaces(instance, j, caps)
     kernels: dict = {}  # per (stage, agent), built on the first step
     read: set = set()  # the (stage, support index and joint control code) pairs agent j stepped
     memo: dict = {}
     stages = [_ReferenceStage() for _ in range(T + 1)]
     examined = nodes = computed = shared = 0
     open_stages = []  # the stages of the visits in progress
-
-    def scorer(t):
-        if t not in scorers:
-            scorers[t] = CandidateScorer(instance, j, t, spaces[t])
-        return scorers[t]
 
     def step(t, pi, controls, done):
         nonlocal computed, shared
@@ -1141,23 +1190,21 @@ def solve_agent_reference(instance, j, chain, caps):
             raise CapExceeded(nodes, caps.branches, "reachable belief branches", exact=False)
         above = _inherited_nodes(instance, chain, j, t, key[1])
         stage.tail.append(above[0] if above else -1)
-        tail_tables = [
-            chain[m].stages[t].tables[m - 1][[u]] for m, u in enumerate(above, start=j + 1)
-        ]
-        tails = [tables[0] for tables in tail_tables]
-        score = scorer(t)
-        stage_cost = score(pis[0].probs[None], tail_tables)[0]
+        tails = [chain[m].stages[t].tables[m - 1][u] for m, u in enumerate(above, start=j + 1)]
+        controls, x, support = _reference_controls(instance, j, t, spaces[t], tails, pis[0])
+        stage_cost = np.zeros(controls.shape[1])
+        for xs, s, uj in zip(x.tolist(), support.tolist(), controls):  # ascending support order
+            stage_cost += pis[0].probs[s] * instance.system.cost[t, xs, uj]
         examined += len(stage_cost)
         if t == T:
             best = int(stage_cost.argmin())
             best_val = float(stage_cost[best])
             best_decision = (best, [])
         else:
-            controls = []
-            for pi in pis:
-                support = np.nonzero(pi.probs[None] > 0.0)
-                at = score.controls(pi.agent, support, tail_tables)
-                controls.append(list(map(tuple, at.T.tolist())))
+            controls = [
+                list(map(tuple, _reference_controls(instance, j, t, spaces[t], tails, pi)[0].T.tolist()))
+                for pi in pis
+            ]
             done = [{} for _ in pis]  # per agent, the node's steps by control tuple
             best_val, best_decision = math.inf, None
             for c, val in enumerate(stage_cost.tolist()):
@@ -1185,7 +1232,7 @@ def solve_agent_reference(instance, j, chain, caps):
                     best_val, best_decision = val, (c, branches)
         memo[key] = best_val
         best, stage.branches[n] = best_decision
-        index = np.unravel_index(best, score.shape)
+        index = np.unravel_index(best, [len(stack) for stack in spaces[t]])
         stage.decided[n] = [space[i] for space, i in zip(spaces[t], index)] + tails
         open_stages.pop()
         return best_val

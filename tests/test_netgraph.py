@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from oracles import all_pairs_min_delay
@@ -136,3 +137,35 @@ def test_direct_matrix_validation():
         validate_delay_matrix([[0, -1], [1, 0]])
     with pytest.raises(ShapeMismatch):
         validate_delay_matrix([[0, 5, 1], [1, 0, 1], [1, 3, 0]])  # triangle broken
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None], ids=repr)
+def test_non_integer_delays_are_rejected(bad):
+    with pytest.raises(ShapeMismatch, match=r"delay matrix entry \(1,2\) must be an integer"):
+        validate_delay_matrix(((0, bad), (1, 0)))
+    with pytest.raises(ShapeMismatch, match=r"link \(1,2\) delay must be an integer"):
+        validate_network(NetworkSpec(2, ((1, 2, bad), (2, 1, 1))))
+
+
+def test_numpy_integer_delays_pass():
+    assert validate_delay_matrix(np.array([[0, 1], [2, 0]])).rows == ((0, 1), (2, 0))
+    assert all(type(v) is int for row in validate_delay_matrix(np.array([[0, 1], [2, 0]])).rows
+               for v in row)
+    spec = NetworkSpec(2, ((1, 2, np.int64(2)), (2, 1, np.int32(1))))
+    assert validate_network(spec) is spec
+    assert compute_delay_matrix(spec).rows == ((0, 2), (1, 0))
+
+
+def test_non_integer_delays_fail_instance_validation():
+    """A fractional delay reaches neither the schema derivation nor a
+    solver: `validate_instance` raises `ShapeMismatch`, not a `TypeError`."""
+    from womctl.instances import d2_dict
+    from womctl.netgraph import DelayMatrix
+    from womctl.sysmodel import instance_from_dict, validate_instance
+
+    system = instance_from_dict(d2_dict()).system
+    with pytest.raises(ShapeMismatch, match="must be an integer, got 1.5"):
+        validate_instance(system, DelayMatrix(((0, 1.5), (1, 0))))
+    with pytest.raises(ShapeMismatch, match="must be an integer, got 1.5"):
+        validate_instance(system, NetworkSpec(2, ((1, 2, 1.5), (2, 1, 1))))
+    assert validate_instance(system, DelayMatrix(((0, 1), (1, 0)))).delays.rows == ((0, 1), (1, 0))

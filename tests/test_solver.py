@@ -30,6 +30,7 @@ from womctl.instances import d2_dict, load_d2, load_d2ext, load_static3, load_st
 from womctl.prescription import (
     control_law_to_strategy,
     count_strategies,
+    enumerate_prescription_tables,
     joint_control_strategy,
 )
 from womctl.solver import (
@@ -555,7 +556,6 @@ def test_narrow_tables_are_weighted_in_int64():
         },
     }
     inst = instance_from_dict(doc)
-    assert solver_mod._head_spaces(inst, 2, solver_mod.resolve_caps())[0][0].dtype == np.uint8
     rows = compare_agents(inst).rows
     assert [row["cost"] for row in rows] == [0.0] * 4
 
@@ -616,15 +616,15 @@ def test_dp_cap(d2):
 
 def test_dp_cap_fails_before_building_tables(d2, monkeypatch):
     # agent 2's stage-1 targets have 16 tables each: each fits the cap of 16,
-    # their 256 joint candidates do not
+    # their 256 joint candidates do not; no stage is scored
     built = []
-    real = solver_mod.enumerate_prescription_tables
+    real = solver_mod.CandidateScorer
 
     def counted(*args):
         built.append(args)
         return real(*args)
 
-    monkeypatch.setattr(solver_mod, "enumerate_prescription_tables", counted)
+    monkeypatch.setattr(solver_mod, "CandidateScorer", counted)
     with pytest.raises(CapExceeded, match="agent 2, stage 1: joint prescription search needs 256"):
         solve_prescription_dp(d2, 2, cap=16)
     assert built == []
@@ -986,24 +986,30 @@ def test_belief_outputs_are_built_on_first_read(d2, monkeypatch):
 
 @pytest.mark.parametrize("seed", [5, 13])  # two-agent, T=2: candidates share steps
 def test_agent_passes_log_their_step_counts(seed, caplog, monkeypatch):
-    from womctl.belief import CandidateScorer, StepKernel
+    from womctl.belief import StepKernel
 
     inst = fuzz_instance(seed)
-    calls = {"steps": 0, "candidate_steps": 0}
-    real_step, real_controls = StepKernel.step, CandidateScorer.controls
+    calls = {"steps": 0}
+    real_step = StepKernel.step
 
     def step(self, probs, controls):
         calls["steps"] += len(probs)
         return real_step(self, probs, controls)
 
-    def controls(self, agent, support, tails=()):
-        out = real_controls(self, agent, support, tails)
-        # one candidate step per (belief of the stack, candidate)
-        calls["candidate_steps"] += len(np.unique(support[0])) * out.shape[1]
-        return out
+    def candidate_steps(j, widths):
+        # one per (node, candidate of the full product) below the horizon
+        return sum(
+            width * math.prod(
+                len(enumerate_prescription_tables(
+                    inst.schema_sizes(inst.info.prescription_domain(t, j, m)),
+                    inst.system.control_sizes[m - 1],
+                ))
+                for m in range(1, j + 1)
+            )
+            for t, width in enumerate(widths[:-1])
+        )
 
     monkeypatch.setattr(StepKernel, "step", step)
-    monkeypatch.setattr(CandidateScorer, "controls", controls)
     caplog.set_level(logging.DEBUG, logger="womctl")
     chain = {}
     for j in range(inst.agent_count, 0, -1):
@@ -1015,10 +1021,29 @@ def test_agent_passes_log_their_step_counts(seed, caplog, monkeypatch):
         assert (nodes, tuple(widths)) == (sum(chain[j].widths), chain[j].widths)
         assert (steps, shared, entries) == (chain[j].steps, chain[j].shared, chain[j].entries)
         # every (candidate, agent) step below the horizon is computed or shared
-        assert steps == calls["steps"] and steps + shared == calls["candidate_steps"]
+        assert steps == calls["steps"] and steps + shared == candidate_steps(j, widths)
         assert entries > 0
-        calls.update(steps=0, candidate_steps=0)
+        calls.update(steps=0)
     assert sum(done.shared for done in chain.values()) > 0
+
+
+def test_agent_passes_never_hold_the_full_product():
+    # random seed 34's stage 1 has 16 nodes in agent 3's and agent 2's passes,
+    # each with 2^16 joint candidates: one float per (node, candidate) takes
+    # 8 MiB, while the grids the nodes' supports read hold 4,096 points. The
+    # instance's caches are warm, so the peak is the chain's own
+    instance = random_topology_instance(34)
+    caps = solver_mod.resolve_caps()
+    solver_mod._solve_chain(instance, 1, caps)
+    tracemalloc.start()
+    try:
+        chain = solver_mod._solve_chain(instance, 1, caps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [chain[j].widths for j in (3, 2)] == [(1, 16), (1, 16)]
+    assert [chain[j].examined for j in (3, 2)] == [16 + 16 * 2**16] * 2
+    assert peak < 8 * 16 * 2**16
 
 
 RELAY_FAILURE = "variable VariableId(time=0, agent=1, kind='Y') not derivable from the state"
