@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ImpossibleObservation, OutOfRange, SchemaMismatch
+from .errors import ImpossibleObservation, OutOfRange, SchemaMismatch, checked_index
 from .infostruct import KIND_CONTROL, KIND_OBSERVATION, InfoSchema, VariableId
 from .prescription import CompletePrescription
 from .sysmodel import (
@@ -68,6 +68,8 @@ def _support_sizes(instance: Instance, support: InfoSchema) -> tuple[int, ...]:
 
 
 def make_information_state(instance, agent, time, probs) -> InformationState:
+    agent = checked_index(agent, "agent", 1, instance.agent_count)
+    time = checked_index(time, "time", 0, instance.horizon)
     support = instance.info.equivalent_state(time, agent)
     vec = np.asarray(probs, dtype=float)
     expected = realization_count(_support_sizes(instance, support))
@@ -198,7 +200,7 @@ def _initial_pass(instance, k) -> tuple[dict, dict]:
     order, each of mass `p(x0) * p(v1) * ... * p(vK)`; masses add in that
     order and points of mass 0 are skipped.
     """
-    cache_key = ("initial_pass", k)
+    cache_key = ("initial_pass", checked_index(k, "agent", 1, instance.agent_count))
     if cache_key in instance._cache:
         return instance._cache[cache_key]
     sys = instance.system
@@ -309,28 +311,28 @@ class StepKernel:
         zero = np.zeros_like(x_next)
         return _encode(self.new_plan, operands) + zero, _encode(self.next_plan, operands) + zero
 
-    def step(self, probs, controls) -> StepBatch:
-        """`belief_step` of each row of a stack of agent k's stage-t beliefs.
+    def step(self, rows, pairs) -> StepBatch:
+        """`belief_step` of each of `rows` beliefs of agent k at stage t.
 
-        `probs` stacks the beliefs, one per row; `controls[r, s]` is the
-        joint-control index row r applies at support index s, or -1 where
-        the row has no mass. Every (row, support index, noise pair) adds the
-        product of the row's mass, the disturbance probability and the noise
-        probabilities, in that order, to its posterior's next-support entry,
-        in (support, w, v) order as the one-point-at-a-time filter does;
-        terms that are exactly zero are skipped. Each posterior is divided by
-        its row's sum, and realizations of mass at most `ZERO_TOL` dropped.
+        `pairs` holds four flat arrays, one entry per positive-mass (row,
+        support index) pair, a row's in ascending support order: the row, the
+        support index, the joint-control index there and the row's mass there.
+        Each pair adds, per noise pair, its mass times the disturbance and
+        noise probabilities, in that order, to its row's posterior's
+        next-support entry, in (support, w, v) order as the one-point-at-a-time
+        filter does; terms exactly zero are skipped. Each posterior is divided
+        by its row's sum, and realizations of mass at most `ZERO_TOL` dropped.
         """
-        rows, s = np.nonzero(controls >= 0)
-        uj = controls[rows, s]
-        read = len(set((s * self.instance.system.joint_control_count + uj).tolist()))
+        row, s, uj, prior = pairs
+        codes = s * self.instance.system.joint_control_count + uj
+        read = np.unique(codes, return_inverse=True)[0].size  # the hash path imports numpy.ma
         z_index, s_next = self.advance(s[:, None], uj[:, None], self.paths[0], self.paths[1:])
-        p = probs[rows, s][:, None] * self.factors[0]
+        p = prior[:, None] * self.factors[0]
         for f in self.factors[1:]:
             p = p * f
         live = p != 0.0
         new_count = realization_count(self.new_sizes)
-        key = (rows[:, None] * new_count + z_index)[live]
+        key = (row[:, None] * new_count + z_index)[live]
         group, g = np.unique(key, return_inverse=True)
         acc = np.bincount(
             g * self.next_total + s_next[live],
@@ -344,7 +346,7 @@ class StepKernel:
         posteriors = acc / mass[:, None]
         strides = np.array(realization_strides(self.new_sizes), dtype=np.int64)
         return StepBatch(
-            start=np.searchsorted(row, np.arange(len(probs) + 1)).tolist(),
+            start=np.searchsorted(row, np.arange(rows + 1)).tolist(),
             z=z_index[:, None] // strides % np.array(self.new_sizes, dtype=np.int64),
             mass=mass.tolist(),
             probs=posteriors,
@@ -383,8 +385,8 @@ def belief_step(instance, pi: InformationState, theta: CompletePrescription) -> 
     _check_theta(instance, pi.agent, pi.time, theta)
     kernel = step_kernel(instance, pi.agent, pi.time)
     tables = [np.array([p.table]) for p in theta.parts]
-    controls = CandidateScorer(instance, pi.agent, pi.time, 0, pi.probs[None], tables).controls
-    return kernel.branches(kernel.step(pi.probs[None], controls), 0)
+    pairs = CandidateScorer(instance, pi.agent, pi.time, 0, pi.probs[None], tables).pairs
+    return kernel.branches(kernel.step(1, pairs), 0)
 
 
 def update_information_state(instance, pi, theta, z) -> InformationState:
@@ -453,9 +455,9 @@ class CandidateScorer:
     `np.nonzero` lists them. Each point's `cost` adds `p * cost` over its
     belief's support indices in ascending order from 0.0, the float
     operations of a one-candidate scan of that belief alone. Below the
-    horizon, `controls` holds each point's joint-control index at each
-    support index of its belief and -1 off the support, the rows
-    `StepKernel.step` reads.
+    horizon, `pairs` holds the four flat arrays `StepKernel.step` reads, one
+    entry per scored (point, support index) pair in scoring order: the point,
+    the support index, its joint-control index there and the belief's mass.
     """
 
     def __init__(self, instance, k, t, h, probs, tails=()):
@@ -481,7 +483,7 @@ class CandidateScorer:
         flat, p = x[s] * sys.joint_control_count, probs[rows, s]  # into the (state, control) costs
         stage_costs = sys.cost[t].ravel()
         self.cost = np.zeros(len(grids.node))
-        self.controls = np.full((len(grids.node), probs.shape[1]), -1) if t < sys.horizon else None
+        pairs = []
         size = grids.size[rows]  # per pair, its belief's points
         before = np.cumsum(size) - size
         cuts = [0, *(np.flatnonzero(np.diff(before // SCORE_BLOCK)) + 1).tolist(), len(rows)]
@@ -493,8 +495,9 @@ class CandidateScorer:
             for weight, d in zip(strides, digit):  # each head target's digit at the pair's row
                 uj = uj + weight * digits[points, d[pair]]
             np.add.at(self.cost, points, p[pair] * stage_costs[flat[pair] + uj])  # in pair order
-            if self.controls is not None:
-                self.controls[points, s[pair]] = uj
+            if t < sys.horizon:
+                pairs.append((points, s[pair], uj, p[pair]))
+        self.pairs = tuple(map(np.concatenate, zip(*pairs))) if t < sys.horizon else None
 
 
 def _support_rows(instance, i, k, t):

@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import instances as bundled
-from .errors import CapExceeded, OutOfRange, WomError, format_count
+from .errors import CapExceeded, WomError, checked_index, format_count
 from .netgraph import information_path
 from .prescription import count_strategies
 from .serialize import (
@@ -72,13 +72,11 @@ def _cmd_delays(args):
 def _cmd_schema(args):
     inst = load_instance(args.instance)
     info, T, K = inst.info, inst.horizon, inst.agent_count
-    if args.time is not None and not 0 <= args.time <= T:
-        raise OutOfRange(f"time {args.time} is out of range 0..{T}")
-    if args.agent is not None and not 1 <= args.agent <= K:
-        raise OutOfRange(f"agent {args.agent} is out of range 1..{K}")
+    times = range(T + 1) if args.time is None else [checked_index(args.time, "time", 0, T)]
+    agents = range(1, K + 1) if args.agent is None else [checked_index(args.agent, "agent", 1, K)]
     results = []
-    for t in [args.time] if args.time is not None else range(T + 1):
-        for k in [args.agent] if args.agent is not None else range(1, K + 1):
+    for t in times:
+        for k in agents:
             row = {
                 "t": t,
                 "agent": k,

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that raise them."""
+
+import numbers
 
 
 class WomError(Exception):
@@ -61,6 +63,22 @@ class IndexOrder(WomError):
 
 class SchemaMismatch(WomError):
     pass
+
+
+def as_integer(value, name: str) -> int:
+    """A delay, cap, count or seed as an int: numpy integers pass, bools and non-integers raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ShapeMismatch(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def checked_index(value, name: str, low: int, high: int) -> int:
+    """An agent or stage index as an int in low..high: numpy integers pass;
+    a bool, a non-integer or a value out of range raises `OutOfRange`."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and low <= value <= high):
+        raise OutOfRange(f"{name} {value!r} is out of range {low}..{high}")
+    return int(value)
 
 
 def format_count(n: int) -> str:

@@ -6,7 +6,6 @@ with the given delay; every agent implicitly reaches herself with delay 0.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 from .errors import (
@@ -15,6 +14,7 @@ from .errors import (
     NonPositiveDelay,
     NotStronglyConnected,
     ShapeMismatch,
+    as_integer,
 )
 
 
@@ -59,7 +59,7 @@ def validate_network(spec: NetworkSpec) -> NetworkSpec:
             raise ShapeMismatch(f"link ({frm},{to}) references an unknown agent")
         if frm == to:
             raise ExplicitSelfLoop(f"self-loop ({frm},{to}) must stay implicit")
-        _integer(delay, f"link ({frm},{to}) delay")
+        as_integer(delay, f"link ({frm},{to}) delay")
         if delay < 1:
             raise NonPositiveDelay(f"link ({frm},{to}) has delay {delay}, expected >= 1")
         if (frm, to) in seen:
@@ -108,7 +108,7 @@ def validate_delay_matrix(rows) -> DelayMatrix:
     if k_count < 1:
         raise ShapeMismatch("delay matrix must have at least one agent")
     tup = tuple(
-        tuple(_integer(v, f"delay matrix entry ({j + 1},{k + 1})") for k, v in enumerate(row))
+        tuple(as_integer(v, f"delay matrix entry ({j + 1},{k + 1})") for k, v in enumerate(row))
         for j, row in enumerate(rows)
     )
     for row in tup:
@@ -128,13 +128,6 @@ def validate_delay_matrix(rows) -> DelayMatrix:
                         f"triangle inequality violated at ({j + 1},{m + 1},{k + 1})"
                     )
     return DelayMatrix(tup)
-
-
-def _integer(value, name: str) -> int:
-    """A delay as an int: Python and numpy integers pass, bools and anything else raise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ShapeMismatch(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _all_best_paths(spec: NetworkSpec):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, DomainMismatch, OutOfRange, SchemaMismatch
+from .errors import CapExceeded, DomainMismatch, OutOfRange, SchemaMismatch, checked_index
 from .infostruct import InfoSchema
 from .sysmodel import (
     ControlStrategy,
@@ -85,8 +85,9 @@ class PrescriptionStrategy:
         domain realization and actions below the control size, and a law
         without a default must cover every conditioning realization."""
         law, default = self._law(t, target)
-        cond = instance.info.conditioning_schema(t, self.owner, target)
-        domain = instance.info.prescription_domain(t, self.owner, target)
+        owner = checked_index(self.owner, "owner", 1, instance.agent_count)
+        cond = instance.info.conditioning_schema(t, owner, target)
+        domain = instance.info.prescription_domain(t, owner, target)
         dom_sizes, size = instance.schema_sizes(domain), instance.system.control_sizes[target - 1]
         rows = realization_count(dom_sizes)
         for presc in {id(p): p for p in (*law.values(), default)}.values():  # distinct ones
@@ -185,9 +186,7 @@ def count_strategies(instance: Instance, mode) -> int:
                 feas = feasible_schema_realizations(instance, instance.info.memory(t, k))
                 total *= sys.control_sizes[k - 1] ** len(feas)
         return total
-    k = int(mode)
-    if not 1 <= k <= sys.agent_count:
-        raise OutOfRange(f"agent {k} out of range")
+    k = checked_index(mode, "agent", 1, sys.agent_count)
     total = 0
     for t in range(instance.horizon + 1):
         feas = feasible_schema_realizations(instance, instance.info.accessible(t, k))
@@ -255,7 +254,7 @@ def control_law_to_strategy(
     target's control table is read in memory order and scattered into the
     (conditioning, domain) matrix whose rows are the law's tables.
     """
-    info = instance.info
+    info, k = instance.info, checked_index(k, "agent", 1, instance.agent_count)
     laws = {}
     for t in range(instance.horizon + 1):
         for target in range(1, instance.agent_count + 1):
@@ -290,7 +289,7 @@ def translate_strategy(
     instance: Instance, src: PrescriptionStrategy, i: int
 ) -> PrescriptionStrategy:
     """Agent i's prescription strategy producing the same actions as src everywhere."""
-    if i == src.owner:
+    if checked_index(i, "agent", 1, instance.agent_count) == src.owner:
         return src
     return control_law_to_strategy(instance, joint_control_strategy(instance, src), i)
 
@@ -328,7 +327,8 @@ def complete_prescription_at(
     instance: Instance, psi: PrescriptionStrategy, t: int, accessible_real
 ) -> CompletePrescription:
     """The owner's complete prescription realized at one accessible-information value."""
-    k = psi.owner
+    k = checked_index(psi.owner, "owner", 1, instance.agent_count)
+    t = checked_index(t, "time", 0, instance.horizon)
     own = instance.info.accessible(t, k)
     parts = []
     for target in range(1, instance.agent_count + 1):

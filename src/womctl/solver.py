@@ -30,7 +30,7 @@ from .belief import (
     probs_keys,
     step_kernel,
 )
-from .errors import CapExceeded, ShapeMismatch, WomError
+from .errors import CapExceeded, ShapeMismatch, WomError, as_integer, checked_index
 from .infostruct import KIND_CONTROL, KIND_OBSERVATION, VariableId
 from .prescription import (
     Prescription,
@@ -80,6 +80,7 @@ def resolve_caps(cap: int | None = None) -> Caps:
                 raise WomError(f"WOMCTL_CAP must be an integer, got {env!r}") from None
     if cap is None:
         return Caps()
+    cap = as_integer(cap, source)
     if cap < 1:
         raise WomError(f"{source} must be at least 1, got {cap}")
     return Caps(brute=cap, tables=cap, branches=cap)
@@ -560,8 +561,7 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
                 stage.grids = grids = DigitGrids(score.grids.read | read, score.grids.radix)
             digits = grids.digits()
             row_of = [score.grids.points(grids.node, digits)]  # each point's step row
-            stage.batch = step_kernel(instance, j, t).step(stage.probs[score.grids.node],
-                                                           score.controls)
+            stage.batch = step_kernel(instance, j, t).step(len(score.grids.node), score.pairs)
             computed += len(score.grids.node)
             shared += len(stage.probs) * joints[t] - len(score.grids.node)
             entries += stage.batch.read
@@ -736,9 +736,7 @@ def _dp_result(instance: Instance, k: int, chain: dict) -> SolveResult:
 
 def solve_prescription_dp(instance: Instance, k: int, cap: int | None = None) -> SolveResult:
     """Per-agent backward recursion with inherited higher-agent components."""
-    caps = resolve_caps(cap)
-    if not 1 <= k <= instance.agent_count:
-        raise ShapeMismatch(f"agent {k} out of range")
+    caps, k = resolve_caps(cap), checked_index(k, "agent", 1, instance.agent_count)
     return _dp_result(instance, k, _solve_chain(instance, k, caps))
 
 
@@ -763,8 +761,7 @@ def solve_prescription_static(instance: Instance, k: int, cap: int | None = None
     caps = resolve_caps(cap)
     if instance.horizon != 0:
         raise ShapeMismatch("static decomposition requires horizon 0")
-    if not 1 <= k <= instance.agent_count:
-        raise ShapeMismatch(f"agent {k} out of range")
+    k = checked_index(k, "agent", 1, instance.agent_count)
     return _static_result(instance, _dp_result(instance, k, _solve_chain(instance, k, caps)))
 
 

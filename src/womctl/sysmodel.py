@@ -27,6 +27,7 @@ from .errors import (
     DomainMismatch,
     SchemaMismatch,
     ShapeMismatch,
+    as_integer,
 )
 from .infostruct import (
     KIND_CONTROL,
@@ -506,6 +507,7 @@ def monte_carlo_cost(instance: Instance, strategy, samples: int, seed: int = 0) 
 
     `strategy` is either strategy kind, as for `exact_strategy_cost`.
     """
+    samples, seed = as_integer(samples, "samples"), as_integer(seed, "seed")
     if samples < 1:
         raise ShapeMismatch("samples must be >= 1")
     if seed < 0:

@@ -1164,13 +1164,13 @@ def solve_agent_reference(instance, j, chain, caps):
             kernels[(t, pi.agent)] = StepKernel(instance, pi.agent, t)
         computed += own
         kernel = kernels[(t, pi.agent)]
-        row = np.full((1, len(pi.probs)), -1, dtype=np.int64)
         support = np.flatnonzero(pi.probs > 0.0)
-        row[0, support] = controls
+        uj = np.array(controls, dtype=np.int64)
         if own:
-            codes = support * instance.system.joint_control_count + np.array(controls)
+            codes = support * instance.system.joint_control_count + uj
             read.update((t, code) for code in codes.tolist())
-        done[controls] = kernel.branches(kernel.step(pi.probs[None], row), 0)
+        pairs = (np.zeros_like(support), support, uj, pi.probs[support])
+        done[controls] = kernel.branches(kernel.step(1, pairs), 0)
         return done[controls]
 
     def visit(t, amap, pis):

@@ -724,9 +724,9 @@ def test_agent_passes_step_only_their_own_belief(name, monkeypatch):
     real_step, real_pass = StepKernel.step, solver_mod._solve_agent
     running, kernels = [], []
 
-    def step(self, probs, controls):
+    def step(self, rows, pairs):
         kernels.append((running[-1], self.k))
-        return real_step(self, probs, controls)
+        return real_step(self, rows, pairs)
 
     def solve_agent(instance, j, chain, caps):
         running.append(j)
@@ -743,3 +743,31 @@ def test_agent_passes_step_only_their_own_belief(name, monkeypatch):
     assert all(j == k for j, k in kernels)
     if instance.horizon > 0 and known_defect is None:
         assert {j for j, _ in kernels} == set(range(1, instance.agent_count + 1))
+
+
+def test_a_wide_nodes_scorer_holds_pairs_not_a_dense_stack(wom3):
+    """Agent 3's stage-1 belief on wom3 has 8 positive entries among 2,048
+    support indices and its grid has 16,384 points: the scorer keeps its
+    step rows as 131,072 (point, support index) pairs, where a dense
+    (points x support indices) stack of int64 alone would take 256 MiB."""
+    import tracemalloc
+
+    from womctl.belief import CandidateScorer
+
+    (pi0,) = initial_information_state(wom3, 3).values()
+    rows = [
+        realization_count(wom3.schema_sizes(wom3.info.prescription_domain(0, 3, m)))
+        for m in range(1, 4)
+    ]
+    theta = theta_for(wom3, 3, 0, [[0] * n for n in rows])
+    _, pi1 = next(iter(belief_step(wom3, pi0, theta).values()))
+    tracemalloc.start()
+    try:
+        score = CandidateScorer(wom3, 3, 1, 3, pi1.probs[None])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (pi1.probs.shape, int(np.count_nonzero(pi1.probs))) == ((2_048,), 8)
+    assert len(score.grids.node) == 16_384
+    assert peak < 32 * 2**20
+    assert [len(column) for column in score.pairs] == [16_384 * 8] * 4

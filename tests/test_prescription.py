@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -7,9 +8,12 @@ import numpy as np
 import pytest
 
 from helpers import random_control_strategy, random_prescription_strategy
+from womctl.belief import initial_state_at, make_information_state
 from womctl.errors import CapExceeded, DomainMismatch, OutOfRange
+from womctl.instances import load_static3
 from womctl.prescription import (
     apply_prescription,
+    complete_prescription_at,
     control_law_to_strategy,
     count_strategies,
     enumerate_prescription_tables,
@@ -21,7 +25,12 @@ from womctl.prescription import (
     strategy_to_control_law,
     translate_strategy,
 )
-from womctl.solver import evaluate_prescription_strategy, solve_brute_force
+from womctl.solver import (
+    evaluate_prescription_strategy,
+    solve_brute_force,
+    solve_prescription_dp,
+    solve_prescription_static,
+)
 from womctl.sysmodel import ControlStrategy, exact_strategy_cost
 
 
@@ -247,3 +256,59 @@ def test_pointwise_translation_cases(static3):
         for real in itertools.product(*[range(s) for s in sizes]):
             actions = {table[real] for table in tables}
             assert len(actions) == 1, (j, real)
+
+
+@pytest.fixture(scope="module")
+def d2_laws(d2):
+    return solve_prescription_dp(d2, 1).prescription_strategy
+
+
+def _owned(psi, owner):
+    return dataclasses.replace(psi, owner=owner)
+
+
+# (call on d2 and its DP laws, the index it names): an agent, owner or stage
+# index outside its range, a bool or a non-integer raises `OutOfRange`
+INDEX_CASES = {
+    "evaluate-owner-0": (lambda d2, psi: exact_strategy_cost(d2, _owned(psi, 0)), "owner 0"),
+    "evaluate-owner-5": (lambda d2, psi: exact_strategy_cost(d2, _owned(psi, 5)), "owner 5"),
+    "evaluate-owner-bool": (
+        lambda d2, psi: exact_strategy_cost(d2, _owned(psi, True)), "owner True"
+    ),
+    "evaluate-owner-float": (
+        lambda d2, psi: exact_strategy_cost(d2, _owned(psi, 1.0)), "owner 1.0"
+    ),
+    "translate-0": (lambda d2, psi: translate_strategy(d2, psi, 0), "agent 0"),
+    "translate-3": (lambda d2, psi: translate_strategy(d2, psi, 3), "agent 3"),
+    "translate-bool": (lambda d2, psi: translate_strategy(d2, psi, True), "agent True"),
+    "control-law-0": (
+        lambda d2, psi: control_law_to_strategy(d2, joint_control_strategy(d2, psi), 0), "agent 0"
+    ),
+    "count-str": (lambda d2, psi: count_strategies(d2, "x"), "agent 'x'"),
+    "count-bool": (lambda d2, psi: count_strategies(d2, True), "agent True"),
+    "count-float": (lambda d2, psi: count_strategies(d2, 1.5), "agent 1.5"),
+    "dp-0": (lambda d2, psi: solve_prescription_dp(d2, 0), "agent 0"),
+    "dp-float": (lambda d2, psi: solve_prescription_dp(d2, 1.5), "agent 1.5"),
+    "static-4": (lambda d2, psi: solve_prescription_static(load_static3(), 4), "agent 4"),
+    "initial-3": (lambda d2, psi: initial_state_at(d2, 3, ()), "agent 3"),
+    "information-state-3": (lambda d2, psi: make_information_state(d2, 3, 0, [1.0]), "agent 3"),
+    "information-state-t5": (lambda d2, psi: make_information_state(d2, 1, 5, [1.0]), "time 5"),
+    "complete-t5": (lambda d2, psi: complete_prescription_at(d2, psi, 5, ()), "time 5"),
+    "complete-owner-0": (
+        lambda d2, psi: complete_prescription_at(d2, _owned(psi, 0), 0, ()), "owner 0"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(INDEX_CASES))
+def test_api_indices_outside_their_range_raise_out_of_range(name, d2, d2_laws):
+    call, named = INDEX_CASES[name]
+    with pytest.raises(OutOfRange, match=re.escape(f"{named} is out of range ")):
+        call(d2, d2_laws)
+
+
+def test_api_indices_take_numpy_integers(d2, d2_laws):
+    assert count_strategies(d2, np.int64(2)) == count_strategies(d2, 2)
+    assert translate_strategy(d2, d2_laws, np.int64(1)) is d2_laws
+    report = exact_strategy_cost(d2, _owned(d2_laws, np.int64(1)))
+    assert report == exact_strategy_cost(d2, d2_laws)

@@ -775,9 +775,9 @@ def test_compare_agents_builds_one_kernel_per_agent_and_stage(which, monkeypatch
         built.append((k, t))
         real_init(self, instance, k, t)
 
-    def step(self, probs, controls):
+    def step(self, rows, pairs):
         stepped.append((self.k, self.t))
-        return real_step(self, probs, controls)
+        return real_step(self, rows, pairs)
 
     monkeypatch.setattr(StepKernel, "__init__", init)
     monkeypatch.setattr(StepKernel, "step", step)
@@ -992,9 +992,9 @@ def test_agent_passes_log_their_step_counts(seed, caplog, monkeypatch):
     calls = {"steps": 0}
     real_step = StepKernel.step
 
-    def step(self, probs, controls):
-        calls["steps"] += len(probs)
-        return real_step(self, probs, controls)
+    def step(self, rows, pairs):
+        calls["steps"] += rows
+        return real_step(self, rows, pairs)
 
     def candidate_steps(j, widths):
         # one per (node, candidate of the full product) below the horizon
@@ -1214,3 +1214,32 @@ def test_fuzz_small_sample_agreement():
         assert rep.max_spread <= TOL
         ok_costs = [r["cost"] for r in rep.rows if r["status"] == "ok"]
         assert any(abs(c - brute) <= TOL for c in ok_costs)
+
+
+# a cap that is a bool or not an integer is rejected before any search
+_BAD_CAPS = {
+    "bool": (True, "True"),
+    "float": (1.5, "1.5"),
+    "integral-float": (8.0, "8.0"),
+    "string": ("8", "'8'"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_CAPS))
+@pytest.mark.parametrize("solve", ["brute", "dp", "static", "compare"])
+def test_solvers_reject_a_cap_that_is_not_an_integer(name, solve):
+    cap, shown = _BAD_CAPS[name]
+    calls = {
+        "brute": lambda: solve_brute_force(load_d2(), cap),
+        "dp": lambda: solve_prescription_dp(load_d2(), 1, cap),
+        "static": lambda: solve_prescription_static(load_static3(), 1, cap),
+        "compare": lambda: compare_agents(load_d2(), cap),
+    }
+    with pytest.raises(WomError, match=re.escape(f"cap must be an integer, got {shown}")):
+        calls[solve]()
+
+
+def test_caps_take_numpy_integers():
+    assert solver_mod.resolve_caps(np.int64(10)) == solver_mod.Caps(10, 10, 10)
+    with pytest.raises(CapExceeded, match="cap is 10$"):
+        solve_brute_force(load_d2(), np.int64(10))

@@ -261,8 +261,8 @@ def test_inheritance_ignores_later_steps_of_a_higher_agent(load, monkeypatch):
     done, moved = set(), []
     real_step, real_pass = StepKernel.step, solver_mod._solve_agent
 
-    def step(kernel, probs, controls):
-        batch = real_step(kernel, probs, controls)
+    def step(kernel, rows, pairs):
+        batch = real_step(kernel, rows, pairs)
         shifted = batch.probs + 5e-13
         moved.append(belief_mod.probs_keys(shifted) != belief_mod.probs_keys(batch.probs))
         return batch._replace(probs=shifted) if kernel.k in done else batch

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -531,3 +532,23 @@ def test_schema_rows_match_restrict_and_index_on_random_sub_schemas():
         with pytest.raises(SchemaMismatch):
             schema_rows(inst, info.memory(0, 1), [(STATE,)])
     assert checked > 200
+
+
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [
+        (2.5, 0, "samples must be an integer, got 2.5"),
+        (True, 0, "samples must be an integer, got True"),
+        (10, 1.5, "seed must be an integer, got 1.5"),
+        (10, False, "seed must be an integer, got False"),
+    ],
+)
+def test_monte_carlo_rejects_samples_and_seeds_that_are_not_integers(d2, samples, seed, message):
+    with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+        monte_carlo_cost(d2, copy_observation_strategy(d2), samples, seed)
+
+
+def test_monte_carlo_takes_numpy_integers(d2):
+    strat = copy_observation_strategy(d2)
+    report = monte_carlo_cost(d2, strat, np.int64(500), np.int64(3))
+    assert report == monte_carlo_cost(d2, strat, 500, 3)
