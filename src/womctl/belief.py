@@ -245,13 +245,14 @@ def initial_state_at(instance, k, a_real) -> InformationState:
 class StepBatch(NamedTuple):
     """`StepKernel.step` of a stack: per row, per new-information realization
     of positive mass in sorted order, a group; row r's groups are
-    `start[r]:start[r + 1]`, each with its realization's digits (a row of `z`),
-    probability and posterior (a row of `probs`). `read` counts the distinct
-    (support index, joint control) codes the step read."""
+    `start[r]:start[r + 1]`, each with its realization's digits (a row of
+    `z`), probability (of `mass`) and posterior (a row of `probs`), all
+    arrays. `read` counts the distinct (support index, joint control) codes
+    the step read."""
 
-    start: list
+    start: np.ndarray
     z: np.ndarray
-    mass: list
+    mass: np.ndarray
     probs: np.ndarray
     read: int
 
@@ -322,10 +323,11 @@ class StepKernel:
         next-support entry, in (support, w, v) order as the one-point-at-a-time
         filter does; terms exactly zero are skipped. Each posterior is divided
         by its row's sum, and realizations of mass at most `ZERO_TOL` dropped.
+        One stable argsort groups the terms by (row, realization) code.
         """
         row, s, uj, prior = pairs
-        codes = s * self.instance.system.joint_control_count + uj
-        read = np.unique(codes, return_inverse=True)[0].size  # the hash path imports numpy.ma
+        codes = np.sort(s * self.instance.system.joint_control_count + uj)
+        read = min(codes.size, 1) + np.count_nonzero(codes[1:] != codes[:-1])
         z_index, s_next = self.advance(s[:, None], uj[:, None], self.paths[0], self.paths[1:])
         p = prior[:, None] * self.factors[0]
         for f in self.factors[1:]:
@@ -333,7 +335,12 @@ class StepKernel:
         live = p != 0.0
         new_count = realization_count(self.new_sizes)
         key = (row[:, None] * new_count + z_index)[live]
-        group, g = np.unique(key, return_inverse=True)
+        order = np.argsort(key, kind="stable")  # the groups in sorted (row, z) order
+        ordered = key[order]
+        fresh = np.ones(len(key), dtype=bool)
+        fresh[1:] = ordered[1:] != ordered[:-1]
+        group, g = ordered[fresh], np.empty_like(order)
+        g[order] = np.cumsum(fresh) - 1
         acc = np.bincount(
             g * self.next_total + s_next[live],
             weights=p[live],
@@ -346,9 +353,9 @@ class StepKernel:
         posteriors = acc / mass[:, None]
         strides = np.array(realization_strides(self.new_sizes), dtype=np.int64)
         return StepBatch(
-            start=np.searchsorted(row, np.arange(rows + 1)).tolist(),
+            start=np.searchsorted(row, np.arange(rows + 1)),
             z=z_index[:, None] // strides % np.array(self.new_sizes, dtype=np.int64),
-            mass=mass.tolist(),
+            mass=mass,
             probs=posteriors,
             read=read,
         )
@@ -359,7 +366,7 @@ class StepKernel:
         group instead."""
         return {
             tuple(batch.z[g].tolist()): (
-                batch.mass[g],
+                float(batch.mass[g]),
                 InformationState(self.k, self.t + 1, self.next_support, batch.probs[g].copy()),
             )
             for g in range(batch.start[r], batch.start[r + 1])
@@ -516,7 +523,7 @@ def _support_rows(instance, i, k, t):
 
 def connection_term(instance, pi_i: InformationState, k: int) -> ConnectionTerm:
     """Marginal of agent i's belief onto the coordinates agent k lacks (k < i)."""
-    i = pi_i.agent
+    i, k = pi_i.agent, checked_index(k, "agent", 1, instance.agent_count)
     diff = instance.info.tail_difference(pi_i.time, k, i)
     (row,) = schema_rows(instance, pi_i.support, [diff], state=True)
     live = pi_i.probs > 0.0  # summed in support order, as one point at a time

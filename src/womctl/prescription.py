@@ -115,13 +115,22 @@ class PrescriptionStrategy:
         return stage_rule(instance, t, layout, parts)
 
 
+def _prescription_shape(instance: Instance, t, owner, target) -> tuple:
+    """The checked (t, owner, target), and the domain, its sizes and the
+    target's control size of the owner's stage-t prescriptions for the target."""
+    t = checked_index(t, "time", 0, instance.horizon)
+    owner = checked_index(owner, "owner", 1, instance.agent_count)
+    target = checked_index(target, "target", 1, instance.agent_count)
+    domain = instance.info.prescription_domain(t, owner, target)
+    return (t, owner, target, domain, instance.schema_sizes(domain),
+            instance.system.control_sizes[target - 1])
+
+
 def make_prescription(
     instance: Instance, t: int, owner: int, target: int, table
 ) -> Prescription:
-    domain = instance.info.prescription_domain(t, owner, target)
-    sizes = instance.schema_sizes(domain)
+    t, owner, target, domain, sizes, control_size = _prescription_shape(instance, t, owner, target)
     table = tuple(int(v) for v in table)
-    control_size = instance.system.control_sizes[target - 1]
     if len(table) != realization_count(sizes):
         raise DomainMismatch(
             f"prescription ({owner}->{target}, t={t}) needs "
@@ -164,9 +173,7 @@ def enumerate_prescriptions(
     instance: Instance, t: int, owner: int, target: int, cap: int = DEFAULT_TABLE_CAP
 ):
     """Stream of all prescriptions the owner could form for the target at stage t."""
-    domain = instance.info.prescription_domain(t, owner, target)
-    sizes = instance.schema_sizes(domain)
-    control_size = instance.system.control_sizes[target - 1]
+    t, owner, target, domain, sizes, control_size = _prescription_shape(instance, t, owner, target)
     for table in enumerate_prescription_tables(sizes, control_size, cap).tolist():
         yield Prescription(owner, target, t, domain, sizes, control_size, tuple(table))
 

@@ -391,9 +391,10 @@ class _Stage:
     `tables[m - 1][n]` is node n's table for target m, an int array per
     target 1..K. Below the horizon it keeps agent j's step `batch`;
     `combo_of[p]` is the combination of point p (its step row and, below
-    agent K, its lift's combination in agent j + 1's stage), `win[n]` that
-    of the winner, and per (combination, branch) `kid` holds the next-stage
-    node and `groups` the group in the batch, both padded with -1.
+    agent K, its lift's combination in agent j + 1's stage), numbered by
+    first point (at agent K, p), `win[n]` that of the winner, and per
+    (combination, branch) `kid` holds the next-stage node and `groups` the
+    group in the batch, both padded with -1.
     """
 
     def __init__(self, probs, tail):
@@ -416,22 +417,28 @@ def _map_columns(instance: Instance, j: int, t: int) -> dict:
     return {var: c for c, var in enumerate(sum(news, instance.info.accessible(0, j)))}
 
 
-def _unique_rows(a, **kwargs):
-    """`np.unique` of the rows of a 2-D int array, compared as raw bytes."""
-    a = np.ascontiguousarray(a)
-    rows = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
-    found, *extras = np.unique(rows, **kwargs)
-    return (found.view(a.dtype).reshape(-1, a.shape[1]), *extras)
+def _groups(rows):
+    """Per row of a 2-D int array, its group of equal rows, numbered by first
+    row, and each group's first row: one stable sort of the rows as raw
+    bytes and a test for where the sorted rows change."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")  # a group's first row comes first in it
+    ordered = keys[order]
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    first = np.zeros(len(keys), dtype=bool)
+    first[order[fresh]] = True
+    group = np.empty_like(order)  # a first row's group counts the first rows up to it
+    group[order] = (np.cumsum(first) - 1)[order[fresh]][np.cumsum(fresh) - 1]
+    return group, np.flatnonzero(first)
 
 
 def _merge(probs, tail):
     """Nodes from a stack of agent j's beliefs and their tail nodes: per row
     its node, numbered by first row, and each node's first row. Rows merge
     on the integer codes of their beliefs and on their tail node."""
-    rows = np.hstack([probs_codes(probs), tail[:, None]])
-    _, first, inverse = _unique_rows(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return np.argsort(order)[inverse], first[order]
+    return _groups(np.hstack([probs_codes(probs), tail[:, None]]))
 
 
 def _restriction(instance: Instance, j: int, t: int, edges) -> np.ndarray:
@@ -452,23 +459,23 @@ def _expand(instance, j, t, stage, amaps, row_of, above, caps, before):
 
     `row_of[0]` gives each point of the stage's grids its row in the
     stage's step batch and, below agent K, `row_of[1]` the combination its
-    lift takes in agent j + 1's stage `above`. Branches are followed per
-    distinct combination, in order of the first point with it, and then in
-    new-information order. A branch's tail node is the kid of its tail
-    combination at agent j + 1's branch with the new information the
-    branch's map gives agent j + 1. New nodes are numbered by their first
-    branch, the depth-first first-visit order, and the first failing branch
-    names the failure. Fills `stage.combo_of`, `stage.kid` and
-    `stage.groups`. Returns the new stage and its nodes' maps.
+    lift takes in agent j + 1's stage `above`. A combination is a distinct
+    row of those, numbered by the first point with it (`_groups`); at agent
+    K each point is its own. Branches are followed per combination in that
+    order, and then in new-information order. A branch's tail node is the
+    kid of its tail combination at agent j + 1's branch with the new
+    information the branch's map gives agent j + 1. New nodes are numbered
+    by their first branch, the depth-first first-visit order, and the first
+    failing branch names the failure. Fills `stage.combo_of`, `stage.kid`
+    and `stage.groups`. Returns the new stage and its nodes' maps.
     """
-    combos, first, combo_of = _unique_rows(
-        np.stack(row_of, axis=1), return_index=True, return_inverse=True
-    )
+    combo_of = first = row_of[0]  # at agent K each point its own, its step row
+    if above is not None:
+        combo_of, first = _groups(np.stack(row_of, axis=1))
     batch = stage.batch
-    order = np.argsort(first, kind="stable")
-    width, heads = np.diff(batch.start), combos[order, 0]  # heads: agent j's step rows
-    lo, count = np.asarray(batch.start)[heads], width[heads]
-    combo = np.repeat(order, count)  # per branch, its combination and place in it
+    width, heads = np.diff(batch.start), row_of[0][first]  # heads: agent j's step rows
+    lo, count = batch.start[heads], width[heads]
+    combo = np.repeat(np.arange(len(first)), count)  # per branch, its combination and place in it
     b = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     groups = np.repeat(lo, count) + b
     child = np.hstack([amaps[stage.grids.node[first[combo]]], batch.z[groups]])
@@ -479,11 +486,12 @@ def _expand(instance, j, t, stage, amaps, row_of, above, caps, before):
         shape = (len(above.batch.start) - 1, *instance.schema_sizes(new_info))
         rows = np.repeat(np.arange(shape[0]), np.diff(above.batch.start))  # per group, its row
         known = np.ravel_multi_index((rows, *above.batch.z.T), shape)  # sorted (row, z) codes
-        head = above.groups[combos[combo, 1], 0]  # each tail combination's first group
+        lifts = row_of[1][first[combo]]  # per branch, its tail combination
+        head = above.groups[lifts, 0]  # and that combination's first group
         wanted = np.ravel_multi_index((rows[head], *z.T), shape)
         found = np.minimum(np.searchsorted(known, wanted), len(known) - 1)
         hit = known[found] == wanted
-        tail = above.kid[combos[combo, 1], np.where(hit, found - head, 0)]
+        tail = above.kid[lifts, np.where(hit, found - head, 0)]
         failed = np.append(np.flatnonzero(~hit), failed)[0]
     node_of, made = _merge(batch.probs[groups[:failed]], tail[:failed])
     _check_branches(before + len(made), caps, j, t + 1)
@@ -491,7 +499,7 @@ def _expand(instance, j, t, stage, amaps, row_of, above, caps, before):
         raise WomError(f"agent {j + 1} new information {tuple(z[failed].tolist())} "
                        "impossible on a positive branch")
     stage.combo_of = combo_of
-    stage.kid = np.full((len(combos), int(width.max())), -1, dtype=np.int64)
+    stage.kid = np.full((len(first), int(width.max())), -1, dtype=np.int64)
     stage.groups = np.full_like(stage.kid, -1)
     stage.kid[combo, b], stage.groups[combo, b] = node_of, groups
     return _Stage(batch.probs[groups[made]], tail[made]), child[made]
@@ -554,22 +562,21 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
                 work.append((score.cost, tails, score.edges))
                 break
             tail_stage = None if above is None else above.stages[t]
+            row_of = [np.arange(len(grids.node))]  # each point's step row
             if above is not None:  # the digits the tail nodes' grids read
                 lift = _restriction(instance, j, t, score.edges)
                 read = tail_stage.grids.read[stage.tail, :len(lift)]
                 read = read @ (lift[:, None] == np.arange(score.edges[-1]))
                 stage.grids = grids = DigitGrids(score.grids.read | read, score.grids.radix)
-            digits = grids.digits()
-            row_of = [score.grids.points(grids.node, digits)]  # each point's step row
+                digits = grids.digits()
+                lifted = np.hstack([digits[:, lift], tails[0][grids.node]])
+                row_of = [score.grids.points(grids.node, digits), tail_stage.combo_of[
+                    tail_stage.grids.points(stage.tail[grids.node], lifted)
+                ]]
             stage.batch = step_kernel(instance, j, t).step(len(score.grids.node), score.pairs)
             computed += len(score.grids.node)
             shared += len(stage.probs) * joints[t] - len(score.grids.node)
             entries += stage.batch.read
-            if above is not None:
-                lifted = np.hstack([digits[:, lift], tails[0][grids.node]])
-                row_of.append(tail_stage.combo_of[
-                    tail_stage.grids.points(stage.tail[grids.node], lifted)
-                ])
             work.append((score.cost[row_of[0]], tails, score.edges))
             stage, amaps = _expand(instance, j, t, stage, amaps, row_of, tail_stage, caps,
                                    sum(len(done.probs) for done in stages))

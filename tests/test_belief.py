@@ -575,11 +575,12 @@ def draw_theta(instance, k, t, rng):
 
 def assert_same_step(got, want):
     """Same new-information keys in the same order, same masses and the same
-    next beliefs, bit for bit."""
+    next beliefs, bit for bit; keys of Python ints and masses Python floats."""
     assert list(got) == list(want)
-    for z, (mass, pi) in want.items():
+    for key, (z, (mass, pi)) in zip(got, want.items()):
         got_mass, got_pi = got[z]
-        assert got_mass == mass
+        assert all(type(v) is int for v in key)
+        assert type(got_mass) is float and got_mass == mass
         assert (got_pi.agent, got_pi.time, got_pi.support) == (pi.agent, pi.time, pi.support)
         assert got_pi.probs.dtype == pi.probs.dtype
         assert got_pi.probs.tobytes() == pi.probs.tobytes()

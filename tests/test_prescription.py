@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from helpers import random_control_strategy, random_prescription_strategy
-from womctl.belief import initial_state_at, make_information_state
+from womctl.belief import (
+    connection_term,
+    initial_information_state,
+    initial_state_at,
+    make_information_state,
+)
 from womctl.errors import CapExceeded, DomainMismatch, OutOfRange
 from womctl.instances import load_static3
 from womctl.prescription import (
@@ -297,7 +302,21 @@ INDEX_CASES = {
     "complete-owner-0": (
         lambda d2, psi: complete_prescription_at(d2, _owned(psi, 0), 0, ()), "owner 0"
     ),
+    "make-owner-0": (lambda d2, psi: make_prescription(d2, 0, 0, 1, [0]), "owner 0"),
+    "make-target-3": (lambda d2, psi: make_prescription(d2, 0, 1, 3, [0]), "target 3"),
+    "make-t9": (lambda d2, psi: make_prescription(d2, 9, 1, 1, [0]), "time 9"),
+    "make-t-bool": (lambda d2, psi: make_prescription(d2, True, 1, 1, [0]), "time True"),
+    "enumerate-owner-3": (lambda d2, psi: list(enumerate_prescriptions(d2, 0, 3, 1)), "owner 3"),
+    "enumerate-target-float": (
+        lambda d2, psi: list(enumerate_prescriptions(d2, 0, 1, 1.0)), "target 1.0"
+    ),
+    "connection-0": (lambda d2, psi: connection_term(d2, _agent2_belief(d2), 0), "agent 0"),
+    "connection-bool": (lambda d2, psi: connection_term(d2, _agent2_belief(d2), True), "agent True"),
 }
+
+
+def _agent2_belief(d2):
+    return next(iter(initial_information_state(d2, 2).values()))
 
 
 @pytest.mark.parametrize("name", list(INDEX_CASES))
@@ -309,6 +328,11 @@ def test_api_indices_outside_their_range_raise_out_of_range(name, d2, d2_laws):
 
 def test_api_indices_take_numpy_integers(d2, d2_laws):
     assert count_strategies(d2, np.int64(2)) == count_strategies(d2, 2)
+    index = np.int64(1)
+    assert make_prescription(d2, np.int64(0), index, index, [1]) == make_prescription(d2, 0, 1, 1, [1])
+    assert list(enumerate_prescriptions(d2, 0, 2, index)) == list(enumerate_prescriptions(d2, 0, 2, 1))
+    pi2 = _agent2_belief(d2)
+    assert connection_term(d2, pi2, index).low_agent == 1
     assert translate_strategy(d2, d2_laws, np.int64(1)) is d2_laws
     report = exact_strategy_cost(d2, _owned(d2_laws, np.int64(1)))
     assert report == exact_strategy_cost(d2, d2_laws)

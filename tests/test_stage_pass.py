@@ -306,3 +306,41 @@ def test_random_topologies_are_strongly_connected_and_within_the_brute_cap():
         )
         assert count_strategies(instance, "brute") <= 2**24
     assert horizons == {0, 1, 2}
+
+
+def _groups_reference(rows):
+    """`np.unique` of the rows, each group renumbered by its first row."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()], first[order]
+
+
+# (rows, columns, values drawn from 0..high - 1, last column from -1..1)
+GROUP_SHAPES = {
+    "no-rows": (0, 3, 4, False),
+    "one-row": (1, 3, 4, False),
+    "all-equal": (50, 3, 1, False),
+    "merge-rows": (300, 3, 3, True),
+    "belief-codes": (200, 5, 10**12, True),
+    "one-column": (100, 1, 7, False),
+    "wide": (40, 70, 2, True),
+    "wider": (16, 513, 2, True),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", list(GROUP_SHAPES))
+def test_groups_number_equal_rows_by_first_row(shape, seed):
+    n, columns, high, tail = GROUP_SHAPES[shape]
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, high, size=(n, columns))
+    if tail:
+        rows[:, -1] = rng.integers(-1, 2, size=n)
+    rows = np.vstack([rows, rows[: n // 2]])  # repeated rows, whatever the draw
+    group, first = solver_mod._groups(rows)
+    want_group, want_first = _groups_reference(rows)
+    assert group.tolist() == want_group.tolist()
+    assert first.tolist() == want_first.tolist()
+    assert np.array_equal(rows[first[group]], rows)
