@@ -77,7 +77,7 @@ def make_information_state(instance, agent, time, probs) -> InformationState:
         raise SchemaMismatch(
             f"belief vector for agent {agent} at t={time} must have length {expected}"
         )
-    if np.any(vec < -NORM_TOL) or abs(float(vec.sum()) - 1.0) > NORM_TOL:
+    if not (np.all(vec >= -NORM_TOL) and abs(float(vec.sum()) - 1.0) <= NORM_TOL):  # NaN fails
         raise SchemaMismatch("belief vector must be a probability distribution")
     return InformationState(agent=agent, time=time, support=support, probs=vec)
 
@@ -120,7 +120,7 @@ def _point(instance, k, t, state_values, theta) -> tuple[int, int]:
     if len(state_values) != len(sizes) or not all(0 <= v < n for v, n in zip(state_values, sizes)):
         raise OutOfRange(f"state values {tuple(state_values)} outside sizes {sizes}")
     s = realization_index(sizes, state_values)
-    rows = _support_rows(instance, k, k, t)[1]
+    rows = _support_rows(instance, k, t)[1]
     return s, instance.joint_control_index([p.table[row[s]] for p, row in zip(theta.parts, rows)])
 
 
@@ -184,49 +184,53 @@ def hat_cost(instance, k, t, state_values, theta) -> float:
 
 def accessible_support(instance, k) -> dict:
     """Probability of each realization of the agent's t=0 accessible info."""
-    return dict(_initial_pass(instance, k)[1])
+    values, masses, _ = _initial_pass(instance, k)
+    return dict(zip(map(tuple, values.tolist()), masses.tolist()))
 
 
 def initial_information_state(instance, k) -> dict:
     """Initial beliefs keyed by the realization of the agent's t=0 accessible info."""
-    return _initial_pass(instance, k)[0]
+    values, _, beliefs = _initial_pass(instance, k)
+    support, keys = instance.info.equivalent_state(0, k), map(tuple, values.tolist())
+    return {a: InformationState(int(k), 0, support, probs) for a, probs in zip(keys, beliefs)}
 
 
-def _initial_pass(instance, k) -> tuple[dict, dict]:
-    """One cached pass over (x0, t=0 noises): agent k's initial beliefs and the
-    mass of each accessible realization, both keyed in sorted order.
+def _initial_points(instance) -> tuple:
+    """The t=0 points, built once per instance: the (x0, t=0 noises) of positive
+    mass, x0 slowest and the noises in `itertools.product` order, their masses
+    `p(x0) * p(v1) * ... * p(vK)` and their fresh operands (`_operands`)."""
+    if "initial points" not in instance._cache:
+        sys, p = instance.system, instance.system.initial_probs
+        for law in sys.noise_probs:
+            p = np.multiply.outer(p, law[0])
+        live = np.flatnonzero(p)
+        (x, *v), p = np.unravel_index(live, p.shape), p.ravel()[live]
+        instance._cache["initial points"] = p, _operands(sys, 0, None, None, x, v)
+    return instance._cache["initial points"]
 
-    The points run with x0 slowest and the noises in `itertools.product`
-    order, each of mass `p(x0) * p(v1) * ... * p(vK)`; masses add in that
-    order and points of mass 0 are skipped.
-    """
+
+def _initial_pass(instance, k) -> tuple:
+    """Agent k's t=0 roots as three arrays, cached per (instance, agent): its
+    accessible realizations of positive mass in sorted order, an int row of
+    values each; their masses, added in the order of the instance's t=0
+    points (`_initial_points`); and its initial beliefs, a row each, each its
+    dense row of point masses divided by that row's sum."""
     cache_key = ("initial_pass", checked_index(k, "agent", 1, instance.agent_count))
-    if cache_key in instance._cache:
-        return instance._cache[cache_key]
-    sys = instance.system
-    K = sys.agent_count
-    acc = instance.info.accessible(0, k)
-    support = instance.info.equivalent_state(0, k)
-    total = realization_count(_support_sizes(instance, support))
-    p = sys.initial_probs
-    for j in range(K):
-        p = np.multiply.outer(p, sys.noise_probs[j][0])
-    live = np.flatnonzero(p)
-    (x, *v), p = np.unravel_index(live, p.shape), p.ravel()[live]
-    operands = _operands(sys, 0, None, None, x, v)
-    source = _fresh_sources(sys, 0)  # at t=0 every source is fresh
-    s = _encode(_plan((STATE,) + support, source), operands)
-    a = _encode(_plan(acc, source), operands) + np.zeros_like(x)
-    group, g = np.unique(a, return_inverse=True)
-    masses = np.bincount(g * total + s, weights=p, minlength=len(group) * total)
-    keys = [index_realization(instance.schema_sizes(acc), code) for code in group.tolist()]
-    states = {
-        a_real: InformationState(agent=k, time=0, support=support, probs=vec / vec.sum())
-        for a_real, vec in zip(keys, masses.reshape(len(group), total))
-    }
-    out = states, dict(zip(keys, np.bincount(g, weights=p).tolist()))
-    instance._cache[cache_key] = out
-    return out
+    if cache_key not in instance._cache:
+        p, operands = _initial_points(instance)
+        support, acc = instance.info.equivalent_state(0, k), instance.info.accessible(0, k)
+        total = realization_count(_support_sizes(instance, support))
+        source = _fresh_sources(instance.system, 0)  # at t=0 every source is fresh
+        s = _encode(_plan((STATE,) + support, source), operands)
+        a = _encode(_plan(acc, source), operands) + np.zeros_like(s)
+        group, g = np.unique(a, return_inverse=True)
+        dense = np.bincount(g * total + s, weights=p, minlength=len(group) * total)
+        dense = dense.reshape(len(group), total)
+        sizes = np.array(instance.schema_sizes(acc), dtype=np.int64)
+        values = group[:, None] // np.array(realization_strides(sizes), dtype=np.int64) % sizes
+        beliefs = dense / dense.sum(axis=1, keepdims=True)
+        instance._cache[cache_key] = values, np.bincount(g, weights=p), beliefs
+    return instance._cache[cache_key]
 
 
 def initial_state_at(instance, k, a_real) -> InformationState:
@@ -469,7 +473,7 @@ class CandidateScorer:
 
     def __init__(self, instance, k, t, h, probs, tails=()):
         sys = instance.system
-        x, domain_rows = _support_rows(instance, k, k, t)
+        x, domain_rows = _support_rows(instance, k, t)
         counts = [
             realization_count(instance.schema_sizes(instance.info.prescription_domain(t, k, m)))
             for m in range(1, h + 1)
@@ -507,15 +511,15 @@ class CandidateScorer:
         self.pairs = tuple(map(np.concatenate, zip(*pairs))) if t < sys.horizon else None
 
 
-def _support_rows(instance, i, k, t):
+def _support_rows(instance, k, t):
     """The system state, and the row of each of agent k's stage-t prescription
-    domains, at every index of agent i's stage-t support; cached per instance."""
-    cache_key = ("support_rows", i, k, t)
+    domains, at every index of agent k's stage-t support; cached per instance."""
+    cache_key = ("support_rows", k, t)
     if cache_key not in instance._cache:
         domains = [
             instance.info.prescription_domain(t, k, m) for m in range(1, instance.agent_count + 1)
         ]
-        support = instance.info.equivalent_state(t, i)
+        support = instance.info.equivalent_state(t, k)
         x, *rows = schema_rows(instance, support, [(STATE,)] + domains, state=True)
         instance._cache[cache_key] = x, rows
     return instance._cache[cache_key]

@@ -23,7 +23,6 @@ from .sysmodel import (
     realization_index,
     restrict_realization,
     schema_rows,
-    stage_rule,
 )
 
 DEFAULT_TABLE_CAP = 2**20
@@ -108,11 +107,6 @@ class PrescriptionStrategy:
             for cond_real in enumerate_realizations(instance.schema_sizes(cond)):
                 self.lookup(t, target, cond_real)  # raises at the first one missing
         return cond, law, default, domain
-
-    def rule(self, instance: Instance, t: int, layout):
-        """Stage t's rule, one prescription lookup per target (`sysmodel.stage_rule`)."""
-        parts = [self.part(instance, t, m) for m in range(1, instance.agent_count + 1)]
-        return stage_rule(instance, t, layout, parts)
 
 
 def _prescription_shape(instance: Instance, t, owner, target) -> tuple:

@@ -24,8 +24,7 @@ import numpy as np
 from .belief import (
     CandidateScorer,
     DigitGrids,
-    accessible_support,
-    initial_information_state,
+    _initial_pass,
     probs_codes,
     probs_keys,
     step_kernel,
@@ -49,7 +48,6 @@ from .sysmodel import (
     instance_digest,
     realization_count,
     realization_strides,
-    restrict_realization,
     schema_rows,
     tuple_getter,
 )
@@ -327,15 +325,16 @@ def solve_brute_force(instance: Instance, cap: int | None = None) -> SolveResult
 
 class _Pass(NamedTuple):
     """One agent pass's record; a chain is a dict from agent to `_Pass`. It
-    keeps the decided `_Stage`s, the roots (mass, node, accessible map, the
-    agent's belief) per t=0 accessible realization, the value, the
+    keeps the decided `_Stage`s; the roots, four arrays with an entry per t=0
+    accessible realization in sorted order: its mass, its stage-0 node, its
+    accessible values (a row) and the agent's belief (a row); the value, the
     candidates examined, the steps of the agent's own belief computed and
     served by an identical step of the same node, the distinct entries,
     (support index, joint control) codes, those steps read from the agent's
     kernels, the nodes per stage and the seconds."""
 
     stages: list
-    roots: list
+    roots: tuple
     value: float
     examined: int
     steps: int
@@ -367,17 +366,20 @@ def _head_spaces(instance: Instance, j: int, caps: Caps) -> list:
 
 
 def _roots(instance: Instance, j: int, above: _Pass | None):
-    """Agent j's t=0 roots, one per accessible realization: their masses,
-    accessible maps and stacked beliefs, and the root nodes of agent j + 1's
-    pass `above` at the same realizations (-1 for agent K)."""
-    acc0, support = instance.info.accessible(0, j), accessible_support(instance, j)
-    states, tail = initial_information_state(instance, j), np.full(len(support), -1)
+    """Agent j's t=0 roots, `belief._initial_pass`'s masses, accessible values
+    and beliefs, and the root nodes of agent j + 1's pass `above` at the same
+    realizations (-1 for agent K). A(0, j + 1) is a sub-schema of A(0, j): a
+    root's tail is found by the row-major code of its values on A(0, j + 1)'s
+    columns among the sorted codes of the roots of `above`."""
+    values, masses, probs = _initial_pass(instance, j)
+    tail = np.full(len(masses), -1)
     if above is not None:
-        tail_of = {tuple(amap.values()): n for _, n, amap, _ in above.roots}
-        acc1 = instance.info.accessible(0, j + 1)
-        tail[:] = [tail_of[restrict_realization(acc0, a_real, acc1)] for a_real in support]
-    maps = [dict(zip(acc0, a_real)) for a_real in support]
-    return list(support.values()), maps, np.array([states[a].probs for a in support]), tail
+        acc0, acc1 = instance.info.accessible(0, j), instance.info.accessible(0, j + 1)
+        strides = np.array(realization_strides(instance.schema_sizes(acc1)), dtype=np.int64)
+        _, nodes, above_values, _ = above.roots
+        wanted = values[:, [acc0.index(var) for var in acc1]] @ strides
+        tail = nodes[np.searchsorted(above_values @ strides, wanted)]
+    return masses, values, probs, tail
 
 
 class _Stage:
@@ -544,12 +546,11 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
     stages, work = [], []  # per stage, its nodes and what its backward step reads
     try:
         joints = _head_spaces(instance, j, caps)
-        masses, maps, probs, tail = _roots(instance, j, above)
+        masses, amaps, probs, tail = _roots(instance, j, above)
         node_of, made = _merge(probs, tail)
         _check_branches(len(made), caps, j, 0)
-        stage = _Stage(probs[made], tail[made])
-        amaps = np.array([list(amap.values()) for amap in maps], dtype=np.int64)[made]
-        roots = list(zip(masses, node_of.tolist(), maps, probs))
+        roots = masses, node_of, amaps, probs
+        stage, amaps = _Stage(probs[made], tail[made]), amaps[made]
         for t in range(T + 1):
             stages.append(stage)
             tails = [] if above is None else [
@@ -606,7 +607,7 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
             stage.win = stage.combo_of[best]
         values = cost[best]
 
-    total = sum(pa * float(values[n]) for pa, n, _, _ in roots)
+    total = sum((masses * values[node_of]).tolist())
     widths = tuple(len(done.probs) for done in stages)
     record = _Pass(stages, roots, total, examined, computed, shared, entries, widths,
                    time.perf_counter() - started)
@@ -640,10 +641,8 @@ def _emit_strategy(instance: Instance, k: int, chain: dict):
     one writes last. Every realization the walk does not reach gets its
     (stage, target)'s default, the all-zero table.
     """
-    laws, defaults, walk, roots = {}, {}, [], chain[k].roots
-    nodes, parent = np.array([n for _, n, _, _ in roots]), None
-    maps = np.array([list(amap.values()) for _, _, amap, _ in roots], dtype=np.int64)
-    probs = np.array([pi for *_, pi in roots])
+    laws, defaults, walk, parent = {}, {}, [], None
+    _, nodes, maps, probs = chain[k].roots
     for t, stage in enumerate(chain[k].stages):
         walk.append((maps, parent, nodes, probs))
         columns = _map_columns(instance, k, t)
@@ -769,11 +768,12 @@ def solve_prescription_static(instance: Instance, k: int, cap: int | None = None
     if instance.horizon != 0:
         raise ShapeMismatch("static decomposition requires horizon 0")
     k = checked_index(k, "agent", 1, instance.agent_count)
-    return _static_result(instance, _dp_result(instance, k, _solve_chain(instance, k, caps)))
+    chain = _solve_chain(instance, k, caps)
+    return _static_result(instance, _dp_result(instance, k, chain), chain)
 
 
-def _static_result(instance: Instance, res: SolveResult) -> SolveResult:
-    """A horizon-0 chain result for agent k as the static decomposition's row.
+def _static_result(instance: Instance, res: SolveResult, chain: dict) -> SolveResult:
+    """A horizon-0 chain result for agent k, from `chain`, as the static decomposition's row.
 
     The relaxed value sums, over agent k's t=0 accessible realizations, the
     mass times the least stage cost over every joint table tuple for all K
@@ -783,10 +783,10 @@ def _static_result(instance: Instance, res: SolveResult) -> SolveResult:
     """
     start = time.perf_counter()
     k = res.agent
-    masses, _, probs, _ = _roots(instance, k, None)
+    masses, _, _, probs = chain[k].roots
     score = CandidateScorer(instance, k, 0, instance.agent_count, probs)
     least = np.minimum.reduceat(score.cost, score.grids.start)
-    relaxed_value = math.fsum(mass * m for mass, m in zip(masses, least.tolist()))
+    relaxed_value = math.fsum((masses * least).tolist())
     extras = dict(res.extras)
     extras["relaxed_value"] = relaxed_value
     extras["relaxed_gap"] = abs(relaxed_value - res.optimal_cost)
@@ -861,7 +861,8 @@ def compare_agents(instance: Instance, cap: int | None = None) -> CompareReport:
     attempt("common-info", None, lambda: dp_row(K))
     for k in range(1, K + 1):
         if instance.horizon == 0:
-            attempt("prescription-static", k, lambda k=k: _static_result(instance, dp_row(k)))
+            attempt("prescription-static", k,
+                    lambda k=k: _static_result(instance, dp_row(k), chain))
         else:
             attempt("prescription-dp", k, lambda k=k: dp_row(k))
     costs = [r["cost"] for r in rows if r["status"] == "ok"]

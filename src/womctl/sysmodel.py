@@ -186,22 +186,19 @@ class ControlStrategy:
             raise DomainMismatch(f"table (t={t}, agent={k}) maps {real} to invalid action {act}")
         return instance.info.memory(t, k), table, None, None
 
-    def rule(self, instance: Instance, t: int, layout):
-        """Stage t's rule, one table lookup per agent (`stage_rule`)."""
-        parts = [self.part(instance, t, k) for k in range(1, instance.agent_count + 1)]
-        return stage_rule(instance, t, layout, parts)
 
-
-def stage_rule(instance: Instance, t: int, layout, parts):
-    """Stage t's rule: a history laid out as `layout` -> its one option,
-    (joint controls, joint control index). Per agent, `parts` gives a checked
-    (key schema, table, default, domain): the history's key realization looks
-    up the table's entry, else the default, and a missing entry raises
-    `DomainMismatch`. Without a domain the entry is the control; with one it
-    is a prescription, read at the row of the history's domain realization.
+def stage_rule(instance: Instance, t: int, layout, strategy):
+    """Stage t's rule of either strategy kind: a history laid out as `layout`
+    -> its one option, (joint controls, joint control index). Per agent k,
+    `strategy.part(instance, t, k)` gives a checked (key schema, table,
+    default, domain): the history's key realization looks up the table's
+    entry, else the default, and a missing entry raises `DomainMismatch`.
+    Without a domain the entry is the control; with one it is a prescription,
+    read at the row of the history's domain realization.
     """
     lookups = []
-    for k, (schema, table, default, domain) in enumerate(parts, start=1):
+    for k in range(1, instance.agent_count + 1):
+        schema, table, default, domain = strategy.part(instance, t, k)
         rows = None if domain is None else realization_strides(instance.schema_sizes(domain))
         domain = None if domain is None else tuple_getter(layout, domain)
         size = instance.system.control_sizes[k - 1]
@@ -463,12 +460,9 @@ def _forward_pass(instance: Instance, keep, decide):
         full = layout + _stage_variables(t, K, KIND_CONTROL)
         kept = tuple(var for var in full if var in keep[t])
         acted = [h + controls for h, opts in zip(histories, options) for controls, _ in opts]
-        if kept == full:  # nothing is cut: each acted history is kept as it is
-            ids, kept_histories = iter(range(len(acted))), acted
-        else:
-            cut, interned = tuple_getter(full, kept), {}
-            ids = iter([interned.setdefault(cut(h), len(interned)) for h in acted])
-            kept_histories = list(interned)
+        cut, interned = tuple_getter(full, kept), {}
+        ids = iter([interned.setdefault(cut(h), len(interned)) for h in acted])
+        kept_histories = list(interned)
         moves = [[(uj, next(ids)) for _, uj in opts] for opts in options]
         successor_laws = instance._cache.setdefault(("successor laws", t), {})
         states = {}
@@ -486,18 +480,19 @@ def _forward_pass(instance: Instance, keep, decide):
 def exact_strategy_cost(instance: Instance, strategy) -> CostReport:
     """Expected total cost by one forward pass over the reachable histories.
 
-    `strategy` is a `ControlStrategy` or a `prescription.PrescriptionStrategy`:
-    either supplies the per-stage `rule(instance, t, layout)` the pass acts by,
-    so only the reachable histories are ever looked up.
+    `strategy` is a `ControlStrategy` or a `prescription.PrescriptionStrategy`;
+    the pass acts by its `stage_rule`s, so only the reachable histories are
+    ever looked up.
     """
     info, T, K = instance.info, instance.horizon, instance.agent_count
     keep = [set() for _ in range(T + 1)]
     for t in range(T - 1, -1, -1):
         keep[t] = keep[t + 1].union(*[info.memory(t + 1, k) for k in range(1, K + 1)])
-    cost, decide = instance.system.cost.tolist(), functools.partial(strategy.rule, instance)
+    cost = instance.system.cost.tolist()
+    stages = _forward_pass(instance, keep, lambda t, lay: stage_rule(instance, t, lay, strategy))
     per_stage = tuple(
         math.fsum([mass * cost[t][x][uj] for x, cid, mass in pairs for _, uj in options[cid]])
-        for t, _, _, options, pairs, _ in _forward_pass(instance, keep, decide)
+        for t, _, _, options, pairs, _ in stages
     )
     return CostReport(math.fsum(per_stage), per_stage, "exact")
 
@@ -522,7 +517,7 @@ def monte_carlo_cost(instance: Instance, strategy, samples: int, seed: int = 0) 
     rules, layout = [], ()
     for t in range(T + 1):
         layout += _stage_variables(t, K, KIND_OBSERVATION)
-        rules.append(strategy.rule(instance, t, layout))
+        rules.append(stage_rule(instance, t, layout, strategy))
         layout += _stage_variables(t, K, KIND_CONTROL)
     totals = np.empty(samples)
     stage_sums = np.zeros(T + 1)
@@ -725,9 +720,10 @@ def permute_instance(instance: Instance, perm: tuple[int, ...]) -> Instance:
     """Relabel agents; perm[new_index-1] is the old index taking that position."""
     sys = instance.system
     K = sys.agent_count
-    if sorted(perm) != list(range(1, K + 1)):
+    integral = all(isinstance(p, numbers.Integral) and not isinstance(p, bool) for p in perm)
+    if not integral or sorted(perm) != list(range(1, K + 1)):
         raise ShapeMismatch(f"{perm} is not a permutation of 1..{K}")
-    old_of_new = [p - 1 for p in perm]
+    old_of_new = [int(p) - 1 for p in perm]
     new_of_old = [0] * K
     for new, old in enumerate(old_of_new):
         new_of_old[old] = new

@@ -689,7 +689,8 @@ def trace_step_reference(instance, k, t, state_values, controls, w, v_vector):
 def initial_pass_reference(instance, k):
     """`womctl.belief._initial_pass` as a scalar loop over (x0, t=0 noises):
     agent k's initial beliefs and the mass of each accessible realization,
-    both keyed in sorted order."""
+    both keyed in sorted order, as `initial_information_state` and
+    `accessible_support` give them."""
     import numpy as np
 
     from womctl.belief import InformationState, _support_sizes

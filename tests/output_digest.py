@@ -15,7 +15,9 @@ bench's three workloads at seeds 7 and 8. Per instance a line holds:
   `solve_prescription_static`): optimal_cost, dp_value, search_size,
   extras, the emitted strategy document, `belief_tree` and `belief_policy`;
 - `belief_step`: per agent, along every reachable branch of a seeded random
-  prescription strategy, each step's new information, mass and posterior.
+  prescription strategy, each step's new information, mass and posterior;
+- `accessible_support` and `initial_information_state`: per agent, each t=0
+  accessible realization with its mass, and with its initial belief.
 
 Floats are written by `float.hex` and failures as [error class, message],
 so two outputs are equal exactly when the results are bit for bit. Run it at
@@ -38,7 +40,7 @@ from helpers import (
 )
 from test_stage_pass import _bench_workloads
 from womctl import instances
-from womctl.belief import belief_step, initial_information_state
+from womctl.belief import accessible_support, belief_step, initial_information_state
 from womctl.prescription import complete_prescription_at
 from womctl.serialize import prescription_strategy_to_dict
 from womctl.solver import (
@@ -154,6 +156,15 @@ def digest(name, build) -> dict:
         "chain": attempt(lambda: _chain(instance)),
         "dp": {k: attempt(lambda k=k: _dp(instance, k)) for k in agents},
         "belief_step": {k: attempt(lambda k=k: _steps(instance, k)) for k in agents},
+        "accessible_support": {
+            k: attempt(lambda k=k: list(accessible_support(instance, k).items())) for k in agents
+        },
+        "initial_information_state": {
+            k: attempt(lambda k=k: [
+                (a_real, pi.probs) for a_real, pi in initial_information_state(instance, k).items()
+            ])
+            for k in agents
+        },
     }
 
 

@@ -137,12 +137,11 @@ def _assert_chains_equal(ours, theirs):
                 ):
                     assert (our_z, our_mass, our_key) == (z, mass, key)
                     _assert_beliefs_equal(our_beliefs, beliefs)
-        assert len(our_pass.roots) == len(their_pass.roots)
-        for (mass, n, amap, belief), (our_mass, our_n, our_amap, our_belief) in zip(
-            their_pass.roots, our_pass.roots
-        ):
-            assert (our_mass, our_n, our_amap) == (mass, n, amap)
-            _assert_beliefs_equal([our_belief], [belief])
+        masses, nodes, values, beliefs = our_pass.roots  # four arrays, a root each
+        assert len(masses) == len(nodes) == len(values) == len(beliefs) == len(their_pass.roots)
+        for r, (mass, n, amap, belief) in enumerate(their_pass.roots):
+            assert (masses[r], nodes[r], values[r].tolist()) == (mass, n, list(amap.values()))
+            _assert_beliefs_equal([beliefs[r]], [belief])
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -226,6 +225,31 @@ def test_emission_reads_the_pass_record_by_node_index(monkeypatch):
             assert sum(keyed) >= len(policy)
             keyed.clear()
             assert res.belief_policy is policy and keyed == []
+
+
+@pytest.mark.parametrize("load", [load_static3, load_d2], ids=["static3", "d2"])
+def test_a_compare_builds_no_information_state(load, monkeypatch):
+    """The chain reads its t=0 roots as arrays: no `InformationState` is made."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an InformationState was built")
+
+    monkeypatch.setattr(belief_mod, "InformationState", refuse)
+    assert all(row["status"] == "ok" for row in compare_agents(load()).rows)
+
+
+@pytest.mark.parametrize("load", [load_static3, load_d2], ids=["static3", "d2"])
+def test_the_t0_grid_is_built_once_per_instance(load, monkeypatch):
+    """Every agent's t=0 roots read one grid of (x0, t=0 noises) points."""
+    calls, real_operands = [], belief_mod._operands
+
+    def counted(sys, t, *args):
+        calls.append(t)
+        return real_operands(sys, t, *args)
+
+    monkeypatch.setattr(belief_mod, "_operands", counted)
+    compare_agents(load())
+    assert calls.count(0) == 1
 
 
 def test_relay_ring_fails_in_agent_1s_stage_1():

@@ -113,6 +113,8 @@ def test_initial_beliefs_and_masses_equal_the_reference_loop(name):
             assert [p.hex() for p in mine.probs.tolist()] == [p.hex() for p in pi.probs.tolist()]
         ours_mass = accessible_support(inst, k)
         assert list(ours_mass) == list(masses)
+        assert {type(v) for a_real in ours_mass for v in a_real} <= {int}  # Python ints
+        assert {type(p) for p in ours_mass.values()} == {float}  # and Python floats
         assert [p.hex() for p in ours_mass.values()] == [p.hex() for p in masses.values()]
 
 

@@ -253,10 +253,10 @@ def test_exact_pass_runs_the_rule_once_per_distinct_history(monkeypatch):
     inst = instance_from_dict(pomdp_dict(4))
     strat = copy_observation_strategy(inst)
     calls, pairs = [], []
-    real_rule, real_pass = ControlStrategy.rule, sysmodel._forward_pass
+    real_rule, real_pass = sysmodel.stage_rule, sysmodel._forward_pass
 
-    def rule(self, instance, t, layout):
-        compiled = real_rule(self, instance, t, layout)
+    def rule(instance, t, layout, strategy):
+        compiled = real_rule(instance, t, layout, strategy)
         calls.append(0)
 
         def counted(h):
@@ -270,7 +270,7 @@ def test_exact_pass_runs_the_rule_once_per_distinct_history(monkeypatch):
             pairs.append(len(stage[4]))
             yield stage
 
-    monkeypatch.setattr(ControlStrategy, "rule", rule)
+    monkeypatch.setattr(sysmodel, "stage_rule", rule)
     monkeypatch.setattr(sysmodel, "_forward_pass", forward_pass)
     exact_strategy_cost(inst, strat)
     assert calls == [2, 4, 8, 16, 32]
