@@ -273,11 +273,12 @@ class StepKernel:
     The noise paths are the pairs (w, v) whose probabilities are all nonzero,
     in `itertools.product` order with w slowest; column p of `paths` holds
     path p's disturbance and then its noises in agent order, and column p of
-    `factors` their probabilities.
+    `factors` their probabilities. Both depend on the stage alone, so every
+    agent's stage-t kernel shares them (`_noise_paths`).
     """
 
     def __init__(self, instance, k, t):
-        sys, K = instance.system, instance.agent_count
+        sys = instance.system
         if t >= sys.horizon:
             raise SchemaMismatch("no stage follows the horizon")
         self.instance, self.k, self.t = instance, k, t
@@ -296,12 +297,7 @@ class StepKernel:
         source.update(_fresh_sources(sys, t + 1))
         self.next_plan = _plan((STATE,) + self.next_support, source)
         self.new_plan = _plan(new_info, source)
-        laws = [sys.disturbance_probs[t]] + [sys.noise_probs[j][t + 1] for j in range(K)]
-        live = laws[0] != 0.0
-        for law in laws[1:]:
-            live = np.logical_and.outer(live, law != 0.0)
-        self.paths = np.array(np.unravel_index(np.flatnonzero(live), live.shape))
-        self.factors = np.array([law[i] for law, i in zip(laws, self.paths)])
+        self.paths, self.factors = _noise_paths(instance, t)
 
     def advance(self, s, uj, w, v):
         """The new-information index and the next-support index of the step
@@ -375,6 +371,21 @@ class StepKernel:
             )
             for g in range(batch.start[r], batch.start[r + 1])
         }
+
+
+def _noise_paths(instance, t) -> tuple:
+    """The stage-t noise paths and their factors of every `StepKernel`, built
+    once per (instance, stage)."""
+    cache_key = ("noise_paths", t)
+    if cache_key not in instance._cache:
+        sys = instance.system
+        laws = [sys.disturbance_probs[t]] + [law[t + 1] for law in sys.noise_probs]
+        live = laws[0] != 0.0
+        for law in laws[1:]:
+            live = np.logical_and.outer(live, law != 0.0)
+        paths = np.array(np.unravel_index(np.flatnonzero(live), live.shape))
+        instance._cache[cache_key] = paths, np.array([law[i] for law, i in zip(laws, paths)])
+    return instance._cache[cache_key]
 
 
 def step_kernel(instance, k, t) -> StepKernel:
@@ -458,9 +469,11 @@ class CandidateScorer:
     domain rows) per tail target. Digit (m, r), numbered target by target, is
     entry r of head target m's table, of radix m's control size. A belief's
     candidates are the points of its grid in `grids`, over the digits its
-    positive-mass support indices read: `itertools.product` order over
-    `enumerate_prescription_tables`' stacks, cut to the candidates the belief
-    tells apart, each the first of those that act alike on its support.
+    positive-mass support indices read and those its row of `reads`, a
+    (beliefs x digits) bool array, marks: `itertools.product` order over
+    `enumerate_prescription_tables`' stacks, cut to the candidates that
+    differ on a digit the grid reads, each the first of those that agree on
+    all of them. The prescription DP marks the digits a node's tail reads.
 
     Beliefs are read at their positive-mass (row, support index) pairs, as
     `np.nonzero` lists them. Each point's `cost` adds `p * cost` over its
@@ -471,7 +484,7 @@ class CandidateScorer:
     the support index, its joint-control index there and the belief's mass.
     """
 
-    def __init__(self, instance, k, t, h, probs, tails=()):
+    def __init__(self, instance, k, t, h, probs, tails=(), reads=None):
         sys = instance.system
         x, domain_rows = _support_rows(instance, k, t)
         counts = [
@@ -482,6 +495,8 @@ class CandidateScorer:
         rows, s = np.nonzero(probs > 0.0)
         digit = [edge + row[s] for edge, row in zip(self.edges, domain_rows[:h])]  # per pair
         read = np.zeros((len(probs), self.edges[-1]), dtype=bool)
+        if reads is not None:
+            read |= reads
         for d in digit:
             read[rows, d] = True
         radix = np.repeat(np.array(sys.control_sizes[:h], dtype=np.int64), counts)
@@ -490,7 +505,6 @@ class CandidateScorer:
         base = np.zeros(len(s), dtype=np.int64)
         for tables, row, stride in zip(tails, domain_rows[h:], strides[h:]):
             base += stride * tables[rows, row[s]].astype(np.int64)
-        digits = grids.digits()
         flat, p = x[s] * sys.joint_control_count, probs[rows, s]  # into the (state, control) costs
         stage_costs = sys.cost[t].ravel()
         self.cost = np.zeros(len(grids.node))
@@ -504,7 +518,7 @@ class CandidateScorer:
             points = grids.start[rows[pair]] + local
             uj = base[pair]
             for weight, d in zip(strides, digit):  # each head target's digit at the pair's row
-                uj = uj + weight * digits[points, d[pair]]
+                uj = uj + weight * (local // grids.stride[rows[pair], d[pair]] % radix[d[pair]])
             np.add.at(self.cost, points, p[pair] * stage_costs[flat[pair] + uj])  # in pair order
             if t < sys.horizon:
                 pairs.append((points, s[pair], uj, p[pair]))

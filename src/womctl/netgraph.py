@@ -15,6 +15,7 @@ from .errors import (
     NotStronglyConnected,
     ShapeMismatch,
     as_integer,
+    checked_index,
 )
 
 
@@ -90,7 +91,10 @@ def compute_delay_matrix(spec: NetworkSpec) -> DelayMatrix:
 
 
 def information_path(spec: NetworkSpec, source: int, target: int) -> InfoPath:
-    """The designated minimum-delay path; ties broken by smallest agent sequence."""
+    """The designated minimum-delay path; ties broken by smallest agent sequence.
+    An agent outside 1..K, a bool or a non-integer raises `OutOfRange`."""
+    source = checked_index(source, "source", 1, spec.agent_count)
+    target = checked_index(target, "target", 1, spec.agent_count)
     best = _all_best_paths(spec)[source][target]
     if best is None:
         raise NotStronglyConnected(source, target)

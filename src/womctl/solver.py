@@ -23,7 +23,6 @@ import numpy as np
 
 from .belief import (
     CandidateScorer,
-    DigitGrids,
     _initial_pass,
     probs_codes,
     probs_keys,
@@ -328,8 +327,9 @@ class _Pass(NamedTuple):
     keeps the decided `_Stage`s; the roots, four arrays with an entry per t=0
     accessible realization in sorted order: its mass, its stage-0 node, its
     accessible values (a row) and the agent's belief (a row); the value, the
-    candidates examined, the steps of the agent's own belief computed and
-    served by an identical step of the same node, the distinct entries,
+    candidates examined, the steps of the agent's own belief computed, one
+    per grid point, and the rest of the full product, each served by the
+    step of the grid point that stands for it, the distinct entries,
     (support index, joint control) codes, those steps read from the agent's
     kernels, the nodes per stage and the seconds."""
 
@@ -388,20 +388,18 @@ class _Stage:
     Node n is agent j's belief `probs[n]`, as its first branch made it, and
     `tail[n]`, the node of agent j + 1's stage t that holds agents j+1..K
     (-1 for agent K). Its candidates are the points of its grid in `grids`,
-    over the (target m <= j, domain row) digits that its support reads and,
-    below the horizon, that its tail node's grid reads. Once decided,
-    `tables[m - 1][n]` is node n's table for target m, an int array per
-    target 1..K. Below the horizon it keeps agent j's step `batch`;
-    `combo_of[p]` is the combination of point p (its step row and, below
-    agent K, its lift's combination in agent j + 1's stage), numbered by
-    first point (at agent K, p), `win[n]` that of the winner, and per
-    (combination, branch) `kid` holds the next-stage node and `groups` the
-    group in the batch, both padded with -1.
+    the scorer's, over the (target m <= j, domain row) digits that its
+    support reads and, below the horizon, that its tail node's grid reads.
+    Once decided, `tables[m - 1][n]` is node n's table for target m, an int
+    array per target 1..K. Below the horizon it keeps agent j's step
+    `batch`, whose row p is grid point p and whose groups are the branches,
+    `kid`, the next-stage node of each group, and `win[n]`, the winning
+    point of node n.
     """
 
     def __init__(self, probs, tail):
         self.probs, self.tail, self.tables = probs, tail, []
-        self.grids = self.batch = self.combo_of = self.win = self.kid = self.groups = None
+        self.grids = self.batch = self.win = self.kid = None
 
 
 def _check_branches(count: int, caps: Caps, j: int, t: int):
@@ -443,68 +441,54 @@ def _merge(probs, tail):
     return _groups(np.hstack([probs_codes(probs), tail[:, None]]))
 
 
-def _restriction(instance: Instance, j: int, t: int, edges) -> np.ndarray:
+def _restriction(instance: Instance, j: int, t: int) -> tuple:
     """Per digit of agent j + 1's stage-t targets 1..j, the digit of agent j's
-    it restricts to: agent j + 1's domains contain agent j's, and agent j's
-    target m numbers its digits from `edges[m - 1]`."""
-    info = instance.info
-    return np.concatenate([
-        edge + schema_rows(instance, info.prescription_domain(t, j + 1, m),
-                           [info.prescription_domain(t, j, m)])[0]
-        for m, edge in enumerate(edges[:-1], start=1)
-    ])
+    it restricts to, and agent j's digit count: agent j + 1's domains contain
+    agent j's, and agent j numbers its digits target by target."""
+    info, lift, edge = instance.info, [], 0
+    for m in range(1, j + 1):
+        domain = info.prescription_domain(t, j, m)
+        wider = info.prescription_domain(t, j + 1, m)
+        lift.append(edge + schema_rows(instance, wider, [domain])[0])
+        edge += realization_count(instance.schema_sizes(domain))
+    return np.concatenate(lift), edge
 
 
-def _expand(instance, j, t, stage, amaps, row_of, above, caps, before):
+def _expand(instance, j, t, stage, amaps, lifts, above, caps, before):
     """Stage t + 1 of agent j's pass from `stage`, whose nodes were first
     reached with the accessible maps `amaps`, a row per node.
 
-    `row_of[0]` gives each point of the stage's grids its row in the
-    stage's step batch and, below agent K, `row_of[1]` the combination its
-    lift takes in agent j + 1's stage `above`. A combination is a distinct
-    row of those, numbered by the first point with it (`_groups`); at agent
-    K each point is its own. Branches are followed per combination in that
-    order, and then in new-information order. A branch's tail node is the
-    kid of its tail combination at agent j + 1's branch with the new
-    information the branch's map gives agent j + 1. New nodes are numbered
-    by their first branch, the depth-first first-visit order, and the first
-    failing branch names the failure. Fills `stage.combo_of`, `stage.kid`
-    and `stage.groups`. Returns the new stage and its nodes' maps.
+    Branch g is group g of the stage's step batch: grid point p's branches
+    are its row's groups, in new-information order. Below agent K, `lifts[p]`
+    is the point of p's tail node's grid in agent j + 1's stage `above`
+    that moves agents j+1..K, and a branch's tail node is the kid of that
+    point's group with the new information the branch's map gives agent j +
+    1. New nodes are numbered by their first branch, the depth-first
+    first-visit order, and the first failing branch names the failure.
+    Fills `stage.kid`. Returns the new stage and its nodes' maps.
     """
-    combo_of = first = row_of[0]  # at agent K each point its own, its step row
-    if above is not None:
-        combo_of, first = _groups(np.stack(row_of, axis=1))
     batch = stage.batch
-    width, heads = np.diff(batch.start), row_of[0][first]  # heads: agent j's step rows
-    lo, count = batch.start[heads], width[heads]
-    combo = np.repeat(np.arange(len(first)), count)  # per branch, its combination and place in it
-    b = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    groups = np.repeat(lo, count) + b
-    child = np.hstack([amaps[stage.grids.node[first[combo]]], batch.z[groups]])
-    tail, failed = np.full(len(combo), -1), len(combo)
+    point = np.repeat(np.arange(len(batch.start) - 1), np.diff(batch.start))  # per branch
+    child = np.hstack([amaps[stage.grids.node[point]], batch.z])
+    tail, failed = np.full(len(point), -1), len(point)
     if above is not None:
         new_info = instance.info.new_info(t + 1, j + 1)
         z = child[:, [_map_columns(instance, j, t + 1)[var] for var in new_info]]
         shape = (len(above.batch.start) - 1, *instance.schema_sizes(new_info))
-        rows = np.repeat(np.arange(shape[0]), np.diff(above.batch.start))  # per group, its row
-        known = np.ravel_multi_index((rows, *above.batch.z.T), shape)  # sorted (row, z) codes
-        lifts = row_of[1][first[combo]]  # per branch, its tail combination
-        head = above.groups[lifts, 0]  # and that combination's first group
-        wanted = np.ravel_multi_index((rows[head], *z.T), shape)
+        rows = np.repeat(np.arange(shape[0]), np.diff(above.batch.start))  # per group, its point
+        known = np.ravel_multi_index((rows, *above.batch.z.T), shape)  # sorted (point, z) codes
+        wanted = np.ravel_multi_index((lifts[point], *z.T), shape)
         found = np.minimum(np.searchsorted(known, wanted), len(known) - 1)
         hit = known[found] == wanted
-        tail = above.kid[lifts, np.where(hit, found - head, 0)]
+        tail = above.kid[found]
         failed = np.append(np.flatnonzero(~hit), failed)[0]
-    node_of, made = _merge(batch.probs[groups[:failed]], tail[:failed])
+    node_of, made = _merge(batch.probs[:failed], tail[:failed])
     _check_branches(before + len(made), caps, j, t + 1)
-    if failed < len(combo):
+    if failed < len(point):
         raise WomError(f"agent {j + 1} new information {tuple(z[failed].tolist())} "
                        "impossible on a positive branch")
-    stage.combo_of = combo_of
-    stage.kid = np.full((len(first), int(width.max())), -1, dtype=np.int64)
-    stage.groups = np.full_like(stage.kid, -1)
-    stage.kid[combo, b], stage.groups[combo, b] = node_of, groups
-    return _Stage(batch.probs[groups[made]], tail[made]), child[made]
+    stage.kid = node_of
+    return _Stage(batch.probs[made], tail[made]), child[made]
 
 
 def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
@@ -521,12 +505,11 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
     two candidates that agree on every digit it reads have the same stage
     cost, steps and tail, so they stand for each other. One
     `CandidateScorer` call scores each stage's nodes over the grids their
-    supports read. Below the horizon, each of those points steps agent j's
-    belief alone, through one call of the instance's `step_kernel` for (j,
-    t); a point of a node's grid steps as the scorer's point that agrees
-    with it on the support's digits. A point moves agents j+1..K as the
-    point of its tail node's grid with the same digits and, for target j +
-    1, the tail node's decided table, whose kids give the branches' tail
+    supports and, below the horizon, their tails read. Below the horizon,
+    each of those points steps agent j's belief alone, through one call of
+    the instance's `step_kernel` for (j, t). A point moves agents j+1..K as
+    the point of its tail node's grid with the same digits and, for target
+    j + 1, the tail node's decided table, whose kids give the branches' tail
     nodes. Every point's branches are followed, so that lower agents can
     inherit decisions at any node they reach.
 
@@ -556,30 +539,26 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
             tails = [] if above is None else [
                 tables[stage.tail] for tables in above.stages[t].tables[j:]
             ]
-            score = CandidateScorer(instance, j, t, j, stage.probs, tails)
+            tail_stage = None if above is None or t == T else above.stages[t]
+            reads = lifts = None
+            if tail_stage is not None:  # the digits the tail nodes' grids read
+                lift, count = _restriction(instance, j, t)
+                reads = tail_stage.grids.read[stage.tail, :len(lift)]
+                reads = reads @ (lift[:, None] == np.arange(count))
+            score = CandidateScorer(instance, j, t, j, stage.probs, tails, reads)
             examined += len(stage.probs) * joints[t]
             stage.grids = grids = score.grids
+            work.append((score.cost, tails, score.edges))
             if t == T:
-                work.append((score.cost, tails, score.edges))
                 break
-            tail_stage = None if above is None else above.stages[t]
-            row_of = [np.arange(len(grids.node))]  # each point's step row
-            if above is not None:  # the digits the tail nodes' grids read
-                lift = _restriction(instance, j, t, score.edges)
-                read = tail_stage.grids.read[stage.tail, :len(lift)]
-                read = read @ (lift[:, None] == np.arange(score.edges[-1]))
-                stage.grids = grids = DigitGrids(score.grids.read | read, score.grids.radix)
-                digits = grids.digits()
-                lifted = np.hstack([digits[:, lift], tails[0][grids.node]])
-                row_of = [score.grids.points(grids.node, digits), tail_stage.combo_of[
-                    tail_stage.grids.points(stage.tail[grids.node], lifted)
-                ]]
-            stage.batch = step_kernel(instance, j, t).step(len(score.grids.node), score.pairs)
-            computed += len(score.grids.node)
-            shared += len(stage.probs) * joints[t] - len(score.grids.node)
+            if tail_stage is not None:
+                lifted = np.hstack([grids.digits()[:, lift], tails[0][grids.node]])
+                lifts = tail_stage.grids.points(stage.tail[grids.node], lifted)
+            stage.batch = step_kernel(instance, j, t).step(len(grids.node), score.pairs)
+            computed += len(grids.node)
+            shared += len(stage.probs) * joints[t] - len(grids.node)
             entries += stage.batch.read
-            work.append((score.cost[row_of[0]], tails, score.edges))
-            stage, amaps = _expand(instance, j, t, stage, amaps, row_of, tail_stage, caps,
+            stage, amaps = _expand(instance, j, t, stage, amaps, lifts, tail_stage, caps,
                                    sum(len(done.probs) for done in stages))
     except CapExceeded:
         raise
@@ -590,12 +569,10 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
     for t in range(T, -1, -1):
         (cost, tails, edges), work[t] = work[t], None  # the scratch goes with its stage
         stage = stages[t]
-        grids = stage.grids
-        if stage.kid is not None:  # padded groups and kids read the trailing zeros
-            pz = np.append(stage.batch.mass, 0.0)[stage.groups]
-            later = np.append(values, 0.0)
-            for b in range(pz.shape[1]):
-                cost += (pz[:, b] * later[stage.kid[:, b]])[stage.combo_of]
+        grids, batch = stage.grids, stage.batch
+        if stage.kid is not None:  # each point's branches, added in order
+            point = np.repeat(np.arange(len(grids.node)), np.diff(batch.start))
+            np.add.at(cost, point, batch.mass * values[stage.kid])
         least = np.flatnonzero(cost == np.minimum.reduceat(cost, grids.start)[grids.node])
         best = least[np.searchsorted(grids.node[least], np.arange(len(stage.probs)))]  # firsts
         digits = grids.digits(best)
@@ -604,7 +581,7 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
             for lo, hi, size in zip(edges, edges[1:], instance.system.control_sizes)
         ] + tails
         if stage.kid is not None:
-            stage.win = stage.combo_of[best]
+            stage.win = best
         values = cost[best]
 
     total = sum((masses * values[node_of]).tolist())
@@ -635,8 +612,8 @@ def _emit_strategy(instance: Instance, k: int, chain: dict):
     paths as (accessible maps, parents, nodes, agent k's beliefs).
 
     A path is a node and its accessible map, a row of an int array. Its
-    children are its node's winning branches, each with its map plus the
-    branch's new information, in row-major order: a depth-first walk's order
+    children are the groups of its node's winning point, each with its map
+    plus the group's new information, in order: a depth-first walk's order
     within the stage, so of paths with one conditioning realization the same
     one writes last. Every realization the walk does not reach gets its
     (stage, target)'s default, the all-zero table.
@@ -658,8 +635,10 @@ def _emit_strategy(instance: Instance, k: int, chain: dict):
         if stage.win is None:
             break
         wins = stage.win[nodes]
-        parent, branch = np.nonzero(stage.kid[wins] >= 0)
-        nodes, groups = stage.kid[wins[parent], branch], stage.groups[wins[parent], branch]
+        lo, count = stage.batch.start[wins], np.diff(stage.batch.start)[wins]
+        parent = np.repeat(np.arange(len(wins)), count)  # per child, its path
+        groups = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count - lo, count)
+        nodes = stage.kid[groups]
         maps = np.hstack([maps[parent], stage.batch.z[groups]])
         probs = stage.batch.probs[groups]
     return PrescriptionStrategy(owner=k, laws=laws, defaults=defaults), walk

@@ -377,6 +377,38 @@ def relay_ring_dict() -> dict:
     return doc
 
 
+def tail_read_dict(seed: int) -> dict:
+    """Three agents on the delays [[0, 1, 2], [0, 0, 1], [1, 1, 0]], T=1, a
+    binary state with a uniform initial law, controls of sizes 2, 1 and 2,
+    noise-free observations Y1 = Y2 = X and Y3 = 0, a disturbance of law
+    (0.7, 0.3), `x' = (x + u + w) % 2` over the joint control index u and
+    costs in [0, 2] drawn from `seed`. Brute force counts 32,768 strategies.
+
+    At stage 0 agent 2 knows Y2@0, which equals Y1@0, so its support reads
+    one row of agent 1's table; agent 3's grid still reads both Y1@0 rows,
+    so agent 2's tail grids read a digit its own support does not.
+    """
+    rng = random.Random(seed)
+    ident = [[x] for x in range(2)]
+    nu = 2 * 1 * 2
+    return {
+        "network": {"agents": 3, "delay_matrix": [[0, 1, 2], [0, 0, 1], [1, 1, 0]]},
+        "system": {
+            "horizon": 1,
+            "state_size": 2,
+            "control_sizes": [2, 1, 2],
+            "observation_sizes": [2, 2, 1],
+            "disturbance": {"size": 2, "probs_per_t": [0.7, 0.3]},
+            "noises": [{"size": 1, "probs_per_t": [1.0]} for _ in range(3)],
+            "initial_probs": [0.5, 0.5],
+            "transition": [[[[(x + u + w) % 2 for w in range(2)] for u in range(nu)]
+                            for x in range(2)]],
+            "observation": [[ident] * 2, [ident] * 2, [[[0], [0]]] * 2],
+            "cost": [_rand_cost(rng, 2, nu) for _ in range(2)],
+        },
+    }
+
+
 def random_topology_instance(seed: int) -> Instance:
     """A random word-of-mouth network within the brute-force cap.
 

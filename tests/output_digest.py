@@ -1,12 +1,14 @@
-"""Print one JSON line per instance of the 172-instance set, for diffing two
+"""Print one JSON line per instance of the 178-instance set, for diffing two
 versions of the solvers' outputs.
 
     PYTHONPATH=src python tests/output_digest.py > digest.jsonl
     PYTHONPATH=src python tests/output_digest.py d2 'pomdp_dict(3)'   # some only
 
 The set is static3, static3_reindexed, d2, d2ext, wom3, `fuzz_instance(0..49)`,
-`random_topology_instance(0..59)`, `pomdp_dict(1..7)` and every op of the
-bench's three workloads at seeds 7 and 8. Per instance a line holds:
+`random_topology_instance(0..59)`, `pomdp_dict(1..7)`, every op of the
+bench's three workloads at seeds 7 and 8 and `tail_read_dict(0..5)`, whose
+agent 2 has tail grids that read a digit its support does not. Per instance
+a line holds:
 
 - `compare`: the `compare_agents` rows without `wall_time`;
 - `chain`: per pass of the chain down to agent 1, its value, examined,
@@ -37,6 +39,7 @@ from helpers import (
     pomdp_dict,
     random_prescription_strategy,
     random_topology_instance,
+    tail_read_dict,
 )
 from test_stage_pass import _bench_workloads
 from womctl import instances
@@ -75,6 +78,9 @@ def instance_set() -> dict:
         for name, generate in _bench_workloads().GENERATORS.items():
             for op in generate(seed):
                 cases[f"{seed}/{name}/{op.label}"] = lambda doc=op.doc: instance_from_dict(doc)
+    cases.update({
+        f"tail_read_dict({s})": lambda s=s: instance_from_dict(tail_read_dict(s)) for s in range(6)
+    })
     return cases
 
 

@@ -8,8 +8,10 @@ from womctl.belief import accessible_support, initial_information_state
 from womctl.solver import solve_prescription_dp
 
 
-def test_output_digest_covers_the_172_instances():
-    assert len(output_digest.instance_set()) == 172
+def test_output_digest_covers_the_178_instances():
+    cases = list(output_digest.instance_set())
+    assert len(cases) == 178
+    assert cases[172:] == [f"tail_read_dict({s})" for s in range(6)]  # after the first 172
 
 
 def test_output_digest_prints_one_line_per_instance(d2, capsys):

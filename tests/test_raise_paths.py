@@ -21,9 +21,11 @@ from womctl.errors import (
     DomainMismatch,
     IndexOrder,
     NotStronglyConnected,
+    OutOfRange,
     SchemaMismatch,
     ShapeMismatch,
 )
+from womctl.instances import load_wom3
 from womctl.netgraph import NetworkSpec, compute_delay_matrix, information_path
 from womctl.prescription import CompletePrescription, derive_complete, make_prescription
 from womctl.serialize import control_strategy_from_dict, prescription_strategy_from_dict
@@ -145,6 +147,22 @@ OUTCOMES = {
     "information-path-none": (
         lambda d2: information_path(ONE_WAY, 2, 1),
         (NotStronglyConnected, "no path from agent 2 to agent 1"),
+    ),
+    "information-path-source-0": (
+        lambda d2: information_path(load_wom3().network, 0, 1),
+        (OutOfRange, "source 0 is out of range 1..3"),
+    ),
+    "information-path-target-4": (
+        lambda d2: information_path(load_wom3().network, 1, 4),
+        (OutOfRange, "target 4 is out of range 1..3"),
+    ),
+    "information-path-bool": (
+        lambda d2: information_path(load_wom3().network, True, 2),
+        (OutOfRange, "source True is out of range 1..3"),
+    ),
+    "information-path-float": (
+        lambda d2: information_path(load_wom3().network, 1.0, 2),
+        (OutOfRange, "source 1.0 is out of range 1..3"),
     ),
     "delay-matrix-no-path": (
         lambda d2: compute_delay_matrix(ONE_WAY),

@@ -26,6 +26,7 @@ from helpers import (
     random_topology_instance,
     relay_dict,
     relay_ring_dict,
+    tail_read_dict,
 )
 from oracles import solve_agent_reference
 import womctl.belief as belief_mod
@@ -98,11 +99,10 @@ def _our_branches(chain, j, t, n):
     if stage.win is None:
         return []
     u, owner, keys = stage.win[n], stage.batch, solver_mod._node_keys(chain, j, t + 1)
-    return [
-        (tuple(owner.z[g].tolist()), owner.mass[g], keys[c],
-         [owner.probs[g]] + _tail_beliefs(chain, j, t + 1, c))
-        for c, g in zip(stage.kid[u].tolist(), stage.groups[u].tolist())
-        if c >= 0
+    return [  # the winning point's groups and the kid of each
+        (tuple(owner.z[g].tolist()), owner.mass[g], keys[stage.kid[g]],
+         [owner.probs[g]] + _tail_beliefs(chain, j, t + 1, stage.kid[g]))
+        for g in range(owner.start[u], owner.start[u + 1])
     ]
 
 
@@ -177,6 +177,26 @@ def test_random_topologies_match_the_reference(seed):
     ours, failure = _run(instance, solver_mod._solve_agent)
     theirs, reference_failure = _run(instance, solve_agent_reference)
     assert failure == reference_failure  # the relay defect raises here on some seeds
+    _assert_chains_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_tail_that_reads_more_than_its_node(seed):
+    """On `tail_read_dict`, agent 3's stage-0 grids read both Y1@0 rows of
+    agent 1's table and agent 2's support reads one, so agent 2's grids read
+    the tail's digits too: it steps all 8 of its points, where the reference
+    steps 4 and serves 4 from an identical step. Everything else agrees."""
+    instance = instance_from_dict(tail_read_dict(seed))
+    rows = compare_agents(instance).rows
+    brute = next(row["cost"] for row in rows if row["method"] == "brute")
+    for row in rows:
+        assert row["status"] == "ok" and abs(row["cost"] - brute) <= 1e-9, row
+    ours, failure = _run(instance, solver_mod._solve_agent)
+    theirs, reference_failure = _run(instance, solve_agent_reference)
+    assert failure is None and reference_failure is None
+    assert (ours[2].steps, ours[2].shared) == (8, 0)
+    assert (theirs[2].steps, theirs[2].shared) == (4, 4)
+    theirs[2] = theirs[2]._replace(steps=8, shared=0)  # the one difference
     _assert_chains_equal(ours, theirs)
 
 

@@ -21,6 +21,7 @@ from womctl.belief import (
     accessible_support,
     hat_cost,
     initial_information_state,
+    step_kernel,
     trace_step,
 )
 from womctl.errors import OutOfRange, SchemaMismatch
@@ -116,6 +117,20 @@ def test_initial_beliefs_and_masses_equal_the_reference_loop(name):
         assert {type(v) for a_real in ours_mass for v in a_real} <= {int}  # Python ints
         assert {type(p) for p in ours_mass.values()} == {float}  # and Python floats
         assert [p.hex() for p in ours_mass.values()] == [p.hex() for p in masses.values()]
+
+
+@pytest.mark.parametrize("name", ["d2", "d2ext", "wom3"])
+def test_every_agents_kernel_shares_the_stages_noise_paths(name):
+    """A kernel's noise paths and factors depend on the stage alone: every
+    agent's stage-t kernel holds the same two arrays, built once."""
+    instance = CASES[name]()
+    for t in range(instance.horizon):
+        first = step_kernel(instance, 1, t)
+        for k in range(2, instance.agent_count + 1):
+            kernel = step_kernel(instance, k, t)
+            assert kernel.paths is first.paths and kernel.factors is first.factors
+        if t:
+            assert first.paths is not step_kernel(instance, 1, t - 1).paths
 
 
 def test_point_api_rejects_state_values_out_of_range():
