@@ -17,6 +17,7 @@ from .errors import ImpossibleObservation, OutOfRange, SchemaMismatch, checked_i
 from .infostruct import KIND_CONTROL, KIND_OBSERVATION, InfoSchema, VariableId
 from .prescription import CompletePrescription
 from .sysmodel import (
+    PROB_TOL,
     STATE,
     Instance,
     index_realization,
@@ -26,7 +27,6 @@ from .sysmodel import (
     schema_rows,
 )
 
-NORM_TOL = 1e-9
 ZERO_TOL = 1e-12
 KEY_DECIMALS = 12
 SCORE_BLOCK = 1 << 16  # (pair, point) costs a scorer holds at once, give or take one pair's
@@ -77,7 +77,7 @@ def make_information_state(instance, agent, time, probs) -> InformationState:
         raise SchemaMismatch(
             f"belief vector for agent {agent} at t={time} must have length {expected}"
         )
-    if not (np.all(vec >= -NORM_TOL) and abs(float(vec.sum()) - 1.0) <= NORM_TOL):  # NaN fails
+    if not (np.all(vec >= -PROB_TOL) and abs(float(vec.sum()) - 1.0) <= PROB_TOL):  # NaN fails
         raise SchemaMismatch("belief vector must be a probability distribution")
     return InformationState(agent=agent, time=time, support=support, probs=vec)
 
@@ -249,12 +249,13 @@ def initial_state_at(instance, k, a_real) -> InformationState:
 class StepBatch(NamedTuple):
     """`StepKernel.step` of a stack: per row, per new-information realization
     of positive mass in sorted order, a group; row r's groups are
-    `start[r]:start[r + 1]`, each with its realization's digits (a row of
-    `z`), probability (of `mass`) and posterior (a row of `probs`), all
-    arrays. `read` counts the distinct (support index, joint control) codes
-    the step read."""
+    `start[r]:start[r + 1]`, each with its row (of `row`), its realization's
+    digits (a row of `z`), probability (of `mass`) and posterior (a row of
+    `probs`), all arrays. `read` counts the distinct (support index, joint
+    control) codes the step read."""
 
     start: np.ndarray
+    row: np.ndarray
     z: np.ndarray
     mass: np.ndarray
     probs: np.ndarray
@@ -354,6 +355,7 @@ class StepKernel:
         strides = np.array(realization_strides(self.new_sizes), dtype=np.int64)
         return StepBatch(
             start=np.searchsorted(row, np.arange(rows + 1)),
+            row=row,
             z=z_index[:, None] // strides % np.array(self.new_sizes, dtype=np.int64),
             mass=mass,
             probs=posteriors,

@@ -134,15 +134,13 @@ def _cmd_solve(args):
         res = solve_brute_force(inst, args.cap)
     elif method == "common-info":
         res = solve_common_info_dp(inst, args.cap)
-    elif method == "prescription":
+    else:
         if args.agent is None:
             raise WomError("--agent is required for the prescription method")
         if inst.horizon == 0:
             res = solve_prescription_static(inst, args.agent, args.cap)
         else:
             res = solve_prescription_dp(inst, args.agent, args.cap)
-    else:
-        raise WomError(f"unknown method {method}")
     print(
         f"{res.method}"
         + (f" (agent {res.agent})" if res.agent else "")
@@ -253,9 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("instance", help="instance JSON file")
+    def common(p):
+        p.add_argument("instance", help="instance JSON file")
         p.add_argument("--report", help="write the JSON report to this path")
 
     p = sub.add_parser("validate", help="validate an instance file")

@@ -66,11 +66,7 @@ def validate_network(spec: NetworkSpec) -> NetworkSpec:
         if (frm, to) in seen:
             raise DuplicateLink(f"duplicate link ({frm},{to})")
         seen.add((frm, to))
-    paths = _all_best_paths(spec)
-    for source in range(1, k_count + 1):
-        for target in range(1, k_count + 1):
-            if paths[source][target] is None:
-                raise NotStronglyConnected(source, target)
+    compute_delay_matrix(spec)  # raises `NotStronglyConnected` at the first unreached pair
     return spec
 
 

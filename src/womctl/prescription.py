@@ -262,11 +262,6 @@ def control_law_to_strategy(
             cond = info.conditioning_schema(t, k, target)
             domain = info.prescription_domain(t, k, target)
             mem = info.memory(t, target)
-            if set(cond) | set(domain) != set(mem) or set(cond) & set(domain):
-                raise SchemaMismatch(
-                    f"conditioning and domain do not partition memory "
-                    f"(t={t}, owner={k}, target={target})"
-                )
             _, g_table, _, _ = strategy.part(instance, t, target)
             try:
                 actions = [g_table[r] for r in enumerate_realizations(instance.schema_sizes(mem))]

@@ -1,11 +1,11 @@
 """Optimal-strategy solvers and cross-evaluation.
 
-Three routes to the optimum are implemented and compared: exhaustive control
-strategy enumeration (the oracle), the coordinator recursion over the
-lowest-information agent's beliefs, and the per-agent decomposition in which
-an agent conditions prescriptions for higher-indexed targets on their own,
-coarser information. Every solver re-evaluates its emitted strategy exactly,
-so reported optima are directly comparable.
+Two searches are compared: exhaustive control strategy enumeration (the
+oracle) and the per-agent decomposition in which an agent conditions
+prescriptions for higher-indexed targets on their own, coarser information.
+The common-information coordinator row is agent K's pass, relabelled. Every
+solver re-evaluates its emitted strategy exactly, so reported optima are
+directly comparable.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .belief import (
 from .errors import CapExceeded, ShapeMismatch, WomError, as_integer, checked_index
 from .infostruct import KIND_CONTROL, KIND_OBSERVATION, VariableId
 from .prescription import (
+    DEFAULT_TABLE_CAP,
     Prescription,
     PrescriptionStrategy,
     count_strategies,
@@ -59,13 +60,14 @@ log = logging.getLogger("womctl")
 
 @dataclass(frozen=True)
 class Caps:
+    """Brute force's strategy cap, and the agent pass's one cap: on table counts and nodes."""
+
     brute: int = 2**24
-    tables: int = 2**20
-    branches: int = 2**20
+    tables: int = DEFAULT_TABLE_CAP
 
 
 def resolve_caps(cap: int | None = None) -> Caps:
-    """The caps of one solve: `cap` for all three, else `WOMCTL_CAP`, else the defaults."""
+    """The caps of one solve: `cap` for both, else `WOMCTL_CAP`, else the defaults."""
     source = "cap"
     if cap is None:
         env = os.environ.get("WOMCTL_CAP")
@@ -80,7 +82,7 @@ def resolve_caps(cap: int | None = None) -> Caps:
     cap = as_integer(cap, source)
     if cap < 1:
         raise WomError(f"{source} must be at least 1, got {cap}")
-    return Caps(brute=cap, tables=cap, branches=cap)
+    return Caps(brute=cap, tables=cap)
 
 
 @dataclass
@@ -404,15 +406,15 @@ class _Stage:
 
 def _check_branches(count: int, caps: Caps, j: int, t: int):
     """Raise unless the `count` nodes agent j's pass has made up to stage t
-    are within the branch cap."""
-    if count > caps.branches:
-        raise CapExceeded(caps.branches + 1, caps.branches,
+    are within the table cap."""
+    if count > caps.tables:
+        raise CapExceeded(caps.tables + 1, caps.tables,
                           f"agent {j}, stage {t}: reachable belief branches", exact=False)
 
 
 def _map_columns(instance: Instance, j: int, t: int) -> dict:
     """Each variable's column in agent j's stage-t accessible maps: those of
-    `accessible(0, j)`, then of each `new_info(s, j)`, s = 1..t; the last one wins."""
+    `accessible(0, j)`, then of each `new_info(s, j)`, s = 1..t."""
     news = [instance.info.new_info(s, j) for s in range(1, t + 1)]
     return {var: c for c, var in enumerate(sum(news, instance.info.accessible(0, j)))}
 
@@ -468,15 +470,14 @@ def _expand(instance, j, t, stage, amaps, lifts, above, caps, before):
     Fills `stage.kid`. Returns the new stage and its nodes' maps.
     """
     batch = stage.batch
-    point = np.repeat(np.arange(len(batch.start) - 1), np.diff(batch.start))  # per branch
+    point = batch.row  # per branch
     child = np.hstack([amaps[stage.grids.node[point]], batch.z])
     tail, failed = np.full(len(point), -1), len(point)
     if above is not None:
         new_info = instance.info.new_info(t + 1, j + 1)
         z = child[:, [_map_columns(instance, j, t + 1)[var] for var in new_info]]
         shape = (len(above.batch.start) - 1, *instance.schema_sizes(new_info))
-        rows = np.repeat(np.arange(shape[0]), np.diff(above.batch.start))  # per group, its point
-        known = np.ravel_multi_index((rows, *above.batch.z.T), shape)  # sorted (point, z) codes
+        known = np.ravel_multi_index((above.batch.row, *above.batch.z.T), shape)  # sorted codes
         wanted = np.ravel_multi_index((lifts[point], *z.T), shape)
         found = np.minimum(np.searchsorted(known, wanted), len(known) - 1)
         hit = known[found] == wanted
@@ -571,8 +572,7 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
         stage = stages[t]
         grids, batch = stage.grids, stage.batch
         if stage.kid is not None:  # each point's branches, added in order
-            point = np.repeat(np.arange(len(grids.node)), np.diff(batch.start))
-            np.add.at(cost, point, batch.mass * values[stage.kid])
+            np.add.at(cost, batch.row, batch.mass * values[stage.kid])
         least = np.flatnonzero(cost == np.minimum.reduceat(cost, grids.start)[grids.node])
         best = least[np.searchsorted(grids.node[least], np.arange(len(stage.probs)))]  # firsts
         digits = grids.digits(best)

@@ -19,7 +19,11 @@ a line holds:
 - `belief_step`: per agent, along every reachable branch of a seeded random
   prescription strategy, each step's new information, mass and posterior;
 - `accessible_support` and `initial_information_state`: per agent, each t=0
-  accessible realization with its mass, and with its initial belief.
+  accessible realization with its mass, and with its initial belief;
+- `brute`: `solve_brute_force`'s vectorized_cost, optimal_cost,
+  search_size and the sha256 of its tables, sorted, as JSON;
+- `counts`: `count_strategies` for "brute" and for each agent k (key
+  `agent_k`), as decimal strings.
 
 Floats are written by `float.hex` and failures as [error class, message],
 so two outputs are equal exactly when the results are bit for bit. Run it at
@@ -28,6 +32,7 @@ two commits and `diff` the outputs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
@@ -44,12 +49,13 @@ from helpers import (
 from test_stage_pass import _bench_workloads
 from womctl import instances
 from womctl.belief import accessible_support, belief_step, initial_information_state
-from womctl.prescription import complete_prescription_at
+from womctl.prescription import complete_prescription_at, count_strategies
 from womctl.serialize import prescription_strategy_to_dict
 from womctl.solver import (
     _solve_chain,
     compare_agents,
     resolve_caps,
+    solve_brute_force,
     solve_prescription_dp,
     solve_prescription_static,
 )
@@ -130,6 +136,29 @@ def _dp(instance, k):
             res.belief_tree, res.belief_policy]
 
 
+def _brute(instance):
+    res = solve_brute_force(instance)
+    tables = sorted((key, sorted(table.items()))
+                    for key, table in res.control_strategy.tables.items())
+    return [res.extras["vectorized_cost"], res.optimal_cost, res.search_size,
+            hashlib.sha256(json.dumps(plain(tables)).encode()).hexdigest()]
+
+
+def _decimal(count: int) -> str:
+    """`count` in decimal, however many digits it has."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _counts(instance):
+    modes = {"brute": "brute"} | {f"agent_{k}": k for k in range(1, instance.agent_count + 1)}
+    return {name: _decimal(count_strategies(instance, mode)) for name, mode in modes.items()}
+
+
 def _steps(instance, k):
     """Each step along every reachable branch of a seeded random strategy,
     depth first: stage, new information, mass and posterior."""
@@ -171,6 +200,8 @@ def digest(name, build) -> dict:
             ])
             for k in agents
         },
+        "brute": attempt(lambda: _brute(instance)),
+        "counts": attempt(lambda: _counts(instance)),
     }
 
 

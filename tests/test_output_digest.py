@@ -1,11 +1,14 @@
 """`output_digest.py`, the tool that diffs the solvers' outputs between two
 versions, on one instance."""
 
+import hashlib
 import json
+import sys
 
 import output_digest
 from womctl.belief import accessible_support, initial_information_state
-from womctl.solver import solve_prescription_dp
+from womctl.prescription import count_strategies
+from womctl.solver import solve_brute_force, solve_prescription_dp
 
 
 def test_output_digest_covers_the_178_instances():
@@ -19,7 +22,7 @@ def test_output_digest_prints_one_line_per_instance(d2, capsys):
     (line,) = capsys.readouterr().out.splitlines()
     record = json.loads(line)
     assert sorted(record) == [
-        "accessible_support", "belief_step", "chain", "compare", "dp",
+        "accessible_support", "belief_step", "brute", "chain", "compare", "counts", "dp",
         "initial_information_state", "name",
     ]
     assert record["name"] == "d2"
@@ -39,8 +42,28 @@ def test_output_digest_prints_one_line_per_instance(d2, capsys):
         assert record["initial_information_state"][str(k)] == [
             [list(a_real), [p.hex() for p in pi.probs.tolist()]] for a_real, pi in states.items()
         ]
+    brute = solve_brute_force(d2)  # costs by float.hex, then the hash of the sorted tables
+    tables = [
+        [list(key), [[list(real), action] for real, action in sorted(table.items())]]
+        for key, table in sorted(brute.control_strategy.tables.items())
+    ]
+    assert record["brute"] == [
+        brute.extras["vectorized_cost"].hex(), brute.optimal_cost.hex(), 1048576,
+        hashlib.sha256(json.dumps(tables).encode()).hexdigest(),
+    ]
+    assert record["counts"] == {
+        "brute": "1048576",
+        "agent_1": str(count_strategies(d2, 1)),
+        "agent_2": str(count_strategies(d2, 2)),
+    }
 
 
 def test_output_digest_rejects_an_unknown_instance(capsys):
     assert output_digest.main(["d3"]) == 2
     assert "d3" in capsys.readouterr().err
+
+
+def test_output_digest_writes_counts_past_the_int_to_str_limit():
+    limit = sys.get_int_max_str_digits()
+    assert output_digest._decimal(10 ** (limit + 1)) == "1" + "0" * (limit + 1)
+    assert sys.get_int_max_str_digits() == limit

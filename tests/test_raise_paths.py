@@ -8,6 +8,8 @@ import io
 import numpy as np
 import pytest
 
+from helpers import random_topology_instance
+import womctl.belief as belief_mod
 from womctl.belief import (
     StepKernel,
     connection_term,
@@ -19,6 +21,7 @@ from womctl.belief import (
 from womctl.cli import main
 from womctl.errors import (
     DomainMismatch,
+    WomError,
     IndexOrder,
     NotStronglyConnected,
     OutOfRange,
@@ -29,7 +32,7 @@ from womctl.instances import load_wom3
 from womctl.netgraph import NetworkSpec, compute_delay_matrix, information_path
 from womctl.prescription import CompletePrescription, derive_complete, make_prescription
 from womctl.serialize import control_strategy_from_dict, prescription_strategy_from_dict
-from womctl.solver import solve_prescription_static
+from womctl.solver import compare_agents, solve_prescription_dp, solve_prescription_static
 from womctl.sysmodel import (
     ControlStrategy,
     enumerate_realizations,
@@ -202,3 +205,21 @@ def test_rare_paths_keep_their_outcome(name, d2):
         call(d2)
     assert type(info.value) is error
     assert str(info.value) == expected
+
+
+IMPOSSIBLE = "agent 1, stage 0: agent 2 new information (0, 0) impossible on a positive branch"
+
+
+@pytest.mark.parametrize("solve", [
+    lambda instance: solve_prescription_dp(instance, 1),
+    compare_agents,  # not a cap, so the failure escapes the comparison
+], ids=["dp", "compare"])
+def test_a_tail_without_the_branch_new_information_raises(monkeypatch, solve):
+    """With new information of mass up to 0.05 dropped, agent 1's pass on
+    `random_topology_instance(25)` keeps a branch whose new information for
+    agent 2 its tail node's step dropped, so the branch has no tail."""
+    monkeypatch.setattr(belief_mod, "ZERO_TOL", 0.05)
+    with pytest.raises(WomError) as info:
+        solve(random_topology_instance(25))
+    assert type(info.value) is WomError
+    assert str(info.value) == IMPOSSIBLE

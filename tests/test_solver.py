@@ -1240,6 +1240,6 @@ def test_solvers_reject_a_cap_that_is_not_an_integer(name, solve):
 
 
 def test_caps_take_numpy_integers():
-    assert solver_mod.resolve_caps(np.int64(10)) == solver_mod.Caps(10, 10, 10)
+    assert solver_mod.resolve_caps(np.int64(10)) == solver_mod.Caps(10, 10)
     with pytest.raises(CapExceeded, match="cap is 10$"):
         solve_brute_force(load_d2(), np.int64(10))
