@@ -21,12 +21,12 @@ from womctl.belief import (
 from womctl.cli import main
 from womctl.errors import (
     DomainMismatch,
-    WomError,
     IndexOrder,
     NotStronglyConnected,
     OutOfRange,
     SchemaMismatch,
     ShapeMismatch,
+    WomError,
 )
 from womctl.instances import load_wom3
 from womctl.netgraph import NetworkSpec, compute_delay_matrix, information_path
