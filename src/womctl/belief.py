@@ -8,6 +8,7 @@ row-major with the system state as the slowest coordinate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -203,7 +204,7 @@ def _initial_points(instance) -> tuple:
         sys, p = instance.system, instance.system.initial_probs
         for law in sys.noise_probs:
             p = np.multiply.outer(p, law[0])
-        live = np.flatnonzero(p)
+        live = p.ravel().nonzero()[0]
         (x, *v), p = np.unravel_index(live, p.shape), p.ravel()[live]
         instance._cache["initial points"] = p, _operands(sys, 0, None, None, x, v)
     return instance._cache["initial points"]
@@ -222,13 +223,13 @@ def _initial_pass(instance, k) -> tuple:
         total = realization_count(_support_sizes(instance, support))
         source = _fresh_sources(instance.system, 0)  # at t=0 every source is fresh
         s = _encode(_plan((STATE,) + support, source), operands)
-        a = _encode(_plan(acc, source), operands) + np.zeros_like(s)
-        group, g = np.unique(a, return_inverse=True)
+        a = _encode(_plan(acc, source), operands) + np.zeros(s.shape, s.dtype)
+        group, _, g = _unique(a)
         dense = np.bincount(g * total + s, weights=p, minlength=len(group) * total)
         dense = dense.reshape(len(group), total)
         sizes = np.array(instance.schema_sizes(acc), dtype=np.int64)
         values = group[:, None] // np.array(realization_strides(sizes), dtype=np.int64) % sizes
-        beliefs = dense / dense.sum(axis=1, keepdims=True)
+        beliefs = dense / np.add.reduce(dense, axis=1, keepdims=True)
         instance._cache[cache_key] = values, np.bincount(g, weights=p), beliefs
     return instance._cache[cache_key]
 
@@ -244,6 +245,19 @@ def initial_state_at(instance, k, a_real) -> InformationState:
             f"agent {k} initial accessible realization {key} has probability 0"
         )
     return states[key]
+
+
+def _unique(keys):
+    """`np.unique(keys, return_index=True, return_inverse=True)` of a 1-D
+    array, from one stable argsort: the sorted distinct keys, each one's
+    first entry and each entry's place among them."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    fresh = np.empty(len(keys), dtype=bool)  # where the sorted keys change
+    fresh[:1], fresh[1:] = True, ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(keys), np.intp)
+    inverse[order] = fresh.cumsum() - 1
+    return ordered[fresh], order[fresh], inverse
 
 
 class StepBatch(NamedTuple):
@@ -310,7 +324,7 @@ class StepKernel:
         sys = self.instance.system
         x_next = sys.transition[self.t][s // self.x_stride, uj, w]
         operands = _operands(sys, self.t + 1, s, uj, x_next, v)
-        zero = np.zeros_like(x_next)
+        zero = np.zeros(x_next.shape, x_next.dtype)
         return _encode(self.new_plan, operands) + zero, _encode(self.next_plan, operands) + zero
 
     def step(self, rows, pairs) -> StepBatch:
@@ -327,34 +341,29 @@ class StepKernel:
         One stable argsort groups the terms by (row, realization) code.
         """
         row, s, uj, prior = pairs
-        codes = np.sort(s * self.instance.system.joint_control_count + uj)
-        read = min(codes.size, 1) + np.count_nonzero(codes[1:] != codes[:-1])
+        codes = s * self.instance.system.joint_control_count + uj
+        codes.sort()
+        read = min(codes.size, 1) + (codes[1:] != codes[:-1]).nonzero()[0].size
         z_index, s_next = self.advance(s[:, None], uj[:, None], self.paths[0], self.paths[1:])
         p = prior[:, None] * self.factors[0]
         for f in self.factors[1:]:
             p = p * f
         live = p != 0.0
         new_count = realization_count(self.new_sizes)
-        key = (row[:, None] * new_count + z_index)[live]
-        order = np.argsort(key, kind="stable")  # the groups in sorted (row, z) order
-        ordered = key[order]
-        fresh = np.ones(len(key), dtype=bool)
-        fresh[1:] = ordered[1:] != ordered[:-1]
-        group, g = ordered[fresh], np.empty_like(order)
-        g[order] = np.cumsum(fresh) - 1
+        group, _, g = _unique((row[:, None] * new_count + z_index)[live])
         acc = np.bincount(
             g * self.next_total + s_next[live],
             weights=p[live],
             minlength=len(group) * self.next_total,
         ).reshape(len(group), self.next_total)
-        mass = acc.sum(axis=1)
+        mass = np.add.reduce(acc, axis=1)
         keep = mass > ZERO_TOL
         group, acc, mass = group[keep], acc[keep], mass[keep]
         row, z_index = np.divmod(group, new_count)
         posteriors = acc / mass[:, None]
         strides = np.array(realization_strides(self.new_sizes), dtype=np.int64)
         return StepBatch(
-            start=np.searchsorted(row, np.arange(rows + 1)),
+            start=row.searchsorted(np.arange(rows + 1)),
             row=row,
             z=z_index[:, None] // strides % np.array(self.new_sizes, dtype=np.int64),
             mass=mass,
@@ -385,7 +394,7 @@ def _noise_paths(instance, t) -> tuple:
         live = laws[0] != 0.0
         for law in laws[1:]:
             live = np.logical_and.outer(live, law != 0.0)
-        paths = np.array(np.unravel_index(np.flatnonzero(live), live.shape))
+        paths = np.array(np.unravel_index(live.ravel().nonzero()[0], live.shape))
         instance._cache[cache_key] = paths, np.array([law[i] for law, i in zip(laws, paths)])
     return instance._cache[cache_key]
 
@@ -444,11 +453,11 @@ class DigitGrids:
 
     def __init__(self, read, radix):
         sizes = np.where(read, radix, 1)
-        after = np.cumprod(sizes[:, ::-1], axis=1)[:, ::-1] // sizes  # each axis's place value
-        self.read, self.radix, self.size = read, radix, sizes.prod(axis=1)
+        after = sizes[:, ::-1].cumprod(axis=1)[:, ::-1] // sizes  # each axis's place value
+        self.read, self.radix, self.size = read, radix, np.multiply.reduce(sizes, axis=1)
         self.stride = np.where(read, after, self.size[:, None])  # a digit not read reads 0
-        self.start = np.cumsum(self.size) - self.size
-        self.node = np.repeat(np.arange(len(read)), self.size)
+        self.start = self.size.cumsum() - self.size
+        self.node = np.arange(len(read)).repeat(self.size)
         self.local = np.arange(len(self.node)) - self.start[self.node]
 
     def digits(self, points=slice(None)):
@@ -459,7 +468,7 @@ class DigitGrids:
         """Per row of `rows`, the point of its grid whose read digits take the
         values of that row of `digits`."""
         place = np.where(self.read[rows], self.stride[rows], 0)
-        return self.start[rows] + (digits * place).sum(axis=1)
+        return self.start[rows] + np.add.reduce(digits * place, axis=1)
 
 
 class CandidateScorer:
@@ -493,15 +502,15 @@ class CandidateScorer:
             realization_count(instance.schema_sizes(instance.info.prescription_domain(t, k, m)))
             for m in range(1, h + 1)
         ]
-        self.edges = np.cumsum([0] + counts)  # each head target's first digit, and the end
-        rows, s = np.nonzero(probs > 0.0)
+        self.edges = [0, *itertools.accumulate(counts)]  # head targets' first digits, and the end
+        rows, s = (probs > 0.0).nonzero()
         digit = [edge + row[s] for edge, row in zip(self.edges, domain_rows[:h])]  # per pair
         read = np.zeros((len(probs), self.edges[-1]), dtype=bool)
         if reads is not None:
             read |= reads
         for d in digit:
             read[rows, d] = True
-        radix = np.repeat(np.array(sys.control_sizes[:h], dtype=np.int64), counts)
+        radix = np.array(sys.control_sizes[:h], dtype=np.int64).repeat(counts)
         self.grids = grids = DigitGrids(read, radix)
         strides = realization_strides(sys.control_sizes)  # in the joint index
         base = np.zeros(len(s), dtype=np.int64)
@@ -512,11 +521,12 @@ class CandidateScorer:
         self.cost = np.zeros(len(grids.node))
         pairs = []
         size = grids.size[rows]  # per pair, its belief's points
-        before = np.cumsum(size) - size
-        cuts = [0, *(np.flatnonzero(np.diff(before // SCORE_BLOCK)) + 1).tolist(), len(rows)]
+        before = size.cumsum() - size
+        block = before // SCORE_BLOCK
+        cuts = [0, *((block[1:] != block[:-1]).nonzero()[0] + 1).tolist(), len(rows)]
         for lo, hi in zip(cuts, cuts[1:]):
-            pair = np.repeat(np.arange(lo, hi), size[lo:hi])  # one per point of the pair's belief
-            local = np.arange(len(pair)) - np.repeat(before[lo:hi] - before[lo], size[lo:hi])
+            pair = np.arange(lo, hi).repeat(size[lo:hi])  # one per point of the pair's belief
+            local = np.arange(len(pair)) - (before[lo:hi] - before[lo]).repeat(size[lo:hi])
             points = grids.start[rows[pair]] + local
             uj = base[pair]
             for weight, d in zip(strides, digit):  # each head target's digit at the pair's row

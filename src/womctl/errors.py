@@ -92,15 +92,14 @@ def format_count(n: int) -> str:
 
 
 class CapExceeded(WomError):
-    """A search needs more candidates than its cap. With `exact=False` the
-    count stopped early and `required` is only a lower bound."""
+    """A search needs more candidates (or other `unit`s) than its cap. With
+    `exact=False` the count stopped early and `required` is a lower bound."""
 
-    def __init__(self, required: int, cap: int, what: str = "search", exact: bool = True):
-        self.required = required
-        self.cap = cap
-        self.what = what
+    def __init__(self, required: int, cap: int, what: str = "search", exact: bool = True,
+                 unit: str = "candidates"):
+        self.required, self.cap, self.what, self.unit = required, cap, what, unit
         need = format_count(required) if exact else f"more than {cap}"
-        super().__init__(f"{what} needs {need} candidates, cap is {cap}")
+        super().__init__(f"{what} needs {need} {unit}, cap is {cap}")
 
 
 class ImpossibleObservation(WomError):

@@ -24,6 +24,7 @@ import numpy as np
 from .belief import (
     CandidateScorer,
     _initial_pass,
+    _unique,
     probs_codes,
     probs_keys,
     step_kernel,
@@ -374,13 +375,13 @@ def _roots(instance: Instance, j: int, above: _Pass | None):
     root's tail is found by the row-major code of its values on A(0, j + 1)'s
     columns among the sorted codes of the roots of `above`."""
     values, masses, probs = _initial_pass(instance, j)
-    tail = np.full(len(masses), -1)
+    tail = np.zeros(len(masses), np.int64) - 1
     if above is not None:
         acc0, acc1 = instance.info.accessible(0, j), instance.info.accessible(0, j + 1)
         strides = np.array(realization_strides(instance.schema_sizes(acc1)), dtype=np.int64)
         _, nodes, above_values, _ = above.roots
         wanted = values[:, [acc0.index(var) for var in acc1]] @ strides
-        tail = nodes[np.searchsorted(above_values @ strides, wanted)]
+        tail = nodes[(above_values @ strides).searchsorted(wanted)]
     return masses, values, probs, tail
 
 
@@ -409,7 +410,8 @@ def _check_branches(count: int, caps: Caps, j: int, t: int):
     are within the table cap."""
     if count > caps.tables:
         raise CapExceeded(caps.tables + 1, caps.tables,
-                          f"agent {j}, stage {t}: reachable belief branches", exact=False)
+                          f"agent {j}, stage {t}: reachable belief branches", exact=False,
+                          unit="nodes")
 
 
 def _map_columns(instance: Instance, j: int, t: int) -> dict:
@@ -424,23 +426,18 @@ def _groups(rows):
     row, and each group's first row: one stable sort of the rows as raw
     bytes and a test for where the sorted rows change."""
     rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")  # a group's first row comes first in it
-    ordered = keys[order]
-    fresh = np.ones(len(keys), dtype=bool)
-    fresh[1:] = ordered[1:] != ordered[:-1]
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    _, firsts, inverse = _unique(keys)  # the firsts in sorted order
     first = np.zeros(len(keys), dtype=bool)
-    first[order[fresh]] = True
-    group = np.empty_like(order)  # a first row's group counts the first rows up to it
-    group[order] = (np.cumsum(first) - 1)[order[fresh]][np.cumsum(fresh) - 1]
-    return group, np.flatnonzero(first)
+    first[firsts] = True  # a first row's group counts the first rows up to it
+    return (first.cumsum() - 1)[firsts][inverse], first.nonzero()[0]
 
 
 def _merge(probs, tail):
     """Nodes from a stack of agent j's beliefs and their tail nodes: per row
     its node, numbered by first row, and each node's first row. Rows merge
     on the integer codes of their beliefs and on their tail node."""
-    return _groups(np.hstack([probs_codes(probs), tail[:, None]]))
+    return _groups(np.concatenate([probs_codes(probs), tail[:, None]], axis=1))
 
 
 def _restriction(instance: Instance, j: int, t: int) -> tuple:
@@ -471,18 +468,18 @@ def _expand(instance, j, t, stage, amaps, lifts, above, caps, before):
     """
     batch = stage.batch
     point = batch.row  # per branch
-    child = np.hstack([amaps[stage.grids.node[point]], batch.z])
-    tail, failed = np.full(len(point), -1), len(point)
+    child = np.concatenate([amaps[stage.grids.node[point]], batch.z], axis=1)
+    tail, failed = np.zeros(len(point), np.int64) - 1, len(point)
     if above is not None:
         new_info = instance.info.new_info(t + 1, j + 1)
         z = child[:, [_map_columns(instance, j, t + 1)[var] for var in new_info]]
         shape = (len(above.batch.start) - 1, *instance.schema_sizes(new_info))
         known = np.ravel_multi_index((above.batch.row, *above.batch.z.T), shape)  # sorted codes
         wanted = np.ravel_multi_index((lifts[point], *z.T), shape)
-        found = np.minimum(np.searchsorted(known, wanted), len(known) - 1)
+        found = np.minimum(known.searchsorted(wanted), len(known) - 1)
         hit = known[found] == wanted
         tail = above.kid[found]
-        failed = np.append(np.flatnonzero(~hit), failed)[0]
+        failed = np.concatenate([(~hit).nonzero()[0], [failed]])[0]
     node_of, made = _merge(batch.probs[:failed], tail[:failed])
     _check_branches(before + len(made), caps, j, t + 1)
     if failed < len(point):
@@ -553,7 +550,7 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
             if t == T:
                 break
             if tail_stage is not None:
-                lifted = np.hstack([grids.digits()[:, lift], tails[0][grids.node]])
+                lifted = np.concatenate([grids.digits()[:, lift], tails[0][grids.node]], axis=1)
                 lifts = tail_stage.grids.points(stage.tail[grids.node], lifted)
             stage.batch = step_kernel(instance, j, t).step(len(grids.node), score.pairs)
             computed += len(grids.node)
@@ -573,8 +570,8 @@ def _solve_agent(instance: Instance, j: int, chain: dict, caps: Caps) -> _Pass:
         grids, batch = stage.grids, stage.batch
         if stage.kid is not None:  # each point's branches, added in order
             np.add.at(cost, batch.row, batch.mass * values[stage.kid])
-        least = np.flatnonzero(cost == np.minimum.reduceat(cost, grids.start)[grids.node])
-        best = least[np.searchsorted(grids.node[least], np.arange(len(stage.probs)))]  # firsts
+        least = (cost == np.minimum.reduceat(cost, grids.start)[grids.node]).nonzero()[0]
+        best = least[grids.node[least].searchsorted(np.arange(len(stage.probs)))]  # firsts
         digits = grids.digits(best)
         stage.tables = [  # in the dtype `enumerate_prescription_tables` gives
             digits[:, lo:hi].astype(np.min_scalar_type(size - 1))
@@ -635,11 +632,11 @@ def _emit_strategy(instance: Instance, k: int, chain: dict):
         if stage.win is None:
             break
         wins = stage.win[nodes]
-        lo, count = stage.batch.start[wins], np.diff(stage.batch.start)[wins]
-        parent = np.repeat(np.arange(len(wins)), count)  # per child, its path
-        groups = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count - lo, count)
+        lo, hi = stage.batch.start[wins], stage.batch.start[wins + 1]
+        parent = np.arange(len(wins)).repeat(hi - lo)  # per child, its path
+        groups = np.arange(len(parent)) - ((hi - lo).cumsum() - hi)[parent]
         nodes = stage.kid[groups]
-        maps = np.hstack([maps[parent], stage.batch.z[groups]])
+        maps = np.concatenate([maps[parent], stage.batch.z[groups]], axis=1)
         probs = stage.batch.probs[groups]
     return PrescriptionStrategy(owner=k, laws=laws, defaults=defaults), walk
 

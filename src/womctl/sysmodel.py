@@ -8,6 +8,7 @@ are 1-based, values 0-based.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -157,7 +158,7 @@ def schema_rows(instance: Instance, schema: InfoSchema, subs, state: bool = Fals
     digit = {v: (flat // w % n, n) for v, n, w in zip(names, sizes, realization_strides(sizes))}
     rows = []
     for sub in subs:
-        row = np.zeros_like(flat)
+        row = np.zeros(flat.shape, flat.dtype)
         for var in sub:
             if var not in digit:
                 raise SchemaMismatch(f"variable {var} is not a coordinate of the schema")
@@ -378,9 +379,8 @@ def _stage_variables(t: int, agent_count: int, kind: str) -> InfoSchema:
     return tuple(VariableId(t, k, kind) for k in range(1, agent_count + 1))
 
 
-def _check_reach(count: int):
-    if count > SWEEP_CAP:
-        raise CapExceeded(count, SWEEP_CAP, "reachable (state, history) pairs")
+def _reach_exceeded(count: int, cap: int):
+    raise CapExceeded(count, cap, "reachable (state, history) pairs")
 
 
 def _observation_law(sys: SystemSpec, t: int, x: int) -> dict:
@@ -419,8 +419,8 @@ def _forward_pass(instance: Instance, keep, decide):
     joint control index) pairs. After acting, the history keeps only the
     variables in `keep[t]`, and for t < T the state branches over the
     positive-probability disturbances. Equal keys merge at every step, and
-    more than SWEEP_CAP reachable pairs raises CapExceeded as soon as a stage
-    passes it. Laws are built once, in `instance._cache`.
+    more than SWEEP_CAP (read once per pass) reachable pairs raises CapExceeded
+    as soon as a stage passes it. Laws are built once, in `instance._cache`.
 
     Yields (t, layout, histories, options, pairs, children) per stage: `layout`
     names the variables of the distinct histories, `histories` and `options`
@@ -430,30 +430,31 @@ def _forward_pass(instance: Instance, keep, decide):
     nothing is cut, it indexes that stage's (history, option) pairs in order.
     """
     sys = instance.system
-    T, K = sys.horizon, sys.agent_count
+    T, K, cap = sys.horizon, sys.agent_count, SWEEP_CAP
     states = {(x, 0): float(p) for x, p in enumerate(sys.initial_probs) if p > 0.0}
     kept, kept_histories = (), [()]
     for t in range(T + 1):
         layout = kept + _stage_variables(t, K, KIND_OBSERVATION)
         observation_laws = instance._cache.setdefault(("observation laws", t), {})
-        children, histories, observed = {}, [], []
+        children, observed = {}, []
+        child, observe = children.setdefault, observed.append
         for (x, hid), mass in states.items():
             law = observation_laws.get(x)
             if law is None:
-                law = observation_laws[x] = _observation_law(sys, t, x)
-            for y, p in law.items():  # each (x, h + y) is new: no merge here
-                cid = children.setdefault((hid, y), len(histories))
-                if cid == len(histories):
-                    histories.append(kept_histories[hid] + y)
-                observed.append((x, cid, mass * p))
-            _check_reach(len(observed))
+                law = observation_laws[x] = tuple(_observation_law(sys, t, x).items())
+            for y, p in law:  # each (x, h + y) is new: no merge here
+                observe((x, child((hid, y), len(children)), mass * p))
+            if len(observed) > cap:
+                _reach_exceeded(len(observed), cap)
+        histories = [kept_histories[hid] + y for hid, y in children]  # in id order
         rule = decide(t, layout)
         options, count = [], 0
         for x, cid, mass in observed:
             if cid == len(options):  # ids first show up in increasing order
                 options.append(rule(histories[cid]))
             count += len(options[cid])
-            _check_reach(count)
+            if count > cap:
+                _reach_exceeded(count, cap)
         yield t, layout, histories, options, observed, children
         if t == T:
             return
@@ -465,16 +466,16 @@ def _forward_pass(instance: Instance, keep, decide):
         kept_histories = list(interned)
         moves = [[(uj, next(ids)) for _, uj in opts] for opts in options]
         successor_laws = instance._cache.setdefault(("successor laws", t), {})
-        states = {}
+        states = collections.defaultdict(float)
         for x, cid, mass in observed:
             for uj, kid in moves[cid]:
                 law = successor_laws.get((x, uj))
                 if law is None:
-                    law = successor_laws[(x, uj)] = _successor_law(sys, t, x, uj)
-                for nxt, p in law.items():
-                    key = (nxt, kid)
-                    states[key] = states.get(key, 0.0) + mass * p
-                _check_reach(len(states))
+                    law = successor_laws[(x, uj)] = tuple(_successor_law(sys, t, x, uj).items())
+                for nxt, p in law:
+                    states[(nxt, kid)] += mass * p
+                if len(states) > cap:
+                    _reach_exceeded(len(states), cap)
 
 
 def exact_strategy_cost(instance: Instance, strategy) -> CostReport:

@@ -1188,7 +1188,8 @@ def solve_agent_reference(instance, j, chain, caps):
         nodes += 1
         open_stages.append(t)
         if nodes > caps.tables:
-            raise CapExceeded(nodes, caps.tables, "reachable belief branches", exact=False)
+            raise CapExceeded(nodes, caps.tables, "reachable belief branches", exact=False,
+                              unit="nodes")
         above = _inherited_nodes(instance, chain, j, t, key[1])
         stage.tail.append(above[0] if above else -1)
         tails = [chain[m].stages[t].tables[m - 1][u] for m, u in enumerate(above, start=j + 1)]

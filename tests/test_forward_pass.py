@@ -110,7 +110,7 @@ def test_forward_pass_equals_the_tuple_keyed_reference(monkeypatch, family, key)
             at = f"law (t={t}, target={m}) prescription at {cond}"
             assert got == (OutOfRange, f"{at} maps row 0 to invalid action {size}", None)
 
-    for cap in (4, 16, 64):
+    for cap in (4, 5, 16, 33, 64):
         fresh = make(key)
         monkeypatch.setattr(sysmodel, "SWEEP_CAP", cap)
         for strategy in strategies:

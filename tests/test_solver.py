@@ -648,7 +648,7 @@ def test_branch_cap_message_gives_a_lower_bound():
         solve_prescription_dp(instance_from_dict(pomdp_dict(7)), 1, cap=20)
     assert err.value.required == 21
     assert str(err.value) == (
-        "agent 1, stage 2: reachable belief branches needs more than 20 candidates, cap is 20"
+        "agent 1, stage 2: reachable belief branches needs more than 20 nodes, cap is 20"
     )
 
 
